@@ -16,8 +16,8 @@
 //! [`im2col_into`] / [`col2im_into`] let callers recycle output storage,
 //! so a warmed pipeline performs no per-frame heap allocation.
 
+use crate::kernels::{abt_tiled, accumulate_kernel, pack_at};
 use crate::par::{try_for_each_block, try_parallel_map};
-use crate::routines::{self, GemmOp};
 use crate::{scratch, Result, Tensor, TensorError};
 
 /// Stride and zero-padding configuration for a 2-D convolution.
@@ -436,10 +436,9 @@ fn conv2d_impl(
     let kdim = c * kh * kw;
     let ncols = oh * ow;
     let work = n * out_len * kdim;
-    // Every sample runs the same `W · cols` GEMM shape; select the
-    // routine once before fanning out so workers never touch the
-    // selector.
-    let mm_kernel = routines::select(GemmOp::MatMul, f, kdim, ncols).kernel;
+    // Every sample runs the same `W · cols` GEMM shape; pick the kernel
+    // once before fanning out.
+    let mm_kernel = accumulate_kernel(kdim, ncols);
     try_for_each_block(out, out_len, work, |n0, chunk| {
         // One column buffer per worker chunk, reused across its samples.
         let mut cols = scratch::take(kdim * ncols);
@@ -573,13 +572,12 @@ fn conv2d_backward_impl(
     // exact forward-pass shape, so a training step reuses one buffer for
     // both directions instead of allocating twice.
     let work = 2 * n * out_len * kdim;
-    // Both backward GEMM shapes repeat per sample; select each routine
-    // once on the caller thread and hand workers plain kernel fns. The
-    // dCols GEMM is `Wᵀ · gOut` with the full Aᵀ column range, so its
-    // packed rows are the whole `kdim × f` transpose.
-    let dw_kernel = routines::select(GemmOp::MatMulABt, f, ncols, kdim).kernel;
-    let dcols_kernel = routines::select(GemmOp::MatMulAtB, kdim, f, ncols).kernel;
-    let wt = routines::pack_at(wd, f, kdim, 0, kdim);
+    // The dCols GEMM shape repeats per sample; pick its kernel once on
+    // the caller thread and hand workers a plain kernel fn. It is
+    // `Wᵀ · gOut` with the full Aᵀ column range, so its packed rows are
+    // the whole `kdim × f` transpose.
+    let dcols_kernel = accumulate_kernel(f, ncols);
+    let wt = pack_at(wd, f, kdim, 0, kdim);
     let per_sample = try_parallel_map(n, work, |ni| -> Result<(Vec<f32>, Vec<f32>, Vec<f32>)> {
         let mut cols = scratch::take(kdim * ncols);
         cols.resize(kdim * ncols, 0.0);
@@ -599,7 +597,7 @@ fn conv2d_backward_impl(
         // dW contribution: gOut · colsᵀ.
         let mut dw = scratch::take(f * kdim);
         dw.resize(f * kdim, 0.0);
-        dw_kernel(gout, f, ncols, &cols, kdim, &mut dw);
+        abt_tiled(gout, f, ncols, &cols, kdim, &mut dw);
         // dCols = Wᵀ · gOut, then scatter back to the input.
         let mut dcols = scratch::take(kdim * ncols);
         dcols.resize(kdim * ncols, 0.0);

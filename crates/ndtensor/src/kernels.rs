@@ -1,0 +1,496 @@
+//! The GEMM microkernels behind [`crate::matmul`] and [`crate::conv`].
+//!
+//! Three kernels, one per shape class, and one rule that picks between
+//! the two accumulating ones ([`accumulate_kernel`]):
+//!
+//! * [`mm_axpy`] — axpy-ordered accumulation with a 256-column tile and
+//!   B-panel packing; wins where `k` is long.
+//! * [`mm_rr2`] — two-row, 64-wide register-blocked accumulation; wins
+//!   where the output is wide and `k` short enough for the `k × 64` B
+//!   block to stay L1-resident (every conv-as-GEMM forward shape and the
+//!   wide backward GEMMs).
+//! * [`abt_tiled`] — the assigning `A·Bᵀ` kernel with eight independent
+//!   dot-product chains over 64-row B tiles, for every `A·Bᵀ` shape.
+//!
+//! Every kernel honours one non-negotiable contract: **each output
+//! element is accumulated in a single chain, ascending `k`, starting from
+//! the element's initial value** — exactly the three-loop schoolbook
+//! product. Tiling, packing and register blocking only reorder *which
+//! element is worked on next*, never the additions inside one element,
+//! so the two accumulating kernels are bitwise-interchangeable and every
+//! kernel is bitwise-equal to the naive product (the tests below and
+//! `tests/kernel_parity.rs`). The accumulating kernels keep the
+//! historical exact-zero skip on `A` entries, both skipping the same `l`
+//! indices; the assigning kernel never skips and writes every output
+//! element exactly once.
+//!
+//! All three share the calling convention `(arows, rows, k, bd, n, out)`:
+//! a packed `rows × k` block of A rows against the full B operand,
+//! writing a `rows × n` output block — exactly the per-chunk shape
+//! [`crate::par::for_each_block`] hands to workers.
+
+use crate::scratch;
+
+/// The shared microkernel signature: `(arows, rows, k, bd, n, out)`.
+pub(crate) type Kernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
+
+/// Minimum rows in a chunk before packing the B panel pays for itself.
+/// The decision never affects values.
+const PACK_MIN_ROWS: usize = 4;
+
+/// Output columns per [`mm_axpy`] tile.
+const COL_TILE: usize = 256;
+
+/// Accumulator width of [`mm_rr2`]: output columns held in registers.
+const RR_W: usize = 64;
+
+/// B rows per [`abt_tiled`] tile.
+const ABT_ROW_TILE: usize = 64;
+
+/// Independent dot-product chains in flight in [`abt_tiled`].
+const ABT_J: usize = 8;
+
+/// The accumulating kernel for a full `k × n` problem: [`mm_rr2`] where
+/// its 64-column accumulator block fits the output (`n ≥ 64`) and the
+/// `k × 64` B block stays L1-resident (`k ≤ 128`, ≤ 32 KB of f32),
+/// [`mm_axpy`] elsewhere, where its packed panel amortizes over long `k`.
+///
+/// Call once per entry-point invocation, on the caller thread, before
+/// row-splitting, so the choice cannot depend on the thread count.
+pub(crate) fn accumulate_kernel(k: usize, n: usize) -> Kernel {
+    if n >= RR_W && k <= 128 {
+        mm_rr2
+    } else {
+        mm_axpy
+    }
+}
+
+/// Packs the `k × tw` column panel of `b` starting at column `jc` into
+/// `panel` (cleared first): one streaming copy, then every row of the
+/// chunk reuses it from cache.
+fn pack_panel(bd: &[f32], k: usize, n: usize, jc: usize, tw: usize, panel: &mut Vec<f32>) {
+    panel.clear();
+    for l in 0..k {
+        panel.extend_from_slice(&bd[l * n + jc..l * n + jc + tw]);
+    }
+}
+
+/// Axpy-ordered accumulating kernel: `out[i][j] += Σ_l arows[i][l] ·
+/// b[l][j]` with column tiling and optional B-panel packing. `out` must
+/// hold the `rows × n` output block already initialised.
+///
+/// Per output element the summation is a single chain in ascending `l`,
+/// skipping exact-zero `arows` entries — identical to the naive kernel.
+pub(crate) fn mm_axpy(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
+    debug_assert_eq!(arows.len(), rows * k);
+    debug_assert_eq!(out.len(), rows * n);
+    if rows == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let pack = rows >= PACK_MIN_ROWS;
+    let mut panel = if pack {
+        scratch::take(k * COL_TILE.min(n))
+    } else {
+        Vec::new()
+    };
+    let mut jc = 0;
+    while jc < n {
+        let tw = COL_TILE.min(n - jc);
+        if pack {
+            pack_panel(bd, k, n, jc, tw, &mut panel);
+        }
+        for i in 0..rows {
+            let arow = &arows[i * k..(i + 1) * k];
+            let orow = &mut out[i * n + jc..i * n + jc + tw];
+            for (l, &av) in arow.iter().enumerate() {
+                // sncheck:allow(no-float-eq): exact-zero sparsity skip,
+                // not a tolerance check.
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = if pack {
+                    &panel[l * tw..(l + 1) * tw]
+                } else {
+                    &bd[l * n + jc..l * n + jc + tw]
+                };
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        jc += tw;
+    }
+    scratch::give(panel);
+}
+
+/// Whether an A row contains no exact zero.
+///
+/// Gates the branch-free fast path of [`mm_rr2`]: when no element is
+/// zero, the skip-discipline loop and the branch-free loop perform the
+/// identical sequence of multiplies and adds, so the fast path is
+/// bitwise-equal on exactly the inputs where it is taken.
+#[inline(always)]
+fn dense_row(row: &[f32]) -> bool {
+    // sncheck:allow(no-float-eq): exact-zero test is the gate condition
+    // for the sparsity-skip discipline, not a tolerance comparison.
+    row.iter().all(|&v| v != 0.0)
+}
+
+/// Single-row register block for the [`mm_rr2`] remainder row.
+#[inline(always)]
+fn rr1_block(r0: &[f32], k: usize, bd: &[f32], n: usize, j: usize, acc0: &mut [f32; RR_W]) {
+    if dense_row(r0) {
+        for l in 0..k {
+            let brow = &bd[l * n + j..l * n + j + RR_W];
+            let a0 = r0[l];
+            for t in 0..RR_W {
+                acc0[t] += a0 * brow[t];
+            }
+        }
+    } else {
+        for l in 0..k {
+            let brow = &bd[l * n + j..l * n + j + RR_W];
+            let a0 = r0[l];
+            // sncheck:allow(no-float-eq): exact-zero sparsity skip,
+            // same discipline as mm_axpy.
+            if a0 != 0.0 {
+                for t in 0..RR_W {
+                    acc0[t] += a0 * brow[t];
+                }
+            }
+        }
+    }
+}
+
+/// Scalar column-remainder chains (identical order to the wide paths).
+fn rr_col_remainder(
+    arows: &[f32],
+    rows: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+    mut j: usize,
+) {
+    while j < n {
+        for i in 0..rows {
+            let mut s = out[i * n + j];
+            for l in 0..k {
+                let av = arows[i * k + l];
+                // sncheck:allow(no-float-eq): exact-zero sparsity skip,
+                // same discipline as mm_axpy.
+                if av == 0.0 {
+                    continue;
+                }
+                s += av * bd[l * n + j];
+            }
+            out[i * n + j] = s;
+        }
+        j += 1;
+    }
+}
+
+/// Two-row register-blocked accumulating kernel: a pair of 64-wide
+/// accumulator rows lives in separate fixed-size locals (so scalar
+/// replacement keeps them in vector registers for the whole `k` chain —
+/// a nested `[[f32; W]; R]` block defeats that), seeded from `out` and
+/// stored back once. The `k × 64` B block is loaded once per `l`, shared
+/// by both rows, and stays L1-resident across row pairs at the same
+/// column offset, so B is effectively streamed from memory once per
+/// call. Row pairs whose A rows contain no exact zero take a branch-free
+/// inner loop; it performs the identical operation sequence as the
+/// skip loop on those inputs, so the choice never changes bits. Each
+/// output element's chain is ascending `l` either way.
+pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
+    debug_assert_eq!(arows.len(), rows * k);
+    debug_assert_eq!(out.len(), rows * n);
+    if rows == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let mut j = 0;
+    while j + RR_W <= n {
+        let mut i = 0;
+        while i + 2 <= rows {
+            let r0 = &arows[i * k..(i + 1) * k];
+            let r1 = &arows[(i + 1) * k..(i + 2) * k];
+            let mut acc0 = [0.0f32; RR_W];
+            let mut acc1 = [0.0f32; RR_W];
+            acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
+            acc1.copy_from_slice(&out[(i + 1) * n + j..(i + 1) * n + j + RR_W]);
+            if dense_row(r0) && dense_row(r1) {
+                for l in 0..k {
+                    let brow = &bd[l * n + j..l * n + j + RR_W];
+                    let a0 = r0[l];
+                    let a1 = r1[l];
+                    for t in 0..RR_W {
+                        acc0[t] += a0 * brow[t];
+                    }
+                    for t in 0..RR_W {
+                        acc1[t] += a1 * brow[t];
+                    }
+                }
+            } else {
+                for l in 0..k {
+                    let brow = &bd[l * n + j..l * n + j + RR_W];
+                    let a0 = r0[l];
+                    // sncheck:allow(no-float-eq): exact-zero sparsity
+                    // skip, same discipline as mm_axpy.
+                    if a0 != 0.0 {
+                        for t in 0..RR_W {
+                            acc0[t] += a0 * brow[t];
+                        }
+                    }
+                    let a1 = r1[l];
+                    // sncheck:allow(no-float-eq): exact-zero sparsity
+                    // skip, same discipline as mm_axpy.
+                    if a1 != 0.0 {
+                        for t in 0..RR_W {
+                            acc1[t] += a1 * brow[t];
+                        }
+                    }
+                }
+            }
+            out[i * n + j..i * n + j + RR_W].copy_from_slice(&acc0);
+            out[(i + 1) * n + j..(i + 1) * n + j + RR_W].copy_from_slice(&acc1);
+            i += 2;
+        }
+        // Remainder row: single-row register block, identical chains.
+        while i < rows {
+            let r0 = &arows[i * k..(i + 1) * k];
+            let mut acc0 = [0.0f32; RR_W];
+            acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
+            rr1_block(r0, k, bd, n, j, &mut acc0);
+            out[i * n + j..i * n + j + RR_W].copy_from_slice(&acc0);
+            i += 1;
+        }
+        j += RR_W;
+    }
+    rr_col_remainder(arows, rows, k, bd, n, out, j);
+}
+
+/// Transposes the `Aᵀ` column block `i0..i0 + rows` of `A: [k, m]` into
+/// a contiguous `rows × k` scratch buffer (single pass over `A`), so the
+/// accumulating kernels see plain packed rows.
+pub(crate) fn pack_at(ad: &[f32], k: usize, m: usize, i0: usize, rows: usize) -> Vec<f32> {
+    let mut pa = scratch::take(rows * k);
+    pa.resize(rows * k, 0.0);
+    for l in 0..k {
+        let acol = &ad[l * m + i0..l * m + i0 + rows];
+        for (i, &av) in acol.iter().enumerate() {
+            pa[i * k + l] = av;
+        }
+    }
+    pa
+}
+
+/// Tiled assigning kernel for `A·Bᵀ`: `out[i][j] = Σ_l arows[i][l] ·
+/// b[j][l]`, eight independent dot-product chains for instruction-level
+/// parallelism over 64-row B tiles. Every element of `out` is assigned.
+pub(crate) fn abt_tiled(
+    arows: &[f32],
+    rows: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(arows.len(), rows * k);
+    debug_assert_eq!(out.len(), rows * n);
+    if rows == 0 || n == 0 {
+        return;
+    }
+    let mut j0 = 0;
+    loop {
+        let tile_end = (j0 + ABT_ROW_TILE).min(n);
+        for i in 0..rows {
+            let arow = &arows[i * k..(i + 1) * k];
+            let orow = &mut out[i * n..(i + 1) * n];
+            let mut j = j0;
+            while j + ABT_J <= tile_end {
+                let mut acc = [0.0f32; ABT_J];
+                let base: [&[f32]; ABT_J] =
+                    std::array::from_fn(|t| &bd[(j + t) * k..(j + t + 1) * k]);
+                for (l, &av) in arow.iter().enumerate() {
+                    for t in 0..ABT_J {
+                        acc[t] += av * base[t][l];
+                    }
+                }
+                orow[j..j + ABT_J].copy_from_slice(&acc);
+                j += ABT_J;
+            }
+            while j < tile_end {
+                let brow = &bd[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow) {
+                    acc += av * bv;
+                }
+                orow[j] = acc;
+                j += 1;
+            }
+        }
+        if tile_end == n {
+            break;
+        }
+        j0 = tile_end;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Pseudo-random fill with every `zero_every`-th element an exact
+    /// zero (0 disables), to exercise the accumulating kernels' sparsity
+    /// skip and [`mm_rr2`]'s dense-row fast-path gate.
+    fn pseudo_sparse(len: usize, seed: u64, zero_every: usize) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        (0..len)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if zero_every > 0 && i % zero_every == 0 {
+                    0.0
+                } else {
+                    ((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0
+                }
+            })
+            .collect()
+    }
+
+    /// Schoolbook reference over packed `A: [m, k]` rows. Accumulating
+    /// (`b: [k, n]`): element `(i, j)` starts at `init[i * n + j]` and
+    /// skips exact-zero A elements (0.0 * inf = NaN and -0.0 + 0.0 = +0.0
+    /// make the skip observable). Assigning (`b: [n, k]`): starts at 0
+    /// and never skips.
+    fn naive(
+        a: &[f32],
+        b: &[f32],
+        init: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        abt: bool,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = if abt { 0.0 } else { init[i * n + j] };
+                for l in 0..k {
+                    let av = a[i * k + l];
+                    if abt {
+                        acc += av * b[j * k + l];
+                    } else if av != 0.0 {
+                        acc += av * b[l * n + j];
+                    }
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Runs `kernel` over `chunks` contiguous row blocks of the `m × k`
+    /// by `k × n` problem, the way the threaded entry points do.
+    fn chunked(
+        kernel: Kernel,
+        chunks: usize,
+        (m, k, n): (usize, usize, usize),
+        pa: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        let per = m.div_ceil(chunks);
+        let mut row0 = 0;
+        while row0 < m {
+            let rows = per.min(m - row0);
+            let a_chunk = &pa[row0 * k..(row0 + rows) * k];
+            kernel(
+                a_chunk,
+                rows,
+                k,
+                b,
+                n,
+                &mut out[row0 * n..(row0 + rows) * n],
+            );
+            row0 += rows;
+        }
+    }
+
+    /// Every kernel reproduces the naive chain bit-for-bit on every row
+    /// chunking the thread row-splitter could produce (1, 2 and 4
+    /// contiguous chunks), on dense and zero-heavy A, and the
+    /// accumulating kernels honour the accumulate-into contract (zero and
+    /// non-zero initial output).
+    ///
+    /// Shapes land on the accumulator width (64 columns ±1), the axpy
+    /// column tile, the `a_bt` tile and chain width, the row-pair
+    /// boundary and the pack threshold.
+    #[test]
+    fn every_kernel_matches_naive_bitwise() {
+        let shapes = [
+            (1usize, 1usize, 1usize),
+            (2, 3, 17),
+            (3, 5, 63),
+            (4, 8, 64),
+            (5, 16, 65),
+            (6, 7, 96),
+            (7, 33, 128),
+            (8, 64, 130),
+            (9, 129, 160),
+            (2, 130, 256),
+            (5, 6, 300),
+            (32, 64, 96),
+        ];
+        let accumulating: [(&str, Kernel); 2] = [("mm_axpy", mm_axpy), ("mm_rr2", mm_rr2)];
+        for (case, &(m, k, n)) in shapes.iter().enumerate() {
+            for zero_every in [0usize, 3] {
+                let seed = 100 + case as u64;
+                let a = pseudo_sparse(m * k, seed, zero_every);
+                let b = pseudo_sparse(k * n, seed + 7, 0);
+                let zeroed = vec![0.0f32; m * n];
+                let init = pseudo_sparse(m * n, seed + 13, 0);
+                for (name, kernel) in accumulating {
+                    for start in [&zeroed, &init] {
+                        let want = naive(&a, &b, start, m, k, n, false);
+                        for chunks in [1usize, 2, 4] {
+                            let mut out = start.clone();
+                            chunked(kernel, chunks, (m, k, n), &a, &b, &mut out);
+                            assert_eq!(
+                                bits(&out),
+                                bits(&want),
+                                "{name} m{m} k{k} n{n} zeros={zero_every} chunks={chunks}"
+                            );
+                        }
+                    }
+                }
+                let bt = pseudo_sparse(n * k, seed + 7, 0);
+                let want = naive(&a, &bt, &zeroed, m, k, n, true);
+                for chunks in [1usize, 2, 4] {
+                    // Stale non-zero output: every element must be assigned.
+                    let mut out = init.clone();
+                    chunked(abt_tiled, chunks, (m, k, n), &a, &bt, &mut out);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want),
+                        "abt_tiled m{m} k{k} n{n} zeros={zero_every} chunks={chunks}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_kernel_splits_on_width_and_depth() {
+        let is_rr2 = |k, n| accumulate_kernel(k, n) as usize == mm_rr2 as Kernel as usize;
+        assert!(is_rr2(128, 64));
+        assert!(is_rr2(1, 9600));
+        assert!(!is_rr2(129, 64));
+        assert!(!is_rr2(128, 63));
+        assert!(!is_rr2(9600, 64));
+    }
+}

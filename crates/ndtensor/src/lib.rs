@@ -34,11 +34,11 @@
 mod conv;
 mod error;
 mod init;
+mod kernels;
 mod matmul;
 mod ops;
 pub mod par;
 mod resample;
-pub mod routines;
 pub mod scratch;
 mod shape;
 mod tensor;

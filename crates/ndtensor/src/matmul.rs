@@ -12,15 +12,15 @@
 //! loops can recycle storage; the allocating forms are thin wrappers that
 //! draw their output from [`crate::scratch`].
 //!
-//! The inner microkernels live in [`crate::routines`]: each entry point
-//! asks the routine selector for the candidate registered for its full
-//! `(op, m, k, n)` shape — once per call, on the caller thread — and
-//! hands the chosen kernel fn to the row-parallel workers. Every
-//! registered candidate of a family is bitwise-equal to the naive kernel
+//! The inner microkernels live in `crate::kernels`: [`matmul`] and
+//! [`matmul_at_b`] pick one of the two accumulating kernels from their
+//! full `k × n` shape — once per call, on the caller thread — and hand it
+//! to the row-parallel workers; [`matmul_a_bt`] always runs the tiled
+//! assigning kernel. Every kernel is bitwise-equal to the naive kernel
 //! (blocking only reorders *which* output element is worked on next; the
 //! per-element accumulation remains a single chain in ascending-`k`
 //! order, with the historical exact-zero skips preserved verbatim), so
-//! routine selection can never change a result bit.
+//! the kernel choice can never change a result bit.
 //!
 //! All kernels parallelise over output rows through [`crate::par`] once the
 //! arithmetic volume crosses [`crate::par::PARALLEL_THRESHOLD`], so small
@@ -28,8 +28,8 @@
 //! never changes the per-element summation order, so results are
 //! bit-identical for any thread count.
 
+use crate::kernels::{abt_tiled, accumulate_kernel, pack_at};
 use crate::par::for_each_block;
-use crate::routines::{self, GemmOp};
 use crate::{scratch, Result, Tensor, TensorError};
 
 fn dims2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -64,10 +64,9 @@ fn check_mm(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize, u
 }
 
 fn matmul_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    // One selection per call, on the caller thread: workers only see the
-    // chosen kernel fn, so selection never contends or depends on the
-    // thread count.
-    let kernel = routines::select(GemmOp::MatMul, m, k, n).kernel;
+    // One choice per call, on the caller thread: workers only see the
+    // chosen kernel fn, so it never depends on the thread count.
+    let kernel = accumulate_kernel(k, n);
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
         kernel(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
@@ -114,16 +113,16 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
 }
 
 fn matmul_at_b_slices(ad: &[f32], k: usize, m: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    let kernel = routines::select(GemmOp::MatMulAtB, m, k, n).kernel;
+    let kernel = accumulate_kernel(k, n);
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
         if rows == 0 || k == 0 {
             return;
         }
         // Transpose this chunk's Aᵀ column block into contiguous scratch
-        // (one pass over A), then run the selected accumulating kernel on
+        // (one pass over A), then run the chosen accumulating kernel on
         // plain packed rows.
-        let pa = routines::pack_at(ad, k, m, row0, rows);
+        let pa = pack_at(ad, k, m, row0, rows);
         kernel(&pa, rows, k, bd, n, chunk);
         scratch::give(pa);
     });
@@ -173,10 +172,9 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
 }
 
 fn matmul_a_bt_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    let kernel = routines::select(GemmOp::MatMulABt, m, k, n).kernel;
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
-        kernel(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
+        abt_tiled(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
     });
 }
 
@@ -317,8 +315,9 @@ mod tests {
 
     #[test]
     fn shapes_spanning_tile_boundaries_match_naive() {
-        // Exercise the column tiling (n > COL_TILE), the B-row tiling
-        // (n > BT_ROW_TILE) and the JB remainder loop.
+        // Exercise the axpy column tile (n > 256), the a_bt B-row tile
+        // (n > 64), the 64-wide register block's column remainder and the
+        // 8-chain remainder loop.
         for &(m, k, n) in &[(5, 3, 513), (2, 7, 300), (9, 2, 65), (1, 300, 70)] {
             let a = pseudo([m, k], 91);
             let b = pseudo([k, n], 92);

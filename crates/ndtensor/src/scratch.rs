@@ -169,9 +169,11 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
     buf
 }
 
-/// Returns an `f32` buffer to this thread's pool for reuse.
+/// Returns an `f32` buffer to this thread's pool for reuse. After the
+/// pool's thread-local destructor ran (another thread-local holding
+/// tensors, dropped on thread exit) the buffer is freed instead.
 pub fn give(buf: Vec<f32>) {
-    F32_POOL.with(|p| p.borrow_mut().give(buf));
+    let _ = F32_POOL.try_with(|p| p.borrow_mut().give(buf));
 }
 
 /// Takes an empty `f64` buffer with `capacity >= len` (SSIM integral
@@ -187,9 +189,10 @@ pub fn take_zeroed_f64(len: usize) -> Vec<f64> {
     buf
 }
 
-/// Returns an `f64` buffer to this thread's pool.
+/// Returns an `f64` buffer to this thread's pool, or frees it like
+/// [`give`] once the pool is gone.
 pub fn give_f64(buf: Vec<f64>) {
-    F64_POOL.with(|p| p.borrow_mut().give(buf));
+    let _ = F64_POOL.try_with(|p| p.borrow_mut().give(buf));
 }
 
 /// An explicit bag of reusable buffers for workspace-taking kernels.
@@ -288,6 +291,30 @@ mod tests {
         let delta = stats().since(before);
         assert!(delta.hits >= 1);
         give(buf2);
+    }
+
+    #[test]
+    fn give_from_a_late_thread_local_destructor_drops_the_buffer() {
+        // Thread-local destructors run in reverse order of first use, so
+        // `LATE` (used first) is dropped after the pool, the way a
+        // thread-local workspace holding tensors is on thread exit.
+        struct GivesOnDrop;
+        impl Drop for GivesOnDrop {
+            fn drop(&mut self) {
+                give(vec![0.0; 8]);
+                give_f64(vec![0.0; 8]);
+            }
+        }
+        thread_local! {
+            static LATE: GivesOnDrop = const { GivesOnDrop };
+        }
+        std::thread::spawn(|| {
+            LATE.with(|_| {});
+            give(take(8));
+            give_f64(take_f64(8));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

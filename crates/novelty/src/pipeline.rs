@@ -823,12 +823,6 @@ impl NoveltyDetectorBuilder {
         pretrained_cnn: Option<Network>,
         recorder: &dyn Recorder,
     ) -> Result<NoveltyDetector> {
-        // Every training path funnels through here, so this is where
-        // `SALIENCY_AUTOTUNE=on` gains its clock: the routine selector
-        // degrades to the static heuristic until a timer is installed,
-        // and ndtensor cannot read a wall clock itself. Idempotent, and
-        // never read on a per-frame path.
-        obs::install_kernel_timer();
         if !(0.0..=1.0).contains(&self.train_fraction) {
             return Err(NoveltyError::invalid(
                 "train",

@@ -1,8 +1,7 @@
-//! Fixture: the kernel-registry tree is hot-path code — ad-hoc heap
-//! allocation must fire there exactly as in the flat hot modules (this
-//! fixture's relative path shadows
-//! `crates/ndtensor/src/routines/kernels.rs`, one of the registered hot
-//! files; nested `routines/` paths must classify like their siblings).
+//! Fixture: the GEMM microkernels are hot-path code — ad-hoc heap
+//! allocation must fire there exactly as in the other hot modules (this
+//! fixture's relative path shadows `crates/ndtensor/src/kernels.rs`, one
+//! of the registered hot files).
 
 pub fn bad_microkernel_scratch(k: usize, n: usize) -> Vec<f32> {
     vec![0.0f32; k * n]
@@ -12,8 +11,8 @@ pub fn bad_packed_panel(rows: &[f32]) -> Vec<f32> {
     rows.to_vec()
 }
 
-pub fn allowed_registry_setup(n: usize) -> Vec<f32> {
-    // sncheck:allow(no-hot-alloc): one-time registry construction, not per-call
+pub fn allowed_one_time_setup(n: usize) -> Vec<f32> {
+    // sncheck:allow(no-hot-alloc): one-time setup, not per-call
     Vec::with_capacity(n)
 }
 

@@ -38,8 +38,10 @@ use crate::scope::test_scopes;
 use crate::symbols::{file_symbols, FnSym};
 
 /// Directory names never descended into during workspace discovery.
-/// `fixtures` holds deliberately-bad snippets for the self-test.
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
+/// `fixtures` holds deliberately-bad snippets for the self-test;
+/// `perfbench` is the benchmark harness, a package of its own outside
+/// the workspace that reads the wall clock and prints by design.
+const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "perfbench"];
 
 /// Everything one analysis run produces: the report plus the canonical
 /// call-graph dump (`--graph` writes it; CI byte-compares it).

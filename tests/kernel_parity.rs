@@ -14,7 +14,6 @@
 
 use std::sync::Mutex;
 
-use ndtensor::routines::{self, GemmOp};
 use ndtensor::{
     conv2d, conv2d_into, matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into,
     matmul_into, set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
@@ -213,195 +212,105 @@ proptest! {
     }
 }
 
-/// Pseudo-random fill with every `zero_every`-th element an exact zero
-/// (0 disables), to exercise the accumulating families' sparsity-skip
-/// discipline and the register kernels' dense-row fast-path gate.
-fn pseudo_sparse(len: usize, seed: u64, zero_every: usize) -> Vec<f32> {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    (0..len)
-        .map(|i| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            if zero_every > 0 && i % zero_every == 0 {
-                0.0
-            } else {
-                ((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0
-            }
-        })
-        .collect()
-}
-
-/// Naive reference with a seeded accumulator: element `(i, j)` starts at
-/// `init[i * n + j]` (the accumulate-into contract) and adds products in
-/// ascending `l`. The assigning family ignores `init`.
-fn naive_for(
-    op: GemmOp,
-    a: &[f32],
-    b: &[f32],
-    init: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
+/// Schoolbook stride-1, unpadded convolution of one `[c, h, w]` sample
+/// with `[f, c, kh, kw]` weights: each output element is one chain over
+/// `(ci, ky, kx)` ascending — the im2col row order — then `+ bias`, the
+/// order the production forward pass adds it in.
+#[allow(clippy::too_many_arguments)]
+fn naive_conv(
+    x: &[f32],
+    wt: &[f32],
+    bias: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    f: usize,
+    kh: usize,
+    kw: usize,
 ) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = match op {
-                GemmOp::MatMulABt => 0.0,
-                _ => init[i * n + j],
-            };
-            for l in 0..k {
-                let av = match op {
-                    GemmOp::MatMulAtB => a[l * m + i],
-                    _ => a[i * k + l],
-                };
-                let bv = match op {
-                    GemmOp::MatMulABt => b[j * k + l],
-                    _ => b[l * n + j],
-                };
-                // The accumulating families skip exact-zero A elements
-                // (0.0 * inf = NaN and -0.0 + 0.0 = +0.0 make the skip
-                // observable); the assigning family never skips.
-                if av == 0.0 && op != GemmOp::MatMulABt {
-                    continue;
+    let (oh, ow) = (h - kh + 1, w - kw + 1);
+    let mut out = vec![0.0f32; f * oh * ow];
+    for fi in 0..f {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = 0.0f32;
+                for ci in 0..c {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            acc += wt[((fi * c + ci) * kh + ky) * kw + kx]
+                                * x[(ci * h + oy + ky) * w + ox + kx];
+                        }
+                    }
                 }
-                acc += av * bv;
+                out[(fi * oh + oy) * ow + ox] = acc + bias[fi];
             }
-            out[i * n + j] = acc;
         }
     }
     out
 }
 
-/// Packs A the way the entry points hand it to a [`routines::Kernel`]:
-/// row-major `m × k` (a transpose for the `Aᵀ·B` family).
-fn packed_a(op: GemmOp, a: &[f32], m: usize, k: usize) -> Vec<f32> {
-    match op {
-        GemmOp::MatMulAtB => {
-            let mut pa = vec![0.0f32; m * k];
-            for l in 0..k {
-                for i in 0..m {
-                    pa[i * k + l] = a[l * m + i];
-                }
-            }
-            pa
-        }
-        _ => a.to_vec(),
-    }
-}
-
-/// Every registered routine reproduces the naive chain bit-for-bit — on
-/// the whole problem and on every row chunking the thread row-splitter
-/// could produce (1, 2 and 4 contiguous chunks), on dense and zero-heavy
-/// A, and honouring the accumulate-into contract (non-zero initial
-/// output for the accumulating families).
-///
-/// Shapes land on the register-kernel block widths (16/32/64 columns ±1),
-/// the axpy column tiles, the row-pair/quad boundaries and the pack
-/// threshold.
+/// Both sides of the one kernel-choice rule (the register-blocked kernel
+/// runs at `n ≥ 64 && k ≤ 128`, the axpy kernel elsewhere): `matmul`,
+/// `matmul_at_b` and `conv2d` at `n ∈ {63, 64}` × `k ∈ {128, 129}`
+/// reproduce the naive chain bit-for-bit. Odd row counts hit the
+/// register kernel's remainder row; for `conv2d` the GEMM is `W · cols`
+/// with `k = c·kh·kw` and `n = oh·ow`.
 #[test]
-fn every_registered_routine_matches_naive_bitwise() {
+fn kernel_choice_boundary_matches_naive_bitwise() {
     let _guard = lock();
-    let shapes = [
-        (1usize, 1usize, 1usize),
-        (2, 3, 17),
-        (3, 5, 63),
-        (4, 8, 64),
-        (5, 16, 65),
-        (6, 7, 96),
-        (7, 33, 128),
-        (8, 64, 130),
-        (9, 129, 160),
-        (2, 130, 256),
-        (5, 6, 300),
-        (32, 64, 96),
-    ];
-    for (case, &(m, k, n)) in shapes.iter().enumerate() {
-        for op in [GemmOp::MatMul, GemmOp::MatMulAtB, GemmOp::MatMulABt] {
-            let (a_len, b_len) = match op {
-                GemmOp::MatMul => (m * k, k * n),
-                GemmOp::MatMulAtB => (k * m, k * n),
-                GemmOp::MatMulABt => (m * k, n * k),
-            };
-            for zero_every in [0usize, 3] {
-                let seed = 100 + case as u64;
-                let a = pseudo_sparse(a_len, seed, zero_every);
-                let b = pseudo_sparse(b_len, seed + 7, 0);
-                let init = pseudo_sparse(m * n, seed + 13, 0);
-                let zeroed = vec![0.0f32; m * n];
-                let reference = naive_for(op, &a, &b, &zeroed, m, k, n);
-                let reference_seeded = naive_for(op, &a, &b, &init, m, k, n);
-                let pa = packed_a(op, &a, m, k);
-                for routine in routines::candidates(op, m, k, n) {
-                    let label = format!("{} m{m} k{k} n{n} zeros={zero_every}", routine.name);
-                    // Whole problem through the shared measurement body.
-                    let mut out = vec![0.0f32; m * n];
-                    routines::run_serial(routine, m, k, n, &a, &b, &mut out);
-                    assert_eq!(bits(&out), bits(&reference), "{label} (run_serial)");
-                    // Row-chunked invocations: exactly what the threaded
-                    // entry points do, for 1, 2 and 4 contiguous chunks.
-                    for chunks in [1usize, 2, 4] {
-                        let mut out = match op {
-                            GemmOp::MatMulABt => vec![0.0f32; m * n],
-                            _ => init.clone(),
-                        };
-                        let per = m.div_ceil(chunks);
-                        let mut row0 = 0;
-                        while row0 < m {
-                            let rows = per.min(m - row0);
-                            let (a_chunk, out_chunk) = (
-                                &pa[row0 * k..(row0 + rows) * k],
-                                &mut out[row0 * n..(row0 + rows) * n],
-                            );
-                            (routine.kernel)(a_chunk, rows, k, &b, n, out_chunk);
-                            row0 += rows;
-                        }
-                        let want = match op {
-                            GemmOp::MatMulABt => &reference,
-                            _ => &reference_seeded,
-                        };
-                        assert_eq!(bits(&out), bits(want), "{label} (chunks={chunks})");
-                    }
-                }
-            }
+    set_thread_config(ThreadConfig::serial());
+    for (case, &(k, n)) in [(128usize, 63usize), (128, 64), (129, 63), (129, 64)]
+        .iter()
+        .enumerate()
+    {
+        let seed = 200 + case as u64;
+        for m in [3usize, 8] {
+            let a = pseudo([m, k], seed);
+            let at = pseudo([k, m], seed + 1);
+            let b = pseudo([k, n], seed + 2);
+            assert_eq!(
+                bits(matmul(&a, &b).unwrap().as_slice()),
+                bits(&naive_matmul(a.as_slice(), b.as_slice(), m, k, n)),
+                "matmul m{m} k{k} n{n}"
+            );
+            assert_eq!(
+                bits(matmul_at_b(&at, &b).unwrap().as_slice()),
+                bits(&naive_matmul_at_b(at.as_slice(), b.as_slice(), m, k, n)),
+                "matmul_at_b m{m} k{k} n{n}"
+            );
         }
+        // k = 128 as 32 channels × 2×2, k = 129 as 43 channels × 3×1;
+        // n = 63 as a 7×9 output, n = 64 as 8×8.
+        let (c, kh, kw) = if k == 128 { (32, 2, 2) } else { (43, 3, 1) };
+        let (oh, ow) = if n == 63 { (7, 9) } else { (8, 8) };
+        let (h, w, f) = (oh + kh - 1, ow + kw - 1, 3);
+        let input = pseudo([1, c, h, w], seed + 3);
+        let weight = pseudo([f, c, kh, kw], seed + 4);
+        let bias = pseudo([f], seed + 5);
+        let got = conv2d(
+            &input,
+            &weight,
+            Some(&bias),
+            Conv2dSpec::new((1, 1), (0, 0)),
+        )
+        .unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&naive_conv(
+                input.as_slice(),
+                weight.as_slice(),
+                bias.as_slice(),
+                c,
+                h,
+                w,
+                f,
+                kh,
+                kw
+            )),
+            "conv2d k{k} n{n}"
+        );
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Selector determinism: the winner of [`routines::pick`] depends
-    /// only on the candidate set, never on its order — shuffling the
-    /// measured list (a stand-in for registration order) yields the same
-    /// winning name.
-    #[test]
-    fn pick_is_order_independent(
-        ns in proptest::collection::vec(1u64..2_000_000u64, 2..10),
-        rotate in 0usize..10,
-        seed in 0u64..1000,
-    ) {
-        let names = [
-            "mm-axpy-c256", "mm-axpy-c128", "mm-axpy-c512", "mm-rr2-w16",
-            "mm-rr2-w32", "mm-rr2-w64", "mm-rr4-w16", "mm-rr4-w32",
-            "mm-rr4-w64", "mm-reg8-c256",
-        ];
-        let mut measured: Vec<(&str, u8, u64)> = ns
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (names[i % names.len()], (seed % 5) as u8, t))
-            .collect();
-        measured.dedup_by_key(|e| e.0);
-        let baseline = routines::pick(&measured).map(|i| measured[i].0);
-        // Rotation + reversal cover every relative-order class a shuffle
-        // can produce for the min-by comparison.
-        let r = rotate % measured.len();
-        measured.rotate_left(r);
-        prop_assert_eq!(routines::pick(&measured).map(|i| measured[i].0), baseline);
-        measured.reverse();
-        prop_assert_eq!(routines::pick(&measured).map(|i| measured[i].0), baseline);
-    }
+    set_thread_config(ThreadConfig::from_env());
 }
 
 /// Fixed shapes chosen to land exactly on kernel tile edges: the column
