@@ -22,7 +22,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ndtensor::{
-    matmul_a_bt_into, matmul_at_b_into, matmul_into, set_thread_config, Tensor, ThreadConfig,
+    matmul_assign_into, matmul_at_b_into, matmul_into, set_thread_config, Tensor, ThreadConfig,
 };
 use novelty::{
     ClassifierConfig, DecisionSource, NoveltyDetector, NoveltyDetectorBuilder, QueueConfig,
@@ -142,16 +142,18 @@ fn pseudo(shape: impl Into<ndtensor::Shape>, seed: u64) -> Tensor {
 
 /// Pipeline-representative GEMM shapes: the first PilotNet conv layer as
 /// im2col GEMM (compact widths, 60×160 input), a mid conv layer, and the
-/// autoencoder's large dense layers at batch 1 (the streaming case).
+/// autoencoder's large dense layers at batch 1 (the streaming case), run
+/// the way `neural::Dense` runs them: `x · Wt` on the `[in, out]` weight
+/// copy.
 const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
     // conv1 as GEMM: f=8 filters, k=1*5*5, n=28*78 output pixels.
     ("matmul", 8, 25, 2184),
     // conv3 as GEMM: f=16, k=12*5*5, n=4*17.
     ("matmul", 16, 300, 68),
-    // dense decode head at batch 1: [1, 64] x [9600, 64]^T.
-    ("matmul_a_bt", 1, 64, 9600),
-    // dense encode at batch 1: [1, 9600] x [64, 9600]^T.
-    ("matmul_a_bt", 1, 9600, 64),
+    // dense decode head at batch 1: [1, 64] x [64, 9600].
+    ("matmul_assign", 1, 64, 9600),
+    // dense encode at batch 1: [1, 9600] x [9600, 64].
+    ("matmul_assign", 1, 9600, 64),
     // dense backward shapes (training path).
     ("matmul_at_b", 32, 64, 9600),
     ("matmul_at_b", 25, 8, 2184),
@@ -176,11 +178,12 @@ fn kernel_benches(iters: usize) -> Vec<KernelBench> {
                     black_box(&mut c);
                 })
             }
-            "matmul_a_bt" => {
+            "matmul_assign" => {
                 let a = pseudo([m, k], 13);
-                let b = pseudo([n, k], 14);
+                let b = pseudo([k, n], 14);
                 time_iters(iters, || {
-                    matmul_a_bt_into(black_box(&a), black_box(&b), &mut c).expect("matmul_a_bt");
+                    matmul_assign_into(black_box(&a), black_box(&b), &mut c)
+                        .expect("matmul_assign");
                     black_box(&mut c);
                 })
             }

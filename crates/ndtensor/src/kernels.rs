@@ -1,6 +1,6 @@
 //! The GEMM microkernels behind [`crate::matmul`] and [`crate::conv`].
 //!
-//! Three kernels, one per shape class, and one rule that picks between
+//! Four kernels, one per shape class, and one rule that picks between
 //! the two accumulating ones ([`accumulate_kernel`]):
 //!
 //! * [`mm_axpy`] — axpy-ordered accumulation with a 256-column tile and
@@ -9,6 +9,9 @@
 //!   where the output is wide and `k` short enough for the `k × 64` B
 //!   block to stay L1-resident (every conv-as-GEMM forward shape and the
 //!   wide backward GEMMs).
+//! * [`mm_assign`] — the same register blocks as [`mm_rr2`], assigning
+//!   and never skipping: the weight-stationary `x · Wᵀ` of every dense
+//!   forward, run on a cached `[in, out]` weight copy.
 //! * [`abt_tiled`] — the assigning `A·Bᵀ` kernel with eight independent
 //!   dot-product chains over 64-row B tiles, for every `A·Bᵀ` shape.
 //!
@@ -17,14 +20,15 @@
 //! the element's initial value** — exactly the three-loop schoolbook
 //! product. Tiling, packing and register blocking only reorder *which
 //! element is worked on next*, never the additions inside one element,
-//! so the two accumulating kernels are bitwise-interchangeable and every
+//! so the two accumulating kernels are bitwise-interchangeable, the two
+//! assigning kernels are bitwise-equal on transposed operands, and every
 //! kernel is bitwise-equal to the naive product (the tests below and
 //! `tests/kernel_parity.rs`). The accumulating kernels keep the
 //! historical exact-zero skip on `A` entries, both skipping the same `l`
-//! indices; the assigning kernel never skips and writes every output
+//! indices; the assigning kernels never skip and write every output
 //! element exactly once.
 //!
-//! All three share the calling convention `(arows, rows, k, bd, n, out)`:
+//! All four share the calling convention `(arows, rows, k, bd, n, out)`:
 //! a packed `rows × k` block of A rows against the full B operand,
 //! writing a `rows × n` output block — exactly the per-chunk shape
 //! [`crate::par::for_each_block`] hands to workers.
@@ -87,7 +91,8 @@ pub(crate) fn mm_axpy(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize
     if rows == 0 || n == 0 || k == 0 {
         return;
     }
-    let pack = rows >= PACK_MIN_ROWS;
+    // One tile spanning all of B would pack a plain copy of it.
+    let pack = rows >= PACK_MIN_ROWS && n > COL_TILE;
     let mut panel = if pack {
         scratch::take(k * COL_TILE.min(n))
     } else {
@@ -136,10 +141,17 @@ fn dense_row(row: &[f32]) -> bool {
     row.iter().all(|&v| v != 0.0)
 }
 
-/// Single-row register block for the [`mm_rr2`] remainder row.
+/// Single-row register block for the remainder row of [`rr2_blocks`].
 #[inline(always)]
-fn rr1_block(r0: &[f32], k: usize, bd: &[f32], n: usize, j: usize, acc0: &mut [f32; RR_W]) {
-    if dense_row(r0) {
+fn rr1_block<const ASSIGN: bool>(
+    r0: &[f32],
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    j: usize,
+    acc0: &mut [f32; RR_W],
+) {
+    if ASSIGN || dense_row(r0) {
         for l in 0..k {
             let brow = &bd[l * n + j..l * n + j + RR_W];
             let a0 = r0[l];
@@ -163,7 +175,7 @@ fn rr1_block(r0: &[f32], k: usize, bd: &[f32], n: usize, j: usize, acc0: &mut [f
 }
 
 /// Scalar column-remainder chains (identical order to the wide paths).
-fn rr_col_remainder(
+fn rr_col_remainder<const ASSIGN: bool>(
     arows: &[f32],
     rows: usize,
     k: usize,
@@ -174,12 +186,12 @@ fn rr_col_remainder(
 ) {
     while j < n {
         for i in 0..rows {
-            let mut s = out[i * n + j];
+            let mut s = if ASSIGN { 0.0 } else { out[i * n + j] };
             for l in 0..k {
                 let av = arows[i * k + l];
                 // sncheck:allow(no-float-eq): exact-zero sparsity skip,
                 // same discipline as mm_axpy.
-                if av == 0.0 {
+                if !ASSIGN && av == 0.0 {
                     continue;
                 }
                 s += av * bd[l * n + j];
@@ -190,23 +202,31 @@ fn rr_col_remainder(
     }
 }
 
-/// Two-row register-blocked accumulating kernel: a pair of 64-wide
-/// accumulator rows lives in separate fixed-size locals (so scalar
-/// replacement keeps them in vector registers for the whole `k` chain —
-/// a nested `[[f32; W]; R]` block defeats that), seeded from `out` and
-/// stored back once. The `k × 64` B block is loaded once per `l`, shared
-/// by both rows, and stays L1-resident across row pairs at the same
-/// column offset, so B is effectively streamed from memory once per
-/// call. Row pairs whose A rows contain no exact zero take a branch-free
-/// inner loop; it performs the identical operation sequence as the
-/// skip loop on those inputs, so the choice never changes bits. Each
-/// output element's chain is ascending `l` either way.
-pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    if rows == 0 || n == 0 || k == 0 {
-        return;
-    }
+/// Two-row register-blocked GEMM body behind [`mm_rr2`] and
+/// [`mm_assign`]: a pair of 64-wide accumulator rows lives in separate
+/// fixed-size locals (so scalar replacement keeps them in vector
+/// registers for the whole `k` chain — a nested `[[f32; W]; R]` block
+/// defeats that) and is stored back once. The `k × 64` B block is loaded
+/// once per `l`, shared by both rows, and stays L1-resident across row
+/// pairs at the same column offset when `k` is short, so B is
+/// effectively streamed from memory once per call. Each output element's
+/// chain is ascending `l`.
+///
+/// Accumulating (`ASSIGN = false`): chains start at `out`'s value and
+/// skip exact-zero A entries. Row pairs whose A rows contain no exact
+/// zero take the branch-free inner loop; it performs the identical
+/// operation sequence as the skip loop on those inputs, so the choice
+/// never changes bits. Assigning (`ASSIGN = true`): chains start at
+/// `0.0`, never skip, and always take the branch-free loop.
+#[inline(always)]
+fn rr2_blocks<const ASSIGN: bool>(
+    arows: &[f32],
+    rows: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     let mut j = 0;
     while j + RR_W <= n {
         let mut i = 0;
@@ -215,9 +235,11 @@ pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize,
             let r1 = &arows[(i + 1) * k..(i + 2) * k];
             let mut acc0 = [0.0f32; RR_W];
             let mut acc1 = [0.0f32; RR_W];
-            acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
-            acc1.copy_from_slice(&out[(i + 1) * n + j..(i + 1) * n + j + RR_W]);
-            if dense_row(r0) && dense_row(r1) {
+            if !ASSIGN {
+                acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
+                acc1.copy_from_slice(&out[(i + 1) * n + j..(i + 1) * n + j + RR_W]);
+            }
+            if ASSIGN || (dense_row(r0) && dense_row(r1)) {
                 for l in 0..k {
                     let brow = &bd[l * n + j..l * n + j + RR_W];
                     let a0 = r0[l];
@@ -258,14 +280,47 @@ pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize,
         while i < rows {
             let r0 = &arows[i * k..(i + 1) * k];
             let mut acc0 = [0.0f32; RR_W];
-            acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
-            rr1_block(r0, k, bd, n, j, &mut acc0);
+            if !ASSIGN {
+                acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
+            }
+            rr1_block::<ASSIGN>(r0, k, bd, n, j, &mut acc0);
             out[i * n + j..i * n + j + RR_W].copy_from_slice(&acc0);
             i += 1;
         }
         j += RR_W;
     }
-    rr_col_remainder(arows, rows, k, bd, n, out, j);
+    rr_col_remainder::<ASSIGN>(arows, rows, k, bd, n, out, j);
+}
+
+/// Two-row, 64-wide register-blocked accumulating kernel:
+/// `out[i][j] += Σ_l arows[i][l] · b[l][j]`, skipping exact-zero
+/// `arows` entries (see [`rr2_blocks`]).
+pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
+    debug_assert_eq!(arows.len(), rows * k);
+    debug_assert_eq!(out.len(), rows * n);
+    if rows == 0 || n == 0 || k == 0 {
+        return;
+    }
+    rr2_blocks::<false>(arows, rows, k, bd, n, out);
+}
+
+/// Two-row, 64-wide register-blocked assigning kernel:
+/// `out[i][j] = Σ_l arows[i][l] · b[l][j]`. Each element is one chain
+/// from `0.0`, ascending `l`, with no zero skip — exactly
+/// [`abt_tiled`]'s chain on the transposed B — so a non-finite B entry
+/// reaches its outputs even through an exact-zero A entry. Every element
+/// of `out` is assigned (zeros when `k == 0`).
+pub(crate) fn mm_assign(
+    arows: &[f32],
+    rows: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(arows.len(), rows * k);
+    debug_assert_eq!(out.len(), rows * n);
+    rr2_blocks::<true>(arows, rows, k, bd, n, out);
 }
 
 /// Transposes the `Aᵀ` column block `i0..i0 + rows` of `A: [k, m]` into
@@ -423,13 +478,13 @@ mod tests {
 
     /// Every kernel reproduces the naive chain bit-for-bit on every row
     /// chunking the thread row-splitter could produce (1, 2 and 4
-    /// contiguous chunks), on dense and zero-heavy A, and the
-    /// accumulating kernels honour the accumulate-into contract (zero and
-    /// non-zero initial output).
+    /// contiguous chunks), on dense and zero-heavy A; the accumulating
+    /// kernels honour the accumulate-into contract (zero and non-zero
+    /// initial output) and the assigning ones overwrite a stale output.
     ///
     /// Shapes land on the accumulator width (64 columns ±1), the axpy
     /// column tile, the `a_bt` tile and chain width, the row-pair
-    /// boundary and the pack threshold.
+    /// boundary, the pack threshold and an empty `k`.
     #[test]
     fn every_kernel_matches_naive_bitwise() {
         let shapes = [
@@ -445,6 +500,7 @@ mod tests {
             (2, 130, 256),
             (5, 6, 300),
             (32, 64, 96),
+            (3, 0, 70),
         ];
         let accumulating: [(&str, Kernel); 2] = [("mm_axpy", mm_axpy), ("mm_rr2", mm_rr2)];
         for (case, &(m, k, n)) in shapes.iter().enumerate() {
@@ -468,17 +524,26 @@ mod tests {
                         }
                     }
                 }
+                // The assigning kernels against one naive chain: `abt_tiled`
+                // on `B: [n, k]`, `mm_assign` on the same B as `[k, n]`.
                 let bt = pseudo_sparse(n * k, seed + 7, 0);
+                let b_kn: Vec<f32> = (0..k * n).map(|x| bt[(x % n) * k + x / n]).collect();
                 let want = naive(&a, &bt, &zeroed, m, k, n, true);
-                for chunks in [1usize, 2, 4] {
-                    // Stale non-zero output: every element must be assigned.
-                    let mut out = init.clone();
-                    chunked(abt_tiled, chunks, (m, k, n), &a, &bt, &mut out);
-                    assert_eq!(
-                        bits(&out),
-                        bits(&want),
-                        "abt_tiled m{m} k{k} n{n} zeros={zero_every} chunks={chunks}"
-                    );
+                let assigning: [(&str, Kernel, &[f32]); 2] = [
+                    ("abt_tiled", abt_tiled, &bt),
+                    ("mm_assign", mm_assign, &b_kn),
+                ];
+                for (name, kernel, operand) in assigning {
+                    for chunks in [1usize, 2, 4] {
+                        // Stale non-zero output: every element must be assigned.
+                        let mut out = init.clone();
+                        chunked(kernel, chunks, (m, k, n), &a, operand, &mut out);
+                        assert_eq!(
+                            bits(&out),
+                            bits(&want),
+                            "{name} m{m} k{k} n{n} zeros={zero_every} chunks={chunks}"
+                        );
+                    }
                 }
             }
         }

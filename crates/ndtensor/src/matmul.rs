@@ -1,22 +1,26 @@
 //! Blocked, multi-threaded matrix multiplication kernels.
 //!
 //! Three entry points cover the access patterns needed by dense-layer and
-//! convolution backpropagation without materialising transposed copies:
+//! convolution backpropagation without materialising transposed copies,
+//! and a fourth runs the dense-layer forward on a weight copy:
 //!
 //! * [`matmul`] — `C = A·B`
 //! * [`matmul_at_b`] — `C = Aᵀ·B`
 //! * [`matmul_a_bt`] — `C = A·Bᵀ`
+//! * [`matmul_assign`] — `C = A·B` with no zero skip
 //!
 //! Each has a `_into` twin ([`matmul_into`], [`matmul_at_b_into`],
-//! [`matmul_a_bt_into`]) that writes into a caller-provided buffer so hot
-//! loops can recycle storage; the allocating forms are thin wrappers that
-//! draw their output from [`crate::scratch`].
+//! [`matmul_a_bt_into`], [`matmul_assign_into`]) that writes into a
+//! caller-provided buffer so hot loops can recycle storage; the
+//! allocating forms are thin wrappers that draw their output from
+//! [`crate::scratch`].
 //!
 //! The inner microkernels live in `crate::kernels`: [`matmul`] and
 //! [`matmul_at_b`] pick one of the two accumulating kernels from their
 //! full `k × n` shape — once per call, on the caller thread — and hand it
 //! to the row-parallel workers; [`matmul_a_bt`] always runs the tiled
-//! assigning kernel. Every kernel is bitwise-equal to the naive kernel
+//! assigning kernel and [`matmul_assign`] the register-blocked one. Every
+//! kernel is bitwise-equal to the naive kernel
 //! (blocking only reorders *which* output element is worked on next; the
 //! per-element accumulation remains a single chain in ascending-`k`
 //! order, with the historical exact-zero skips preserved verbatim), so
@@ -28,7 +32,7 @@
 //! never changes the per-element summation order, so results are
 //! bit-identical for any thread count.
 
-use crate::kernels::{abt_tiled, accumulate_kernel, pack_at};
+use crate::kernels::{abt_tiled, accumulate_kernel, mm_assign, pack_at};
 use crate::par::for_each_block;
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -221,6 +225,48 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
+fn matmul_assign_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
+    for_each_block(out, n, m * n * k, |row0, chunk| {
+        let rows = chunk.len().checked_div(n).unwrap_or(0);
+        mm_assign(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
+    });
+}
+
+/// Computes `C = A·B` for `A: [m, k]` and `B: [k, n]` as a dense product:
+/// unlike [`matmul`], every term `a[i][l] · b[l][j]` is formed, even where
+/// `a[i][l]` is zero, so a non-finite `B` entry always reaches its
+/// outputs. Element `(i, j)` is one chain from `0.0` with `l` ascending —
+/// the chain [`matmul_a_bt`] runs — so `matmul_assign(a, &bt.transpose2d()?)`
+/// is bit-identical to `matmul_a_bt(a, &bt)`. `neural::Dense` runs its
+/// forward pass through it on an `[in, out]` copy of its weights, where
+/// each `l` reads one contiguous weight row.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for non-matrix inputs and
+/// [`TensorError::ShapeMismatch`] when the inner dimensions disagree.
+pub fn matmul_assign(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    let (m, k, n) = check_mm(a, b, "matmul_assign")?;
+    let mut out = Tensor::zeros([m, n]);
+    matmul_assign_slices(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
+    Ok(out)
+}
+
+/// Computes [`matmul_assign`] into `out` (length `m·n`), recycling its
+/// storage.
+///
+/// # Errors
+///
+/// Like [`matmul_assign`], plus [`TensorError::LengthMismatch`] when
+/// `out` has the wrong length.
+pub fn matmul_assign_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
+    let (m, k, n) = check_mm(a, b, "matmul_assign_into")?;
+    check_out_len(out.len(), m * n)?;
+    // The kernel assigns every element; zero-fill is unnecessary.
+    matmul_assign_slices(a.as_slice(), m, k, b.as_slice(), n, out);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +323,7 @@ mod tests {
         assert!(matmul(&a, &Tensor::zeros([3])).is_err());
         assert!(matmul_at_b(&Tensor::zeros([2, 3]), &Tensor::zeros([3, 2])).is_err());
         assert!(matmul_a_bt(&Tensor::zeros([2, 3]), &Tensor::zeros([2, 4])).is_err());
+        assert!(matmul_assign(&a, &b).is_err());
     }
 
     #[test]
@@ -289,6 +336,7 @@ mod tests {
         assert!(matmul_a_bt_into(&a, &bt, &mut short).is_err());
         let at = pseudo([3, 2], 4);
         assert!(matmul_at_b_into(&at, &b, &mut short).is_err());
+        assert!(matmul_assign_into(&a, &b, &mut short).is_err());
     }
 
     #[test]
@@ -310,6 +358,10 @@ mod tests {
             let mut out3 = vec![7.0f32; m * n];
             matmul_a_bt_into(&a, &bt, &mut out3).unwrap();
             assert_eq!(out3, matmul_a_bt(&a, &bt).unwrap().as_slice());
+
+            let mut out4 = vec![7.0f32; m * n];
+            matmul_assign_into(&a, &b, &mut out4).unwrap();
+            assert_eq!(out4, matmul_assign(&a, &b).unwrap().as_slice());
         }
     }
 

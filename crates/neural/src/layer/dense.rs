@@ -1,4 +1,6 @@
-use ndtensor::{matmul, matmul_a_bt, matmul_at_b, Tensor};
+use std::sync::OnceLock;
+
+use ndtensor::{matmul, matmul_assign, matmul_at_b, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
@@ -9,6 +11,14 @@ use crate::{NeuralError, Result};
 /// * weights `W`: `[out_features, in_features]`, He-normal initialised
 /// * bias `b`: `[out_features]`, zero initialised
 /// * input: `[N, in_features]`, output: `[N, out_features]`
+///
+/// The forward pass is weight-stationary: it computes `x · Wt` with
+/// [`matmul_assign`] on a derived `Wt = Wᵀ` (`[in_features,
+/// out_features]`), so every input feature reads one contiguous weight
+/// row. `Wt` is built on the first forward pass and dropped whenever
+/// [`Layer::params_and_grads`] hands out the weights for writing, so the
+/// layer holds its weights twice while it serves. The output bits are
+/// those of `x · Wᵀ` computed one dot product at a time.
 ///
 /// # Example
 ///
@@ -32,6 +42,8 @@ pub struct Dense {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
+    /// `weight` transposed to `[in, out]`, derived on first use.
+    weight_t: OnceLock<Tensor>,
 }
 
 impl Dense {
@@ -55,6 +67,7 @@ impl Dense {
             grad_weight: Tensor::zeros([out_features, in_features]),
             grad_bias: Tensor::zeros([out_features]),
             cached_input: None,
+            weight_t: OnceLock::new(),
         })
     }
 
@@ -87,6 +100,7 @@ impl Dense {
             grad_weight: gw,
             grad_bias: gb,
             cached_input: None,
+            weight_t: OnceLock::new(),
         })
     }
 
@@ -114,9 +128,18 @@ impl Dense {
         Ok(())
     }
 
+    /// The `[in, out]` weight copy, built on first use.
+    fn weight_t(&self) -> Result<&Tensor> {
+        if let Some(wt) = self.weight_t.get() {
+            return Ok(wt);
+        }
+        let wt = self.weight.transpose2d()?;
+        Ok(self.weight_t.get_or_init(|| wt))
+    }
+
     fn compute(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let mut out = matmul_a_bt(input, &self.weight)?;
+        let mut out = matmul_assign(input, self.weight_t()?)?;
         let (n, f) = (out.shape().dims()[0], out.shape().dims()[1]);
         let bias = self.bias.as_slice();
         let data = out.as_mut_slice();
@@ -178,6 +201,8 @@ impl Layer for Dense {
     }
 
     fn params_and_grads(&mut self) -> Vec<ParamGrad<'_>> {
+        // The caller may write the weights: the copy would go stale.
+        self.weight_t = OnceLock::new();
         vec![
             ParamGrad {
                 param: &mut self.weight,
@@ -188,6 +213,13 @@ impl Layer for Dense {
                 grad: &mut self.grad_bias,
             },
         ]
+    }
+
+    /// Clears the gradients without [`Layer::params_and_grads`], so the
+    /// weight copy survives: scoring backends zero gradients every frame.
+    fn zero_grads(&mut self) {
+        self.grad_weight.map_inplace(|_| 0.0);
+        self.grad_bias.map_inplace(|_| 0.0);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -216,6 +248,120 @@ mod tests {
         let x = Tensor::from_vec([1, 2], vec![1., 1.]).unwrap();
         let y = layer.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[13., 27.]);
+    }
+
+    /// Deterministic values in [-1, 1), every `zero_every`-th an exact
+    /// zero (0 disables).
+    fn pseudo(len: usize, seed: u64, zero_every: usize) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        (0..len)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if zero_every > 0 && i % zero_every == 0 {
+                    0.0
+                } else {
+                    ((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0
+                }
+            })
+            .collect()
+    }
+
+    /// `x·Wᵀ + b` one dot product at a time: each output is a chain from
+    /// 0.0 over ascending inputs, never skipping a zero, then `+ b`.
+    fn naive_forward(layer: &Dense, x: &Tensor) -> Vec<u32> {
+        let (w, b) = (layer.weight.as_slice(), layer.bias.as_slice());
+        let (inp, out) = (layer.in_features(), layer.out_features());
+        let xs = x.as_slice();
+        let m = xs.len() / inp;
+        let mut y = Vec::new();
+        for i in 0..m {
+            for j in 0..out {
+                let mut acc = 0.0f32;
+                for l in 0..inp {
+                    acc += xs[i * inp + l] * w[j * inp + l];
+                }
+                y.push((acc + b[j]).to_bits());
+            }
+        }
+        y
+    }
+
+    fn forward_bits(layer: &Dense, x: &Tensor) -> Vec<u32> {
+        let y = layer.forward(x).unwrap();
+        y.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn forward_is_bit_equal_to_naive_dot_products() {
+        let inp = 70;
+        for (case, out) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
+            let seed = 10 * case as u64;
+            let layer = layer_with(
+                pseudo(out * inp, seed, 0),
+                pseudo(out, seed + 1, 0),
+                out,
+                inp,
+            );
+            for m in [1usize, 2, 3, 15] {
+                for zero_every in [0usize, 2] {
+                    let x =
+                        Tensor::from_vec([m, inp], pseudo(m * inp, seed + 2, zero_every)).unwrap();
+                    assert_eq!(
+                        forward_bits(&layer, &x),
+                        naive_forward(&layer, &x),
+                        "m{m} out{out} zeros={zero_every}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A non-finite weight reaches its output even through an exact-zero
+    /// input (0 · NaN and 0 · ∞ are NaN), so a corrupt detector cannot
+    /// score a frame as finite.
+    #[test]
+    fn non_finite_weight_poisons_output_through_zero_input() {
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut w = pseudo(3 * 4, 1, 0);
+            w[4 + 2] = bad; // output 1, input 2
+            let layer = layer_with(w, vec![0.0; 3], 3, 4);
+            let x = Tensor::from_vec([1, 4], vec![0.5, -0.25, 0.0, 1.0]).unwrap();
+            let y = layer.forward(&x).unwrap();
+            assert!(y.as_slice()[1].is_nan(), "{bad}: got {}", y.as_slice()[1]);
+            assert!(y.as_slice()[0].is_finite() && y.as_slice()[2].is_finite());
+        }
+    }
+
+    /// The derived weight copy never outlives a weight change.
+    #[test]
+    fn forward_follows_set_params_and_optimizer_steps() {
+        use crate::optim::{Adam, Optimizer};
+        let (inp, out) = (70, 65);
+        let mut layer = layer_with(pseudo(out * inp, 3, 0), pseudo(out, 4, 0), out, inp);
+        let x = Tensor::from_vec([3, inp], pseudo(3 * inp, 5, 0)).unwrap();
+        let fresh = |layer: &Dense| {
+            let rebuilt = Dense::from_parts(layer.weight.clone(), layer.bias.clone()).unwrap();
+            forward_bits(&rebuilt, &x)
+        };
+        let before = forward_bits(&layer, &x);
+
+        let w = Tensor::from_vec([out, inp], pseudo(out * inp, 6, 0)).unwrap();
+        let b = Tensor::from_vec([out], pseudo(out, 7, 0)).unwrap();
+        layer.set_params(&[w, b]).unwrap();
+        let after_set = forward_bits(&layer, &x);
+        assert_ne!(after_set, before);
+        assert_eq!(after_set, fresh(&layer));
+
+        let mut adam = Adam::new(1e-2).unwrap();
+        let y = layer.forward_train(&x).unwrap();
+        layer.zero_grads();
+        layer.backward(&Tensor::ones(y.shape().clone())).unwrap();
+        adam.step(&mut layer.params_and_grads()).unwrap();
+        let after_step = forward_bits(&layer, &x);
+        assert_ne!(after_step, after_set);
+        assert_eq!(after_step, fresh(&layer));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 use std::sync::Mutex;
 
 use ndtensor::{
-    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into,
-    matmul_into, set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
+    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_a_bt_into, matmul_assign, matmul_assign_into,
+    matmul_at_b, matmul_at_b_into, matmul_into, set_thread_config, Conv2dSpec, Tensor,
+    ThreadConfig,
 };
 use proptest::prelude::*;
 
@@ -176,6 +177,36 @@ proptest! {
         assert_parity_across_threads(&reference, "matmul_a_bt_into", || {
             let mut out = vec![0.0f32; m * n];
             matmul_a_bt_into(&a, &b, &mut out).unwrap();
+            out
+        })?;
+    }
+
+    /// Same contract for the assigning, never-skipping `A·B` that runs
+    /// every dense forward: shapes cross the 64-wide register block and
+    /// its column remainder, odd `m` hits the single-row block, `k = 0`
+    /// must assign zeros over a stale output, and exact zeros in `A`
+    /// must not be skipped.
+    #[test]
+    fn matmul_assign_bitwise_matches_naive(
+        m in 1usize..10,
+        k in 0usize..80,
+        n in 1usize..200,
+        zero_every in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let _guard = lock();
+        let mut a = pseudo([m, k], seed);
+        if zero_every > 0 {
+            a.as_mut_slice().iter_mut().step_by(zero_every).for_each(|v| *v = 0.0);
+        }
+        let b = pseudo([k, n], seed + 7);
+        let reference = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+        assert_parity_across_threads(&reference, "matmul_assign", || {
+            matmul_assign(&a, &b).unwrap().as_slice().to_vec()
+        })?;
+        assert_parity_across_threads(&reference, "matmul_assign_into", || {
+            let mut out = vec![7.0f32; m * n];
+            matmul_assign_into(&a, &b, &mut out).unwrap();
             out
         })?;
     }

@@ -27,6 +27,49 @@ fn quick_builder(seed: u64) -> NoveltyDetectorBuilder {
         .seed(seed)
 }
 
+/// 64-bit FNV-1a of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of the persisted `vbp+ssim` detector trained by
+/// [`seeded_detector_spec_digest_is_pinned`]. Every weight, threshold and
+/// training score is in the spec, so a kernel, layer or optimizer change
+/// that moves one output bit anywhere in training or scoring moves this
+/// value. Update it only for a deliberate numeric change, and say so.
+const PINNED_SPEC_DIGEST: u64 = 0xf156_edbb_a632_ed5a;
+
+/// Kernel changes must keep detector output bit-identical: the persisted
+/// form of a small seeded detector matches a pinned digest. The 64-wide
+/// hidden layers put both the autoencoder encode (`n = 64`) and decode
+/// (`n = 3200`) on full 64-column register blocks, the 16-wide bottleneck
+/// on the column remainder, and the batch of 8 on two-row blocks.
+#[test]
+fn seeded_detector_spec_digest_is_pinned() {
+    let data = small_dataset(5);
+    let detector = NoveltyDetectorBuilder::paper()
+        .classifier_config(ClassifierConfig {
+            hidden: vec![64, 16, 64],
+            epochs: 3,
+            warmup_epochs: 1,
+            batch_size: 8,
+            learning_rate: 3e-3,
+            objective: ReconstructionObjective::Ssim { window: 7 },
+        })
+        .cnn_epochs(1)
+        .seed(42)
+        .train(&data)
+        .unwrap();
+    let spec = novelty::detector_to_spec(&detector).unwrap();
+    let json = serde_json::to_string(&spec).unwrap();
+    assert_eq!(
+        format!("{:016x}", fnv1a(json.as_bytes())),
+        format!("{PINNED_SPEC_DIGEST:016x}")
+    );
+}
+
 #[test]
 fn datasets_are_bit_identical_across_generations() {
     let a = small_dataset(77);
