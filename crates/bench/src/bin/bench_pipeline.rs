@@ -22,7 +22,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ndtensor::{
-    matmul_assign_into, matmul_at_b_into, matmul_into, set_thread_config, Tensor, ThreadConfig,
+    conv2d_into, matmul_assign_into, matmul_at_b_into, set_thread_config, Conv2dSpec, Tensor,
+    ThreadConfig,
 };
 use novelty::{
     ClassifierConfig, DecisionSource, NoveltyDetector, NoveltyDetectorBuilder, QueueConfig,
@@ -140,16 +141,20 @@ fn pseudo(shape: impl Into<ndtensor::Shape>, seed: u64) -> Tensor {
     })
 }
 
-/// Pipeline-representative GEMM shapes: the first PilotNet conv layer as
-/// im2col GEMM (compact widths, 60×160 input), a mid conv layer, and the
-/// autoencoder's large dense layers at batch 1 (the streaming case), run
-/// the way `neural::Dense` runs them: `x · Wt` on the `[in, out]` weight
-/// copy.
+/// The conv layers scoring runs, at batch 1: `(f, c, h, w, kernel,
+/// stride)` on the compact widths and 60×160 input — conv1, and conv3 as
+/// a mid layer. Each runs through `conv2d_into`, the path every conv
+/// forward takes (lowering into a padded panel, then one register-blocked
+/// kernel); the row's shape is its GEMM view `m{f} k{c·kernel²}
+/// n{oh·ow}`.
+const CONV_CASES: &[(usize, usize, usize, usize, usize, usize)] =
+    &[(8, 1, 60, 160, 5, 2), (16, 12, 12, 37, 5, 2)];
+
+/// Pipeline-representative dense GEMM shapes: the autoencoder's large
+/// dense layers at batch 1 (the streaming case), run the way
+/// `neural::Dense` runs them: `x · Wt` on the `[in, out]` weight copy;
+/// then two training-path backward shapes.
 const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
-    // conv1 as GEMM: f=8 filters, k=1*5*5, n=28*78 output pixels.
-    ("matmul", 8, 25, 2184),
-    // conv3 as GEMM: f=16, k=12*5*5, n=4*17.
-    ("matmul", 16, 300, 68),
     // dense decode head at batch 1: [1, 64] x [64, 9600].
     ("matmul_assign", 1, 64, 9600),
     // dense encode at batch 1: [1, 9600] x [9600, 64].
@@ -159,7 +164,7 @@ const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
     ("matmul_at_b", 25, 8, 2184),
 ];
 
-/// Entry-point benches over [`GEMM_CASES`].
+/// Entry-point benches over [`CONV_CASES`] and [`GEMM_CASES`].
 ///
 /// Times the `_into` entry points over a recycled output
 /// buffer: the scoring hot path runs on `ndtensor::scratch` storage, and
@@ -167,17 +172,33 @@ const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
 /// backward shape) would otherwise swamp the kernel being measured.
 fn kernel_benches(iters: usize) -> Vec<KernelBench> {
     let mut out = Vec::new();
+    for &(f, c, h, w, kernel, stride) in CONV_CASES {
+        let spec = Conv2dSpec::new((stride, stride), (0, 0));
+        let (oh, ow) = spec.output_hw(h, w, kernel, kernel).expect("conv geometry");
+        let input = pseudo([1, c, h, w], 11);
+        let weight = pseudo([f, c, kernel, kernel], 12);
+        let bias = pseudo([f], 13);
+        let mut y = vec![0.0f32; f * oh * ow];
+        let ns = time_iters(iters, || {
+            conv2d_into(
+                black_box(&input),
+                black_box(&weight),
+                Some(&bias),
+                spec,
+                &mut y,
+            )
+            .expect("conv2d");
+            black_box(&mut y);
+        });
+        out.push(KernelBench {
+            kernel: "conv2d".to_string(),
+            shape: format!("m{f} k{} n{}", c * kernel * kernel, oh * ow),
+            ns_per_iter: ns,
+        });
+    }
     for &(kernel, m, k, n) in GEMM_CASES {
         let mut c = vec![0.0f32; m * n];
         let ns = match kernel {
-            "matmul" => {
-                let a = pseudo([m, k], 11);
-                let b = pseudo([k, n], 12);
-                time_iters(iters, || {
-                    matmul_into(black_box(&a), black_box(&b), &mut c).expect("matmul");
-                    black_box(&mut c);
-                })
-            }
             "matmul_assign" => {
                 let a = pseudo([m, k], 13);
                 let b = pseudo([k, n], 14);

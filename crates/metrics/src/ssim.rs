@@ -95,44 +95,60 @@ impl SsimConfig {
     }
 }
 
-/// Summed-area table over an `h × w` buffer, `(h+1) × (w+1)` entries in f64.
+/// `T` summed-area tables over one `h × w` grid, each `(h+1) × (w+1)`
+/// entries in f64, stored one after another in a single buffer.
 ///
-/// The table borrows its storage from the [`ndtensor::scratch`] pool and
-/// returns it on drop, so repeated SSIM evaluation (the per-frame scoring
+/// The storage is borrowed from the [`ndtensor::scratch`] pool and
+/// returned on drop, so repeated SSIM evaluation (the per-frame scoring
 /// hot path) allocates nothing once warmed.
-struct Integral {
+struct Integrals<const T: usize> {
     sums: Vec<f64>,
     w1: usize,
+    plane: usize,
 }
 
-impl Drop for Integral {
+impl<const T: usize> Drop for Integrals<T> {
     fn drop(&mut self) {
         ndtensor::scratch::give_f64(std::mem::take(&mut self.sums));
     }
 }
 
-impl Integral {
-    fn build(data: impl Iterator<Item = f64>, h: usize, w: usize) -> Self {
+impl<const T: usize> Integrals<T> {
+    /// Builds all `T` tables in one raster pass: `value(i)` yields the
+    /// `T` values of grid element `i`, and each table's row prefix sum is
+    /// an independent chain, so the `T` serial chains run side by side.
+    /// Every table entry is `above + row`, exactly as a table built on
+    /// its own.
+    fn build(h: usize, w: usize, mut value: impl FnMut(usize) -> [f64; T]) -> Self {
         let w1 = w + 1;
-        let mut sums = ndtensor::scratch::take_zeroed_f64((h + 1) * w1);
-        let mut it = data;
+        let plane = (h + 1) * w1;
+        let mut sums = ndtensor::scratch::take_zeroed_f64(T * plane);
         for y in 0..h {
-            let mut row = 0.0f64;
+            let mut row = [0.0f64; T];
             for x in 0..w {
-                row += it.next().expect("iterator length matches h*w"); // sncheck:allow(no-panic-in-lib, hot-path-transitive-panic): all callers pass h*w-length iterators built in this module
-                sums[(y + 1) * w1 + (x + 1)] = sums[y * w1 + (x + 1)] + row;
+                let v = value(y * w + x);
+                for t in 0..T {
+                    row[t] += v[t];
+                    let base = t * plane;
+                    sums[base + (y + 1) * w1 + (x + 1)] = sums[base + y * w1 + (x + 1)] + row[t];
+                }
             }
         }
-        Integral { sums, w1 }
+        Integrals { sums, w1, plane }
     }
 
-    /// Sum over the rectangle with top-left `(y, x)` and size `k × k`.
+    /// Table `t`'s row `y` (length `w + 1`).
+    fn row(&self, t: usize, y: usize) -> &[f64] {
+        let start = t * self.plane + y * self.w1;
+        &self.sums[start..start + self.w1]
+    }
+
+    /// Sum of table `t` over the rectangle with top-left `(y, x)` and size
+    /// `kh × kw`.
     #[inline]
-    fn window(&self, y: usize, x: usize, kh: usize, kw: usize) -> f64 {
-        let w1 = self.w1;
-        self.sums[(y + kh) * w1 + (x + kw)] + self.sums[y * w1 + x]
-            - self.sums[y * w1 + (x + kw)]
-            - self.sums[(y + kh) * w1 + x]
+    fn window(&self, t: usize, y: usize, x: usize, kh: usize, kw: usize) -> f64 {
+        let (top, bot) = (self.row(t, y), self.row(t, y + kh));
+        bot[x + kw] + top[x] - top[x + kw] - bot[x]
     }
 }
 
@@ -153,15 +169,83 @@ fn check_sizes(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(usize, usize)>
     Ok((x.height(), x.width()))
 }
 
-struct WindowStats {
-    mx: f64,
-    my: f64,
-    vx: f64,
-    vy: f64,
-    cxy: f64,
+/// Per-window statistics `(μx, μy, σx², σy², σxy)` from the five window
+/// sums `[Σx, Σy, Σx², Σy², Σxy]` over `n` pixels.
+#[inline(always)]
+fn window_stats(sums: [f64; 5], n: f64) -> (f64, f64, f64, f64, f64) {
+    let mx = sums[0] / n;
+    let my = sums[1] / n;
+    // Population variance/covariance; max(0) guards tiny negative
+    // values from floating-point cancellation.
+    let vx = (sums[2] / n - mx * mx).max(0.0);
+    let vy = (sums[3] / n - my * my).max(0.0);
+    let cxy = sums[4] / n - mx * my;
+    (mx, my, vx, vy, cxy)
 }
 
-fn per_window<F: FnMut(usize, usize, WindowStats)>(
+/// `(S, A1, A2, B1, B2)` of one window from its statistics.
+#[inline(always)]
+fn window_score(
+    (mx, my, vx, vy, cxy): (f64, f64, f64, f64, f64),
+    c1: f64,
+    c2: f64,
+) -> (f64, f64, f64, f64, f64) {
+    let a1 = 2.0 * mx * my + c1;
+    let a2 = 2.0 * cxy + c2;
+    let b1 = mx * mx + my * my + c1;
+    let b2 = vx + vy + c2;
+    (a1 * a2 / (b1 * b2), a1, a2, b1, b2)
+}
+
+/// `out[i] = br[i] + tl[i] - tr[i] - bl[i]`: one row of window sums
+/// from the four corner rows of a summed-area table.
+fn corner_sums(out: &mut [f64], br: &[f64], tl: &[f64], tr: &[f64], bl: &[f64]) {
+    for (o, (((&a, &b), &c), &d)) in out.iter_mut().zip(br.iter().zip(tl).zip(tr).zip(bl)) {
+        *o = a + b - c - d;
+    }
+}
+
+/// One row of window scores from the row's five window-sum planes.
+/// `score` is the only output, so the loop vectorises without alias
+/// checks.
+fn row_scores(score: &mut [f64], sums: [&[f64]; 5], n: f64, c1: f64, c2: f64) {
+    let len = score.len();
+    let sums = sums.map(|plane| &plane[..len]);
+    for (wx, s) in score.iter_mut().enumerate() {
+        let stats = window_stats(
+            [
+                sums[0][wx],
+                sums[1][wx],
+                sums[2][wx],
+                sums[3][wx],
+                sums[4][wx],
+            ],
+            n,
+        );
+        *s = window_score(stats, c1, c2).0;
+    }
+}
+
+/// One window row: the five window sums and the score of the window
+/// with top-left `(wy, wx)`, at entry `wx`.
+struct WindowRow<'a> {
+    sums: [&'a [f64]; 5],
+    score: &'a [f64],
+}
+
+impl WindowRow<'_> {
+    /// Statistics of window `wx`: the ones its score was computed from.
+    fn stats(&self, wx: usize, n: f64) -> (f64, f64, f64, f64, f64) {
+        window_stats(self.sums.map(|plane| plane[wx]), n)
+    }
+}
+
+/// Visits every window row in raster order. The five integral tables
+/// (`x`, `y`, `x²`, `y²`, `xy`) are built in one pass; each row's window
+/// sums and scores are then computed into a scratch row buffer by loops
+/// over contiguous table rows that the compiler vectorises — the same
+/// per-window expressions as a window-at-a-time evaluation.
+fn per_window_row<F: FnMut(usize, &WindowRow<'_>)>(
     x: &Image,
     y: &Image,
     cfg: &SsimConfig,
@@ -172,53 +256,30 @@ fn per_window<F: FnMut(usize, usize, WindowStats)>(
     let n = (k * k) as f64;
     let xs = x.as_slice();
     let ys = y.as_slice();
-    let ix = Integral::build(xs.iter().map(|&v| v as f64), h, w);
-    let iy = Integral::build(ys.iter().map(|&v| v as f64), h, w);
-    let ixx = Integral::build(xs.iter().map(|&v| (v as f64) * (v as f64)), h, w);
-    let iyy = Integral::build(ys.iter().map(|&v| (v as f64) * (v as f64)), h, w);
-    let ixy = Integral::build(
-        xs.iter().zip(ys).map(|(&a, &b)| (a as f64) * (b as f64)),
-        h,
-        w,
-    );
+    let tables = Integrals::<5>::build(h, w, |i| {
+        let (a, b) = (xs[i] as f64, ys[i] as f64);
+        [a, b, a * a, b * b, a * b]
+    });
+    let mw = w - k + 1;
+    let mut buf = ndtensor::scratch::take_zeroed_f64(6 * mw);
     for wy in 0..=(h - k) {
-        for wx in 0..=(w - k) {
-            let sx = ix.window(wy, wx, k, k);
-            let sy = iy.window(wy, wx, k, k);
-            let sxx = ixx.window(wy, wx, k, k);
-            let syy = iyy.window(wy, wx, k, k);
-            let sxy = ixy.window(wy, wx, k, k);
-            let mx = sx / n;
-            let my = sy / n;
-            // Population variance/covariance; max(0) guards tiny negative
-            // values from floating-point cancellation.
-            let vx = (sxx / n - mx * mx).max(0.0);
-            let vy = (syy / n - my * my).max(0.0);
-            let cxy = sxy / n - mx * my;
-            visit(
-                wy,
-                wx,
-                WindowStats {
-                    mx,
-                    my,
-                    vx,
-                    vy,
-                    cxy,
-                },
+        let (sums, score) = buf.split_at_mut(5 * mw);
+        for (t, out) in sums.chunks_exact_mut(mw).enumerate() {
+            let (top, bot) = (tables.row(t, wy), tables.row(t, wy + k));
+            corner_sums(
+                out,
+                &bot[k..k + mw],
+                &top[..mw],
+                &top[k..k + mw],
+                &bot[..mw],
             );
         }
+        let sums: [&[f64]; 5] = std::array::from_fn(|t| &sums[t * mw..(t + 1) * mw]);
+        row_scores(score, sums, n, cfg.c1 as f64, cfg.c2 as f64);
+        visit(wy, &WindowRow { sums, score });
     }
+    ndtensor::scratch::give_f64(buf);
     Ok(())
-}
-
-fn window_score(s: &WindowStats, cfg: &SsimConfig) -> (f64, f64, f64, f64, f64) {
-    let c1 = cfg.c1 as f64;
-    let c2 = cfg.c2 as f64;
-    let a1 = 2.0 * s.mx * s.my + c1;
-    let a2 = 2.0 * s.cxy + c2;
-    let b1 = s.mx * s.mx + s.my * s.my + c1;
-    let b2 = s.vx + s.vy + c2;
-    (a1 * a2 / (b1 * b2), a1, a2, b1, b2)
 }
 
 /// Mean SSIM between two same-size images.
@@ -247,9 +308,11 @@ fn window_score(s: &WindowStats, cfg: &SsimConfig) -> (f64, f64, f64, f64, f64) 
 pub fn ssim(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<f32> {
     let mut total = 0.0f64;
     let mut count = 0usize;
-    per_window(x, y, cfg, |_, _, s| {
-        total += window_score(&s, cfg).0;
-        count += 1;
+    per_window_row(x, y, cfg, |_, row| {
+        for &s in row.score {
+            total += s;
+        }
+        count += row.score.len();
     })?;
     Ok((total / count as f64) as f32)
 }
@@ -265,8 +328,10 @@ pub fn ssim_map(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<Image> {
     let k = cfg.window;
     let mut out = Image::new(h - k + 1, w - k + 1)
         .map_err(|e| MetricsError::invalid("ssim_map", e.to_string()))?;
-    per_window(x, y, cfg, |wy, wx, s| {
-        out.put(wy, wx, window_score(&s, cfg).0 as f32);
+    per_window_row(x, y, cfg, |wy, row| {
+        for (wx, &s) in row.score.iter().enumerate() {
+            out.put(wy, wx, s as f32);
+        }
     })?;
     Ok(out)
 }
@@ -294,24 +359,26 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
     let mut coef_y = ndtensor::scratch::take_zeroed_f64(mh * mw);
     let mut coef_c = ndtensor::scratch::take_zeroed_f64(mh * mw);
     let mut total = 0.0f64;
-    per_window(x, y, cfg, |wy, wx, s| {
-        let (score, a1, a2, b1, b2) = window_score(&s, cfg);
-        total += score;
-        let scale = 2.0 / (n * b1 * b2);
-        // ∂S/∂y_j = scale·[ μx·A2 + (x_j−μx)·A1 − S·(μy·B2 + (y_j−μy)·B1) ]
-        //         = x_j·(scale·A1) + y_j·(−scale·S·B1)
-        //           + scale·(μx·A2 − μx·A1 − S·μy·B2 + S·μy·B1)
-        let idx = wy * mw + wx;
-        coef_x[idx] = scale * a1;
-        coef_y[idx] = -scale * score * b1;
-        coef_c[idx] = scale * (s.mx * a2 - s.mx * a1 - score * s.my * b2 + score * s.my * b1);
+    per_window_row(x, y, cfg, |wy, row| {
+        for wx in 0..mw {
+            let stats = row.stats(wx, n);
+            let (mx, my, ..) = stats;
+            let (score, a1, a2, b1, b2) = window_score(stats, cfg.c1 as f64, cfg.c2 as f64);
+            total += score;
+            let scale = 2.0 / (n * b1 * b2);
+            // ∂S/∂y_j = scale·[ μx·A2 + (x_j−μx)·A1 − S·(μy·B2 + (y_j−μy)·B1) ]
+            //         = x_j·(scale·A1) + y_j·(−scale·S·B1)
+            //           + scale·(μx·A2 − μx·A1 − S·μy·B2 + S·μy·B1)
+            let idx = wy * mw + wx;
+            coef_x[idx] = scale * a1;
+            coef_y[idx] = -scale * score * b1;
+            coef_c[idx] = scale * (mx * a2 - mx * a1 - score * my * b2 + score * my * b1);
+        }
     })?;
 
     // Sum each coefficient over all windows covering a pixel with a second
     // round of integral images over the window-index grid.
-    let icx = Integral::build(coef_x.iter().copied(), mh, mw);
-    let icy = Integral::build(coef_y.iter().copied(), mh, mw);
-    let icc = Integral::build(coef_c.iter().copied(), mh, mw);
+    let coefs = Integrals::<3>::build(mh, mw, |i| [coef_x[i], coef_y[i], coef_c[i]]);
     ndtensor::scratch::give_f64(coef_x);
     ndtensor::scratch::give_f64(coef_y);
     ndtensor::scratch::give_f64(coef_c);
@@ -327,9 +394,9 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
             let wx0 = px.saturating_sub(k - 1).min(mw - 1);
             let wx1 = px.min(mw - 1);
             let (rh, rw) = (wy1 - wy0 + 1, wx1 - wx0 + 1);
-            let sx = icx.window(wy0, wx0, rh, rw);
-            let sy = icy.window(wy0, wx0, rh, rw);
-            let sc = icc.window(wy0, wx0, rh, rw);
+            let sx = coefs.window(0, wy0, wx0, rh, rw);
+            let sy = coefs.window(1, wy0, wx0, rh, rw);
+            let sc = coefs.window(2, wy0, wx0, rh, rw);
             let j = py * w + px;
             let g = (xs[j] as f64) * sx + (ys[j] as f64) * sy + sc;
             grad.put(py, px, (g / windows) as f32);
@@ -352,6 +419,158 @@ mod tests {
             0.2 + 0.6 * (v as f32 / 96.0)
         })
         .unwrap()
+    }
+
+    /// The five-pass implementation this module used before the one-pass
+    /// tables and the row buffer: one serial summed-area build per table,
+    /// then one window at a time. Bitwise reference for the production
+    /// paths.
+    mod five_pass {
+        use super::super::SsimConfig;
+        use vision::Image;
+
+        struct Integral {
+            sums: Vec<f64>,
+            w1: usize,
+        }
+
+        impl Integral {
+            fn build(data: impl Iterator<Item = f64>, h: usize, w: usize) -> Self {
+                let w1 = w + 1;
+                let mut sums = vec![0.0f64; (h + 1) * w1];
+                let mut it = data;
+                for y in 0..h {
+                    let mut row = 0.0f64;
+                    for x in 0..w {
+                        row += it.next().unwrap();
+                        sums[(y + 1) * w1 + (x + 1)] = sums[y * w1 + (x + 1)] + row;
+                    }
+                }
+                Integral { sums, w1 }
+            }
+
+            fn window(&self, y: usize, x: usize, kh: usize, kw: usize) -> f64 {
+                let w1 = self.w1;
+                self.sums[(y + kh) * w1 + (x + kw)] + self.sums[y * w1 + x]
+                    - self.sums[y * w1 + (x + kw)]
+                    - self.sums[(y + kh) * w1 + x]
+            }
+        }
+
+        /// `(wy, wx, score, a1, a2, b1, b2, mx, my)` per window, raster order.
+        fn windows(x: &Image, y: &Image, cfg: &SsimConfig) -> Vec<[f64; 9]> {
+            let (h, w) = (x.height(), x.width());
+            let k = cfg.window;
+            let n = (k * k) as f64;
+            let xs = x.as_slice();
+            let ys = y.as_slice();
+            let ix = Integral::build(xs.iter().map(|&v| v as f64), h, w);
+            let iy = Integral::build(ys.iter().map(|&v| v as f64), h, w);
+            let ixx = Integral::build(xs.iter().map(|&v| (v as f64) * (v as f64)), h, w);
+            let iyy = Integral::build(ys.iter().map(|&v| (v as f64) * (v as f64)), h, w);
+            let ixy = Integral::build(
+                xs.iter().zip(ys).map(|(&a, &b)| (a as f64) * (b as f64)),
+                h,
+                w,
+            );
+            let mut out = Vec::new();
+            for wy in 0..=(h - k) {
+                for wx in 0..=(w - k) {
+                    let mx = ix.window(wy, wx, k, k) / n;
+                    let my = iy.window(wy, wx, k, k) / n;
+                    let vx = (ixx.window(wy, wx, k, k) / n - mx * mx).max(0.0);
+                    let vy = (iyy.window(wy, wx, k, k) / n - my * my).max(0.0);
+                    let cxy = ixy.window(wy, wx, k, k) / n - mx * my;
+                    let c1 = cfg.c1 as f64;
+                    let c2 = cfg.c2 as f64;
+                    let a1 = 2.0 * mx * my + c1;
+                    let a2 = 2.0 * cxy + c2;
+                    let b1 = mx * mx + my * my + c1;
+                    let b2 = vx + vy + c2;
+                    let score = a1 * a2 / (b1 * b2);
+                    out.push([wy as f64, wx as f64, score, a1, a2, b1, b2, mx, my]);
+                }
+            }
+            out
+        }
+
+        pub fn ssim(x: &Image, y: &Image, cfg: &SsimConfig) -> f32 {
+            let ws = windows(x, y, cfg);
+            let mut total = 0.0f64;
+            for win in &ws {
+                total += win[2];
+            }
+            (total / ws.len() as f64) as f32
+        }
+
+        pub fn ssim_map(x: &Image, y: &Image, cfg: &SsimConfig) -> Image {
+            let k = cfg.window;
+            let mut out = Image::new(x.height() - k + 1, x.width() - k + 1).unwrap();
+            for win in windows(x, y, cfg) {
+                out.put(win[0] as usize, win[1] as usize, win[2] as f32);
+            }
+            out
+        }
+
+        pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> (f32, Image) {
+            let (h, w) = (x.height(), x.width());
+            let k = cfg.window;
+            let n = (k * k) as f64;
+            let (mh, mw) = (h - k + 1, w - k + 1);
+            let windows_n = (mh * mw) as f64;
+            let mut coef_x = vec![0.0f64; mh * mw];
+            let mut coef_y = vec![0.0f64; mh * mw];
+            let mut coef_c = vec![0.0f64; mh * mw];
+            let mut total = 0.0f64;
+            for [wy, wx, score, a1, a2, b1, b2, mx, my] in windows(x, y, cfg) {
+                total += score;
+                let scale = 2.0 / (n * b1 * b2);
+                let idx = wy as usize * mw + wx as usize;
+                coef_x[idx] = scale * a1;
+                coef_y[idx] = -scale * score * b1;
+                coef_c[idx] = scale * (mx * a2 - mx * a1 - score * my * b2 + score * my * b1);
+            }
+            let icx = Integral::build(coef_x.iter().copied(), mh, mw);
+            let icy = Integral::build(coef_y.iter().copied(), mh, mw);
+            let icc = Integral::build(coef_c.iter().copied(), mh, mw);
+            let xs = x.as_slice();
+            let ys = y.as_slice();
+            let mut grad = Image::new(h, w).unwrap();
+            for py in 0..h {
+                let wy0 = py.saturating_sub(k - 1).min(mh - 1);
+                let wy1 = py.min(mh - 1);
+                for px in 0..w {
+                    let wx0 = px.saturating_sub(k - 1).min(mw - 1);
+                    let wx1 = px.min(mw - 1);
+                    let (rh, rw) = (wy1 - wy0 + 1, wx1 - wx0 + 1);
+                    let sx = icx.window(wy0, wx0, rh, rw);
+                    let sy = icy.window(wy0, wx0, rh, rw);
+                    let sc = icc.window(wy0, wx0, rh, rw);
+                    let j = py * w + px;
+                    let g = (xs[j] as f64) * sx + (ys[j] as f64) * sy + sc;
+                    grad.put(py, px, (g / windows_n) as f32);
+                }
+            }
+            ((total / windows_n) as f32, grad)
+        }
+    }
+
+    fn image_bits(img: &Image) -> Vec<u32> {
+        img.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Pixels in [0, 1) with occasional exact repeats, seeded.
+    fn noisy(h: usize, w: usize, seed: u64) -> Image {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let values: Vec<f32> = (0..h * w)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 40) % 4096) as f32 / 4096.0
+            })
+            .collect();
+        Image::from_fn(h, w, |y, x| values[y * w + x]).unwrap()
     }
 
     /// Naive direct SSIM used as the oracle.
@@ -558,8 +777,55 @@ mod tests {
         let _ = prev;
     }
 
+    /// The paper geometry (60×160, 11×11 windows) against the five-pass
+    /// reference, on a mask-like and a noisy pair.
+    #[test]
+    fn paper_geometry_matches_five_pass_bitwise() {
+        let cfg = SsimConfig::default();
+        for (x, y) in [
+            (textured(60, 160, 1), textured(60, 160, 2)),
+            (noisy(60, 160, 3), noisy(60, 160, 4)),
+        ] {
+            assert_eq!(
+                ssim(&x, &y, &cfg).unwrap().to_bits(),
+                five_pass::ssim(&x, &y, &cfg).to_bits()
+            );
+            let (s, g) = ssim_with_grad(&x, &y, &cfg).unwrap();
+            let (rs, rg) = five_pass::ssim_with_grad(&x, &y, &cfg);
+            assert_eq!(s.to_bits(), rs.to_bits());
+            assert_eq!(image_bits(&g), image_bits(&rg));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `ssim`, `ssim_map` and `ssim_with_grad` reproduce the
+        /// five-pass reference bit-for-bit over random sizes and windows,
+        /// including a reconstruction equal to its input.
+        #[test]
+        fn matches_five_pass_reference_bitwise(
+            (h, w) in (1usize..24, 1usize..40),
+            k in 1usize..12,
+            (seed, same) in (0u64..10_000, 0u8..4)
+        ) {
+            prop_assume!(k <= h && k <= w);
+            let cfg = SsimConfig::with_window(k);
+            let x = noisy(h, w, seed);
+            let y = if same == 0 { x.clone() } else { noisy(h, w, seed + 1) };
+            prop_assert_eq!(
+                ssim(&x, &y, &cfg).unwrap().to_bits(),
+                five_pass::ssim(&x, &y, &cfg).to_bits()
+            );
+            prop_assert_eq!(
+                image_bits(&ssim_map(&x, &y, &cfg).unwrap()),
+                image_bits(&five_pass::ssim_map(&x, &y, &cfg))
+            );
+            let (s, g) = ssim_with_grad(&x, &y, &cfg).unwrap();
+            let (rs, rg) = five_pass::ssim_with_grad(&x, &y, &cfg);
+            prop_assert_eq!(s.to_bits(), rs.to_bits());
+            prop_assert_eq!(image_bits(&g), image_bits(&rg));
+        }
 
         #[test]
         fn score_is_bounded(seed_a in 0u64..50, seed_b in 0u64..50) {

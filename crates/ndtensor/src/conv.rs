@@ -16,7 +16,7 @@
 //! [`im2col_into`] / [`col2im_into`] let callers recycle output storage,
 //! so a warmed pipeline performs no per-frame heap allocation.
 
-use crate::kernels::{abt_tiled, accumulate_kernel, pack_at};
+use crate::kernels::{abt_tiled, accumulate_kernel, conv_panel, conv_panel_stride, pack_at};
 use crate::par::{try_for_each_block, try_parallel_map};
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -111,9 +111,49 @@ fn im2col_geometry(
     spec.output_hw(h, w, kh, kw)
 }
 
-/// Writes the column matrix for one sample. Assigns every element of
-/// `out` (padding taps become zeros), so the buffer needs no pre-zeroing.
-/// Geometry must be validated by the caller.
+/// `dst[i] = src[i · stride]` for every `i`; `src` must reach index
+/// `(dst.len() − 1) · stride`. Strides 1 and 2 (every PilotNet conv) get
+/// a slice copy and a fixed-width gather the compiler can vectorise.
+#[inline(always)]
+fn gather_strided(dst: &mut [f32], src: &[f32], stride: usize) {
+    match stride {
+        1 => dst.copy_from_slice(&src[..dst.len()]),
+        2 => gather_by(dst, src, 2),
+        _ => gather_by(dst, src, stride),
+    }
+}
+
+#[inline(always)]
+fn gather_by(dst: &mut [f32], src: &[f32], stride: usize) {
+    let Some((last, body)) = dst.split_last_mut() else {
+        return;
+    };
+    for (d, chunk) in body.iter_mut().zip(src.chunks_exact(stride)) {
+        *d = chunk[0];
+    }
+    *last = src[body.len() * stride];
+}
+
+/// Half-open range of output columns `ox` whose input column
+/// `ox·sw + kx − pw` lies inside `0..w`.
+fn valid_ox(ow: usize, w: usize, kx: usize, sw: usize, pw: usize) -> (usize, usize) {
+    let lo = pw.saturating_sub(kx).div_ceil(sw).min(ow);
+    let hi = if w + pw > kx {
+        ((w + pw - kx - 1) / sw + 1).min(ow)
+    } else {
+        0
+    };
+    (lo, hi.max(lo))
+}
+
+/// Writes the column matrix for one sample, row `r` at `out[r · ld..]`
+/// with `ld ≥ oh·ow`. Assigns every element of `out` (padding taps and
+/// the `ld − oh·ow` pad columns of each row become zeros), so the buffer
+/// needs no pre-zeroing. Geometry must be validated by the caller.
+///
+/// The valid `ox` range of each `(ci, ky, kx)` row is hoisted out of the
+/// pixel loop, so the interior of each output row segment is a plain
+/// strided gather of one input row.
 #[allow(clippy::too_many_arguments)]
 fn im2col_core(
     sample: &[f32],
@@ -125,34 +165,37 @@ fn im2col_core(
     spec: Conv2dSpec,
     oh: usize,
     ow: usize,
+    ld: usize,
     out: &mut [f32],
 ) {
     let (sh, sw) = spec.stride;
     let (ph, pw) = spec.padding;
     let cols = oh * ow;
-    debug_assert_eq!(out.len(), c * kh * kw * cols);
+    debug_assert!(ld >= cols);
+    debug_assert_eq!(out.len(), c * kh * kw * ld);
     for ci in 0..c {
         let plane = &sample[ci * h * w..(ci + 1) * h * w];
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = (ci * kh + ky) * kw + kx;
-                let orow = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * sh + ky) as isize - ph as isize;
-                    let seg = &mut orow[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
+                let (orow, pad) = out[row * ld..(row + 1) * ld].split_at_mut(cols);
+                pad.fill(0.0);
+                let (lo, hi) = valid_ox(ow, w, kx, sw, pw);
+                let ix0 = (lo * sw + kx).saturating_sub(pw);
+                for (oy, seg) in orow.chunks_exact_mut(ow).enumerate() {
+                    let iy = oy * sh + ky;
+                    if iy < ph || iy - ph >= h {
                         seg.fill(0.0);
                         continue;
                     }
-                    let prow = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, o) in seg.iter_mut().enumerate() {
-                        let ix = (ox * sw + kx) as isize - pw as isize;
-                        *o = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else {
-                            prow[ix as usize]
-                        };
+                    let prow = &plane[(iy - ph) * w..(iy - ph + 1) * w];
+                    let (head, rest) = seg.split_at_mut(lo);
+                    let (mid, tail) = rest.split_at_mut(hi - lo);
+                    head.fill(0.0);
+                    if !mid.is_empty() {
+                        gather_strided(mid, &prow[ix0..], sw);
                     }
+                    tail.fill(0.0);
                 }
             }
         }
@@ -223,7 +266,19 @@ pub fn im2col(
 ) -> Result<Tensor> {
     let (oh, ow) = im2col_geometry(sample.len(), c, h, w, kh, kw, spec)?;
     let mut out = Tensor::zeros([c * kh * kw, oh * ow]);
-    im2col_core(sample, c, h, w, kh, kw, spec, oh, ow, out.as_mut_slice());
+    im2col_core(
+        sample,
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        spec,
+        oh,
+        ow,
+        oh * ow,
+        out.as_mut_slice(),
+    );
     Ok(out)
 }
 
@@ -253,7 +308,7 @@ pub fn im2col_into(
             actual: out.len(),
         });
     }
-    im2col_core(sample, c, h, w, kh, kw, spec, oh, ow, out);
+    im2col_core(sample, c, h, w, kh, kw, spec, oh, ow, oh * ow, out);
     Ok(())
 }
 
@@ -407,8 +462,13 @@ fn check_bias(bias: Option<&Tensor>, f: usize, weight: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Forward pass over a pre-validated geometry, writing into a zeroed
-/// `out` of length `n·f·oh·ow`.
+/// Forward pass over a pre-validated geometry, assigning every element of
+/// `out` (length `n·f·oh·ow`).
+///
+/// Each sample is lowered into a padded panel (row stride
+/// [`conv_panel_stride`] of `oh·ow`, zero pad columns) and multiplied by
+/// [`conv_panel`], which adds the bias in its store epilogue — one
+/// kernel for every conv forward at every batch size.
 fn conv2d_impl(
     input: &Tensor,
     weight: &Tensor,
@@ -435,14 +495,13 @@ fn conv2d_impl(
     let out_len = f * oh * ow;
     let kdim = c * kh * kw;
     let ncols = oh * ow;
+    let ld = conv_panel_stride(ncols);
+    let bias = bias.map(Tensor::as_slice);
     let work = n * out_len * kdim;
-    // Every sample runs the same `W · cols` GEMM shape; pick the kernel
-    // once before fanning out.
-    let mm_kernel = accumulate_kernel(kdim, ncols);
     try_for_each_block(out, out_len, work, |n0, chunk| {
-        // One column buffer per worker chunk, reused across its samples.
-        let mut cols = scratch::take(kdim * ncols);
-        cols.resize(kdim * ncols, 0.0);
+        // One panel per worker chunk, reused across its samples.
+        let mut cols = scratch::take(kdim * ld);
+        cols.resize(kdim * ld, 0.0);
         for (local, dst) in chunk.chunks_mut(out_len).enumerate() {
             let ni = n0 + local;
             im2col_core(
@@ -455,16 +514,10 @@ fn conv2d_impl(
                 spec,
                 oh,
                 ow,
+                ld,
                 &mut cols,
             );
-            mm_kernel(wd, f, kdim, &cols, ncols, dst);
-            if let Some(b) = bias {
-                for (fi, &bv) in b.as_slice().iter().enumerate() {
-                    for v in &mut dst[fi * ncols..(fi + 1) * ncols] {
-                        *v += bv;
-                    }
-                }
-            }
+            conv_panel(wd, f, kdim, &cols, ld, ncols, bias, dst);
         }
         scratch::give(cols);
         Ok(())
@@ -519,7 +572,6 @@ pub fn conv2d_into(
             actual: out.len(),
         });
     }
-    out.fill(0.0);
     conv2d_impl(input, weight, bias, spec, &g, out)
 }
 
@@ -591,6 +643,7 @@ fn conv2d_backward_impl(
             spec,
             oh,
             ow,
+            ncols,
             &mut cols,
         );
         let gout = &god[ni * out_len..(ni + 1) * out_len];
@@ -1041,6 +1094,42 @@ mod tests {
                 (lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()),
                 "adjoint mismatch: {lhs} vs {rhs}"
             );
+        }
+
+        #[test]
+        fn im2col_matches_per_element_lowering(
+            (c, h, w) in (1usize..3, 1usize..10, 1usize..12),
+            (kh, kw, sh, sw) in (1usize..4, 1usize..5, 1usize..4, 1usize..4),
+            (ph, pw) in (0usize..3, 0usize..4),
+            seed in 0u64..500
+        ) {
+            // The hoisted-range lowering writes exactly what a per-element
+            // bounds test would, padding zeros included.
+            prop_assume!(h + 2 * ph >= kh && w + 2 * pw >= kw);
+            let spec = Conv2dSpec::new((sh, sw), (ph, pw));
+            let x = pseudo([c * h * w], seed).into_vec();
+            let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+            let mut want = Vec::new();
+            for ci in 0..c {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = (oy * sh + ky) as isize - ph as isize;
+                                let ix = (ox * sw + kx) as isize - pw as isize;
+                                let inside = iy >= 0 && ix >= 0 && iy < h as isize && ix < w as isize;
+                                want.push(if inside {
+                                    x[(ci * h + iy as usize) * w + ix as usize]
+                                } else {
+                                    0.0
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            let got = im2col(&x, c, h, w, kh, kw, spec).unwrap();
+            prop_assert_eq!(got.as_slice(), want.as_slice());
         }
 
         #[test]

@@ -1,14 +1,16 @@
 //! The GEMM microkernels behind [`crate::matmul`] and [`crate::conv`].
 //!
-//! Four kernels, one per shape class, and one rule that picks between
+//! Five kernels, one per shape class, and one rule that picks between
 //! the two accumulating ones ([`accumulate_kernel`]):
 //!
 //! * [`mm_axpy`] — axpy-ordered accumulation with a 256-column tile and
 //!   B-panel packing; wins where `k` is long.
 //! * [`mm_rr2`] — two-row, 64-wide register-blocked accumulation; wins
 //!   where the output is wide and `k` short enough for the `k × 64` B
-//!   block to stay L1-resident (every conv-as-GEMM forward shape and the
-//!   wide backward GEMMs).
+//!   block to stay L1-resident (the wide backward GEMMs).
+//! * [`conv_panel`] — four-row, 32-wide register-blocked kernel over a
+//!   padded im2col panel with the bias in its store epilogue: every
+//!   conv forward, at every batch size.
 //! * [`mm_assign`] — the same register blocks as [`mm_rr2`], assigning
 //!   and never skipping: the weight-stationary `x · Wᵀ` of every dense
 //!   forward, run on a cached `[in, out]` weight copy.
@@ -28,10 +30,10 @@
 //! indices; the assigning kernels never skip and write every output
 //! element exactly once.
 //!
-//! All four share the calling convention `(arows, rows, k, bd, n, out)`:
-//! a packed `rows × k` block of A rows against the full B operand,
-//! writing a `rows × n` output block — exactly the per-chunk shape
-//! [`crate::par::for_each_block`] hands to workers.
+//! All but [`conv_panel`] share the calling convention `(arows, rows, k,
+//! bd, n, out)`: a packed `rows × k` block of A rows against the full B
+//! operand, writing a `rows × n` output block — exactly the per-chunk
+//! shape [`crate::par::for_each_block`] hands to workers.
 
 use crate::scratch;
 
@@ -323,6 +325,173 @@ pub(crate) fn mm_assign(
     rr2_blocks::<true>(arows, rows, k, bd, n, out);
 }
 
+/// Rows of the [`conv_panel`] register block.
+const CONV_R: usize = 4;
+
+/// Columns of the [`conv_panel`] register block.
+const CONV_W: usize = 32;
+
+/// Width of [`conv_panel`]'s narrowest tail block: a padded panel's row
+/// stride is a multiple of this, so a panel wastes at most 7 columns.
+const CONV_TAIL_W: usize = 8;
+
+/// Row stride of a padded conv panel with `n` columns: `n` rounded up to
+/// [`CONV_TAIL_W`].
+pub(crate) fn conv_panel_stride(n: usize) -> usize {
+    n.div_ceil(CONV_TAIL_W) * CONV_TAIL_W
+}
+
+/// One register block of [`conv_panel`]: the four weight rows `w` (each
+/// of length `k`) against panel columns `j..j + W`. Each chain starts at
+/// `0.0`, runs ascending `l` and skips exact-zero weights; when `dense`
+/// (no weight row holds an exact zero) the block takes the branch-free
+/// loop, which performs the identical operation sequence on those
+/// inputs. The four accumulator rows are separate locals: a nested
+/// `[[f32; W]; 4]` is not kept in registers (see [`rr2_blocks`]).
+#[inline(always)]
+fn conv_block<const W: usize>(
+    w: [&[f32]; CONV_R],
+    dense: bool,
+    panel: &[f32],
+    ld: usize,
+    j: usize,
+) -> [[f32; W]; CONV_R] {
+    let [w0, w1, w2, w3] = w;
+    let k = w0.len();
+    let (w1, w2, w3) = (&w1[..k], &w2[..k], &w3[..k]);
+    let mut acc0 = [0.0f32; W];
+    let mut acc1 = [0.0f32; W];
+    let mut acc2 = [0.0f32; W];
+    let mut acc3 = [0.0f32; W];
+    if dense {
+        for l in 0..k {
+            let brow = &panel[l * ld + j..l * ld + j + W];
+            let (a0, a1, a2, a3) = (w0[l], w1[l], w2[l], w3[l]);
+            for t in 0..W {
+                acc0[t] += a0 * brow[t];
+                acc1[t] += a1 * brow[t];
+                acc2[t] += a2 * brow[t];
+                acc3[t] += a3 * brow[t];
+            }
+        }
+    } else {
+        for l in 0..k {
+            let brow = &panel[l * ld + j..l * ld + j + W];
+            let (a0, a1, a2, a3) = (w0[l], w1[l], w2[l], w3[l]);
+            // sncheck:allow(no-float-eq): exact-zero sparsity skip, same
+            // discipline as mm_axpy.
+            if a0 != 0.0 {
+                for t in 0..W {
+                    acc0[t] += a0 * brow[t];
+                }
+            }
+            // sncheck:allow(no-float-eq): exact-zero sparsity skip.
+            if a1 != 0.0 {
+                for t in 0..W {
+                    acc1[t] += a1 * brow[t];
+                }
+            }
+            // sncheck:allow(no-float-eq): exact-zero sparsity skip.
+            if a2 != 0.0 {
+                for t in 0..W {
+                    acc2[t] += a2 * brow[t];
+                }
+            }
+            // sncheck:allow(no-float-eq): exact-zero sparsity skip.
+            if a3 != 0.0 {
+                for t in 0..W {
+                    acc3[t] += a3 * brow[t];
+                }
+            }
+        }
+    }
+    [acc0, acc1, acc2, acc3]
+}
+
+/// Stores the first `live` rows of a [`conv_block`] result at columns
+/// `j..j + valid` of the `n`-wide output rows, each as `acc + bias` when
+/// there is a bias.
+#[inline(always)]
+fn store_block<const W: usize>(
+    acc: &[[f32; W]; CONV_R],
+    live: usize,
+    bias: Option<&[f32]>,
+    j: usize,
+    valid: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    for (r, accr) in acc.iter().enumerate().take(live) {
+        let orow = &mut out[r * n + j..r * n + j + valid];
+        match bias {
+            Some(b) => {
+                for (o, &v) in orow.iter_mut().zip(accr) {
+                    *o = v + b[r];
+                }
+            }
+            None => orow.copy_from_slice(&accr[..valid]),
+        }
+    }
+}
+
+/// The conv forward kernel: `out[i][j] = (Σ_l w[i][l] · panel[l][j]) +
+/// bias[i]` for `f` filter rows of `w: [f, k]` against a padded column
+/// panel of `k` rows, row stride `ld` ([`conv_panel_stride`] of `n`)
+/// and zeros in the pad columns, writing the dense `f × n` output.
+///
+/// Each element's chain is the accumulating kernels' chain on a zeroed
+/// output — from `0.0`, ascending `l`, skipping exact-zero weights —
+/// followed by the single `+ bias` the separate bias pass used to add,
+/// so the result is bitwise-equal to [`mm_rr2`] or [`mm_axpy`] into a
+/// zeroed output plus that pass. Four-row × 32-column register blocks
+/// (16- and 8-wide on the tail) are computed in full and only their
+/// valid columns stored; a last block of fewer than four filters repeats
+/// its last row and stores only the live ones. Every output element is
+/// assigned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_panel(
+    w: &[f32],
+    f: usize,
+    k: usize,
+    panel: &[f32],
+    ld: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(w.len(), f * k);
+    debug_assert_eq!(ld, conv_panel_stride(n));
+    debug_assert_eq!(panel.len(), k * ld);
+    debug_assert_eq!(out.len(), f * n);
+    debug_assert!(bias.is_none_or(|b| b.len() == f));
+    const HALF_W: usize = CONV_W / 2;
+    for i in (0..f).step_by(CONV_R) {
+        let live = CONV_R.min(f - i);
+        let rows: [&[f32]; CONV_R] = std::array::from_fn(|r| {
+            let fi = (i + r).min(f - 1);
+            &w[fi * k..(fi + 1) * k]
+        });
+        let dense = rows.iter().all(|row| dense_row(row));
+        let bias = bias.map(|b| &b[i..i + live]);
+        let out = &mut out[i * n..(i + live) * n];
+        let mut j = 0;
+        while j + CONV_W <= ld {
+            let acc = conv_block::<CONV_W>(rows, dense, panel, ld, j);
+            store_block(&acc, live, bias, j, CONV_W.min(n - j), n, out);
+            j += CONV_W;
+        }
+        if j + HALF_W <= ld {
+            let acc = conv_block::<HALF_W>(rows, dense, panel, ld, j);
+            store_block(&acc, live, bias, j, HALF_W.min(n - j), n, out);
+            j += HALF_W;
+        }
+        if j < ld {
+            let acc = conv_block::<CONV_TAIL_W>(rows, dense, panel, ld, j);
+            store_block(&acc, live, bias, j, n - j, n, out);
+        }
+    }
+}
+
 /// Transposes the `Aᵀ` column block `i0..i0 + rows` of `A: [k, m]` into
 /// a contiguous `rows × k` scratch buffer (single pass over `A`), so the
 /// accumulating kernels see plain packed rows.
@@ -543,6 +712,44 @@ mod tests {
                             bits(&want),
                             "{name} m{m} k{k} n{n} zeros={zero_every} chunks={chunks}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `conv_panel` on a padded panel equals the naive accumulating chain
+    /// on a zeroed output plus one `+ bias`, at every tail combination of
+    /// the 32/16/8-wide blocks, remainder rows, `k = 0` and weights that
+    /// mix dense and zero-holding rows; stale output is overwritten.
+    #[test]
+    fn conv_panel_matches_naive_bitwise() {
+        for f in [1usize, 3, 4, 5, 9] {
+            for k in [0usize, 1, 7, 25] {
+                for n in [
+                    1usize, 7, 8, 9, 16, 17, 24, 31, 32, 33, 40, 48, 56, 67, 68, 444,
+                ] {
+                    let seed = (f * 1000 + k * 100 + n) as u64;
+                    let w = pseudo_sparse(f * k, seed, if f % 2 == 0 { 0 } else { 5 });
+                    let b = pseudo_sparse(k * n, seed + 1, 0);
+                    let bias = pseudo_sparse(f, seed + 2, 0);
+                    let ld = conv_panel_stride(n);
+                    assert!(ld >= n && ld - n < CONV_TAIL_W && ld.is_multiple_of(CONV_TAIL_W));
+                    let mut panel = vec![0.0f32; k * ld];
+                    for l in 0..k {
+                        panel[l * ld..l * ld + n].copy_from_slice(&b[l * n..(l + 1) * n]);
+                    }
+                    let chains = naive(&w, &b, &vec![0.0; f * n], f, k, n, false);
+                    for with_bias in [false, true] {
+                        let want: Vec<f32> = if with_bias {
+                            (0..f * n).map(|x| chains[x] + bias[x / n]).collect()
+                        } else {
+                            chains.clone()
+                        };
+                        let mut out = vec![f32::NAN; f * n];
+                        let bias_arg = with_bias.then_some(bias.as_slice());
+                        conv_panel(&w, f, k, &panel, ld, n, bias_arg, &mut out);
+                        assert_eq!(bits(&out), bits(&want), "f{f} k{k} n{n} bias={with_bias}");
                     }
                 }
             }

@@ -9,7 +9,6 @@
 //! streaming runtime can route rejects to its fallback policy and feed
 //! its health state machine with structured evidence.
 
-use simdrive::frame_digest;
 use vision::Image;
 
 use crate::{NoveltyError, Result};
@@ -172,9 +171,17 @@ impl GateConfig {
 
 /// Stateful frame validator for one stream.
 ///
-/// The only state is the stuck-frame tracker (last digest and run
-/// length), so gating is deterministic: the same frame sequence always
-/// produces the same sequence of [`FrameFault`]s.
+/// The only state is the stuck-frame tracker (the previous delivered
+/// frame's dimensions and pixels, and the run length), so gating is
+/// deterministic: the same frame sequence always produces the same
+/// sequence of [`FrameFault`]s.
+///
+/// Two frames belong to one run when they are bit-identical: the same
+/// dimensions and the same `f32` bit patterns, NaNs included, so a
+/// one-ulp change breaks a run. The previous frame is kept as a copy
+/// (one frame of memory per gate, allocated on the first frame and
+/// reused after), which makes the check an exact compare rather than a
+/// hash.
 ///
 /// # Example
 ///
@@ -194,7 +201,11 @@ impl GateConfig {
 #[derive(Debug, Clone)]
 pub struct FrameGate {
     config: GateConfig,
-    last_digest: Option<u64>,
+    /// Dimensions of the previous delivered frame; `None` before the
+    /// first frame and after [`FrameGate::reset`].
+    last_dims: Option<(usize, usize)>,
+    /// Pixels of the previous delivered frame.
+    last_pixels: Vec<f32>,
     run: usize,
 }
 
@@ -208,7 +219,8 @@ impl FrameGate {
         config.validate()?;
         Ok(FrameGate {
             config,
-            last_digest: None,
+            last_dims: None,
+            last_pixels: Vec::new(),
             run: 0,
         })
     }
@@ -236,16 +248,17 @@ impl FrameGate {
             // sensor interleaving drops is still frozen).
             return Some(FrameFault::MissingFrame);
         };
-        let digest = frame_digest(frame);
-        let run = if self.last_digest == Some(digest) {
+        let got = (frame.height(), frame.width());
+        let run = if self.last_dims == Some(got) && same_bits(&self.last_pixels, frame.as_slice()) {
             self.run + 1
         } else {
+            self.last_dims = Some(got);
+            self.last_pixels.clear();
+            self.last_pixels.extend_from_slice(frame.as_slice());
             1
         };
-        self.last_digest = Some(digest);
         self.run = run;
 
-        let got = (frame.height(), frame.width());
         if got != self.config.expected {
             return Some(FrameFault::WrongDimensions {
                 expected: self.config.expected,
@@ -286,9 +299,22 @@ impl FrameGate {
 
     /// Forgets the stuck-frame history (e.g. after a camera restart).
     pub fn reset(&mut self) {
-        self.last_digest = None;
+        self.last_dims = None;
         self.run = 0;
     }
+}
+
+/// Whether two pixel buffers are bit-identical. Compares 64-pixel blocks
+/// branch-free and stops at the first block that differs.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    const BLOCK: usize = 64;
+    a.len() == b.len()
+        && a.chunks(BLOCK).zip(b.chunks(BLOCK)).all(|(x, y)| {
+            x.iter()
+                .zip(y)
+                .fold(0u32, |diff, (p, q)| diff | (p.to_bits() ^ q.to_bits()))
+                == 0
+        })
 }
 
 #[cfg(test)]
@@ -400,6 +426,91 @@ mod tests {
         assert_eq!(g.admit(Some(&frame)), None);
         g.reset();
         assert_eq!(g.admit(Some(&frame)), None);
+    }
+
+    /// The stuck tracker as it was when it hashed frames: equal
+    /// `frame_digest` values extend a run.
+    #[derive(Default)]
+    struct DigestTracker {
+        last: Option<u64>,
+        run: usize,
+    }
+
+    impl DigestTracker {
+        fn admit(&mut self, frame: &Image) -> usize {
+            let digest = simdrive::frame_digest(frame);
+            self.run = if self.last == Some(digest) {
+                self.run + 1
+            } else {
+                1
+            };
+            self.last = Some(digest);
+            self.run
+        }
+    }
+
+    /// The exact-compare tracker counts the same runs as the digest
+    /// reference over seeded sequences of repeats, one-ulp changes, NaN
+    /// frames (same and different payloads), transposed dimensions with
+    /// the same pixels, missing frames and resets.
+    #[test]
+    fn stuck_runs_match_digest_reference() {
+        let base = textured(8.0);
+        let mut ulp = base.clone();
+        ulp.put(3, 5, f32::from_bits(base.get(3, 5).to_bits() + 1));
+        let nan = Image::filled(6, 8, f32::NAN).unwrap();
+        let mut nan2 = nan.clone();
+        nan2.put(0, 0, f32::from_bits(0x7fc0_0001));
+        let transposed = Image::from_tensor(base.tensor().reshape([8, 6]).unwrap()).unwrap();
+        let palette = [&base, &ulp, &textured(9.0), &nan, &nan2, &transposed];
+        for seed in 0..20u64 {
+            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize
+            };
+            let mut g = gate();
+            let mut reference = DigestTracker::default();
+            let mut pick = 0usize;
+            for step in 0..300 {
+                match next() % 16 {
+                    0 => {
+                        assert_eq!(g.admit(None), Some(FrameFault::MissingFrame));
+                        continue;
+                    }
+                    1 => {
+                        g.reset();
+                        reference = DigestTracker::default();
+                        continue;
+                    }
+                    2..=5 => pick = next() % palette.len(),
+                    _ => {}
+                }
+                let frame = palette[pick];
+                let _ = g.admit(Some(frame));
+                assert_eq!(g.run, reference.admit(frame), "seed {seed} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_ulp_change_breaks_a_run() {
+        let mut g = gate();
+        let frame = textured(10.0);
+        let mut nudged = frame.clone();
+        nudged.put(5, 7, f32::from_bits(frame.get(5, 7).to_bits() + 1));
+        assert_eq!(g.admit(Some(&frame)), None);
+        assert_eq!(g.admit(Some(&frame)), None);
+        assert_eq!(g.admit(Some(&nudged)), None);
+        assert_eq!(g.run, 1);
+        // A NaN frame repeated is still stuck.
+        let nan = Image::filled(6, 8, f32::NAN).unwrap();
+        for _ in 0..3 {
+            let _ = g.admit(Some(&nan));
+        }
+        assert_eq!(g.run, 3);
     }
 
     #[test]

@@ -383,3 +383,120 @@ fn tile_edge_shapes_match_naive_bitwise() {
     }
     set_thread_config(ThreadConfig::from_env());
 }
+
+/// The pre-panel forward pass, element by element: per output element
+/// one chain from `0.0` over the im2col rows `(ci, ky, kx)` ascending,
+/// skipping exact-zero weights (padding taps contribute `w · 0.0`), then
+/// a single `+ bias` — the accumulating GEMM into a zeroed output
+/// followed by the separate bias pass.
+fn naive_conv_general(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+) -> Vec<f32> {
+    let [n, c, h, w] = <[usize; 4]>::try_from(input.shape().dims()).unwrap();
+    let [f, _, kh, kw] = <[usize; 4]>::try_from(weight.shape().dims()).unwrap();
+    let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+    let (x, wt) = (input.as_slice(), weight.as_slice());
+    let mut out = Vec::with_capacity(n * f * oh * ow);
+    for ni in 0..n {
+        for fi in 0..f {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ci in 0..c {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let a = wt[((fi * c + ci) * kh + ky) * kw + kx];
+                                if a == 0.0 {
+                                    continue;
+                                }
+                                let iy =
+                                    (oy * spec.stride.0 + ky) as isize - spec.padding.0 as isize;
+                                let ix =
+                                    (ox * spec.stride.1 + kx) as isize - spec.padding.1 as isize;
+                                let v = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize
+                                {
+                                    0.0
+                                } else {
+                                    x[((ni * c + ci) * h + iy as usize) * w + ix as usize]
+                                };
+                                acc += a * v;
+                            }
+                        }
+                    }
+                    out.push(match bias {
+                        Some(b) => acc + b.as_slice()[fi],
+                        None => acc,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The conv forward on its padded panel reproduces the naive chain
+/// bit-for-bit: output widths `n = oh·ow` of 1, W−1, W, W+1 and 2W+3
+/// for the 32-column register block, and the five PilotNet layer shapes
+/// (compact widths, 60×160 input); batch 1 and 3, threads {1, 2, 4},
+/// with and without bias, on weights with an all-zero filter row, a
+/// `-0.0` and otherwise no zeros (both sides of the dense-row gate).
+#[test]
+fn conv2d_panel_forward_matches_naive_bitwise() {
+    let _guard = lock();
+    let strided = Conv2dSpec::new((2, 2), (0, 0));
+    let padded = Conv2dSpec::new((1, 1), (1, 1));
+    // (c, h, w, f, kh, kw, spec)
+    let cases = [
+        (
+            2usize,
+            3usize,
+            3usize,
+            5usize,
+            3usize,
+            3usize,
+            Conv2dSpec::unit(),
+        ),
+        (2, 3, 33, 5, 3, 3, Conv2dSpec::unit()),
+        (3, 6, 10, 6, 3, 3, Conv2dSpec::unit()),
+        (2, 5, 13, 4, 3, 3, Conv2dSpec::unit()),
+        (1, 3, 69, 9, 3, 3, Conv2dSpec::unit()),
+        (1, 60, 160, 8, 5, 5, strided),
+        (8, 28, 78, 12, 5, 5, strided),
+        (12, 12, 37, 16, 5, 5, strided),
+        (16, 4, 17, 20, 3, 3, padded),
+        (20, 4, 17, 20, 3, 3, padded),
+    ];
+    for (case, &(c, h, w, f, kh, kw, spec)) in cases.iter().enumerate() {
+        let seed = 300 + case as u64;
+        let mut weight = pseudo([f, c, kh, kw], seed + 1);
+        let k = c * kh * kw;
+        // Filter 1 is all zeros (or the only one is, for f = 1), filter 0
+        // holds a -0.0; the rest have no exact zero.
+        let zero_row = 1.min(f - 1);
+        weight.as_mut_slice()[zero_row * k..(zero_row + 1) * k].fill(0.0);
+        weight.as_mut_slice()[k / 2] = -0.0;
+        let bias = pseudo([f], seed + 2);
+        for batch in [1usize, 3] {
+            let input = pseudo([batch, c, h, w], seed);
+            for b in [None, Some(&bias)] {
+                let want = naive_conv_general(&input, &weight, b, spec);
+                for threads in THREAD_COUNTS {
+                    set_thread_config(ThreadConfig::new(threads));
+                    let got = conv2d(&input, &weight, b, spec).unwrap();
+                    let mut into = vec![f32::NAN; want.len()];
+                    conv2d_into(&input, &weight, b, spec, &mut into).unwrap();
+                    set_thread_config(ThreadConfig::from_env());
+                    let label = format!(
+                        "case {case} batch {batch} bias {} threads {threads}",
+                        b.is_some()
+                    );
+                    assert_eq!(bits(got.as_slice()), bits(&want), "conv2d {label}");
+                    assert_eq!(bits(&into), bits(&want), "conv2d_into {label}");
+                }
+            }
+        }
+    }
+}
