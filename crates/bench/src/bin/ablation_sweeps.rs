@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .train_fraction(1.0)
         .seed(9);
     println!("training shared steering CNN…");
-    let cnn = base.train_steering_cnn(&train)?;
+    let cnn = base.train_steering_cnn(&train, obs::noop())?;
 
     // ── Sweep 1: bottleneck width ────────────────────────────────────
     println!();
@@ -54,11 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             epochs: scale.ae_epochs(),
             ..ClassifierConfig::paper()
         };
-        let detector = base
-            .clone()
-            .classifier_config(cfg)
-            .train_with_cnn(&train, Some(clone_network(&cnn)?))?;
-        let r = evaluate(&detector, &target_images, &novel_images)?;
+        let detector = base.clone().classifier_config(cfg).train_with_cnn(
+            &train,
+            Some(clone_network(&cnn)?),
+            obs::noop(),
+        )?;
+        let r = evaluate(&detector, &target_images, &novel_images, obs::noop())?;
         println!(
             "  {bottleneck:<4} {:>6.3}   {:>7.3}   {:>11.4}   {:>10.4}",
             r.separation.auroc,
@@ -78,11 +79,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             objective: ReconstructionObjective::Ssim { window },
             ..ClassifierConfig::paper()
         };
-        let detector = base
-            .clone()
-            .classifier_config(cfg)
-            .train_with_cnn(&train, Some(clone_network(&cnn)?))?;
-        let r = evaluate(&detector, &target_images, &novel_images)?;
+        let detector = base.clone().classifier_config(cfg).train_with_cnn(
+            &train,
+            Some(clone_network(&cnn)?),
+            obs::noop(),
+        )?;
+        let r = evaluate(&detector, &target_images, &novel_images, obs::noop())?;
         println!(
             "  {window:<8} {:>5.3}   {:>7.3}   {:>11.4}   {:>10.4}",
             r.separation.auroc,
@@ -95,10 +97,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Sweep 3: threshold percentile ────────────────────────────────
     println!();
     println!("sweep 3: threshold percentile (paper: 99; one detector, threshold re-calibrated)");
-    let detector = base
-        .clone()
-        .ae_epochs(scale.ae_epochs())
-        .train_with_cnn(&train, Some(clone_network(&cnn)?))?;
+    let detector = base.clone().ae_epochs(scale.ae_epochs()).train_with_cnn(
+        &train,
+        Some(clone_network(&cnn)?),
+        obs::noop(),
+    )?;
     let target_scores = detector.score_batch(&target_images)?;
     let novel_scores = detector.score_batch(&novel_images)?;
     println!("  percentile   threshold   novel detected   target FPR");

@@ -51,13 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for weather in [Weather::Fog, Weather::Rain] {
         let shifted = make(weather, scale.test_len(), 0xE9 + weather as u64 + 1);
         let novel_images = images_of(&shifted);
-        let report = evaluate(&detector, &target_images, &novel_images)?;
+        let report = evaluate(&detector, &target_images, &novel_images, obs::noop())?;
         print_eval_report(&format!("[clear vs {weather}]"), &report, 20);
         rows.push((weather.name(), report));
     }
     // Cross-dataset reference point at the same scale.
     let indoor = indoor_dataset(scale, scale.test_len(), 0xE99);
-    let report = evaluate(&detector, &target_images, &images_of(&indoor))?;
+    let report = evaluate(&detector, &target_images, &images_of(&indoor), obs::noop())?;
     print_eval_report("[clear vs indoor (Fig. 5 reference)]", &report, 20);
     rows.push(("indoor", report));
 

@@ -46,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "training steering CNN on real angles ({} frames)…",
         train.len()
     );
-    let trained = builder.train_steering_cnn(&train)?;
+    let trained = builder.train_steering_cnn(&train, obs::noop())?;
     println!("training steering CNN on random angles (control)…");
-    let control = builder.train_steering_cnn(&train.with_random_angles(99))?;
+    let control = builder.train_steering_cnn(&train.with_random_angles(99), obs::noop())?;
 
     let probe = test.sample(scale.test_len().min(test.len()), 7);
     let mut conc_trained = 0.0f32;

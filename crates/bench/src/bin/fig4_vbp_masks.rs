@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cnn = NoveltyDetectorBuilder::paper()
             .cnn_epochs(scale.cnn_epochs())
             .seed(4)
-            .train_steering_cnn(&train)?;
+            .train_steering_cnn(&train, obs::noop())?;
 
         let frame = &test.frames()[0];
         let mask = visual_backprop(&cnn, &frame.image)?;

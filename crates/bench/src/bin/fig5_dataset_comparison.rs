@@ -18,7 +18,7 @@ use bench::{
     images_of, indoor_dataset, outdoor_dataset, print_eval_report, print_header, ObsSink, Scale,
 };
 use neural::serialize::clone_network;
-use novelty::eval::evaluate_recorded;
+use novelty::eval::evaluate;
 use novelty::{BackendKind, NoveltyDetectorBuilder, Preprocessing};
 use obs::Scoped;
 
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .train_fraction(1.0)
         .seed(5);
     println!("training shared steering CNN…");
-    let cnn = base.train_steering_cnn_recorded(&train, sink.recorder())?;
+    let cnn = base.train_steering_cnn(&train, sink.recorder())?;
 
     let mut summary = Vec::new();
     for kind in BackendKind::legacy() {
@@ -69,12 +69,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Probes from each pipeline land under its own prefix, so one
         // report distinguishes the three runs.
         let scoped = Scoped::new(sink.recorder(), kind.name());
-        let detector = builder.train_with_cnn_recorded(&train, pretrained, &scoped)?;
+        let detector = builder.train_with_cnn(&train, pretrained, &scoped)?;
         debug_assert_eq!(
             detector.preprocessing() == Some(Preprocessing::Vbp),
             kind != BackendKind::RawMse
         );
-        let report = evaluate_recorded(&detector, &target_images, &novel_images, &scoped)?;
+        let report = evaluate(&detector, &target_images, &novel_images, &scoped)?;
         print_eval_report(&format!("[{}]", kind.name()), &report, 20);
         summary.push((kind, report));
     }

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .train_fraction(1.0)
         .seed(8);
     println!("training shared steering CNN…");
-    let cnn = base.train_steering_cnn(&train)?;
+    let cnn = base.train_steering_cnn(&train, obs::noop())?;
 
     let mut summary = Vec::new();
     for kind in BackendKind::legacy() {
@@ -55,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             BackendKind::RawMse => None,
             _ => Some(clone_network(&cnn)?),
         };
-        let detector = builder.train_with_cnn(&train, pretrained)?;
-        let report = evaluate(&detector, &target_images, &novel_images)?;
+        let detector = builder.train_with_cnn(&train, pretrained, obs::noop())?;
+        let report = evaluate(&detector, &target_images, &novel_images, obs::noop())?;
         print_eval_report(&format!("[{}]", kind.name()), &report, 20);
         summary.push((kind, report));
     }

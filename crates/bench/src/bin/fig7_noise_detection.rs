@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .train_fraction(1.0)
         .seed(7);
     println!("training shared steering CNN…");
-    let cnn = base.train_steering_cnn(&train)?;
+    let cnn = base.train_steering_cnn(&train, obs::noop())?;
 
     let mut summary = Vec::new();
     // The figure compares MSE vs SSIM on VBP images; the paper notes the
@@ -72,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             BackendKind::RawMse => None,
             _ => Some(clone_network(&cnn)?),
         };
-        let detector = builder.train_with_cnn(&train, pretrained)?;
-        let report = evaluate(&detector, &clean_images, &noisy_images)?;
+        let detector = builder.train_with_cnn(&train, pretrained, obs::noop())?;
+        let report = evaluate(&detector, &clean_images, &noisy_images, obs::noop())?;
         print_eval_report(&format!("[{}] clean vs noisy", kind.name()), &report, 20);
         summary.push((kind, report));
     }

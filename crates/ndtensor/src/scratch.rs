@@ -16,8 +16,8 @@
 //!   [`take`] returns a cleared buffer with `capacity >= len` from class
 //!   `ceil(log2(len))`, [`give`] files a buffer under
 //!   `floor(log2(capacity))` so a later take of that class always fits.
-//! * **Bounded**: at most [`MAX_PER_CLASS`] buffers per class are
-//!   retained and classes above [`MAX_POOLED_CLASS`] are never pooled,
+//! * **Bounded**: at most `MAX_PER_CLASS` buffers per class are
+//!   retained and classes above `MAX_POOLED_CLASS` are never pooled,
 //!   so the pool cannot hoard unbounded memory during training.
 //! * **Observable**: process-global hit/miss/byte counters (same pattern
 //!   as `par::ParStats`) are bridged into run reports by

@@ -57,7 +57,7 @@ mod network;
 pub use error::NeuralError;
 pub use layer::{Layer, LayerKind, ParamGrad};
 pub use network::Network;
-pub use train::{fit, fit_recorded, LrSchedule, TrainConfig, TrainReport};
+pub use train::{fit, LrSchedule, TrainConfig, TrainReport};
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, NeuralError>;

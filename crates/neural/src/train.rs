@@ -251,43 +251,20 @@ fn clip_gradients(network: &mut Network, max_norm: f32) {
 /// Trains `network` on `(inputs, targets)` (both batch-first, same leading
 /// dimension) and returns per-epoch mean losses.
 ///
+/// Per-epoch mean loss and wall time are pushed into `recorder` as the
+/// `epoch_loss` / `epoch_secs` series, and the `epochs` / `batches`
+/// counters track the run's totals. Callers namespace these via
+/// [`obs::Scoped`] (e.g. `cnn-train.epoch_loss`) and pass [`obs::noop`]
+/// to record nothing. Recording never changes what is trained: the
+/// parameter updates and returned losses are bit-identical with any
+/// recorder.
+///
 /// # Errors
 ///
 /// Fails on invalid config, mismatched batch dimensions, or any layer /
 /// loss / optimizer error. Training aborts with an error if the loss
 /// becomes non-finite (diverged run) rather than continuing silently.
 pub fn fit(
-    network: &mut Network,
-    loss: &dyn Loss,
-    optimizer: &mut dyn Optimizer,
-    inputs: &Tensor,
-    targets: &Tensor,
-    config: &TrainConfig,
-) -> Result<TrainReport> {
-    fit_recorded(
-        network,
-        loss,
-        optimizer,
-        inputs,
-        targets,
-        config,
-        obs::noop(),
-    )
-}
-
-/// [`fit`] with observability: per-epoch mean loss and wall time are
-/// pushed into `recorder` as the `epoch_loss` / `epoch_secs` series, and
-/// the `epochs` / `batches` counters track the run's totals. Callers
-/// namespace these via [`obs::Scoped`] (e.g. `cnn-train.epoch_loss`).
-///
-/// Recording never changes what is trained: with [`obs::noop`] this is
-/// exactly [`fit`], and with any recorder the parameter updates and
-/// returned losses are bit-identical.
-///
-/// # Errors
-///
-/// Same conditions as [`fit`].
-pub fn fit_recorded(
     network: &mut Network,
     loss: &dyn Loss,
     optimizer: &mut dyn Optimizer,
@@ -416,6 +393,7 @@ mod tests {
             &x,
             &y,
             &TrainConfig::new(30, 32).with_seed(3),
+            obs::noop(),
         )
         .unwrap();
         assert!(report.improved());
@@ -451,6 +429,7 @@ mod tests {
             &x,
             &y,
             &TrainConfig::new(40, 32).with_seed(7).with_grad_clip(10.0),
+            obs::noop(),
         )
         .unwrap();
         assert!(report.final_loss() < 0.01, "loss {}", report.final_loss());
@@ -470,6 +449,7 @@ mod tests {
                 &x,
                 &y,
                 &TrainConfig::new(5, 16).with_seed(11),
+                obs::noop(),
             )
             .unwrap()
             .epoch_losses
@@ -478,13 +458,13 @@ mod tests {
     }
 
     #[test]
-    fn fit_recorded_matches_fit_and_records_series() {
+    fn recording_fit_leaves_training_unchanged_and_records_series() {
         let (x, y) = linear_dataset(64, 9);
         let train = |recorder: &dyn obs::Recorder| {
             let mut rng = StdRng::seed_from_u64(10);
             let mut net = Network::new().with(Dense::new(2, 1, &mut rng).unwrap());
             let mut opt = Sgd::new(0.1).unwrap();
-            let report = fit_recorded(
+            let report = fit(
                 &mut net,
                 &MseLoss::new(),
                 &mut opt,
@@ -526,7 +506,8 @@ mod tests {
             &mut opt,
             &x,
             &bad_targets,
-            &TrainConfig::new(1, 4)
+            &TrainConfig::new(1, 4),
+            obs::noop()
         )
         .is_err());
         assert!(fit(
@@ -535,7 +516,8 @@ mod tests {
             &mut opt,
             &x,
             &y,
-            &TrainConfig::new(0, 4)
+            &TrainConfig::new(0, 4),
+            obs::noop()
         )
         .is_err());
         assert!(fit(
@@ -544,11 +526,21 @@ mod tests {
             &mut opt,
             &x,
             &y,
-            &TrainConfig::new(1, 0)
+            &TrainConfig::new(1, 0),
+            obs::noop()
         )
         .is_err());
         let cfg = TrainConfig::new(1, 4).with_grad_clip(-1.0);
-        assert!(fit(&mut net, &MseLoss::new(), &mut opt, &x, &y, &cfg).is_err());
+        assert!(fit(
+            &mut net,
+            &MseLoss::new(),
+            &mut opt,
+            &x,
+            &y,
+            &cfg,
+            obs::noop()
+        )
+        .is_err());
     }
 
     #[test]
@@ -582,17 +574,44 @@ mod tests {
             every_epochs: 0,
             factor: 0.5,
         });
-        assert!(fit(&mut net, &MseLoss::new(), &mut opt, &x, &y, &bad).is_err());
+        assert!(fit(
+            &mut net,
+            &MseLoss::new(),
+            &mut opt,
+            &x,
+            &y,
+            &bad,
+            obs::noop()
+        )
+        .is_err());
         let bad2 =
             TrainConfig::new(2, 8).with_lr_schedule(LrSchedule::Cosine { min_fraction: 2.0 });
-        assert!(fit(&mut net, &MseLoss::new(), &mut opt, &x, &y, &bad2).is_err());
+        assert!(fit(
+            &mut net,
+            &MseLoss::new(),
+            &mut opt,
+            &x,
+            &y,
+            &bad2,
+            obs::noop()
+        )
+        .is_err());
 
         // After a run with step decay, the optimizer holds the decayed rate.
         let cfg = TrainConfig::new(4, 8).with_lr_schedule(LrSchedule::StepDecay {
             every_epochs: 2,
             factor: 0.1,
         });
-        fit(&mut net, &MseLoss::new(), &mut opt, &x, &y, &cfg).unwrap();
+        fit(
+            &mut net,
+            &MseLoss::new(),
+            &mut opt,
+            &x,
+            &y,
+            &cfg,
+            obs::noop(),
+        )
+        .unwrap();
         assert!(
             (opt.learning_rate() - 0.01).abs() < 1e-7,
             "{}",
@@ -616,6 +635,7 @@ mod tests {
             &x,
             &y,
             &TrainConfig::new(1, 32).with_grad_clip(1.0),
+            obs::noop(),
         )
         .unwrap();
         let after: Vec<f32> = net.layers()[0].params()[0].as_slice().to_vec();

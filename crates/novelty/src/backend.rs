@@ -71,12 +71,6 @@ pub enum BackendKind {
     ModelChar,
 }
 
-/// Deprecated alias for [`BackendKind`], kept so call sites written
-/// against the closed three-variant enum keep compiling for one release.
-/// Note that [`BackendKind::all`] now has four entries; iterate
-/// [`BackendKind::legacy`] for the paper's original three pipelines.
-pub type PipelineKind = BackendKind;
-
 impl BackendKind {
     /// The stable registry id (used in CLI flags, detector files and
     /// report columns): `raw+mse`, `vbp+mse`, `vbp+ssim`, `model-char`.
@@ -106,7 +100,7 @@ impl BackendKind {
     }
 
     /// The paper's three autoencoder pipelines in Fig. 5's
-    /// left-to-right order (what `PipelineKind::all()` used to return).
+    /// left-to-right order.
     pub fn legacy() -> [BackendKind; 3] {
         [
             BackendKind::RawMse,
@@ -151,7 +145,7 @@ impl BackendKind {
 }
 
 /// One pluggable scoring strategy: the (preprocess, score) pair a
-/// [`NoveltyDetector`] wraps with calibration.
+/// [`crate::NoveltyDetector`] wraps with calibration.
 ///
 /// Implementations must be pure: `score` is a function of the backend's
 /// frozen state and the image only, bit-identical at any thread count.
@@ -375,7 +369,7 @@ impl ScoreBackend for AutoencoderBackend {
 }
 
 /// The common face of anything that turns an image into a
-/// [`crate::Verdict`]: a single calibrated [`NoveltyDetector`] or a
+/// [`crate::Verdict`]: a single calibrated [`crate::NoveltyDetector`] or a
 /// fused [`crate::EnsembleDetector`]. The stream runtime, the evaluator
 /// and the CLI program against this trait.
 pub trait Detector: std::fmt::Debug {
@@ -389,43 +383,47 @@ pub trait Detector: std::fmt::Debug {
     /// Fails on non-finite pixels or incompatible geometry.
     fn classify(&self, image: &Image) -> Result<crate::Verdict>;
 
-    /// Classifies a batch with observability; verdict `i` is exactly
-    /// what [`Detector::classify`] returns for image `i`, bit-identical
-    /// at any thread count and with any recorder.
+    /// Classifies a batch; verdict `i` is exactly what
+    /// [`Detector::classify`] returns for image `i`, bit-identical at any
+    /// thread count and with any `recorder` (pass [`obs::noop`] to record
+    /// nothing).
     ///
     /// # Errors
     ///
     /// Fails on the first incompatible image (by index, matching serial
     /// iteration order).
-    fn classify_batch_recorded(
+    fn classify_batch(
         &self,
         images: &[Image],
         recorder: &dyn Recorder,
     ) -> Result<Vec<crate::Verdict>>;
 
-    /// [`Detector::classify_batch_recorded`] without observability.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::classify_batch_recorded`].
-    fn classify_batch(&self, images: &[Image]) -> Result<Vec<crate::Verdict>> {
-        self.classify_batch_recorded(images, obs::noop())
-    }
-
     /// Classifies each image independently: one result per image, in
-    /// order. Unlike the fail-fast [`Detector::classify_batch_recorded`],
-    /// one incompatible image never poisons its neighbours — the serving
+    /// order. Unlike the fail-fast [`Detector::classify_batch`], one
+    /// incompatible image never poisons its neighbours — the serving
     /// layer's cross-tenant mega-batch ([`crate::serve::StreamServer`])
     /// depends on that isolation. Verdict `i` is bit-identical to
     /// [`Detector::classify`] on image `i`, at any thread count, with
     /// any recorder.
-    fn classify_each_recorded(
+    ///
+    /// The batch runs under a `scoring` span and
+    /// `scoring.scores_computed` counts the verdicts produced.
+    fn classify_each(
         &self,
         images: &[Image],
         recorder: &dyn Recorder,
     ) -> Vec<Result<crate::Verdict>> {
-        let _ = recorder;
-        images.iter().map(|img| self.classify(img)).collect()
+        let verdicts = obs::time(recorder, "scoring", || {
+            images
+                .iter()
+                .map(|img| self.classify(img))
+                .collect::<Vec<_>>()
+        });
+        recorder.add(
+            "scoring.scores_computed",
+            verdicts.iter().filter(|v| v.is_ok()).count() as u64,
+        );
+        verdicts
     }
 
     /// Human-readable label for logs and reports (a backend id, or an
@@ -457,18 +455,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_alias_still_names_the_original_three() {
-        // The deprecated `PipelineKind` alias must keep old call sites
-        // compiling: variant paths and the original names.
-        let k: PipelineKind = PipelineKind::VbpSsim;
-        assert_eq!(k.name(), "vbp+ssim");
+    fn legacy_lists_the_paper_pipelines_in_figure_order() {
+        // Fig. 5 left to right: the baseline, the ablation, the method.
         assert_eq!(
             BackendKind::legacy(),
             [
-                PipelineKind::RawMse,
-                PipelineKind::VbpMse,
-                PipelineKind::VbpSsim
+                BackendKind::RawMse,
+                BackendKind::VbpMse,
+                BackendKind::VbpSsim
             ]
+        );
+        assert_eq!(
+            BackendKind::legacy().map(|k| k.name()),
+            ["raw+mse", "vbp+mse", "vbp+ssim"]
         );
     }
 }

@@ -11,7 +11,7 @@ use ndtensor::Tensor;
 use neural::loss::{Loss, MseLoss, SsimDissimilarityLoss};
 use neural::models::autoencoder;
 use neural::optim::Adam;
-use neural::{fit_recorded, Network, TrainConfig};
+use neural::{fit, Network, TrainConfig};
 use serde::{Deserialize, Serialize};
 use vision::Image;
 
@@ -119,26 +119,17 @@ pub struct AutoencoderClassifier {
 impl AutoencoderClassifier {
     /// Trains the classifier on in-distribution images.
     ///
+    /// Warm-up and main epochs append (in order) to `recorder`'s
+    /// `epoch_loss` / `epoch_secs` series, and `epochs` / `batches` count
+    /// the run. Callers namespace these via [`obs::Scoped`] (the pipeline
+    /// records them as `ae-train.*`) and pass [`obs::noop`] to record
+    /// nothing. Recording never changes the trained weights.
+    ///
     /// # Errors
     ///
     /// Fails when `images` is empty, images disagree in size, or the SSIM
     /// window does not fit the images.
-    pub fn train(images: &[Image], config: &ClassifierConfig, seed: u64) -> Result<Self> {
-        Self::train_recorded(images, config, seed, obs::noop())
-    }
-
-    /// [`AutoencoderClassifier::train`] with observability: warm-up and
-    /// main epochs append (in order) to the recorder's `epoch_loss` /
-    /// `epoch_secs` series, and `epochs` / `batches` count the run.
-    /// Callers namespace these via [`obs::Scoped`] (the pipeline records
-    /// them as `ae-train.*`).
-    ///
-    /// Recording never changes the trained weights.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AutoencoderClassifier::train`].
-    pub fn train_recorded(
+    pub fn train(
         images: &[Image],
         config: &ClassifierConfig,
         seed: u64,
@@ -159,7 +150,7 @@ impl AutoencoderClassifier {
             let warm_cfg = TrainConfig::new(warmup, config.batch_size)
                 .with_seed(seed ^ 0xEA)
                 .with_grad_clip(10.0);
-            fit_recorded(
+            fit(
                 &mut network,
                 &MseLoss::new(),
                 &mut opt,
@@ -180,7 +171,7 @@ impl AutoencoderClassifier {
                 .with_seed(seed ^ 0xAE)
                 .with_grad_clip(10.0);
             // Autoencoder: inputs are their own targets.
-            fit_recorded(
+            fit(
                 &mut network,
                 loss.as_ref(),
                 &mut opt,
@@ -406,9 +397,13 @@ mod tests {
     #[test]
     fn mse_classifier_learns_reconstruction() {
         let images = pattern_images(24, 0.0);
-        let clf =
-            AutoencoderClassifier::train(&images, &quick_config(ReconstructionObjective::Mse), 1)
-                .unwrap();
+        let clf = AutoencoderClassifier::train(
+            &images,
+            &quick_config(ReconstructionObjective::Mse),
+            1,
+            obs::noop(),
+        )
+        .unwrap();
         let score = clf.score(&images[0]).unwrap();
         assert!(score < 0.02, "in-class MSE too high: {score}");
         assert_eq!(clf.direction(), Direction::HigherIsNovel);
@@ -423,6 +418,7 @@ mod tests {
             &images,
             &quick_config(ReconstructionObjective::Ssim { window: 5 }),
             2,
+            obs::noop(),
         )
         .unwrap();
         let in_class = clf.score(&images[1]).unwrap();
@@ -433,9 +429,13 @@ mod tests {
     #[test]
     fn out_of_class_scores_worse_than_in_class() {
         let images = pattern_images(24, 0.0);
-        let clf =
-            AutoencoderClassifier::train(&images, &quick_config(ReconstructionObjective::Mse), 3)
-                .unwrap();
+        let clf = AutoencoderClassifier::train(
+            &images,
+            &quick_config(ReconstructionObjective::Mse),
+            3,
+            obs::noop(),
+        )
+        .unwrap();
         let in_score = clf.score(&images[0]).unwrap();
         // Novel: inverted-phase pattern (structurally different).
         let novel = Image::from_fn(12, 16, |y, x| {
@@ -451,15 +451,19 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(
-            AutoencoderClassifier::train(&[], &quick_config(ReconstructionObjective::Mse), 0)
-                .is_err()
-        );
+        assert!(AutoencoderClassifier::train(
+            &[],
+            &quick_config(ReconstructionObjective::Mse),
+            0,
+            obs::noop()
+        )
+        .is_err());
         let mixed = vec![Image::new(4, 4).unwrap(), Image::new(4, 5).unwrap()];
         assert!(AutoencoderClassifier::train(
             &mixed,
             &quick_config(ReconstructionObjective::Mse),
-            0
+            0,
+            obs::noop()
         )
         .is_err());
         // SSIM window too large for the images.
@@ -467,7 +471,8 @@ mod tests {
         assert!(AutoencoderClassifier::train(
             &small,
             &quick_config(ReconstructionObjective::Ssim { window: 11 }),
-            0
+            0,
+            obs::noop()
         )
         .is_err());
     }
@@ -475,9 +480,13 @@ mod tests {
     #[test]
     fn score_rejects_wrong_size() {
         let images = pattern_images(8, 0.0);
-        let clf =
-            AutoencoderClassifier::train(&images, &quick_config(ReconstructionObjective::Mse), 4)
-                .unwrap();
+        let clf = AutoencoderClassifier::train(
+            &images,
+            &quick_config(ReconstructionObjective::Mse),
+            4,
+            obs::noop(),
+        )
+        .unwrap();
         let wrong = Image::new(5, 5).unwrap();
         assert!(clf.score(&wrong).is_err());
         assert!(clf.reconstruct(&wrong).is_err());

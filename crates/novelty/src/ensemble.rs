@@ -168,13 +168,14 @@ impl EnsembleDetector {
     /// an exact parameter copy and the training seeds derive from the
     /// shared base seed. Each member then trains under a
     /// `backend-train-<id>` stage, with its internal stages scoped as
-    /// `<id>.*`.
+    /// `<id>.*`. Pass [`obs::noop`] as `recorder` to record nothing;
+    /// recording never changes the trained members.
     ///
     /// # Errors
     ///
     /// Fails on an empty or duplicated backend list, or when any member
     /// fails to train.
-    pub fn train_recorded(
+    pub fn train(
         base: &NoveltyDetectorBuilder,
         kinds: &[BackendKind],
         dataset: &DrivingDataset,
@@ -189,7 +190,7 @@ impl EnsembleDetector {
         let needs_cnn = kinds.iter().any(|k| *k != BackendKind::RawMse);
         let shared_cnn = if needs_cnn {
             let (train_split, _held_out) = dataset.split(base.train_fraction_value());
-            Some(base.train_steering_cnn_recorded(&train_split, recorder)?)
+            Some(base.train_steering_cnn(&train_split, recorder)?)
         } else {
             None
         };
@@ -204,24 +205,11 @@ impl EnsembleDetector {
             let member = obs::time(recorder, &stage, || {
                 base.clone()
                     .backend(*kind)
-                    .train_with_cnn_recorded(dataset, pretrained, &scoped)
+                    .train_with_cnn(dataset, pretrained, &scoped)
             })?;
             members.push(member);
         }
         EnsembleDetector::new(members)
-    }
-
-    /// [`EnsembleDetector::train_recorded`] without observability.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`EnsembleDetector::train_recorded`].
-    pub fn train(
-        base: &NoveltyDetectorBuilder,
-        kinds: &[BackendKind],
-        dataset: &DrivingDataset,
-    ) -> Result<EnsembleDetector> {
-        Self::train_recorded(base, kinds, dataset, obs::noop())
     }
 }
 
@@ -239,11 +227,7 @@ impl Detector for EnsembleDetector {
         Ok(fuse_verdict(&scores, self.quorum))
     }
 
-    fn classify_batch_recorded(
-        &self,
-        images: &[Image],
-        recorder: &dyn Recorder,
-    ) -> Result<Vec<Verdict>> {
+    fn classify_batch(&self, images: &[Image], recorder: &dyn Recorder) -> Result<Vec<Verdict>> {
         // Score the whole batch per member (each under its own scoped
         // `<id>.scoring` stage), then fuse column-wise. The per-member
         // batches are bit-identical to scoring each image alone, so the
@@ -350,7 +334,7 @@ mod tests {
     fn ensemble_trains_fuses_and_validates() {
         let data = tiny_dataset(5);
         let kinds = [BackendKind::RawMse, BackendKind::VbpSsim];
-        let ensemble = EnsembleDetector::train(&fast_base(), &kinds, &data).unwrap();
+        let ensemble = EnsembleDetector::train(&fast_base(), &kinds, &data, obs::noop()).unwrap();
         assert_eq!(ensemble.members().len(), 2);
         assert_eq!(ensemble.quorum(), 2);
         assert_eq!(ensemble.input_size(), (40, 80));
@@ -371,12 +355,14 @@ mod tests {
         let v = ensemble.classify(img).unwrap();
         assert_eq!(v.total_votes, 2);
         assert_eq!(v.backends.len(), 2);
-        let batch = ensemble.classify_batch(std::slice::from_ref(img)).unwrap();
+        let batch = ensemble
+            .classify_batch(std::slice::from_ref(img), obs::noop())
+            .unwrap();
         assert_eq!(batch[0], v);
 
         // Validation: empty, bad quorum, duplicate members.
         assert!(EnsembleDetector::new(Vec::new()).is_err());
-        assert!(EnsembleDetector::train(&fast_base(), &[], &data).is_err());
+        assert!(EnsembleDetector::train(&fast_base(), &[], &data, obs::noop()).is_err());
         let dup_a = fast_base().train(&data).unwrap();
         let dup_b = fast_base().train(&data).unwrap();
         assert!(EnsembleDetector::new(vec![dup_a, dup_b]).is_err());

@@ -14,7 +14,7 @@ use crate::backend::Detector;
 use crate::{Direction, NoveltyError, Result, Verdict};
 
 /// Scores and summary statistics for one target-vs-novel comparison.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Scores of the target-class (in-distribution) images.
     pub target_scores: Vec<f32>,
@@ -87,33 +87,22 @@ fn flag_rate(verdicts: &[Verdict]) -> f32 {
 /// a fused [`crate::EnsembleDetector`] — against a target sample (drawn
 /// from the training distribution) and a novel sample.
 ///
+/// Both batches are classified through [`Detector::classify_batch`] with
+/// `recorder` (so scoring wall time, per-image latency and pool activity
+/// are captured), and the report's headline numbers (AUROC, detection
+/// rate, false-positive rate, threshold) are recorded as `eval.*` gauges.
+/// Pass [`obs::noop`] to record nothing; recording never changes the
+/// evaluation result.
+///
+/// The detection rates count each verdict's own `is_novel` flag, which
+/// for a single detector is exactly the strict threshold comparison; for
+/// an ensemble it is the fused vote.
+///
 /// # Errors
 ///
 /// Fails when either sample is empty or any image is incompatible with
 /// the pipeline.
 pub fn evaluate(
-    detector: &dyn Detector,
-    target_images: &[Image],
-    novel_images: &[Image],
-) -> Result<EvalReport> {
-    evaluate_recorded(detector, target_images, novel_images, obs::noop())
-}
-
-/// [`evaluate`] with observability: both batches are classified through
-/// [`Detector::classify_batch_recorded`] (so scoring wall time,
-/// per-image latency and pool activity are captured), and the report's
-/// headline numbers (AUROC, detection rate, false-positive rate,
-/// threshold) are recorded as `eval.*` gauges.
-///
-/// The detection rates count each verdict's own `is_novel` flag, which
-/// for a single detector is exactly the strict threshold comparison the
-/// old score-based evaluation used; for an ensemble it is the fused
-/// vote. Recording never changes the evaluation result.
-///
-/// # Errors
-///
-/// Same conditions as [`evaluate`].
-pub fn evaluate_recorded(
     detector: &dyn Detector,
     target_images: &[Image],
     novel_images: &[Image],
@@ -125,8 +114,8 @@ pub fn evaluate_recorded(
             "target and novel samples must be non-empty",
         ));
     }
-    let target_verdicts = detector.classify_batch_recorded(target_images, recorder)?;
-    let novel_verdicts = detector.classify_batch_recorded(novel_images, recorder)?;
+    let target_verdicts = detector.classify_batch(target_images, recorder)?;
+    let novel_verdicts = detector.classify_batch(novel_images, recorder)?;
     let first = target_verdicts
         .first()
         .ok_or_else(|| NoveltyError::invalid("evaluate", "target sample produced no verdicts"))?;
@@ -198,7 +187,7 @@ mod tests {
     #[test]
     fn evaluate_produces_consistent_report() {
         let (detector, target, novel) = quick_detector();
-        let report = evaluate(&detector, &target, &novel).unwrap();
+        let report = evaluate(&detector, &target, &novel, obs::noop()).unwrap();
         assert_eq!(report.target_scores.len(), target.len());
         assert_eq!(report.novel_scores.len(), novel.len());
         assert!((0.0..=1.0).contains(&report.novel_detection_rate));
@@ -218,7 +207,7 @@ mod tests {
     #[test]
     fn histograms_share_range() {
         let (detector, target, novel) = quick_detector();
-        let report = evaluate(&detector, &target, &novel).unwrap();
+        let report = evaluate(&detector, &target, &novel, obs::noop()).unwrap();
         let (ht, hn) = report.histograms(16).unwrap();
         assert_eq!(ht.bins(), 16);
         assert_eq!(ht.lo(), hn.lo());
@@ -230,7 +219,7 @@ mod tests {
     #[test]
     fn evaluate_rejects_empty_samples() {
         let (detector, target, _) = quick_detector();
-        assert!(evaluate(&detector, &target, &[]).is_err());
-        assert!(evaluate(&detector, &[], &target).is_err());
+        assert!(evaluate(&detector, &target, &[], obs::noop()).is_err());
+        assert!(evaluate(&detector, &[], &target, obs::noop()).is_err());
     }
 }

@@ -496,7 +496,7 @@ pub fn run_evalgrid(
             .ae_epochs(cfg.ae_epochs)
             .seed(cfg.seed);
         let ensemble = obs::time(recorder, &format!("evalgrid-train-{}", d.name), || {
-            EnsembleDetector::train_recorded(&base, &kinds, &train_ds, recorder)
+            EnsembleDetector::train(&base, &kinds, &train_ds, recorder)
         })?;
         let held_out = images_of(&target_ds);
         let mut member_scores = Vec::with_capacity(kinds.len());

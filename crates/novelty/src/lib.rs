@@ -58,9 +58,7 @@ mod pipeline;
 mod runtime;
 pub mod serve;
 
-pub use backend::{
-    AutoencoderBackend, BackendKind, Detector, PipelineKind, Preprocessing, ScoreBackend,
-};
+pub use backend::{AutoencoderBackend, BackendKind, Detector, Preprocessing, ScoreBackend};
 pub use calibrate::{Calibrator, Direction, Threshold};
 pub use classifier::{AutoencoderClassifier, ClassifierConfig, ReconstructionObjective};
 pub use ensemble::{fuse_verdict, EnsembleDetector};

@@ -575,7 +575,7 @@ mod tests {
             .cnn_epochs(1)
             .seed(7);
         let kinds = [BackendKind::RawMse, BackendKind::VbpSsim];
-        let ensemble = EnsembleDetector::train(&base, &kinds, &data).unwrap();
+        let ensemble = EnsembleDetector::train(&base, &kinds, &data, obs::noop()).unwrap();
         let dir = std::env::temp_dir().join("saliency_novelty_persist_ens");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ensemble.json");

@@ -20,9 +20,9 @@ use ndtensor::Tensor;
 use neural::loss::MseLoss;
 use neural::models::{pilotnet, PilotNetConfig};
 use neural::optim::Adam;
-use neural::{fit_recorded, Network, TrainConfig};
+use neural::{fit, Network, TrainConfig};
 use obs::{Recorder, Scoped, Span};
-use saliency::visual_backprop_batch_recorded;
+use saliency::visual_backprop_batch;
 use serde::Serialize;
 use simdrive::DrivingDataset;
 use vision::Image;
@@ -301,66 +301,6 @@ impl NoveltyDetector {
         Ok(())
     }
 
-    /// [`NoveltyDetector::classify_each_recorded`] without observability.
-    pub fn classify_each(&self, images: &[Image]) -> Vec<Result<Verdict>> {
-        self.classify_each_recorded(images, obs::noop())
-    }
-
-    /// Classifies each image independently with batched scoring: valid
-    /// images are scored together through the backend's batched path
-    /// ([`ScoreBackend::score_each`] — one stacked autoencoder forward
-    /// pass instead of per-frame batch-1 GEMMs), while invalid images
-    /// fail only their own slot. Verdict `i` is bit-identical to
-    /// [`NoveltyDetector::classify`] on image `i`, at any thread count,
-    /// with any recorder.
-    pub fn classify_each_recorded(
-        &self,
-        images: &[Image],
-        recorder: &dyn Recorder,
-    ) -> Vec<Result<Verdict>> {
-        let pool_before = recorder.enabled().then(obs::par_snapshot);
-        let scratch_before = recorder.enabled().then(obs::scratch_snapshot);
-        let verdicts = obs::time(recorder, "scoring", || {
-            let mut pre: Vec<Option<NoveltyError>> = Vec::with_capacity(images.len()); // sncheck:allow(hot-path-transitive-alloc): per-batch validation ledger, amortized across the batch
-            let mut valid: Vec<&Image> = Vec::with_capacity(images.len()); // sncheck:allow(hot-path-transitive-alloc): borrowed-frame routing table, one per batch call
-            for img in images {
-                match self.validate_input(img) {
-                    Err(e) => pre.push(Some(e)),
-                    Ok(()) => {
-                        pre.push(None);
-                        valid.push(img);
-                    }
-                }
-            }
-            let mut batched = self.backend.score_each(&valid).into_iter();
-            pre.into_iter()
-                .map(|slot| match slot {
-                    Some(e) => Err(e),
-                    None => batched
-                        .next()
-                        .unwrap_or_else(|| {
-                            Err(NoveltyError::invalid(
-                                "classify_each",
-                                "backend returned too few scores",
-                            ))
-                        })
-                        .map(|score| self.verdict_for(score)),
-                })
-                .collect::<Vec<Result<Verdict>>>()
-        });
-        recorder.add(
-            "scoring.scores_computed",
-            verdicts.iter().filter(|v| v.is_ok()).count() as u64,
-        );
-        if let Some(before) = pool_before {
-            obs::record_par_delta(&Scoped::new(recorder, "scoring"), before);
-        }
-        if let Some(before) = scratch_before {
-            obs::record_scratch_delta(&Scoped::new(recorder, "scoring"), before);
-        }
-        verdicts
-    }
-
     /// Scores a batch of images, fanning the work out over the pool
     /// configured in [`ndtensor::par`].
     ///
@@ -430,23 +370,6 @@ impl NoveltyDetector {
         Ok(self.verdict_for(self.score(image)?))
     }
 
-    /// Classifies a batch of images, scoring them in parallel via
-    /// [`NoveltyDetector::score_batch`]. Verdict `i` is exactly what
-    /// [`NoveltyDetector::classify`] would return for image `i`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first incompatible image (by index, matching serial
-    /// iteration order).
-    #[must_use = "the verdicts are the batch's only output; the call has no other effect"]
-    pub fn classify_batch(&self, images: &[Image]) -> Result<Vec<Verdict>> {
-        Ok(self
-            .score_batch(images)?
-            .into_iter()
-            .map(|score| self.verdict_for(score))
-            .collect())
-    }
-
     /// Reconstructs the (preprocessed) image through the autoencoder —
     /// the qualitative comparison of the paper's Fig. 6.
     ///
@@ -484,11 +407,7 @@ impl Detector for NoveltyDetector {
         NoveltyDetector::classify(self, image)
     }
 
-    fn classify_batch_recorded(
-        &self,
-        images: &[Image],
-        recorder: &dyn Recorder,
-    ) -> Result<Vec<Verdict>> {
+    fn classify_batch(&self, images: &[Image], recorder: &dyn Recorder) -> Result<Vec<Verdict>> {
         Ok(self
             .score_batch_recorded(images, recorder)?
             .into_iter()
@@ -496,12 +415,53 @@ impl Detector for NoveltyDetector {
             .collect())
     }
 
-    fn classify_each_recorded(
-        &self,
-        images: &[Image],
-        recorder: &dyn Recorder,
-    ) -> Vec<Result<Verdict>> {
-        NoveltyDetector::classify_each_recorded(self, images, recorder)
+    /// Valid images are scored together through the backend's batched
+    /// path ([`ScoreBackend::score_each`] — one stacked autoencoder
+    /// forward pass instead of per-frame batch-1 GEMMs), while invalid
+    /// images fail only their own slot. The work pool's activity during
+    /// the batch lands under `scoring.par.*`.
+    fn classify_each(&self, images: &[Image], recorder: &dyn Recorder) -> Vec<Result<Verdict>> {
+        let pool_before = recorder.enabled().then(obs::par_snapshot);
+        let scratch_before = recorder.enabled().then(obs::scratch_snapshot);
+        let verdicts = obs::time(recorder, "scoring", || {
+            let mut pre: Vec<Option<NoveltyError>> = Vec::with_capacity(images.len()); // sncheck:allow(hot-path-transitive-alloc): per-batch validation ledger, amortized across the batch
+            let mut valid: Vec<&Image> = Vec::with_capacity(images.len()); // sncheck:allow(hot-path-transitive-alloc): borrowed-frame routing table, one per batch call
+            for img in images {
+                match self.validate_input(img) {
+                    Err(e) => pre.push(Some(e)),
+                    Ok(()) => {
+                        pre.push(None);
+                        valid.push(img);
+                    }
+                }
+            }
+            let mut batched = self.backend.score_each(&valid).into_iter();
+            pre.into_iter()
+                .map(|slot| match slot {
+                    Some(e) => Err(e),
+                    None => batched
+                        .next()
+                        .unwrap_or_else(|| {
+                            Err(NoveltyError::invalid(
+                                "classify_each",
+                                "backend returned too few scores",
+                            ))
+                        })
+                        .map(|score| self.verdict_for(score)),
+                })
+                .collect::<Vec<Result<Verdict>>>()
+        });
+        recorder.add(
+            "scoring.scores_computed",
+            verdicts.iter().filter(|v| v.is_ok()).count() as u64,
+        );
+        if let Some(before) = pool_before {
+            obs::record_par_delta(&Scoped::new(recorder, "scoring"), before);
+        }
+        if let Some(before) = scratch_before {
+            obs::record_scratch_delta(&Scoped::new(recorder, "scoring"), before);
+        }
+        verdicts
     }
 
     fn label(&self) -> String {
@@ -700,22 +660,16 @@ impl NoveltyDetectorBuilder {
     /// Trains the steering CNN on a dataset (exposed separately so
     /// experiments can reuse one CNN across several detectors).
     ///
+    /// The run is timed under a `cnn-train` span of `recorder`, with
+    /// per-epoch loss and time in the `cnn-train.epoch_loss` /
+    /// `cnn-train.epoch_secs` series; pass [`obs::noop`] to record
+    /// nothing.
+    ///
     /// # Errors
     ///
     /// Fails when the dataset is empty or image sizes are incompatible
     /// with the CNN configuration.
-    pub fn train_steering_cnn(&self, dataset: &DrivingDataset) -> Result<Network> {
-        self.train_steering_cnn_recorded(dataset, obs::noop())
-    }
-
-    /// [`NoveltyDetectorBuilder::train_steering_cnn`] with observability:
-    /// the run is timed under a `cnn-train` span, with per-epoch loss and
-    /// time in the `cnn-train.epoch_loss` / `cnn-train.epoch_secs` series.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NoveltyDetectorBuilder::train_steering_cnn`].
-    pub fn train_steering_cnn_recorded(
+    pub fn train_steering_cnn(
         &self,
         dataset: &DrivingDataset,
         recorder: &dyn Recorder,
@@ -742,7 +696,7 @@ impl NoveltyDetectorBuilder {
         let train_cfg = TrainConfig::new(self.cnn_epochs, 32)
             .with_seed(self.seed ^ 0xC4F)
             .with_grad_clip(10.0);
-        fit_recorded(
+        fit(
             &mut net,
             &MseLoss::new(),
             &mut opt,
@@ -787,37 +741,24 @@ impl NoveltyDetectorBuilder {
         dataset: &DrivingDataset,
         recorder: &dyn Recorder,
     ) -> Result<NoveltyDetector> {
-        self.train_with_cnn_recorded(dataset, None, recorder)
+        self.train_with_cnn(dataset, None, recorder)
     }
 
-    /// Like [`NoveltyDetectorBuilder::train`], but reuses an
+    /// Like [`NoveltyDetectorBuilder::train_recorded`], but reuses an
     /// already-trained steering CNN instead of training one — used by the
     /// figure experiments and the ensemble trainer, which compare several
     /// backends on the *same* steering model (and by deployments that
     /// retrain the one-class layer without touching the steering model).
     ///
-    /// For the `raw+mse` backend the provided CNN is ignored.
+    /// For the `raw+mse` backend the provided CNN is ignored. The probes
+    /// are those of [`NoveltyDetectorBuilder::train_recorded`]; when a
+    /// pretrained CNN is supplied the `cnn-train` stage is (correctly)
+    /// absent from the report. Pass [`obs::noop`] to record nothing.
     ///
     /// # Errors
     ///
     /// Same conditions as [`NoveltyDetectorBuilder::train`].
     pub fn train_with_cnn(
-        &self,
-        dataset: &DrivingDataset,
-        pretrained_cnn: Option<Network>,
-    ) -> Result<NoveltyDetector> {
-        self.train_with_cnn_recorded(dataset, pretrained_cnn, obs::noop())
-    }
-
-    /// [`NoveltyDetectorBuilder::train_with_cnn`] with observability; see
-    /// [`NoveltyDetectorBuilder::train_recorded`] for the probes. When a
-    /// pretrained CNN is supplied the `cnn-train` stage is (correctly)
-    /// absent from the report.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NoveltyDetectorBuilder::train_with_cnn`].
-    pub fn train_with_cnn_recorded(
         &self,
         dataset: &DrivingDataset,
         pretrained_cnn: Option<Network>,
@@ -847,7 +788,7 @@ impl NoveltyDetectorBuilder {
             Preprocessing::Raw => None,
             Preprocessing::Vbp => match pretrained_cnn {
                 Some(net) => Some(net),
-                None => Some(self.train_steering_cnn_recorded(&train_split, recorder)?),
+                None => Some(self.train_steering_cnn(&train_split, recorder)?),
             },
         };
 
@@ -866,12 +807,12 @@ impl NoveltyDetectorBuilder {
                     .iter()
                     .map(|f| f.image.clone())
                     .collect();
-                visual_backprop_batch_recorded(net, &images, recorder)?
+                visual_backprop_batch(net, &images, recorder)?
             }
         };
 
         let ae_span = Span::root(recorder, "ae-train");
-        let classifier = AutoencoderClassifier::train_recorded(
+        let classifier = AutoencoderClassifier::train(
             &representations,
             &self.classifier,
             self.seed ^ 0xAE5,
@@ -893,8 +834,7 @@ impl NoveltyDetectorBuilder {
         })?;
         recorder.add("scoring.scores_computed", training_scores.len() as u64);
 
-        let threshold =
-            self.calibrate_recorded(&training_scores, classifier.direction(), recorder)?;
+        let threshold = self.calibrate(&training_scores, classifier.direction(), recorder)?;
 
         NoveltyDetector::from_parts(
             steering,
@@ -916,7 +856,7 @@ impl NoveltyDetectorBuilder {
     ) -> Result<NoveltyDetector> {
         let steering = match pretrained_cnn {
             Some(net) => net,
-            None => self.train_steering_cnn_recorded(train_split, recorder)?,
+            None => self.train_steering_cnn(train_split, recorder)?,
         };
         let images: Vec<Image> = train_split
             .frames()
@@ -928,13 +868,13 @@ impl NoveltyDetectorBuilder {
         })?;
         recorder.add("profile.frames", images.len() as u64);
         recorder.add("scoring.scores_computed", training_scores.len() as u64);
-        let threshold = self.calibrate_recorded(&training_scores, backend.direction(), recorder)?;
+        let threshold = self.calibrate(&training_scores, backend.direction(), recorder)?;
         NoveltyDetector::from_backend(Box::new(backend), threshold, training_scores)
     }
 
     /// Calibrates the threshold under a `calibration` span, recording
     /// the sample count, threshold value, and percentile.
-    fn calibrate_recorded(
+    fn calibrate(
         &self,
         training_scores: &[f32],
         direction: Direction,
@@ -953,7 +893,6 @@ impl NoveltyDetectorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::PipelineKind;
     use simdrive::DatasetConfig;
 
     /// A small, fast dataset for pipeline tests (images are tiny so VBP
@@ -982,17 +921,14 @@ mod tests {
 
     #[test]
     fn kinds_and_presets_are_consistent() {
-        assert_eq!(
-            NoveltyDetectorBuilder::paper().kind(),
-            PipelineKind::VbpSsim
-        );
+        assert_eq!(NoveltyDetectorBuilder::paper().kind(), BackendKind::VbpSsim);
         assert_eq!(
             NoveltyDetectorBuilder::richter_roy().kind(),
-            PipelineKind::RawMse
+            BackendKind::RawMse
         );
         assert_eq!(
             NoveltyDetectorBuilder::vbp_mse_ablation().kind(),
-            PipelineKind::VbpMse
+            BackendKind::VbpMse
         );
         assert_eq!(
             NoveltyDetectorBuilder::model_characterization().kind(),
@@ -1019,7 +955,7 @@ mod tests {
                 .objective,
             ReconstructionObjective::Ssim { window: 7 }
         );
-        assert_eq!(PipelineKind::VbpSsim.name(), "vbp+ssim");
+        assert_eq!(BackendKind::VbpSsim.name(), "vbp+ssim");
         assert_eq!(Preprocessing::Vbp.name(), "vbp");
     }
 
@@ -1128,7 +1064,7 @@ mod tests {
             assert_eq!(detector.score(img).unwrap(), s);
         }
         // The Detector trait surface agrees with the inherent methods.
-        let verdicts = Detector::classify_batch(&detector, &images).unwrap();
+        let verdicts = Detector::classify_batch(&detector, &images, obs::noop()).unwrap();
         for (img, v) in images.iter().zip(&verdicts) {
             assert_eq!(&detector.classify(img).unwrap(), v);
         }

@@ -32,7 +32,7 @@
 //!
 //! **Fault isolation.** Shedding for tenant A is a pure function of A's
 //! own arrivals, queue and deadline state; scoring runs through
-//! [`Detector::classify_each_recorded`], whose verdicts are bit-identical
+//! [`Detector::classify_each`], whose verdicts are bit-identical
 //! to per-image [`Detector::classify`] regardless of batch composition.
 //! Removing a tenant therefore never changes any other tenant's decision
 //! stream (proven in `tests/serve_isolation.rs`).
@@ -421,7 +421,7 @@ impl<'d> StreamServer<'d> {
             std::iter::once(Some(verdict)).collect()
         } else {
             let span = Span::root(recorder, "serve-score");
-            let verdicts = self.detector.classify_each_recorded(&batch, recorder);
+            let verdicts = self.detector.classify_each(&batch, recorder);
             span.finish();
             verdicts.into_iter().map(Some).collect()
         };

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 /// An optionally-running monotonic timer.
 ///
-/// A stopwatch started with [`Stopwatch::started_if(false)`] never touches
+/// A stopwatch started with [`Stopwatch::started_if`]`(false)` never touches
 /// the clock: every query returns `None` at the cost of one branch. This
 /// mirrors the recorder contract — when observability is disabled, the
 /// instrumented code performs zero clock reads and therefore cannot

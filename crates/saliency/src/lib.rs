@@ -36,7 +36,7 @@ pub use grad::gradient_saliency;
 pub use lrp::{lrp, LrpConfig};
 pub use occlusion::{occlusion_saliency, OcclusionConfig};
 pub use smoothgrad::{smoothgrad, SmoothGradConfig};
-pub use vbp::{visual_backprop, visual_backprop_batch, visual_backprop_batch_recorded};
+pub use vbp::{visual_backprop, visual_backprop_batch};
 
 use neural::Network;
 use vision::Image;

@@ -226,25 +226,16 @@ pub fn visual_backprop(network: &Network, image: &Image) -> Result<Image> {
 /// the error of the lowest-indexed failing image is returned — the same
 /// error serial iteration would surface first.
 ///
-/// # Errors
-///
-/// Same conditions as [`visual_backprop`], per image.
-pub fn visual_backprop_batch(network: &Network, images: &[Image]) -> Result<Vec<Image>> {
-    visual_backprop_batch_recorded(network, images, obs::noop())
-}
-
-/// [`visual_backprop_batch`] with observability: the whole batch runs
-/// under a `vbp` span, `vbp.masks_computed` counts the masks produced,
-/// `vbp.batch_size` collects batch-size samples, and the work pool's
-/// activity during the batch lands under `vbp.par.*`.
-///
-/// Recording never changes what is computed — the returned masks are
-/// bit-identical with any recorder, at any thread count.
+/// The whole batch runs under a `vbp` span of `recorder`,
+/// `vbp.masks_computed` counts the masks produced, `vbp.batch_size`
+/// collects batch-size samples, and the work pool's activity during the
+/// batch lands under `vbp.par.*`. Pass [`obs::noop`] to record nothing;
+/// recording never changes the returned masks.
 ///
 /// # Errors
 ///
 /// Same conditions as [`visual_backprop`], per image.
-pub fn visual_backprop_batch_recorded(
+pub fn visual_backprop_batch(
     network: &Network,
     images: &[Image],
     recorder: &dyn obs::Recorder,
@@ -383,7 +374,7 @@ mod tests {
             .iter()
             .map(|img| visual_backprop(&net, img).unwrap())
             .collect();
-        let batch = visual_backprop_batch(&net, &images).unwrap();
+        let batch = visual_backprop_batch(&net, &images, obs::noop()).unwrap();
         assert_eq!(batch.len(), serial.len());
         for (b, s) in batch.iter().zip(&serial) {
             assert_eq!(b.as_slice(), s.as_slice());
@@ -391,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_batch_matches_plain_batch_and_counts_masks() {
+    fn recording_batch_leaves_masks_unchanged_and_counts_them() {
         let net = pilotnet(&PilotNetConfig::compact(), 23).unwrap();
         let images: Vec<Image> = (0..3)
             .map(|s| {
@@ -399,8 +390,8 @@ mod tests {
             })
             .collect();
         let rec = obs::RunRecorder::new();
-        let recorded = visual_backprop_batch_recorded(&net, &images, &rec).unwrap();
-        let plain = visual_backprop_batch(&net, &images).unwrap();
+        let recorded = visual_backprop_batch(&net, &images, &rec).unwrap();
+        let plain = visual_backprop_batch(&net, &images, obs::noop()).unwrap();
         for (a, b) in recorded.iter().zip(&plain) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
@@ -416,7 +407,7 @@ mod tests {
         let net = pilotnet(&PilotNetConfig::compact(), 1).unwrap();
         let good = Image::from_fn(60, 160, |_, _| 0.5).unwrap();
         let bad = Image::from_fn(10, 10, |_, _| 0.5).unwrap();
-        assert!(visual_backprop_batch(&net, &[good, bad]).is_err());
+        assert!(visual_backprop_batch(&net, &[good, bad], obs::noop()).is_err());
     }
 
     #[test]

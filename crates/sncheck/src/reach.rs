@@ -12,7 +12,7 @@
 //! | root | why |
 //! |------|-----|
 //! | `score_batch` / `score_batch_recorded` | the batch scoring entry the paper's numbers come from |
-//! | `classify_each` / `classify_each_recorded` | the per-frame verdict entry the stream runtime drives |
+//! | `classify_each` | the per-frame verdict entry the stream runtime drives |
 //! | `StreamServer::offer` / `step` / `step_recorded` | the multi-tenant serve round (admission + resolve) |
 //! | any fn marked `// sncheck:hot-root` | opt-in roots — bench timing loops join the contract |
 //!
@@ -58,7 +58,6 @@ pub const HOT_ROOTS: &[(&str, Option<&str>)] = &[
     ("score_batch", None),
     ("score_batch_recorded", None),
     ("classify_each", None),
-    ("classify_each_recorded", None),
     ("offer", Some("StreamServer")),
     ("step", Some("StreamServer")),
     ("step_recorded", Some("StreamServer")),

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .ae_epochs(12)
             .seed(5)
             .train(&train)?;
-        let report = evaluate(&detector, &target, &novel)?;
+        let report = evaluate(&detector, &target, &novel, obs::noop())?;
 
         let all: Vec<f32> = report
             .target_scores

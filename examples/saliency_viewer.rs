@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cnn = NoveltyDetectorBuilder::paper()
         .cnn_epochs(4)
         .seed(2)
-        .train_steering_cnn(&dataset)?;
+        .train_steering_cnn(&dataset, obs::noop())?;
 
     let frame = &dataset.frames()[0].image;
     let out_dir = std::path::Path::new("out");

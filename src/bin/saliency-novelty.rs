@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ndtensor::par::{set_thread_config, ThreadConfig};
-use novelty::eval::evaluate_recorded;
+use novelty::eval::evaluate;
 use novelty::evalgrid::{run_evalgrid, GridConfig, GridDomain};
 use novelty::monitor::AlarmState;
 use novelty::{
@@ -455,9 +455,8 @@ fn cmd_train(args: &Args) -> CliResult {
             .cnn_epochs(cnn_epochs)
             .ae_epochs(ae_epochs)
             .seed(seed);
-        let ensemble =
-            EnsembleDetector::train_recorded(&base, &BackendKind::all(), &dataset, dyn_recorder)
-                .map_err(|e| runtime_err(format!("training failed: {e}")))?;
+        let ensemble = EnsembleDetector::train(&base, &BackendKind::all(), &dataset, dyn_recorder)
+            .map_err(|e| runtime_err(format!("training failed: {e}")))?;
         ensemble
             .save(&out)
             .map_err(|e| runtime_err(format!("cannot save {out}: {e}")))?;
@@ -620,7 +619,7 @@ fn cmd_eval(args: &Args) -> CliResult {
         Some(r) => r,
         None => obs::noop(),
     };
-    let report = evaluate_recorded(
+    let report = evaluate(
         detector,
         &images(target_world, seed),
         &images(novel_world, seed + 1),

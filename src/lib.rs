@@ -65,7 +65,7 @@ pub mod prelude {
     pub use novelty::{
         BackendKind, Calibrator, Detector, Direction, EnsembleDetector, FallbackPolicy, FrameFault,
         FrameGate, GateConfig, HealthState, HealthTracker, NoveltyDetector, NoveltyDetectorBuilder,
-        PipelineKind, ScoreBackend, StreamConfig, StreamDecision, StreamRuntime, Verdict,
+        ScoreBackend, StreamConfig, StreamDecision, StreamRuntime, Verdict,
     };
     pub use obs::{Recorder, RunRecorder, RunReport};
     pub use saliency::{visual_backprop, SaliencyMethod};

@@ -15,7 +15,8 @@ use std::sync::Mutex;
 
 use ndtensor::{set_thread_config, ThreadConfig};
 use novelty::{
-    detector_to_spec, fuse_verdict, BackendKind, BackendScore, Direction, NoveltyDetectorBuilder,
+    detector_to_spec, fuse_verdict, BackendKind, BackendScore, Detector, Direction,
+    NoveltyDetectorBuilder,
 };
 use proptest::prelude::*;
 use simdrive::{DatasetConfig, DrivingDataset};
@@ -103,7 +104,7 @@ fn legacy_backends_are_bit_identical_across_thread_counts() {
             );
             // Scoring through the trait object (the batch path fans out
             // over the pool) matches the serial reference bit for bit.
-            let batch = detector.classify_batch(&probes).unwrap();
+            let batch = detector.classify_batch(&probes, obs::noop()).unwrap();
             let scores: Vec<f32> = batch.iter().map(|v| v.score).collect();
             assert_eq!(
                 bits(&scores),

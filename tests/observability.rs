@@ -6,9 +6,11 @@
 use std::sync::Mutex;
 
 use ndtensor::{set_thread_config, ThreadConfig};
+use novelty::eval::evaluate;
 use novelty::{
-    detector_to_spec, ClassifierConfig, NoveltyDetector, NoveltyDetectorBuilder, PipelineKind,
-    ReconstructionObjective,
+    detector_to_spec, BackendKind, ClassifierConfig, DecisionSource, EnsembleDetector,
+    EnsembleSpec, NoveltyDetector, NoveltyDetectorBuilder, QueueConfig, ReconstructionObjective,
+    StreamConfig, StreamServer, TenantSpec, ENSEMBLE_SCHEMA_VERSION,
 };
 use obs::{Recorder, RunRecorder, RunReport};
 use simdrive::{DatasetConfig, DrivingDataset};
@@ -44,8 +46,8 @@ fn probe_images() -> Vec<Image> {
         .collect()
 }
 
-fn train(recorder: &dyn Recorder) -> NoveltyDetector {
-    NoveltyDetectorBuilder::for_kind(PipelineKind::VbpSsim)
+fn tiny_builder() -> NoveltyDetectorBuilder {
+    NoveltyDetectorBuilder::for_kind(BackendKind::VbpSsim)
         .classifier_config(ClassifierConfig {
             hidden: vec![12, 6, 12],
             epochs: 3,
@@ -56,8 +58,32 @@ fn train(recorder: &dyn Recorder) -> NoveltyDetector {
         })
         .cnn_epochs(1)
         .seed(9)
+}
+
+fn train(recorder: &dyn Recorder) -> NoveltyDetector {
+    tiny_builder()
         .train_recorded(&train_data(), recorder)
         .unwrap()
+}
+
+/// A two-member ensemble: one raw and one saliency backend, so both the
+/// shared-CNN and the CNN-free member paths train.
+fn train_ensemble(recorder: &dyn Recorder) -> EnsembleDetector {
+    let kinds = [BackendKind::RawMse, BackendKind::VbpSsim];
+    EnsembleDetector::train(&tiny_builder(), &kinds, &train_data(), recorder).unwrap()
+}
+
+fn ensemble_json(ensemble: &EnsembleDetector) -> String {
+    let spec = EnsembleSpec {
+        schema_version: ENSEMBLE_SCHEMA_VERSION,
+        quorum: ensemble.quorum(),
+        members: ensemble
+            .members()
+            .iter()
+            .map(|m| detector_to_spec(m).unwrap())
+            .collect(),
+    };
+    serde_json::to_string(&spec).unwrap()
 }
 
 #[test]
@@ -137,4 +163,72 @@ fn recording_never_perturbs_results_at_any_thread_count() {
         }
     }
     set_thread_config(ThreadConfig::from_env());
+}
+
+#[test]
+fn recording_never_perturbs_ensemble_training_or_evaluation() {
+    let _guard = lock();
+    let target: Vec<Image> = train_data()
+        .frames()
+        .iter()
+        .map(|f| f.image.clone())
+        .collect();
+    let novel = probe_images();
+    for threads in [1usize, 4] {
+        set_thread_config(ThreadConfig::new(threads));
+        let plain = train_ensemble(obs::noop());
+        let recorder = RunRecorder::new();
+        let recorded = train_ensemble(&recorder);
+        assert_eq!(
+            ensemble_json(&plain),
+            ensemble_json(&recorded),
+            "recording changed the trained ensemble at {threads} threads"
+        );
+
+        let plain_report = evaluate(&plain, &target, &novel, obs::noop()).unwrap();
+        let recorded_report = evaluate(&recorded, &target, &novel, &recorder).unwrap();
+        assert_eq!(
+            plain_report, recorded_report,
+            "recording changed the evaluation at {threads} threads"
+        );
+        let report = recorder.report("ensemble");
+        assert!(report.gauge("eval.auroc").is_some());
+    }
+    set_thread_config(ThreadConfig::from_env());
+}
+
+#[test]
+fn serving_an_ensemble_records_coalesced_scoring() {
+    let _guard = lock();
+    let ensemble = train_ensemble(obs::noop());
+    let frames = probe_images();
+    let lossless = QueueConfig {
+        capacity: 64,
+        drain: 16,
+        max_wait_rounds: u64::MAX,
+    };
+    let specs: Vec<TenantSpec> = (0..2)
+        .map(|t| {
+            TenantSpec::new(format!("t{t}"), StreamConfig::for_detector(&ensemble))
+                .with_queue(lossless)
+        })
+        .collect();
+    let mut server = StreamServer::new(&ensemble, specs).unwrap();
+    let recorder = RunRecorder::new();
+    let mut scored = 0u64;
+    // Both tenants offer a frame every round, so every round scores a
+    // coalesced batch of two through `Detector::classify_each`.
+    for (k, frame) in frames.iter().enumerate() {
+        server.offer(0, Some(frame.clone())).unwrap();
+        server
+            .offer(1, Some(frames[(k + 1) % frames.len()].clone()))
+            .unwrap();
+        for (_, decision) in server.step_recorded(&recorder) {
+            scored += u64::from(decision.source == DecisionSource::Scored);
+        }
+    }
+    assert_eq!(scored, 2 * frames.len() as u64, "every frame is scored");
+    let report = recorder.report("serve");
+    assert_eq!(report.counter("scoring.scores_computed"), Some(scored));
+    assert!(report.stage("scoring").is_some(), "no scoring stage");
 }

@@ -178,7 +178,7 @@ fn visual_backprop_batch_is_bit_identical_across_thread_counts() {
 
         for threads in THREAD_COUNTS {
             set_thread_config(ThreadConfig::new(threads));
-            let masks = visual_backprop_batch(&net, &images).unwrap();
+            let masks = visual_backprop_batch(&net, &images, obs::noop()).unwrap();
             assert_eq!(masks.len(), reference.len());
             for (i, (got, want)) in masks.iter().zip(&reference).enumerate() {
                 assert_eq!(

@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 
 use novelty::eval::evaluate;
 use novelty::{
-    ClassifierConfig, Direction, NoveltyDetector, NoveltyDetectorBuilder, PipelineKind,
+    BackendKind, ClassifierConfig, Direction, NoveltyDetector, NoveltyDetectorBuilder,
     ReconstructionObjective,
 };
 use saliency_novelty::prelude::*;
@@ -27,9 +27,9 @@ fn dataset(world: World, len: usize, seed: u64) -> DrivingDataset {
         .generate(seed)
 }
 
-fn builder_for(kind: PipelineKind) -> NoveltyDetectorBuilder {
+fn builder_for(kind: BackendKind) -> NoveltyDetectorBuilder {
     let objective = match kind {
-        PipelineKind::VbpSsim => ReconstructionObjective::paper_ssim(),
+        BackendKind::VbpSsim => ReconstructionObjective::paper_ssim(),
         _ => ReconstructionObjective::Mse,
     };
     NoveltyDetectorBuilder::for_kind(kind)
@@ -59,10 +59,10 @@ fn fixture() -> &'static Fixture {
         let outdoor = dataset(World::Outdoor, 200, 21);
         let indoor = dataset(World::Indoor, 30, 22);
         let (train, held_out) = outdoor.split(0.85);
-        let paper_detector = builder_for(PipelineKind::VbpSsim)
+        let paper_detector = builder_for(BackendKind::VbpSsim)
             .train(&train)
             .expect("paper pipeline trains");
-        let baseline_detector = builder_for(PipelineKind::RawMse)
+        let baseline_detector = builder_for(BackendKind::RawMse)
             .train(&train)
             .expect("baseline pipeline trains");
         Fixture {
@@ -78,7 +78,7 @@ fn fixture() -> &'static Fixture {
 #[test]
 fn paper_pipeline_separates_cross_world_novelty() {
     let fx = fixture();
-    let report = evaluate(&fx.paper_detector, &fx.target, &fx.novel).unwrap();
+    let report = evaluate(&fx.paper_detector, &fx.target, &fx.novel, obs::noop()).unwrap();
 
     // The paper's headline: the two datasets separate. At this reduced
     // scale we require near-perfect ranking and a majority of novel
@@ -143,8 +143,8 @@ fn vbp_ssim_beats_raw_mse_baseline_on_ranking() {
     // the paper's pipeline must separate at least as well as the
     // Richter & Roy baseline.
     let fx = fixture();
-    let paper_report = evaluate(&fx.paper_detector, &fx.target, &fx.novel).unwrap();
-    let base_report = evaluate(&fx.baseline_detector, &fx.target, &fx.novel).unwrap();
+    let paper_report = evaluate(&fx.paper_detector, &fx.target, &fx.novel, obs::noop()).unwrap();
+    let base_report = evaluate(&fx.baseline_detector, &fx.target, &fx.novel, obs::noop()).unwrap();
     assert!(
         paper_report.separation.auroc + 1e-6 >= base_report.separation.auroc,
         "paper {} < baseline {}",

@@ -118,7 +118,9 @@ fn different_seeds_change_the_model() {
 #[test]
 fn vbp_masks_are_deterministic() {
     let data = small_dataset(9);
-    let cnn = quick_builder(3).train_steering_cnn(&data).unwrap();
+    let cnn = quick_builder(3)
+        .train_steering_cnn(&data, obs::noop())
+        .unwrap();
     let img = &data.frames()[0].image;
     let m1 = saliency::visual_backprop(&cnn, img).unwrap();
     let m2 = saliency::visual_backprop(&cnn, img).unwrap();

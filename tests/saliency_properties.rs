@@ -25,7 +25,7 @@ fn vbp_concentration_measurement_is_stable_and_in_range() {
     // Asserting a strict ordering here would codify a flaky result.)
     let data = indoor_data(60, 40);
     let builder = NoveltyDetectorBuilder::paper().cnn_epochs(4).seed(11);
-    let trained = builder.train_steering_cnn(&data).unwrap();
+    let trained = builder.train_steering_cnn(&data, obs::noop()).unwrap();
 
     let probe = data.sample(8, 3);
     let mut ratios = Vec::new();
@@ -57,7 +57,7 @@ fn vbp_and_lrp_agree_on_where_saliency_is() {
     let cnn = NoveltyDetectorBuilder::paper()
         .cnn_epochs(3)
         .seed(12)
-        .train_steering_cnn(&data)
+        .train_steering_cnn(&data, obs::noop())
         .unwrap();
     let img = &data.frames()[0].image;
     let vbp_mask = visual_backprop(&cnn, img).unwrap();
@@ -90,7 +90,7 @@ fn vbp_mask_changes_with_the_scene_not_just_the_network() {
     let cnn = NoveltyDetectorBuilder::paper()
         .cnn_epochs(2)
         .seed(13)
-        .train_steering_cnn(&data)
+        .train_steering_cnn(&data, obs::noop())
         .unwrap();
     let m0 = visual_backprop(&cnn, &data.frames()[0].image).unwrap();
     let m1 = visual_backprop(&cnn, &data.frames()[1].image).unwrap();
@@ -109,7 +109,7 @@ fn noisy_input_garbles_the_vbp_mask() {
     let cnn = NoveltyDetectorBuilder::paper()
         .cnn_epochs(3)
         .seed(14)
-        .train_steering_cnn(&data)
+        .train_steering_cnn(&data, obs::noop())
         .unwrap();
     let img = &data.frames()[0].image;
     let clean_mask = visual_backprop(&cnn, img).unwrap();
