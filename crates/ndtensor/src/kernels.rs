@@ -11,9 +11,10 @@
 //! * [`conv_panel`] — four-row, 32-wide register-blocked kernel over a
 //!   padded im2col panel with the bias in its store epilogue: every
 //!   conv forward, at every batch size.
-//! * [`mm_assign`] — the same register blocks as [`mm_rr2`], assigning
-//!   and never skipping: the weight-stationary `x · Wᵀ` of every dense
-//!   forward, run on a cached `[in, out]` weight copy.
+//! * [`mm_assign`] — the same register blocks as [`mm_rr2`], assigning:
+//!   the weight-stationary `x · Wᵀ` of every dense forward, run on a
+//!   cached `[in, out]` weight copy. It never skips, or — only when that
+//!   copy is all finite — skips exact-zero inputs like [`mm_rr2`].
 //! * [`abt_tiled`] — the assigning `A·Bᵀ` kernel with eight independent
 //!   dot-product chains over 64-row B tiles, for every `A·Bᵀ` shape.
 //!
@@ -27,8 +28,11 @@
 //! kernel is bitwise-equal to the naive product (the tests below and
 //! `tests/kernel_parity.rs`). The accumulating kernels keep the
 //! historical exact-zero skip on `A` entries, both skipping the same `l`
-//! indices; the assigning kernels never skip and write every output
-//! element exactly once.
+//! indices. The assigning kernels write every output element exactly
+//! once and never skip, except [`mm_assign`]'s skipping form: it is
+//! only run on an all-finite `B`, where a skipped term is `±0.0` and
+//! adding it to a chain that starts at `+0.0` cannot change a bit, so it
+//! is bitwise-equal to the never-skipping form and to [`abt_tiled`].
 //!
 //! All but [`conv_panel`] share the calling convention `(arows, rows, k,
 //! bd, n, out)`: a packed `rows × k` block of A rows against the full B
@@ -132,20 +136,29 @@ pub(crate) fn mm_axpy(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize
 
 /// Whether an A row contains no exact zero.
 ///
-/// Gates the branch-free fast path of [`mm_rr2`]: when no element is
-/// zero, the skip-discipline loop and the branch-free loop perform the
-/// identical sequence of multiplies and adds, so the fast path is
-/// bitwise-equal on exactly the inputs where it is taken.
+/// Gates the branch-free fast path of the skipping kernels: when no
+/// element is zero, the skip-discipline loop and the branch-free loop
+/// perform the identical sequence of multiplies and adds, so the fast
+/// path is bitwise-equal on exactly the inputs where it is taken. The
+/// scan tests 16 elements per step with no exit inside a step, so it
+/// vectorises: a 9600-wide dense row costs one pass at vector speed,
+/// and a zero still ends the scan within 16 elements.
 #[inline(always)]
 fn dense_row(row: &[f32]) -> bool {
+    let steps = row.chunks_exact(16);
+    let tail = steps.remainder();
     // sncheck:allow(no-float-eq): exact-zero test is the gate condition
     // for the sparsity-skip discipline, not a tolerance comparison.
-    row.iter().all(|&v| v != 0.0)
+    let nonzero = |&v: &f32| v != 0.0;
+    steps
+        .into_iter()
+        .all(|step| step.iter().fold(true, |dense, v| dense & nonzero(v)))
+        && tail.iter().all(nonzero)
 }
 
 /// Single-row register block for the remainder row of [`rr2_blocks`].
 #[inline(always)]
-fn rr1_block<const ASSIGN: bool>(
+fn rr1_block<const SKIP: bool>(
     r0: &[f32],
     k: usize,
     bd: &[f32],
@@ -153,7 +166,7 @@ fn rr1_block<const ASSIGN: bool>(
     j: usize,
     acc0: &mut [f32; RR_W],
 ) {
-    if ASSIGN || dense_row(r0) {
+    if !SKIP || dense_row(r0) {
         for l in 0..k {
             let brow = &bd[l * n + j..l * n + j + RR_W];
             let a0 = r0[l];
@@ -177,7 +190,7 @@ fn rr1_block<const ASSIGN: bool>(
 }
 
 /// Scalar column-remainder chains (identical order to the wide paths).
-fn rr_col_remainder<const ASSIGN: bool>(
+fn rr_col_remainder<const ASSIGN: bool, const SKIP: bool>(
     arows: &[f32],
     rows: usize,
     k: usize,
@@ -193,7 +206,7 @@ fn rr_col_remainder<const ASSIGN: bool>(
                 let av = arows[i * k + l];
                 // sncheck:allow(no-float-eq): exact-zero sparsity skip,
                 // same discipline as mm_axpy.
-                if !ASSIGN && av == 0.0 {
+                if SKIP && av == 0.0 {
                     continue;
                 }
                 s += av * bd[l * n + j];
@@ -214,14 +227,14 @@ fn rr_col_remainder<const ASSIGN: bool>(
 /// effectively streamed from memory once per call. Each output element's
 /// chain is ascending `l`.
 ///
-/// Accumulating (`ASSIGN = false`): chains start at `out`'s value and
-/// skip exact-zero A entries. Row pairs whose A rows contain no exact
-/// zero take the branch-free inner loop; it performs the identical
+/// `ASSIGN` picks where chains start: at `out`'s value (accumulating) or
+/// at `0.0` (assigning). `SKIP` picks the zero discipline: skipping
+/// exact-zero A entries, where row pairs whose A rows contain no exact
+/// zero take the branch-free inner loop — it performs the identical
 /// operation sequence as the skip loop on those inputs, so the choice
-/// never changes bits. Assigning (`ASSIGN = true`): chains start at
-/// `0.0`, never skip, and always take the branch-free loop.
+/// never changes bits — or never skipping, always branch-free.
 #[inline(always)]
-fn rr2_blocks<const ASSIGN: bool>(
+fn rr2_blocks<const ASSIGN: bool, const SKIP: bool>(
     arows: &[f32],
     rows: usize,
     k: usize,
@@ -241,7 +254,7 @@ fn rr2_blocks<const ASSIGN: bool>(
                 acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
                 acc1.copy_from_slice(&out[(i + 1) * n + j..(i + 1) * n + j + RR_W]);
             }
-            if ASSIGN || (dense_row(r0) && dense_row(r1)) {
+            if !SKIP || (dense_row(r0) && dense_row(r1)) {
                 for l in 0..k {
                     let brow = &bd[l * n + j..l * n + j + RR_W];
                     let a0 = r0[l];
@@ -285,13 +298,13 @@ fn rr2_blocks<const ASSIGN: bool>(
             if !ASSIGN {
                 acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
             }
-            rr1_block::<ASSIGN>(r0, k, bd, n, j, &mut acc0);
+            rr1_block::<SKIP>(r0, k, bd, n, j, &mut acc0);
             out[i * n + j..i * n + j + RR_W].copy_from_slice(&acc0);
             i += 1;
         }
         j += RR_W;
     }
-    rr_col_remainder::<ASSIGN>(arows, rows, k, bd, n, out, j);
+    rr_col_remainder::<ASSIGN, SKIP>(arows, rows, k, bd, n, out, j);
 }
 
 /// Two-row, 64-wide register-blocked accumulating kernel:
@@ -303,16 +316,23 @@ pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize,
     if rows == 0 || n == 0 || k == 0 {
         return;
     }
-    rr2_blocks::<false>(arows, rows, k, bd, n, out);
+    rr2_blocks::<false, true>(arows, rows, k, bd, n, out);
 }
 
 /// Two-row, 64-wide register-blocked assigning kernel:
 /// `out[i][j] = Σ_l arows[i][l] · b[l][j]`. Each element is one chain
-/// from `0.0`, ascending `l`, with no zero skip — exactly
-/// [`abt_tiled`]'s chain on the transposed B — so a non-finite B entry
-/// reaches its outputs even through an exact-zero A entry. Every element
-/// of `out` is assigned (zeros when `k == 0`).
-pub(crate) fn mm_assign(
+/// from `0.0`, ascending `l` — exactly [`abt_tiled`]'s chain on the
+/// transposed B. Every element of `out` is assigned (zeros when
+/// `k == 0`).
+///
+/// `SKIP = false` forms every term, so a non-finite B entry reaches its
+/// outputs even through an exact-zero A entry. `SKIP = true` skips
+/// exact-zero A entries and requires an all-finite B; under that
+/// precondition its bits equal the never-skipping chain's: a skipped
+/// term `0 · b` is `±0.0`, a chain from `+0.0` never holds `-0.0`, and
+/// adding `±0.0` to any other sum — NaN and `±∞` included — leaves its
+/// bits unchanged.
+pub(crate) fn mm_assign<const SKIP: bool>(
     arows: &[f32],
     rows: usize,
     k: usize,
@@ -322,7 +342,7 @@ pub(crate) fn mm_assign(
 ) {
     debug_assert_eq!(arows.len(), rows * k);
     debug_assert_eq!(out.len(), rows * n);
-    rr2_blocks::<true>(arows, rows, k, bd, n, out);
+    rr2_blocks::<true, SKIP>(arows, rows, k, bd, n, out);
 }
 
 /// Rows of the [`conv_panel`] register block.
@@ -586,6 +606,24 @@ mod tests {
             .collect()
     }
 
+    /// `rows × k` values shaped like a ReLU output: at most one in 16
+    /// non-zero, about a third of the zeros `-0.0`, and every third row
+    /// from row 1 entirely zero.
+    fn zero_heavy(rows: usize, k: usize, seed: u64) -> Vec<f32> {
+        let values = pseudo_sparse(rows * k, seed, 0);
+        (0..rows * k)
+            .map(|x| {
+                if (x / k) % 3 != 1 && (x as u64 + seed).is_multiple_of(16) {
+                    values[x]
+                } else if x.is_multiple_of(3) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
     /// Schoolbook reference over packed `A: [m, k]` rows. Accumulating
     /// (`b: [k, n]`): element `(i, j)` starts at `init[i * n + j]` and
     /// skips exact-zero A elements (0.0 * inf = NaN and -0.0 + 0.0 = +0.0
@@ -647,9 +685,12 @@ mod tests {
 
     /// Every kernel reproduces the naive chain bit-for-bit on every row
     /// chunking the thread row-splitter could produce (1, 2 and 4
-    /// contiguous chunks), on dense and zero-heavy A; the accumulating
-    /// kernels honour the accumulate-into contract (zero and non-zero
-    /// initial output) and the assigning ones overwrite a stale output.
+    /// contiguous chunks), on A with no zeros, every third zero, and
+    /// ReLU-like zero-heavy rows (at least 90 % exact zeros, `-0.0`
+    /// entries, all-zero rows), where the skipping [`mm_assign`] must
+    /// match the never-skipping chain; the accumulating kernels honour
+    /// the accumulate-into contract (zero and non-zero initial output)
+    /// and the assigning ones overwrite a stale output.
     ///
     /// Shapes land on the accumulator width (64 columns ±1), the axpy
     /// column tile, the `a_bt` tile and chain width, the row-pair
@@ -670,25 +711,37 @@ mod tests {
             (5, 6, 300),
             (32, 64, 96),
             (3, 0, 70),
+            (1, 70, 65),
+            (2, 64, 300),
+            (15, 64, 64),
+            (15, 70, 130),
         ];
         let accumulating: [(&str, Kernel); 2] = [("mm_axpy", mm_axpy), ("mm_rr2", mm_rr2)];
+        let (mut zeros, mut total) = (0usize, 0usize);
         for (case, &(m, k, n)) in shapes.iter().enumerate() {
-            for zero_every in [0usize, 3] {
-                let seed = 100 + case as u64;
-                let a = pseudo_sparse(m * k, seed, zero_every);
+            let seed = 100 + case as u64;
+            let heavy = zero_heavy(m, k, seed);
+            zeros += heavy.iter().filter(|&&v| v == 0.0).count();
+            total += heavy.len();
+            let inputs = [
+                ("no zeros", pseudo_sparse(m * k, seed, 0)),
+                ("every third zero", pseudo_sparse(m * k, seed, 3)),
+                ("zero-heavy", heavy),
+            ];
+            for (zeros_in_a, a) in &inputs {
                 let b = pseudo_sparse(k * n, seed + 7, 0);
                 let zeroed = vec![0.0f32; m * n];
                 let init = pseudo_sparse(m * n, seed + 13, 0);
                 for (name, kernel) in accumulating {
                     for start in [&zeroed, &init] {
-                        let want = naive(&a, &b, start, m, k, n, false);
+                        let want = naive(a, &b, start, m, k, n, false);
                         for chunks in [1usize, 2, 4] {
                             let mut out = start.clone();
-                            chunked(kernel, chunks, (m, k, n), &a, &b, &mut out);
+                            chunked(kernel, chunks, (m, k, n), a, &b, &mut out);
                             assert_eq!(
                                 bits(&out),
                                 bits(&want),
-                                "{name} m{m} k{k} n{n} zeros={zero_every} chunks={chunks}"
+                                "{name} m{m} k{k} n{n} {zeros_in_a} chunks={chunks}"
                             );
                         }
                     }
@@ -697,25 +750,27 @@ mod tests {
                 // on `B: [n, k]`, `mm_assign` on the same B as `[k, n]`.
                 let bt = pseudo_sparse(n * k, seed + 7, 0);
                 let b_kn: Vec<f32> = (0..k * n).map(|x| bt[(x % n) * k + x / n]).collect();
-                let want = naive(&a, &bt, &zeroed, m, k, n, true);
-                let assigning: [(&str, Kernel, &[f32]); 2] = [
+                let want = naive(a, &bt, &zeroed, m, k, n, true);
+                let assigning: [(&str, Kernel, &[f32]); 3] = [
                     ("abt_tiled", abt_tiled, &bt),
-                    ("mm_assign", mm_assign, &b_kn),
+                    ("mm_assign", mm_assign::<false>, &b_kn),
+                    ("mm_assign skip", mm_assign::<true>, &b_kn),
                 ];
                 for (name, kernel, operand) in assigning {
                     for chunks in [1usize, 2, 4] {
                         // Stale non-zero output: every element must be assigned.
                         let mut out = init.clone();
-                        chunked(kernel, chunks, (m, k, n), &a, operand, &mut out);
+                        chunked(kernel, chunks, (m, k, n), a, operand, &mut out);
                         assert_eq!(
                             bits(&out),
                             bits(&want),
-                            "{name} m{m} k{k} n{n} zeros={zero_every} chunks={chunks}"
+                            "{name} m{m} k{k} n{n} {zeros_in_a} chunks={chunks}"
                         );
                     }
                 }
             }
         }
+        assert!(zeros * 10 >= total * 9, "{zeros} zeros of {total}");
     }
 
     /// `conv_panel` on a padded panel equals the naive accumulating chain
@@ -754,6 +809,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The vectorised gate finds a single `±0.0` at every position of a
+    /// row, inside a 16-element step and in the tail.
+    #[test]
+    fn dense_row_finds_every_zero() {
+        for len in 0usize..50 {
+            let row: Vec<f32> = (0..len).map(|i| 1.0 + i as f32).collect();
+            assert!(dense_row(&row), "len {len}");
+            for at in 0..len {
+                for zero in [0.0, -0.0] {
+                    let mut holed = row.clone();
+                    holed[at] = zero;
+                    assert!(!dense_row(&holed), "len {len}, {zero} at {at}");
+                }
+            }
+        }
+        assert!(dense_row(&[f32::NAN, f32::INFINITY, f32::MIN_POSITIVE]));
     }
 
     #[test]

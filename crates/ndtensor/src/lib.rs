@@ -50,8 +50,8 @@ pub use conv::{
 pub use error::TensorError;
 pub use init::{fill_he_normal, fill_normal, fill_uniform, fill_xavier_uniform};
 pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_into, matmul_assign, matmul_assign_into, matmul_at_b,
-    matmul_at_b_into, matmul_into,
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_assign, matmul_assign_finite, matmul_assign_into,
+    matmul_at_b, matmul_at_b_into, matmul_into,
 };
 pub use par::{set_thread_config, thread_config, with_serial, ThreadConfig};
 pub use resample::{resize_bilinear, resize_nearest, upsample_sum};

@@ -2,29 +2,34 @@
 //!
 //! Three entry points cover the access patterns needed by dense-layer and
 //! convolution backpropagation without materialising transposed copies,
-//! and a fourth runs the dense-layer forward on a weight copy:
+//! and two more run the dense-layer forward on a weight copy:
 //!
 //! * [`matmul`] — `C = A·B`
 //! * [`matmul_at_b`] — `C = Aᵀ·B`
 //! * [`matmul_a_bt`] — `C = A·Bᵀ`
 //! * [`matmul_assign`] — `C = A·B` with no zero skip
+//! * [`matmul_assign_finite`] — the same `C` for an all-finite `B`,
+//!   skipping exact-zero `A` entries
 //!
-//! Each has a `_into` twin ([`matmul_into`], [`matmul_at_b_into`],
-//! [`matmul_a_bt_into`], [`matmul_assign_into`]) that writes into a
-//! caller-provided buffer so hot loops can recycle storage; the
-//! allocating forms are thin wrappers that draw their output from
-//! [`crate::scratch`].
+//! The first four have a `_into` twin ([`matmul_into`],
+//! [`matmul_at_b_into`], [`matmul_a_bt_into`], [`matmul_assign_into`])
+//! that writes into a caller-provided buffer so hot loops can recycle
+//! storage; the allocating forms are thin wrappers that draw their
+//! output from [`crate::scratch`].
 //!
 //! The inner microkernels live in `crate::kernels`: [`matmul`] and
 //! [`matmul_at_b`] pick one of the two accumulating kernels from their
 //! full `k × n` shape — once per call, on the caller thread — and hand it
 //! to the row-parallel workers; [`matmul_a_bt`] always runs the tiled
-//! assigning kernel and [`matmul_assign`] the register-blocked one. Every
-//! kernel is bitwise-equal to the naive kernel
+//! assigning kernel, and [`matmul_assign`] and [`matmul_assign_finite`]
+//! the register-blocked one, never skipping and skipping. Every kernel
+//! is bitwise-equal to the naive kernel
 //! (blocking only reorders *which* output element is worked on next; the
 //! per-element accumulation remains a single chain in ascending-`k`
-//! order, with the historical exact-zero skips preserved verbatim), so
-//! the kernel choice can never change a result bit.
+//! order, with the historical exact-zero skips preserved verbatim, and
+//! the skip in [`matmul_assign_finite`] only drops `±0.0` terms that
+//! cannot change a chain's bits), so the kernel choice can never change
+//! a result bit.
 //!
 //! All kernels parallelise over output rows through [`crate::par`] once the
 //! arithmetic volume crosses [`crate::par::PARALLEL_THRESHOLD`], so small
@@ -225,10 +230,17 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
-fn matmul_assign_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
+fn matmul_assign_slices<const SKIP: bool>(
+    ad: &[f32],
+    m: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
-        mm_assign(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
+        mm_assign::<SKIP>(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
     });
 }
 
@@ -239,7 +251,8 @@ fn matmul_assign_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, ou
 /// the chain [`matmul_a_bt`] runs — so `matmul_assign(a, &bt.transpose2d()?)`
 /// is bit-identical to `matmul_a_bt(a, &bt)`. `neural::Dense` runs its
 /// forward pass through it on an `[in, out]` copy of its weights, where
-/// each `l` reads one contiguous weight row.
+/// each `l` reads one contiguous weight row, whenever that copy holds a
+/// non-finite weight (otherwise through [`matmul_assign_finite`]).
 ///
 /// # Errors
 ///
@@ -248,7 +261,29 @@ fn matmul_assign_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, ou
 pub fn matmul_assign(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = check_mm(a, b, "matmul_assign")?;
     let mut out = Tensor::zeros([m, n]);
-    matmul_assign_slices(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
+    matmul_assign_slices::<false>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
+    Ok(out)
+}
+
+/// Computes [`matmul_assign`] for an **all-finite** `B`, skipping the
+/// terms of exact-zero `a[i][l]` (`±0.0`). Rows of a ReLU output are
+/// mostly zeros, and each skipped zero saves a pass over one row of `B`.
+///
+/// Precondition: every element of `b` is finite. The result is then
+/// bit-identical to [`matmul_assign`]: a skipped term `0 · b[l][j]` is
+/// `±0.0`, each chain starts at `+0.0` so no partial sum is `-0.0`, and
+/// adding `±0.0` to any other sum — NaN and `±∞` included — leaves its
+/// bits unchanged. The precondition is not checked: a NaN or `±∞` in `b`
+/// behind a zero `a[i][l]` would be skipped instead of poisoning its
+/// output, so callers that cannot vouch for `b` use [`matmul_assign`].
+///
+/// # Errors
+///
+/// Like [`matmul_assign`].
+pub fn matmul_assign_finite(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    let (m, k, n) = check_mm(a, b, "matmul_assign_finite")?;
+    let mut out = Tensor::zeros([m, n]);
+    matmul_assign_slices::<true>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }
 
@@ -263,7 +298,7 @@ pub fn matmul_assign_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()>
     let (m, k, n) = check_mm(a, b, "matmul_assign_into")?;
     check_out_len(out.len(), m * n)?;
     // The kernel assigns every element; zero-fill is unnecessary.
-    matmul_assign_slices(a.as_slice(), m, k, b.as_slice(), n, out);
+    matmul_assign_slices::<false>(a.as_slice(), m, k, b.as_slice(), n, out);
     Ok(())
 }
 
@@ -324,6 +359,7 @@ mod tests {
         assert!(matmul_at_b(&Tensor::zeros([2, 3]), &Tensor::zeros([3, 2])).is_err());
         assert!(matmul_a_bt(&Tensor::zeros([2, 3]), &Tensor::zeros([2, 4])).is_err());
         assert!(matmul_assign(&a, &b).is_err());
+        assert!(matmul_assign_finite(&a, &b).is_err());
     }
 
     #[test]

@@ -43,7 +43,9 @@ impl Layer for ReLU {
     }
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.map(|v| v.max(0.0)))
+        // `f32::max` returns the non-NaN operand: a NaN must pass through
+        // so a corrupt layer below cannot yield a finite output.
+        Ok(input.map(|v| if v.is_nan() { v } else { v.max(0.0) }))
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
@@ -153,6 +155,15 @@ mod tests {
     fn relu_clips_negatives() {
         let y = ReLU::new().forward(&t(vec![-1.0, 0.0, 2.0])).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
+    }
+
+    #[test]
+    fn relu_passes_nan_through() {
+        let y = ReLU::new()
+            .forward(&t(vec![f32::NAN, -1.0, f32::INFINITY]))
+            .unwrap();
+        assert!(y.as_slice()[0].is_nan());
+        assert_eq!(&y.as_slice()[1..], &[0.0, f32::INFINITY]);
     }
 
     #[test]

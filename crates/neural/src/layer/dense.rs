@@ -1,6 +1,6 @@
 use std::sync::OnceLock;
 
-use ndtensor::{matmul, matmul_assign, matmul_at_b, Tensor};
+use ndtensor::{matmul, matmul_assign, matmul_assign_finite, matmul_at_b, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
@@ -12,13 +12,18 @@ use crate::{NeuralError, Result};
 /// * bias `b`: `[out_features]`, zero initialised
 /// * input: `[N, in_features]`, output: `[N, out_features]`
 ///
-/// The forward pass is weight-stationary: it computes `x · Wt` with
-/// [`matmul_assign`] on a derived `Wt = Wᵀ` (`[in_features,
-/// out_features]`), so every input feature reads one contiguous weight
-/// row. `Wt` is built on the first forward pass and dropped whenever
-/// [`Layer::params_and_grads`] hands out the weights for writing, so the
-/// layer holds its weights twice while it serves. The output bits are
-/// those of `x · Wᵀ` computed one dot product at a time.
+/// The forward pass is weight-stationary: it computes `x · Wt` on a
+/// derived `Wt = Wᵀ` (`[in_features, out_features]`), so every input
+/// feature reads one contiguous weight row. `Wt` is built on the first
+/// forward pass, together with a flag saying whether every weight is
+/// finite, and both are dropped whenever [`Layer::params_and_grads`]
+/// hands out the weights for writing, so the layer holds its weights
+/// twice while it serves. With all-finite weights the product runs
+/// through [`matmul_assign_finite`], which skips exact-zero inputs (most
+/// of a ReLU output); otherwise through [`matmul_assign`], which never
+/// skips, so a NaN or `±∞` weight reaches its output even through a zero
+/// input. Either way the output bits are those of `x · Wᵀ` computed one
+/// dot product at a time.
 ///
 /// # Example
 ///
@@ -43,7 +48,15 @@ pub struct Dense {
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
     /// `weight` transposed to `[in, out]`, derived on first use.
-    weight_t: OnceLock<Tensor>,
+    weight_t: OnceLock<WeightT>,
+}
+
+/// The forward pass's `[in, out]` weight copy.
+#[derive(Debug)]
+struct WeightT {
+    t: Tensor,
+    /// Every element of `t` is finite, so exact-zero inputs may be skipped.
+    finite: bool,
 }
 
 impl Dense {
@@ -128,18 +141,25 @@ impl Dense {
         Ok(())
     }
 
-    /// The `[in, out]` weight copy, built on first use.
-    fn weight_t(&self) -> Result<&Tensor> {
+    /// The `[in, out]` weight copy and its all-finite flag, built on first
+    /// use.
+    fn weight_t(&self) -> Result<&WeightT> {
         if let Some(wt) = self.weight_t.get() {
             return Ok(wt);
         }
-        let wt = self.weight.transpose2d()?;
-        Ok(self.weight_t.get_or_init(|| wt))
+        let t = self.weight.transpose2d()?;
+        let finite = t.as_slice().iter().all(|v| v.is_finite());
+        Ok(self.weight_t.get_or_init(|| WeightT { t, finite }))
     }
 
     fn compute(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let mut out = matmul_assign(input, self.weight_t()?)?;
+        let wt = self.weight_t()?;
+        let mut out = if wt.finite {
+            matmul_assign_finite(input, &wt.t)?
+        } else {
+            matmul_assign(input, &wt.t)?
+        };
         let (n, f) = (out.shape().dims()[0], out.shape().dims()[1]);
         let bias = self.bias.as_slice();
         let data = out.as_mut_slice();
@@ -201,7 +221,8 @@ impl Layer for Dense {
     }
 
     fn params_and_grads(&mut self) -> Vec<ParamGrad<'_>> {
-        // The caller may write the weights: the copy would go stale.
+        // The caller may write the weights: the copy and its flag would
+        // go stale.
         self.weight_t = OnceLock::new();
         vec![
             ParamGrad {
@@ -293,9 +314,12 @@ mod tests {
         y.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Also on zero-heavy inputs, where the all-finite layer skips the
+    /// zeros: the skip keeps the bits of the never-skipping chains.
     #[test]
     fn forward_is_bit_equal_to_naive_dot_products() {
         let inp = 70;
+        let (mut zeros, mut total) = (0usize, 0usize);
         for (case, out) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
             let seed = 10 * case as u64;
             let layer = layer_with(
@@ -315,23 +339,127 @@ mod tests {
                     );
                 }
             }
+            for m in [1usize, 2, 15] {
+                let xs = zero_heavy(m, inp, seed + m as u64);
+                zeros += xs.iter().filter(|&&v| v == 0.0).count();
+                total += xs.len();
+                let x = Tensor::from_vec([m, inp], xs).unwrap();
+                assert_eq!(
+                    forward_bits(&layer, &x),
+                    naive_forward(&layer, &x),
+                    "m{m} out{out} zero-heavy"
+                );
+            }
+            assert!(layer.weight_t().unwrap().finite, "the skipping path ran");
         }
+        assert!(zeros * 10 >= total * 9, "{zeros} zeros of {total}");
+    }
+
+    /// `m × inp` inputs shaped like a ReLU output: at most one in 16
+    /// non-zero, about a third of the zeros `-0.0`, and every third row
+    /// from row 1 entirely zero.
+    fn zero_heavy(m: usize, inp: usize, seed: u64) -> Vec<f32> {
+        let values = pseudo(m * inp, seed, 0);
+        (0..m * inp)
+            .map(|x| {
+                if (x / inp) % 3 != 1 && (x as u64 + seed).is_multiple_of(16) {
+                    values[x]
+                } else if x.is_multiple_of(3) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
     }
 
     /// A non-finite weight reaches its output even through an exact-zero
     /// input (0 · NaN and 0 · ∞ are NaN), so a corrupt detector cannot
-    /// score a frame as finite.
+    /// score a frame as finite — in a 64-wide register block and in the
+    /// column remainder, on the two-row and remainder-row paths.
     #[test]
     fn non_finite_weight_poisons_output_through_zero_input() {
-        for bad in [f32::NAN, f32::INFINITY] {
-            let mut w = pseudo(3 * 4, 1, 0);
-            w[4 + 2] = bad; // output 1, input 2
-            let layer = layer_with(w, vec![0.0; 3], 3, 4);
-            let x = Tensor::from_vec([1, 4], vec![0.5, -0.25, 0.0, 1.0]).unwrap();
-            let y = layer.forward(&x).unwrap();
-            assert!(y.as_slice()[1].is_nan(), "{bad}: got {}", y.as_slice()[1]);
-            assert!(y.as_slice()[0].is_finite() && y.as_slice()[2].is_finite());
+        let inp = 4;
+        for out in [3usize, 64, 65, 130] {
+            // Columns inside a 64-wide block, and the first, a middle and
+            // the last column of the column remainder, so a bad remainder
+            // column has remainder neighbours wherever there are some.
+            let (rem, mut cols) = (out % 64, Vec::new());
+            if out >= 64 {
+                cols.extend([37, 63]);
+            }
+            if rem > 0 {
+                cols.extend([out - rem, out - rem + rem / 2, out - 1]);
+            }
+            cols.dedup();
+            for bad in [f32::NAN, f32::INFINITY] {
+                for &col in &cols {
+                    let mut w = pseudo(out * inp, 1, 0);
+                    w[col * inp + 2] = bad; // input 2
+                    let layer = layer_with(w, vec![0.0; out], out, inp);
+                    for m in [1usize, 2, 3, 15] {
+                        let xs = (0..m * inp)
+                            .map(|x| {
+                                if x % inp == 2 {
+                                    0.0
+                                } else {
+                                    0.5 - (x % 3) as f32
+                                }
+                            })
+                            .collect();
+                        let y = layer
+                            .forward(&Tensor::from_vec([m, inp], xs).unwrap())
+                            .unwrap();
+                        for (i, row) in y.as_slice().chunks(out).enumerate() {
+                            for (j, v) in row.iter().enumerate() {
+                                assert!(
+                                    if j == col { v.is_nan() } else { v.is_finite() },
+                                    "{bad} out{out} col{col} m{m}: y[{i}][{j}] = {v}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    /// A layer with no outputs — a `[0, in]` weight a detector file may
+    /// hold — serves an empty `[N, 0]` output instead of panicking.
+    #[test]
+    fn zero_output_layer_forwards_empty() {
+        let layer = layer_with(Vec::new(), Vec::new(), 0, 4);
+        let x = Tensor::from_vec([2, 4], vec![0.5; 8]).unwrap();
+        assert_eq!(layer.forward(&x).unwrap().shape().dims(), &[2, 0]);
+    }
+
+    /// A layer that served with finite weights and then took a NaN through
+    /// `set_params` drops its all-finite flag with its weight copy.
+    #[test]
+    fn nan_after_serving_finite_still_poisons_through_zero_input() {
+        let (inp, out) = (70, 65);
+        let mut layer = layer_with(pseudo(out * inp, 3, 0), pseudo(out, 4, 0), out, inp);
+        let x = Tensor::from_vec([2, inp], zero_heavy(2, inp, 5)).unwrap();
+        assert!(layer
+            .forward(&x)
+            .unwrap()
+            .as_slice()
+            .iter()
+            .all(|v| v.is_finite()));
+        assert!(layer.weight_t().unwrap().finite);
+
+        let mut w = pseudo(out * inp, 3, 0);
+        let zero_input = (0..inp).find(|&l| x.as_slice()[l] == 0.0).unwrap();
+        w[10 * inp + zero_input] = f32::NAN; // output 10
+        layer
+            .set_params(&[
+                Tensor::from_vec([out, inp], w).unwrap(),
+                Tensor::from_vec([out], pseudo(out, 4, 0)).unwrap(),
+            ])
+            .unwrap();
+        let y = layer.forward(&x).unwrap();
+        assert!(y.as_slice()[10].is_nan(), "got {}", y.as_slice()[10]);
+        assert!(!layer.weight_t().unwrap().finite);
     }
 
     /// The derived weight copy never outlives a weight change.

@@ -295,6 +295,35 @@ mod tests {
         assert!(net.backward(&Tensor::zeros([1, 1])).is_err());
     }
 
+    /// A NaN weight below a ReLU reaches the network output: a corrupt
+    /// network cannot score finite.
+    #[test]
+    fn nan_weight_below_relu_poisons_the_output() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut first = Dense::new(3, 4, &mut rng).unwrap();
+        let x = Tensor::from_vec([2, 3], vec![0.5, -1.0, 0.25, 1.0, 0.0, -0.5]).unwrap();
+        assert!(first
+            .forward(&x)
+            .unwrap()
+            .as_slice()
+            .iter()
+            .all(|v| v.is_finite()));
+        let mut w = first.params()[0].clone();
+        w.as_mut_slice()[4] = f32::NAN; // output 1, input 1
+        let b = first.params()[1].clone();
+        first.set_params(&[w, b]).unwrap();
+        let net = Network::new()
+            .with(first)
+            .with(ReLU::new())
+            .with(Dense::new(4, 2, &mut rng).unwrap());
+        let y = net.forward(&x).unwrap();
+        assert!(
+            y.as_slice().iter().all(|v| v.is_nan()),
+            "{:?}",
+            y.as_slice()
+        );
+    }
+
     #[test]
     fn forward_shapes_flow_through() {
         let net = small_net(1);

@@ -11,7 +11,7 @@ use ndtensor::Tensor;
 use neural::loss::{Loss, MseLoss, SsimDissimilarityLoss};
 use neural::models::autoencoder;
 use neural::optim::Adam;
-use neural::{fit, Network, TrainConfig};
+use neural::{fit, LayerKind, Network, TrainConfig};
 use serde::{Deserialize, Serialize};
 use vision::Image;
 
@@ -121,9 +121,14 @@ impl AutoencoderClassifier {
     ///
     /// Warm-up and main epochs append (in order) to `recorder`'s
     /// `epoch_loss` / `epoch_secs` series, and `epochs` / `batches` count
-    /// the run. Callers namespace these via [`obs::Scoped`] (the pipeline
-    /// records them as `ae-train.*`) and pass [`obs::noop`] to record
-    /// nothing. Recording never changes the trained weights.
+    /// the run. When `recorder` is enabled, the trained network then runs
+    /// over the training images once more to gauge each hidden ReLU's
+    /// sparsity: `hidden{h}.live_units` counts the units (`h` from 1)
+    /// that are non-zero on at least one image and `hidden{h}.zero_share`
+    /// is the exact-zero share of the layer's outputs. Callers namespace
+    /// these via [`obs::Scoped`] (the pipeline records them as
+    /// `ae-train.*`) and pass [`obs::noop`] to record nothing. Recording
+    /// never changes the trained weights.
     ///
     /// # Errors
     ///
@@ -180,6 +185,9 @@ impl AutoencoderClassifier {
                 &train_cfg,
                 recorder,
             )?;
+        }
+        if recorder.enabled() {
+            record_relu_sparsity(&network, &data, recorder)?;
         }
 
         Ok(AutoencoderClassifier {
@@ -354,6 +362,57 @@ fn check_images(op: &'static str, images: &[Image]) -> Result<(usize, usize)> {
         }
     }
     Ok((h, w))
+}
+
+/// Gauges hidden ReLU `h` (counted from 1) of `network` over the rows
+/// of `data`: the units non-zero on at least one row as
+/// `hidden{h}.live_units`, and the exact-zero share of its outputs as
+/// `hidden{h}.zero_share`. Rows run through the network in chunks, so
+/// memory stays bounded on a large training set.
+fn record_relu_sparsity(
+    network: &Network,
+    data: &Tensor,
+    recorder: &dyn obs::Recorder,
+) -> Result<()> {
+    const CHUNK_ROWS: usize = 64;
+    let (n, dim) = (data.shape().dims()[0], data.shape().dims()[1]);
+    let relus: Vec<usize> = network
+        .layers()
+        .iter()
+        .enumerate()
+        .filter(|(_, layer)| layer.kind() == LayerKind::ReLU)
+        .map(|(i, _)| i)
+        .collect();
+    let mut live: Vec<Vec<bool>> = vec![Vec::new(); relus.len()];
+    let mut zeros = vec![0usize; relus.len()];
+    let mut acts = Vec::new();
+    for start in (0..n).step_by(CHUNK_ROWS) {
+        let rows = CHUNK_ROWS.min(n - start);
+        let chunk = Tensor::from_slice([rows, dim], &data.as_slice()[start * dim..][..rows * dim])?;
+        network.forward_collect_into(&chunk, &mut acts)?;
+        for (h, &layer) in relus.iter().enumerate() {
+            let width = acts[layer].len() / rows;
+            live[h].resize(width, false);
+            for row in acts[layer].as_slice().chunks(width) {
+                for (unit_live, &v) in live[h].iter_mut().zip(row) {
+                    // sncheck:allow(no-float-eq): counts exact ReLU zeros,
+                    // not a tolerance check.
+                    if v == 0.0 {
+                        zeros[h] += 1;
+                    } else {
+                        *unit_live = true;
+                    }
+                }
+            }
+        }
+    }
+    for (h, units) in live.iter().enumerate() {
+        let count = units.iter().filter(|&&l| l).count();
+        recorder.gauge(&format!("hidden{}.live_units", h + 1), count as f64);
+        let share = zeros[h] as f64 / (n * units.len()).max(1) as f64;
+        recorder.gauge(&format!("hidden{}.zero_share", h + 1), share);
+    }
+    Ok(())
 }
 
 /// Stacks images into an `[N, H·W]` training matrix.

@@ -15,9 +15,9 @@
 use std::sync::Mutex;
 
 use ndtensor::{
-    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_a_bt_into, matmul_assign, matmul_assign_into,
-    matmul_at_b, matmul_at_b_into, matmul_into, set_thread_config, Conv2dSpec, Tensor,
-    ThreadConfig,
+    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_a_bt_into, matmul_assign,
+    matmul_assign_finite, matmul_assign_into, matmul_at_b, matmul_at_b_into, matmul_into,
+    set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
 };
 use proptest::prelude::*;
 
@@ -37,6 +37,25 @@ fn pseudo(shape: impl Into<ndtensor::Shape>, seed: u64) -> Tensor {
             .wrapping_add(1442695040888963407);
         ((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0
     })
+}
+
+/// A ReLU-like `[m, k]` operand: at most one element in 16 non-zero,
+/// about a third of the zeros `-0.0`, and every third row from row 1
+/// entirely zero.
+fn zero_heavy(m: usize, k: usize, seed: u64) -> Tensor {
+    let values = pseudo([m, k], seed);
+    let data = (0..m * k)
+        .map(|x| {
+            if (x / k) % 3 != 1 && (x as u64 + seed).is_multiple_of(16) {
+                values.as_slice()[x]
+            } else if x.is_multiple_of(3) {
+                -0.0
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    Tensor::from_vec([m, k], data).unwrap()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -208,6 +227,32 @@ proptest! {
             let mut out = vec![7.0f32; m * n];
             matmul_assign_into(&a, &b, &mut out).unwrap();
             out
+        })?;
+    }
+
+    /// The zero-skipping assigning `A·B` on an all-finite `B` and a
+    /// ReLU-like `A` — at least 90 % exact zeros, `-0.0` entries and
+    /// all-zero rows — is bit-equal to the naive chain and to
+    /// `matmul_a_bt` on the transposed `B`, at `m ∈ {1, 2, 15}`.
+    #[test]
+    fn matmul_assign_finite_bitwise_matches_naive(
+        m_pick in 0usize..3,
+        k in 0usize..80,
+        n in 1usize..200,
+        seed in 0u64..1000,
+    ) {
+        let _guard = lock();
+        let m = [1usize, 2, 15][m_pick];
+        let a = zero_heavy(m, k, seed);
+        let zeros = a.as_slice().iter().filter(|&&v| v == 0.0).count();
+        prop_assert!(a.len() < 20 || zeros * 10 >= a.len() * 9, "{zeros} zeros of {}", a.len());
+        let b = pseudo([k, n], seed + 7);
+        let reference = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+        let bt = b.transpose2d().unwrap();
+        let abt = matmul_a_bt(&a, &bt).unwrap();
+        prop_assert_eq!(bits(abt.as_slice()), bits(&reference));
+        assert_parity_across_threads(&reference, "matmul_assign_finite", || {
+            matmul_assign_finite(&a, &b).unwrap().as_slice().to_vec()
         })?;
     }
 

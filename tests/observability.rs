@@ -46,10 +46,13 @@ fn probe_images() -> Vec<Image> {
         .collect()
 }
 
+/// Hidden-layer widths of the tiny autoencoder.
+const HIDDEN: [usize; 3] = [12, 6, 12];
+
 fn tiny_builder() -> NoveltyDetectorBuilder {
     NoveltyDetectorBuilder::for_kind(BackendKind::VbpSsim)
         .classifier_config(ClassifierConfig {
-            hidden: vec![12, 6, 12],
+            hidden: HIDDEN.to_vec(),
             epochs: 3,
             warmup_epochs: 1,
             batch_size: 8,
@@ -128,6 +131,40 @@ fn recorded_training_reports_all_five_stages() {
     // The report survives a JSON round trip bit-for-bit.
     let json = report.to_json().unwrap();
     assert_eq!(RunReport::from_json(&json).unwrap(), report);
+}
+
+/// Recorded AE training gauges every hidden ReLU's sparsity — live
+/// units and exact-zero share — without changing the trained detector.
+#[test]
+fn recorded_training_gauges_hidden_relu_sparsity() {
+    let _guard = lock();
+    let recorder = RunRecorder::new();
+    let recorded = train(&recorder);
+    let plain = train(obs::noop());
+    assert_eq!(
+        serde_json::to_string(&detector_to_spec(&plain).unwrap()).unwrap(),
+        serde_json::to_string(&detector_to_spec(&recorded).unwrap()).unwrap(),
+        "the sparsity gauges changed the trained detector"
+    );
+
+    let report = recorder.report("train");
+    for (h, &width) in HIDDEN.iter().enumerate() {
+        let live = report
+            .gauge(&format!("ae-train.hidden{}.live_units", h + 1))
+            .unwrap_or_else(|| panic!("no live-unit gauge for hidden layer {}", h + 1));
+        assert!(live.fract() == 0.0 && (0.0..=width as f64).contains(&live));
+        let share = report
+            .gauge(&format!("ae-train.hidden{}.zero_share", h + 1))
+            .unwrap_or_else(|| panic!("no zero-share gauge for hidden layer {}", h + 1));
+        assert!((0.0..=1.0).contains(&share), "zero share {share}");
+        // A dead unit is zero on every row, so it bounds the share below.
+        assert!(share >= (width as f64 - live) / width as f64 - 1e-12);
+    }
+    let extra = format!("ae-train.hidden{}.live_units", HIDDEN.len() + 1);
+    assert!(
+        report.gauge(&extra).is_none(),
+        "only hidden ReLUs are gauged"
+    );
 }
 
 #[test]
