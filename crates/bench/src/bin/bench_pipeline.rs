@@ -152,7 +152,7 @@ const CONV_CASES: &[(usize, usize, usize, usize, usize, usize)] =
 
 /// Pipeline-representative dense GEMM shapes: the autoencoder's large
 /// dense layers at batch 1 (the streaming case), run the way
-/// `neural::Dense` runs them: `x · Wt` on the `[in, out]` weight copy;
+/// `neural::Dense` runs them: `x · W` on its `[in, out]` weight;
 /// then two training-path backward shapes.
 const GEMM_CASES: &[(&str, usize, usize, usize)] = &[
     // dense decode head at batch 1: [1, 64] x [64, 9600].

@@ -12,11 +12,12 @@
 //!   padded im2col panel with the bias in its store epilogue: every
 //!   conv forward, at every batch size.
 //! * [`mm_assign`] — the same register blocks as [`mm_rr2`], assigning:
-//!   the weight-stationary `x · Wᵀ` of every dense forward, run on a
-//!   cached `[in, out]` weight copy. It never skips, or — only when that
-//!   copy is all finite — skips exact-zero inputs like [`mm_rr2`].
+//!   the weight-stationary `x · W` of every dense forward, run on the
+//!   layer's `[in, out]` weight. It never skips, or — only when that
+//!   weight is all finite — skips exact-zero inputs like [`mm_rr2`].
 //! * [`abt_tiled`] — the assigning `A·Bᵀ` kernel with eight independent
-//!   dot-product chains over 64-row B tiles, for every `A·Bᵀ` shape.
+//!   dot-product chains over 64-row B tiles, for every `A·Bᵀ` shape (the
+//!   dense input gradient `g · Wᵀ` among them).
 //!
 //! Every kernel honours one non-negotiable contract: **each output
 //! element is accumulated in a single chain, ascending `k`, starting from

@@ -2,20 +2,18 @@
 //!
 //! Three entry points cover the access patterns needed by dense-layer and
 //! convolution backpropagation without materialising transposed copies,
-//! and two more run the dense-layer forward on a weight copy:
+//! and two more run the dense-layer forward on its `[in, out]` weight:
 //!
 //! * [`matmul`] — `C = A·B`
-//! * [`matmul_at_b`] — `C = Aᵀ·B`
-//! * [`matmul_a_bt`] — `C = A·Bᵀ`
+//! * [`matmul_at_b`] — `C = Aᵀ·B` (the dense `dW = xᵀ·g`)
+//! * [`matmul_a_bt`] — `C = A·Bᵀ` (the dense `dx = g·Wᵀ`)
 //! * [`matmul_assign`] — `C = A·B` with no zero skip
 //! * [`matmul_assign_finite`] — the same `C` for an all-finite `B`,
 //!   skipping exact-zero `A` entries
 //!
-//! The first four have a `_into` twin ([`matmul_into`],
-//! [`matmul_at_b_into`], [`matmul_a_bt_into`], [`matmul_assign_into`])
-//! that writes into a caller-provided buffer so hot loops can recycle
-//! storage; the allocating forms are thin wrappers that draw their
-//! output from [`crate::scratch`].
+//! [`matmul_at_b_into`] and [`matmul_assign_into`] write into a
+//! caller-provided buffer so hot loops can recycle storage; the
+//! allocating forms draw their output from [`crate::scratch`].
 //!
 //! The inner microkernels live in `crate::kernels`: [`matmul`] and
 //! [`matmul_at_b`] pick one of the two accumulating kernels from their
@@ -107,20 +105,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Computes `C = A·B` into `out` (length `m·n`), recycling its storage.
-///
-/// # Errors
-///
-/// Like [`matmul`], plus [`TensorError::LengthMismatch`] when `out` has
-/// the wrong length.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
-    let (m, k, n) = check_mm(a, b, "matmul_into")?;
-    check_out_len(out.len(), m * n)?;
-    out.fill(0.0);
-    matmul_slices(a.as_slice(), m, k, b.as_slice(), n, out);
-    Ok(())
-}
-
 fn matmul_at_b_slices(ad: &[f32], k: usize, m: usize, bd: &[f32], n: usize, out: &mut [f32]) {
     let kernel = accumulate_kernel(k, n);
     for_each_block(out, n, m * n * k, |row0, chunk| {
@@ -208,28 +192,6 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Computes `C = A·Bᵀ` into `out` (length `m·n`), recycling its storage.
-///
-/// # Errors
-///
-/// Like [`matmul_a_bt`], plus [`TensorError::LengthMismatch`] when `out`
-/// has the wrong length.
-pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
-    let (m, k) = dims2(a, "matmul_a_bt_into")?;
-    let (n, kb) = dims2(b, "matmul_a_bt_into")?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_a_bt_into",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
-        });
-    }
-    check_out_len(out.len(), m * n)?;
-    // The kernel assigns every element; zero-fill is unnecessary.
-    matmul_a_bt_slices(a.as_slice(), m, k, b.as_slice(), n, out);
-    Ok(())
-}
-
 fn matmul_assign_slices<const SKIP: bool>(
     ad: &[f32],
     m: usize,
@@ -250,9 +212,9 @@ fn matmul_assign_slices<const SKIP: bool>(
 /// outputs. Element `(i, j)` is one chain from `0.0` with `l` ascending —
 /// the chain [`matmul_a_bt`] runs — so `matmul_assign(a, &bt.transpose2d()?)`
 /// is bit-identical to `matmul_a_bt(a, &bt)`. `neural::Dense` runs its
-/// forward pass through it on an `[in, out]` copy of its weights, where
-/// each `l` reads one contiguous weight row, whenever that copy holds a
-/// non-finite weight (otherwise through [`matmul_assign_finite`]).
+/// forward pass through it on its `[in, out]` weight, where each `l`
+/// reads one contiguous weight row, whenever that weight holds a
+/// non-finite value (otherwise through [`matmul_assign_finite`]).
 ///
 /// # Errors
 ///
@@ -367,9 +329,6 @@ mod tests {
         let a = pseudo([2, 3], 1);
         let b = pseudo([3, 4], 2);
         let mut short = vec![0.0f32; 7];
-        assert!(matmul_into(&a, &b, &mut short).is_err());
-        let bt = pseudo([4, 3], 3);
-        assert!(matmul_a_bt_into(&a, &bt, &mut short).is_err());
         let at = pseudo([3, 2], 4);
         assert!(matmul_at_b_into(&at, &b, &mut short).is_err());
         assert!(matmul_assign_into(&a, &b, &mut short).is_err());
@@ -381,19 +340,10 @@ mod tests {
             let (m, k, n) = (3 + seed as usize, 5 + seed as usize, 300 + seed as usize);
             let a = pseudo([m, k], seed);
             let b = pseudo([k, n], seed + 10);
-            let mut out = vec![7.0f32; m * n];
-            matmul_into(&a, &b, &mut out).unwrap();
-            assert_eq!(out, matmul(&a, &b).unwrap().as_slice());
-
             let at = pseudo([k, m], seed + 20);
             let mut out2 = vec![7.0f32; m * n];
             matmul_at_b_into(&at, &b, &mut out2).unwrap();
             assert_eq!(out2, matmul_at_b(&at, &b).unwrap().as_slice());
-
-            let bt = pseudo([n, k], seed + 30);
-            let mut out3 = vec![7.0f32; m * n];
-            matmul_a_bt_into(&a, &bt, &mut out3).unwrap();
-            assert_eq!(out3, matmul_a_bt(&a, &bt).unwrap().as_slice());
 
             let mut out4 = vec![7.0f32; m * n];
             matmul_assign_into(&a, &b, &mut out4).unwrap();
@@ -480,18 +430,6 @@ mod tests {
             let b2 = pseudo([n, k], seed + 3);
             let expect2 = naive(&a2, &b2.transpose2d().unwrap());
             assert_close(&matmul_a_bt(&a2, &b2).unwrap(), &expect2, 1e-4);
-        }
-
-        #[test]
-        fn into_matches_wrapper_bitwise(
-            m in 1usize..10, k in 1usize..10, n in 1usize..10, seed in 0u64..1_000
-        ) {
-            let a = pseudo([m, k], seed);
-            let b = pseudo([k, n], seed + 1);
-            let mut out = vec![3.5f32; m * n];
-            matmul_into(&a, &b, &mut out).unwrap();
-            let reference = matmul(&a, &b).unwrap();
-            prop_assert_eq!(out.as_slice(), reference.as_slice());
         }
 
         #[test]

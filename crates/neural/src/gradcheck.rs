@@ -114,7 +114,7 @@ pub fn check_parameter_gradients(
     let pred = network.forward_train(input)?;
     let g = loss.grad(&pred, target)?;
     network.zero_grads();
-    network.backward(&g)?;
+    network.backward_params(&g)?;
     let analytic: Vec<Tensor> = network
         .params_and_grads()
         .iter()

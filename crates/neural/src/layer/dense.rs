@@ -1,29 +1,30 @@
 use std::sync::OnceLock;
 
-use ndtensor::{matmul, matmul_assign, matmul_assign_finite, matmul_at_b, Tensor};
+use ndtensor::{matmul_a_bt, matmul_assign, matmul_assign_finite, matmul_at_b, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
 use crate::{NeuralError, Result};
 
-/// A fully-connected layer computing `y = x·Wᵀ + b`.
+/// A fully-connected layer computing `y = x·W + b`.
 ///
-/// * weights `W`: `[out_features, in_features]`, He-normal initialised
+/// * weights `W`: `[in_features, out_features]`, He-normal initialised
 /// * bias `b`: `[out_features]`, zero initialised
 /// * input: `[N, in_features]`, output: `[N, out_features]`
 ///
-/// The forward pass is weight-stationary: it computes `x · Wt` on a
-/// derived `Wt = Wᵀ` (`[in_features, out_features]`), so every input
-/// feature reads one contiguous weight row. `Wt` is built on the first
-/// forward pass, together with a flag saying whether every weight is
-/// finite, and both are dropped whenever [`Layer::params_and_grads`]
-/// hands out the weights for writing, so the layer holds its weights
-/// twice while it serves. With all-finite weights the product runs
-/// through [`matmul_assign_finite`], which skips exact-zero inputs (most
-/// of a ReLU output); otherwise through [`matmul_assign`], which never
-/// skips, so a NaN or `±∞` weight reaches its output even through a zero
-/// input. Either way the output bits are those of `x · Wᵀ` computed one
-/// dot product at a time.
+/// The forward pass is weight-stationary: in `x · W` every input feature
+/// reads one contiguous weight row. A flag saying whether every weight is
+/// finite is computed on the first forward pass and dropped whenever
+/// [`Layer::params_and_grads`] hands out the weights for writing. With
+/// all-finite weights the product runs through [`matmul_assign_finite`],
+/// which skips exact-zero inputs (most of a ReLU output); otherwise
+/// through [`matmul_assign`], which never skips, so a NaN or `±∞` weight
+/// reaches its output even through a zero input. Either way the output
+/// bits are those of `x · W` computed one dot product at a time.
+///
+/// The backward pass accumulates `dW += xᵀ·g` and returns `dx = g·Wᵀ`;
+/// [`Layer::backward_params`] skips `dx`. Detector files keep their own
+/// weight layout, which [`crate::serialize`] converts.
 ///
 /// # Example
 ///
@@ -47,16 +48,9 @@ pub struct Dense {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
-    /// `weight` transposed to `[in, out]`, derived on first use.
-    weight_t: OnceLock<WeightT>,
-}
-
-/// The forward pass's `[in, out]` weight copy.
-#[derive(Debug)]
-struct WeightT {
-    t: Tensor,
-    /// Every element of `t` is finite, so exact-zero inputs may be skipped.
-    finite: bool,
+    /// Every weight is finite, so exact-zero inputs may be skipped;
+    /// derived on first use.
+    finite: OnceLock<bool>,
 }
 
 impl Dense {
@@ -72,25 +66,20 @@ impl Dense {
                 "feature counts must be non-zero",
             ));
         }
-        let mut weight = Tensor::zeros([out_features, in_features]);
-        ndtensor::fill_he_normal(&mut weight, rng, in_features)?;
-        Ok(Dense {
-            weight,
-            bias: Tensor::zeros([out_features]),
-            grad_weight: Tensor::zeros([out_features, in_features]),
-            grad_bias: Tensor::zeros([out_features]),
-            cached_input: None,
-            weight_t: OnceLock::new(),
-        })
+        // Drawn output-major, the order seeded detectors were trained
+        // with, then stored `[in, out]`.
+        let mut drawn = Tensor::zeros([out_features, in_features]);
+        ndtensor::fill_he_normal(&mut drawn, rng, in_features)?;
+        Self::from_parts(drawn.transpose2d()?, Tensor::zeros([out_features]))
     }
 
-    /// Creates a layer with explicit weights (used by deserialization and
-    /// tests).
+    /// Creates a layer with explicit weights `[in, out]` and bias `[out]`
+    /// (used by deserialization and tests).
     ///
     /// # Errors
     ///
     /// Fails when `weight` is not rank 2 or `bias` does not match its
-    /// leading dimension.
+    /// trailing dimension.
     pub fn from_parts(weight: Tensor, bias: Tensor) -> Result<Self> {
         if weight.rank() != 2 {
             return Err(NeuralError::invalid(
@@ -98,7 +87,7 @@ impl Dense {
                 format!("weight must be rank 2, got {}", weight.shape()),
             ));
         }
-        let out = weight.shape().dims()[0];
+        let out = weight.shape().dims()[1];
         if bias.shape().dims() != [out] {
             return Err(NeuralError::invalid(
                 "Dense::from_parts",
@@ -113,18 +102,18 @@ impl Dense {
             grad_weight: gw,
             grad_bias: gb,
             cached_input: None,
-            weight_t: OnceLock::new(),
+            finite: OnceLock::new(),
         })
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.weight.shape().dims()[1]
+        self.weight.shape().dims()[0]
     }
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.weight.shape().dims()[0]
+        self.weight.shape().dims()[1]
     }
 
     fn check_input(&self, input: &Tensor) -> Result<()> {
@@ -141,24 +130,15 @@ impl Dense {
         Ok(())
     }
 
-    /// The `[in, out]` weight copy and its all-finite flag, built on first
-    /// use.
-    fn weight_t(&self) -> Result<&WeightT> {
-        if let Some(wt) = self.weight_t.get() {
-            return Ok(wt);
-        }
-        let t = self.weight.transpose2d()?;
-        let finite = t.as_slice().iter().all(|v| v.is_finite());
-        Ok(self.weight_t.get_or_init(|| WeightT { t, finite }))
-    }
-
     fn compute(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let wt = self.weight_t()?;
-        let mut out = if wt.finite {
-            matmul_assign_finite(input, &wt.t)?
+        let finite = *self
+            .finite
+            .get_or_init(|| self.weight.as_slice().iter().all(|v| v.is_finite()));
+        let mut out = if finite {
+            matmul_assign_finite(input, &self.weight)?
         } else {
-            matmul_assign(input, &wt.t)?
+            matmul_assign(input, &self.weight)?
         };
         let (n, f) = (out.shape().dims()[0], out.shape().dims()[1]);
         let bias = self.bias.as_slice();
@@ -191,6 +171,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_output)?;
+        // dx = g·Wᵀ.
+        Ok(matmul_a_bt(grad_output, &self.weight)?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .take()
@@ -206,8 +192,8 @@ impl Layer for Dense {
                 ),
             ));
         }
-        // dW += gᵀ·x, db += column sums of g, dx = g·W.
-        let dw = matmul_at_b(grad_output, &input)?;
+        // dW += xᵀ·g, db += column sums of g.
+        let dw = matmul_at_b(&input, grad_output)?;
         self.grad_weight.axpy(1.0, &dw)?;
         let f = self.out_features();
         let g = grad_output.as_slice();
@@ -217,13 +203,12 @@ impl Layer for Dense {
                 *acc += v;
             }
         }
-        Ok(matmul(grad_output, &self.weight)?)
+        Ok(())
     }
 
     fn params_and_grads(&mut self) -> Vec<ParamGrad<'_>> {
-        // The caller may write the weights: the copy and its flag would
-        // go stale.
-        self.weight_t = OnceLock::new();
+        // The caller may write the weights: the flag would go stale.
+        self.finite = OnceLock::new();
         vec![
             ParamGrad {
                 param: &mut self.weight,
@@ -237,7 +222,8 @@ impl Layer for Dense {
     }
 
     /// Clears the gradients without [`Layer::params_and_grads`], so the
-    /// weight copy survives: scoring backends zero gradients every frame.
+    /// all-finite flag survives: gradient saliency zeroes grads every
+    /// frame.
     fn zero_grads(&mut self) {
         self.grad_weight.map_inplace(|_| 0.0);
         self.grad_bias.map_inplace(|_| 0.0);
@@ -254,9 +240,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn layer_with(w: Vec<f32>, b: Vec<f32>, out: usize, inp: usize) -> Dense {
+    fn layer_with(w: Vec<f32>, b: Vec<f32>, inp: usize, out: usize) -> Dense {
         Dense::from_parts(
-            Tensor::from_vec([out, inp], w).unwrap(),
+            Tensor::from_vec([inp, out], w).unwrap(),
             Tensor::from_vec([out], b).unwrap(),
         )
         .unwrap()
@@ -264,8 +250,8 @@ mod tests {
 
     #[test]
     fn forward_computes_affine_map() {
-        // y = x·Wᵀ + b with W = [[1, 2], [3, 4]], b = [10, 20].
-        let layer = layer_with(vec![1., 2., 3., 4.], vec![10., 20.], 2, 2);
+        // y = x·W + b with W = [[1, 3], [2, 4]], b = [10, 20].
+        let layer = layer_with(vec![1., 3., 2., 4.], vec![10., 20.], 2, 2);
         let x = Tensor::from_vec([1, 2], vec![1., 1.]).unwrap();
         let y = layer.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[13., 27.]);
@@ -289,7 +275,7 @@ mod tests {
             .collect()
     }
 
-    /// `x·Wᵀ + b` one dot product at a time: each output is a chain from
+    /// `x·W + b` one dot product at a time: each output is a chain from
     /// 0.0 over ascending inputs, never skipping a zero, then `+ b`.
     fn naive_forward(layer: &Dense, x: &Tensor) -> Vec<u32> {
         let (w, b) = (layer.weight.as_slice(), layer.bias.as_slice());
@@ -301,7 +287,7 @@ mod tests {
             for j in 0..out {
                 let mut acc = 0.0f32;
                 for l in 0..inp {
-                    acc += xs[i * inp + l] * w[j * inp + l];
+                    acc += xs[i * inp + l] * w[l * out + j];
                 }
                 y.push((acc + b[j]).to_bits());
             }
@@ -325,8 +311,8 @@ mod tests {
             let layer = layer_with(
                 pseudo(out * inp, seed, 0),
                 pseudo(out, seed + 1, 0),
-                out,
                 inp,
+                out,
             );
             for m in [1usize, 2, 3, 15] {
                 for zero_every in [0usize, 2] {
@@ -350,7 +336,7 @@ mod tests {
                     "m{m} out{out} zero-heavy"
                 );
             }
-            assert!(layer.weight_t().unwrap().finite, "the skipping path ran");
+            assert_eq!(layer.finite.get(), Some(&true), "the skipping path ran");
         }
         assert!(zeros * 10 >= total * 9, "{zeros} zeros of {total}");
     }
@@ -395,8 +381,8 @@ mod tests {
             for bad in [f32::NAN, f32::INFINITY] {
                 for &col in &cols {
                     let mut w = pseudo(out * inp, 1, 0);
-                    w[col * inp + 2] = bad; // input 2
-                    let layer = layer_with(w, vec![0.0; out], out, inp);
+                    w[2 * out + col] = bad; // input 2
+                    let layer = layer_with(w, vec![0.0; out], inp, out);
                     for m in [1usize, 2, 3, 15] {
                         let xs = (0..m * inp)
                             .map(|x| {
@@ -424,21 +410,21 @@ mod tests {
         }
     }
 
-    /// A layer with no outputs — a `[0, in]` weight a detector file may
+    /// A layer with no outputs — an `[in, 0]` weight a detector file may
     /// hold — serves an empty `[N, 0]` output instead of panicking.
     #[test]
     fn zero_output_layer_forwards_empty() {
-        let layer = layer_with(Vec::new(), Vec::new(), 0, 4);
+        let layer = layer_with(Vec::new(), Vec::new(), 4, 0);
         let x = Tensor::from_vec([2, 4], vec![0.5; 8]).unwrap();
         assert_eq!(layer.forward(&x).unwrap().shape().dims(), &[2, 0]);
     }
 
     /// A layer that served with finite weights and then took a NaN through
-    /// `set_params` drops its all-finite flag with its weight copy.
+    /// `set_params` drops its all-finite flag.
     #[test]
     fn nan_after_serving_finite_still_poisons_through_zero_input() {
         let (inp, out) = (70, 65);
-        let mut layer = layer_with(pseudo(out * inp, 3, 0), pseudo(out, 4, 0), out, inp);
+        let mut layer = layer_with(pseudo(out * inp, 3, 0), pseudo(out, 4, 0), inp, out);
         let x = Tensor::from_vec([2, inp], zero_heavy(2, inp, 5)).unwrap();
         assert!(layer
             .forward(&x)
@@ -446,28 +432,28 @@ mod tests {
             .as_slice()
             .iter()
             .all(|v| v.is_finite()));
-        assert!(layer.weight_t().unwrap().finite);
+        assert_eq!(layer.finite.get(), Some(&true));
 
         let mut w = pseudo(out * inp, 3, 0);
         let zero_input = (0..inp).find(|&l| x.as_slice()[l] == 0.0).unwrap();
-        w[10 * inp + zero_input] = f32::NAN; // output 10
+        w[zero_input * out + 10] = f32::NAN; // output 10
         layer
             .set_params(&[
-                Tensor::from_vec([out, inp], w).unwrap(),
+                Tensor::from_vec([inp, out], w).unwrap(),
                 Tensor::from_vec([out], pseudo(out, 4, 0)).unwrap(),
             ])
             .unwrap();
         let y = layer.forward(&x).unwrap();
         assert!(y.as_slice()[10].is_nan(), "got {}", y.as_slice()[10]);
-        assert!(!layer.weight_t().unwrap().finite);
+        assert_eq!(layer.finite.get(), Some(&false));
     }
 
-    /// The derived weight copy never outlives a weight change.
+    /// The derived all-finite flag never outlives a weight change.
     #[test]
     fn forward_follows_set_params_and_optimizer_steps() {
         use crate::optim::{Adam, Optimizer};
         let (inp, out) = (70, 65);
-        let mut layer = layer_with(pseudo(out * inp, 3, 0), pseudo(out, 4, 0), out, inp);
+        let mut layer = layer_with(pseudo(out * inp, 3, 0), pseudo(out, 4, 0), inp, out);
         let x = Tensor::from_vec([3, inp], pseudo(3 * inp, 5, 0)).unwrap();
         let fresh = |layer: &Dense| {
             let rebuilt = Dense::from_parts(layer.weight.clone(), layer.bias.clone()).unwrap();
@@ -475,7 +461,7 @@ mod tests {
         };
         let before = forward_bits(&layer, &x);
 
-        let w = Tensor::from_vec([out, inp], pseudo(out * inp, 6, 0)).unwrap();
+        let w = Tensor::from_vec([inp, out], pseudo(out * inp, 6, 0)).unwrap();
         let b = Tensor::from_vec([out], pseudo(out, 7, 0)).unwrap();
         layer.set_params(&[w, b]).unwrap();
         let after_set = forward_bits(&layer, &x);
@@ -492,12 +478,129 @@ mod tests {
         assert_eq!(after_step, fresh(&layer));
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every gradient of `net` after one training step on `x`, through
+    /// [`crate::Network::backward`] or [`crate::Network::backward_params`].
+    fn network_grads(net: &mut crate::Network, x: &Tensor, params_only: bool) -> Vec<Vec<u32>> {
+        let y = net.forward_train(x).unwrap();
+        let g = Tensor::from_vec(y.shape().clone(), pseudo(y.len(), 9, 3)).unwrap();
+        if params_only {
+            net.backward_params(&g).unwrap();
+        } else {
+            net.backward(&g).unwrap();
+        }
+        net.params_and_grads()
+            .iter()
+            .map(|pg| bits(pg.grad.as_slice()))
+            .collect()
+    }
+
+    /// On zero-heavy `x` and `g`, `dW` is the naive chain over the batch,
+    /// `db` the column sums and `dx` the chain over outputs ascending, each
+    /// from `0.0`; `backward_params` leaves the same gradient bits and
+    /// consumes the cache like `backward`.
+    #[test]
+    fn backward_is_bit_equal_to_naive_chains_on_both_entry_points() {
+        let inp = 70;
+        for (case, out) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
+            let seed = 10 * case as u64;
+            let (w, b) = (pseudo(inp * out, seed, 0), pseudo(out, seed + 1, 0));
+            for m in [1usize, 2, 15] {
+                let xs = zero_heavy(m, inp, seed + m as u64);
+                let gs = zero_heavy(m, out, seed + 7 * m as u64 + 1);
+                let (x, g) = (
+                    Tensor::from_vec([m, inp], xs.clone()).unwrap(),
+                    Tensor::from_vec([m, out], gs.clone()).unwrap(),
+                );
+                let mut dw = Vec::new();
+                for l in 0..inp {
+                    for j in 0..out {
+                        let mut acc = 0.0f32;
+                        for i in 0..m {
+                            acc += xs[i * inp + l] * gs[i * out + j];
+                        }
+                        dw.push(acc.to_bits());
+                    }
+                }
+                let db: Vec<u32> = (0..out)
+                    .map(|j| {
+                        (0..m)
+                            .fold(0.0f32, |acc, i| acc + gs[i * out + j])
+                            .to_bits()
+                    })
+                    .collect();
+                let mut dx = Vec::new();
+                for i in 0..m {
+                    for l in 0..inp {
+                        let mut acc = 0.0f32;
+                        for j in 0..out {
+                            acc += gs[i * out + j] * w[l * out + j];
+                        }
+                        dx.push(acc.to_bits());
+                    }
+                }
+
+                let case = format!("m{m} out{out}");
+                let mut full = layer_with(w.clone(), b.clone(), inp, out);
+                let mut params_only = layer_with(w.clone(), b.clone(), inp, out);
+                full.forward_train(&x).unwrap();
+                params_only.forward_train(&x).unwrap();
+                let got_dx = full.backward(&g).unwrap();
+                params_only.backward_params(&g).unwrap();
+                assert_eq!(bits(got_dx.as_slice()), dx, "dx {case}");
+                for layer in [&full, &params_only] {
+                    assert_eq!(bits(layer.grad_weight.as_slice()), dw, "dW {case}");
+                    assert_eq!(bits(layer.grad_bias.as_slice()), db, "db {case}");
+                }
+                assert!(matches!(
+                    full.backward(&g),
+                    Err(NeuralError::MissingCache { .. })
+                ));
+                assert!(matches!(
+                    params_only.backward_params(&g),
+                    Err(NeuralError::MissingCache { .. })
+                ));
+            }
+        }
+
+        use crate::layer::{Conv2d, Flatten, ReLU};
+        use ndtensor::Conv2dSpec;
+        let dense_first = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            crate::Network::new()
+                .with(Dense::new(inp, 65, &mut rng).unwrap())
+                .with(ReLU::new())
+                .with(Dense::new(65, 3, &mut rng).unwrap())
+        };
+        let conv_first = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            crate::Network::new()
+                .with(Conv2d::new(1, 2, (3, 3), Conv2dSpec::unit(), &mut rng).unwrap())
+                .with(ReLU::new())
+                .with(Flatten::new())
+                .with(Dense::new(2 * 5 * 12, 4, &mut rng).unwrap())
+        };
+        let x = Tensor::from_vec([15, inp], zero_heavy(15, inp, 3)).unwrap();
+        assert_eq!(
+            network_grads(&mut dense_first(1), &x, false),
+            network_grads(&mut dense_first(1), &x, true)
+        );
+        let x = Tensor::from_vec([2, 1, 7, 14], zero_heavy(2, 98, 4)).unwrap();
+        assert_eq!(
+            network_grads(&mut conv_first(2), &x, false),
+            network_grads(&mut conv_first(2), &x, true)
+        );
+    }
+
     #[test]
     fn construction_validates() {
         let mut rng = StdRng::seed_from_u64(0);
         assert!(Dense::new(0, 2, &mut rng).is_err());
         assert!(Dense::new(2, 0, &mut rng).is_err());
-        assert!(Dense::from_parts(Tensor::zeros([2, 3]), Tensor::zeros([3])).is_err());
+        assert!(Dense::from_parts(Tensor::zeros([3, 2]), Tensor::zeros([3])).is_err());
         assert!(Dense::from_parts(Tensor::zeros([2]), Tensor::zeros([2])).is_err());
     }
 
@@ -544,13 +647,13 @@ mod tests {
                 "input grad {probe}: {numeric} vs {analytic}"
             );
         }
-        // Weight gradient: dL/dW[o][i] = Σ_batch x[n][i].
+        // Weight gradient: dL/dW[i][o] = Σ_batch x[n][i].
         let pgs = layer.params_and_grads();
         let gw = pgs[0].grad.clone();
         for o in 0..2 {
             for i in 0..3 {
                 let expect = x.at(&[0, i]).unwrap() + x.at(&[1, i]).unwrap();
-                assert!((gw.at(&[o, i]).unwrap() - expect).abs() < 1e-5);
+                assert!((gw.at(&[i, o]).unwrap() - expect).abs() < 1e-5);
             }
         }
         // Bias gradient: batch size.
@@ -582,7 +685,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Dense::new(4, 3, &mut rng).unwrap();
         assert_eq!(layer.param_count(), 4 * 3 + 3);
-        let new_w = Tensor::ones([3, 4]);
+        let new_w = Tensor::ones([4, 3]);
         let new_b = Tensor::ones([3]);
         layer.set_params(&[new_w.clone(), new_b]).unwrap();
         assert_eq!(layer.params()[0], &new_w);

@@ -3,8 +3,9 @@
 //! Every layer implements [`Layer`]: a pure inference [`Layer::forward`],
 //! a caching [`Layer::forward_train`], and a [`Layer::backward`] that
 //! consumes the cache, accumulates parameter gradients and returns the
-//! gradient with respect to its input. Layers are `Send` so networks can
-//! be trained or evaluated from worker threads.
+//! gradient with respect to its input ([`Layer::backward_params`] skips
+//! that last part). Layers are `Send` so networks can be trained or
+//! evaluated from worker threads.
 
 mod activation;
 mod conv;
@@ -123,6 +124,17 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Fails when no cache is present or `grad_output` has the wrong
     /// shape.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Like [`Layer::backward`], but only accumulates parameter gradients:
+    /// the input gradient is not formed. Networks run it on their first
+    /// layer when the caller discards `∂L/∂input`, as training does.
+    ///
+    /// # Errors
+    ///
+    /// Like [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// The layer's parameters paired with their gradients (empty for
     /// parameter-free layers).

@@ -229,15 +229,43 @@ impl Network {
     /// Fails when a layer is missing its forward cache (i.e.
     /// [`Network::forward_train`] was not called immediately before).
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut layers = self.layers.iter_mut().rev();
-        let first = layers
-            .next()
-            .ok_or_else(|| NeuralError::invalid("Network::backward", "network has no layers"))?;
-        let mut g = first.backward(grad_output)?;
-        for layer in layers {
-            g = layer.backward(&g)?;
+        self.backward_with(grad_output, "Network::backward", |layer, g| {
+            layer.backward(g)
+        })
+    }
+
+    /// Like [`Network::backward`], but only accumulates parameter
+    /// gradients: the first layer runs [`Layer::backward_params`], so
+    /// `∂L/∂input`, which training discards, is never formed. The
+    /// gradients are bit-identical to [`Network::backward`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Like [`Network::backward`].
+    pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_with(grad_output, "Network::backward_params", |layer, g| {
+            layer.backward_params(g)
+        })
+    }
+
+    /// Runs [`Layer::backward`] on every layer but the first, last layer
+    /// first, then `on_first` on the first layer and its output gradient.
+    fn backward_with<T>(
+        &mut self,
+        grad_output: &Tensor,
+        op: &'static str,
+        on_first: impl FnOnce(&mut dyn Layer, &Tensor) -> Result<T>,
+    ) -> Result<T> {
+        let (head, rest) = self
+            .layers
+            .split_first_mut()
+            .ok_or_else(|| NeuralError::invalid(op, "network has no layers"))?;
+        let mut g = None;
+        for layer in rest.iter_mut().rev() {
+            let next = layer.backward(g.as_ref().unwrap_or(grad_output))?;
+            g = Some(next);
         }
-        Ok(g)
+        on_first(head.as_mut(), g.as_ref().unwrap_or(grad_output))
     }
 
     /// All parameters paired with their gradients, across layers.
@@ -309,7 +337,7 @@ mod tests {
             .iter()
             .all(|v| v.is_finite()));
         let mut w = first.params()[0].clone();
-        w.as_mut_slice()[4] = f32::NAN; // output 1, input 1
+        w.as_mut_slice()[5] = f32::NAN; // input 1, output 1
         let b = first.params()[1].clone();
         first.set_params(&[w, b]).unwrap();
         let net = Network::new()

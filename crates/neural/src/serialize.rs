@@ -4,6 +4,10 @@
 //! description (layer kinds + weights) that serde can handle. JSON keeps
 //! saved models human-inspectable; weights are exact because `f32` values
 //! survive the decimal round-trip performed by `serde_json`.
+//!
+//! This module alone knows the persisted dense layout: [`Dense`] stores
+//! `W` as `[in, out]`, while [`LayerSpec::Dense`] keeps `[out, in]`, the
+//! form every detector file holds, so both directions transpose.
 
 use std::path::Path;
 
@@ -42,7 +46,8 @@ impl TensorData {
 pub enum LayerSpec {
     /// Fully-connected layer.
     Dense {
-        /// Weight matrix `[out, in]`.
+        /// Weight matrix `[out, in]` (transposed to and from the layer's
+        /// `[in, out]`).
         weight: TensorData,
         /// Bias vector `[out]`.
         bias: TensorData,
@@ -99,7 +104,7 @@ pub fn to_spec(network: &Network) -> Result<NetworkSpec> {
             LayerKind::Dense { .. } => {
                 let [w, b] = two_params("Dense", &params)?;
                 LayerSpec::Dense {
-                    weight: TensorData::from_tensor(w),
+                    weight: TensorData::from_tensor(&w.transpose2d()?),
                     bias: TensorData::from_tensor(b),
                 }
             }
@@ -148,7 +153,7 @@ pub fn from_spec(spec: NetworkSpec) -> Result<Network> {
     for layer in spec.layers {
         let boxed: Box<dyn Layer> = match layer {
             LayerSpec::Dense { weight, bias } => Box::new(Dense::from_parts(
-                weight.into_tensor()?,
+                weight.into_tensor()?.transpose2d()?,
                 bias.into_tensor()?,
             )?),
             LayerSpec::Conv2d {
@@ -277,6 +282,44 @@ mod tests {
     fn malformed_json_is_rejected() {
         assert!(from_json("not json").is_err());
         assert!(from_json("{\"layers\": [{\"Dense\": {\"weight\": {\"shape\": [2, 2], \"data\": [1.0]}, \"bias\": {\"shape\": [2], \"data\": [0.0, 0.0]}}}]}").is_err());
+    }
+
+    /// One Dense layer persisted as `[out, in]`, with the given weight and
+    /// bias tensors.
+    fn dense_json(w_shape: &str, w_data: &str, b_shape: &str, b_data: &str) -> String {
+        format!(
+            "{{\"layers\":[{{\"Dense\":{{\"weight\":{{\"shape\":[{w_shape}],\"data\":[{w_data}]}},\
+             \"bias\":{{\"shape\":[{b_shape}],\"data\":[{b_data}]}}}}}}]}}"
+        )
+    }
+
+    /// The persisted `[out, in]` layout is read as `y = x·Wᵀ + b` and
+    /// written back byte for byte; malformed Dense specs are typed errors.
+    #[test]
+    fn dense_spec_keeps_the_persisted_out_in_layout() {
+        let json = dense_json("2,3", "1.0,2.0,3.0,4.0,5.0,6.0", "2", "0.5,-1.0");
+        let net = from_json(&json).unwrap();
+        let x = Tensor::from_vec([2, 3], vec![1., 0., -1., 0.5, 2., 1.]).unwrap();
+        assert_eq!(net.forward(&x).unwrap().as_slice(), &[-1.5, -3., 8., 17.]);
+        assert_eq!(to_json(&net).unwrap(), json);
+
+        for bad in [
+            dense_json("6", "1.0,2.0,3.0,4.0,5.0,6.0", "2", "0.5,-1.0"),
+            dense_json("1,2,3", "1.0,2.0,3.0,4.0,5.0,6.0", "2", "0.5,-1.0"),
+            dense_json("2,3", "1.0,2.0,3.0,4.0,5.0,6.0", "3", "0.5,-1.0,0.0"),
+        ] {
+            assert!(
+                matches!(
+                    from_json(&bad),
+                    Err(NeuralError::Tensor(_) | NeuralError::Invalid { .. })
+                ),
+                "{bad}"
+            );
+        }
+
+        let empty = from_json(&dense_json("0,4", "", "0", "")).unwrap();
+        let y = empty.forward(&Tensor::zeros([3, 4])).unwrap();
+        assert_eq!(y.shape().dims(), &[3, 0]);
     }
 
     #[test]

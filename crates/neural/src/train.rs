@@ -322,7 +322,7 @@ pub fn fit(
             batches += 1;
             let g = loss.grad(&pred, &t)?;
             network.zero_grads();
-            network.backward(&g)?;
+            network.backward_params(&g)?;
             if let Some(max_norm) = config.grad_clip {
                 clip_gradients(network, max_norm);
             }

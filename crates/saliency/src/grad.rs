@@ -87,7 +87,7 @@ mod tests {
     fn gradient_reflects_receptive_weighting() {
         // A linear "network": flatten + dense whose weights are zero except
         // for one pixel — saliency must be exactly that pixel.
-        let mut w = Tensor::zeros([1, 12]);
+        let mut w = Tensor::zeros([12, 1]);
         w.as_mut_slice()[5] = 3.0;
         let dense = Dense::from_parts(w, Tensor::zeros([1])).unwrap();
         let mut net = Network::new().with(Flatten::new()).with(dense);

@@ -13,7 +13,7 @@
 //! Activations (ReLU/Sigmoid/Tanh) pass relevance through unchanged;
 //! Flatten reshapes; MaxPool routes relevance to the winning input.
 
-use ndtensor::{col2im, matmul, matmul_at_b, Conv2dSpec, Tensor};
+use ndtensor::{col2im, matmul_a_bt, matmul_at_b, Conv2dSpec, Tensor};
 use neural::{LayerKind, Network};
 use vision::Image;
 
@@ -47,9 +47,9 @@ fn lrp_dense(
     input: &Tensor,
     epsilon: f32,
 ) -> Result<Tensor> {
-    // s = R / (z + ε·sign z);  c = s · W;  R_prev = x ⊙ c.
+    // s = R / (z + ε·sign z);  c = s · Wᵀ (W is [in, out]);  R_prev = x ⊙ c.
     let s = stabilized_ratio(relevance, z, epsilon)?;
-    let c = matmul(&s, weight)?;
+    let c = matmul_a_bt(&s, weight)?;
     Ok(&c * input)
 }
 
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn single_pixel_linear_model_concentrates_relevance() {
-        let mut w = Tensor::zeros([1, 12]);
+        let mut w = Tensor::zeros([12, 1]);
         w.as_mut_slice()[7] = 2.0;
         let dense = Dense::from_parts(w, Tensor::zeros([1])).unwrap();
         let net = Network::new().with(Flatten::new()).with(dense);

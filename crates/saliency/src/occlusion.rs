@@ -107,7 +107,7 @@ mod tests {
     use neural::Network;
 
     fn single_pixel_net(pixel: usize, n_pixels: usize) -> Network {
-        let mut w = Tensor::zeros([1, n_pixels]);
+        let mut w = Tensor::zeros([n_pixels, 1]);
         w.as_mut_slice()[pixel] = 5.0;
         Network::new()
             .with(Flatten::new())

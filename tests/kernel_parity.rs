@@ -15,9 +15,9 @@
 use std::sync::Mutex;
 
 use ndtensor::{
-    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_a_bt_into, matmul_assign,
-    matmul_assign_finite, matmul_assign_into, matmul_at_b, matmul_at_b_into, matmul_into,
-    set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
+    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_assign, matmul_assign_finite,
+    matmul_assign_into, matmul_at_b, matmul_at_b_into, set_thread_config, Conv2dSpec, Tensor,
+    ThreadConfig,
 };
 use proptest::prelude::*;
 
@@ -129,7 +129,7 @@ fn assert_parity_across_threads(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `matmul` and `matmul_into` reproduce the naive chain bit-for-bit
+    /// `matmul` reproduces the naive chain bit-for-bit
     /// for random shapes spanning the column-tile boundary (n crosses
     /// 256) and the packing threshold (m crosses 4).
     #[test]
@@ -145,11 +145,6 @@ proptest! {
         let reference = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
         assert_parity_across_threads(&reference, "matmul", || {
             matmul(&a, &b).unwrap().as_slice().to_vec()
-        })?;
-        assert_parity_across_threads(&reference, "matmul_into", || {
-            let mut out = vec![0.0f32; m * n];
-            matmul_into(&a, &b, &mut out).unwrap();
-            out
         })?;
     }
 
@@ -192,11 +187,6 @@ proptest! {
         let reference = naive_matmul_a_bt(a.as_slice(), b.as_slice(), m, k, n);
         assert_parity_across_threads(&reference, "matmul_a_bt", || {
             matmul_a_bt(&a, &b).unwrap().as_slice().to_vec()
-        })?;
-        assert_parity_across_threads(&reference, "matmul_a_bt_into", || {
-            let mut out = vec![0.0f32; m * n];
-            matmul_a_bt_into(&a, &b, &mut out).unwrap();
-            out
         })?;
     }
 
