@@ -142,14 +142,6 @@ impl<const T: usize> Integrals<T> {
         let start = t * self.plane + y * self.w1;
         &self.sums[start..start + self.w1]
     }
-
-    /// Sum of table `t` over the rectangle with top-left `(y, x)` and size
-    /// `kh × kw`.
-    #[inline]
-    fn window(&self, t: usize, y: usize, x: usize, kh: usize, kw: usize) -> f64 {
-        let (top, bot) = (self.row(t, y), self.row(t, y + kh));
-        bot[x + kw] + top[x] - top[x + kw] - bot[x]
-    }
 }
 
 fn check_sizes(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(usize, usize)> {
@@ -233,10 +225,72 @@ struct WindowRow<'a> {
     score: &'a [f64],
 }
 
-impl WindowRow<'_> {
-    /// Statistics of window `wx`: the ones its score was computed from.
-    fn stats(&self, wx: usize, n: f64) -> (f64, f64, f64, f64, f64) {
-        window_stats(self.sums.map(|plane| plane[wx]), n)
+/// One row of the per-window gradient coefficients: for pixel `j` inside
+/// window `wx`, `∂S_w/∂y_j = x_j·cx[wx] + y_j·cy[wx] + cc[wx]`. Built from
+/// the row's window sums and its existing scores, with the statistics and
+/// `(A1, A2, B1, B2)` a window-at-a-time evaluation computes; the three
+/// outputs are the only writes, so the loop vectorises.
+fn row_coefficients(
+    (cx, cy, cc): (&mut [f64], &mut [f64], &mut [f64]),
+    row: &WindowRow<'_>,
+    n: f64,
+    c1: f64,
+    c2: f64,
+) {
+    let len = cx.len();
+    let (cy, cc) = (&mut cy[..len], &mut cc[..len]);
+    let score = &row.score[..len];
+    let sums = row.sums.map(|plane| &plane[..len]);
+    for wx in 0..len {
+        let stats = window_stats(
+            [
+                sums[0][wx],
+                sums[1][wx],
+                sums[2][wx],
+                sums[3][wx],
+                sums[4][wx],
+            ],
+            n,
+        );
+        let (mx, my, ..) = stats;
+        let (_, a1, a2, b1, b2) = window_score(stats, c1, c2);
+        let s = score[wx];
+        let scale = 2.0 / (n * b1 * b2);
+        // ∂S/∂y_j = scale·[ μx·A2 + (x_j−μx)·A1 − S·(μy·B2 + (y_j−μy)·B1) ]
+        //         = x_j·(scale·A1) + y_j·(−scale·S·B1)
+        //           + scale·(μx·A2 − μx·A1 − S·μy·B2 + S·μy·B1)
+        cx[wx] = scale * a1;
+        cy[wx] = -scale * s * b1;
+        cc[wx] = scale * (mx * a2 - mx * a1 - s * my * b2 + s * my * b1);
+    }
+}
+
+/// One pixel row of coefficient sums over the windows covering each
+/// pixel, from table rows `top` (first covering window row) and `bot`
+/// (one past the last). Pixel `px` is covered by window columns
+/// `px.saturating_sub(k − 1).min(mw − 1) ..= px.min(mw − 1)`; where that
+/// range is a full `k` wide the corner sums are one vectorised
+/// [`corner_sums`] pass, and the edge pixels take the same expression
+/// one at a time.
+fn cover_sums(out: &mut [f64], top: &[f64], bot: &[f64], k: usize, mw: usize) {
+    let corner = |px: usize| {
+        let lo = px.saturating_sub(k - 1).min(mw - 1);
+        let hi = px.min(mw - 1) + 1;
+        bot[hi] + top[lo] - top[hi] - bot[lo]
+    };
+    let (i0, i1) = (k - 1, mw);
+    if i0 < i1 {
+        corner_sums(
+            &mut out[i0..i1],
+            &bot[k..mw + 1],
+            &top[..mw - k + 1],
+            &top[k..mw + 1],
+            &bot[..mw - k + 1],
+        );
+    }
+    let w = out.len();
+    for px in (0..i0.min(w)).chain(i1.max(i0).min(w)..w) {
+        out[px] = corner(px);
     }
 }
 
@@ -349,6 +403,7 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
     let (h, w) = check_sizes(x, y, cfg)?;
     let k = cfg.window;
     let n = (k * k) as f64;
+    let (c1, c2) = (cfg.c1 as f64, cfg.c2 as f64);
     let mh = h - k + 1;
     let mw = w - k + 1;
     let windows = (mh * mw) as f64;
@@ -360,20 +415,16 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
     let mut coef_c = ndtensor::scratch::take_zeroed_f64(mh * mw);
     let mut total = 0.0f64;
     per_window_row(x, y, cfg, |wy, row| {
-        for wx in 0..mw {
-            let stats = row.stats(wx, n);
-            let (mx, my, ..) = stats;
-            let (score, a1, a2, b1, b2) = window_score(stats, cfg.c1 as f64, cfg.c2 as f64);
-            total += score;
-            let scale = 2.0 / (n * b1 * b2);
-            // ∂S/∂y_j = scale·[ μx·A2 + (x_j−μx)·A1 − S·(μy·B2 + (y_j−μy)·B1) ]
-            //         = x_j·(scale·A1) + y_j·(−scale·S·B1)
-            //           + scale·(μx·A2 − μx·A1 − S·μy·B2 + S·μy·B1)
-            let idx = wy * mw + wx;
-            coef_x[idx] = scale * a1;
-            coef_y[idx] = -scale * score * b1;
-            coef_c[idx] = scale * (mx * a2 - mx * a1 - score * my * b2 + score * my * b1);
+        for &s in row.score {
+            total += s;
         }
+        let at = wy * mw..(wy + 1) * mw;
+        let maps = (
+            &mut coef_x[at.clone()],
+            &mut coef_y[at.clone()],
+            &mut coef_c[at],
+        );
+        row_coefficients(maps, row, n, c1, c2);
     })?;
 
     // Sum each coefficient over all windows covering a pixel with a second
@@ -386,22 +437,23 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
     let xs = x.as_slice();
     let ys = y.as_slice();
     let mut grad = Image::new(h, w).map_err(|e| MetricsError::invalid("ssim", e.to_string()))?;
-    for py in 0..h {
+    let mut cover = ndtensor::scratch::take_zeroed_f64(3 * w);
+    for (py, grow) in grad.as_mut_slice().chunks_exact_mut(w).enumerate() {
         // Windows covering row py have top row wy in [py−k+1, py] ∩ [0, mh).
         let wy0 = py.saturating_sub(k - 1).min(mh - 1);
         let wy1 = py.min(mh - 1);
+        for (t, out) in cover.chunks_exact_mut(w).enumerate() {
+            cover_sums(out, coefs.row(t, wy0), coefs.row(t, wy1 + 1), k, mw);
+        }
+        let (sx, rest) = cover.split_at(w);
+        let (sy, sc) = rest.split_at(w);
+        let (xr, yr) = (&xs[py * w..(py + 1) * w], &ys[py * w..(py + 1) * w]);
         for px in 0..w {
-            let wx0 = px.saturating_sub(k - 1).min(mw - 1);
-            let wx1 = px.min(mw - 1);
-            let (rh, rw) = (wy1 - wy0 + 1, wx1 - wx0 + 1);
-            let sx = coefs.window(0, wy0, wx0, rh, rw);
-            let sy = coefs.window(1, wy0, wx0, rh, rw);
-            let sc = coefs.window(2, wy0, wx0, rh, rw);
-            let j = py * w + px;
-            let g = (xs[j] as f64) * sx + (ys[j] as f64) * sy + sc;
-            grad.put(py, px, (g / windows) as f32);
+            let g = (xr[px] as f64) * sx[px] + (yr[px] as f64) * sy[px] + sc[px];
+            grow[px] = (g / windows) as f32;
         }
     }
+    ndtensor::scratch::give_f64(cover);
     Ok(((total / windows) as f32, grad))
 }
 
@@ -777,23 +829,30 @@ mod tests {
         let _ = prev;
     }
 
-    /// The paper geometry (60×160, 11×11 windows) against the five-pass
-    /// reference, on a mask-like and a noisy pair.
+    /// The paper geometry (60×160, 11×11 windows, and 7×7) against the
+    /// five-pass reference, on a mask-like, a noisy and an identical
+    /// pair, plus images whose sides equal the window; the scalar
+    /// `ssim_with_grad` returns is bit-equal to `ssim`'s.
     #[test]
     fn paper_geometry_matches_five_pass_bitwise() {
-        let cfg = SsimConfig::default();
-        for (x, y) in [
-            (textured(60, 160, 1), textured(60, 160, 2)),
-            (noisy(60, 160, 3), noisy(60, 160, 4)),
-        ] {
-            assert_eq!(
-                ssim(&x, &y, &cfg).unwrap().to_bits(),
-                five_pass::ssim(&x, &y, &cfg).to_bits()
-            );
-            let (s, g) = ssim_with_grad(&x, &y, &cfg).unwrap();
-            let (rs, rg) = five_pass::ssim_with_grad(&x, &y, &cfg);
-            assert_eq!(s.to_bits(), rs.to_bits());
-            assert_eq!(image_bits(&g), image_bits(&rg));
+        for k in [7usize, 11] {
+            let cfg = SsimConfig::with_window(k);
+            for (x, y) in [
+                (textured(60, 160, 1), textured(60, 160, 2)),
+                (noisy(60, 160, 3), noisy(60, 160, 4)),
+                (noisy(60, 160, 5), noisy(60, 160, 5)),
+                (noisy(k, k, 6), noisy(k, k, 7)),
+                (noisy(k, 160, 8), noisy(k, 160, 9)),
+                (noisy(60, k, 10), noisy(60, k, 11)),
+            ] {
+                let plain = ssim(&x, &y, &cfg).unwrap();
+                assert_eq!(plain.to_bits(), five_pass::ssim(&x, &y, &cfg).to_bits());
+                let (s, g) = ssim_with_grad(&x, &y, &cfg).unwrap();
+                let (rs, rg) = five_pass::ssim_with_grad(&x, &y, &cfg);
+                assert_eq!(s.to_bits(), rs.to_bits());
+                assert_eq!(s.to_bits(), plain.to_bits());
+                assert_eq!(image_bits(&g), image_bits(&rg));
+            }
         }
     }
 
@@ -824,6 +883,7 @@ mod tests {
             let (s, g) = ssim_with_grad(&x, &y, &cfg).unwrap();
             let (rs, rg) = five_pass::ssim_with_grad(&x, &y, &cfg);
             prop_assert_eq!(s.to_bits(), rs.to_bits());
+            prop_assert_eq!(s.to_bits(), ssim(&x, &y, &cfg).unwrap().to_bits());
             prop_assert_eq!(image_bits(&g), image_bits(&rg));
         }
 

@@ -16,7 +16,7 @@
 //! [`im2col_into`] / [`col2im_into`] let callers recycle output storage,
 //! so a warmed pipeline performs no per-frame heap allocation.
 
-use crate::kernels::{abt_tiled, accumulate_kernel, conv_panel, conv_panel_stride, pack_at};
+use crate::kernels::{all_finite, conv_panel, conv_panel_stride, pack_at};
 use crate::par::{try_for_each_block, try_parallel_map};
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -202,9 +202,122 @@ fn im2col_core(
     }
 }
 
+/// Writes the transposed column matrix for one sample into a zeroed
+/// `out`: row `p = oy·ow + ox` at `out[p · ld..]` holds output pixel
+/// `p`'s receptive field in im2col row order `(ci, ky, kx)`, with `ld ≥
+/// c·kh·kw`. Only in-bounds taps are written, so padding taps and the
+/// pad columns of each row keep their zeros. Geometry must be validated
+/// by the caller.
+///
+/// Each `(ci, ky)` run of taps is one copy from an input row, clipped to
+/// the valid `kx` range of the pixel's column. Kernel widths 3 and 5
+/// (every PilotNet conv) copy unclipped runs as fixed-size moves instead
+/// of a `memcpy` call per run.
+#[allow(clippy::too_many_arguments)]
+fn im2col_t_core(
+    sample: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    oh: usize,
+    ow: usize,
+    ld: usize,
+    out: &mut [f32],
+) {
+    match kw {
+        3 => im2col_t_runs::<3>(sample, c, h, w, kh, kw, spec, oh, ow, ld, out),
+        5 => im2col_t_runs::<5>(sample, c, h, w, kh, kw, spec, oh, ow, ld, out),
+        _ => im2col_t_runs::<0>(sample, c, h, w, kh, kw, spec, oh, ow, ld, out),
+    }
+}
+
+/// The body of [`im2col_t_core`]; a non-zero `KW` equals `kw` and turns
+/// unclipped runs into fixed-size copies.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn im2col_t_runs<const KW: usize>(
+    sample: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    oh: usize,
+    ow: usize,
+    ld: usize,
+    out: &mut [f32],
+) {
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    let kdim = c * kh * kw;
+    debug_assert!(ld >= kdim && (KW == 0 || KW == kw));
+    debug_assert_eq!(out.len(), oh * ow * ld);
+    for oy in 0..oh {
+        // Tap ky reads input row y0 + ky − ph.
+        let y0 = oy * sh;
+        let ky_lo = ph.saturating_sub(y0).min(kh);
+        let ky_hi = (h + ph).saturating_sub(y0).min(kh).max(ky_lo);
+        for ox in 0..ow {
+            let p = oy * ow + ox;
+            let taps = &mut out[p * ld..p * ld + kdim];
+            // Tap kx reads input column x0 + kx − pw.
+            let x0 = ox * sw;
+            let kx_lo = pw.saturating_sub(x0).min(kw);
+            let kx_hi = (w + pw).saturating_sub(x0).min(kw);
+            if kx_lo >= kx_hi {
+                continue;
+            }
+            let (ix, len) = (x0 + kx_lo - pw, kx_hi - kx_lo);
+            for ci in 0..c {
+                let plane = &sample[ci * h * w..(ci + 1) * h * w];
+                for ky in ky_lo..ky_hi {
+                    let src = &plane[(y0 + ky - ph) * w + ix..];
+                    let run = (ci * kh + ky) * kw + kx_lo;
+                    if KW != 0 && len == KW {
+                        taps[run..run + KW].copy_from_slice(&src[..KW]);
+                    } else {
+                        taps[run..run + len].copy_from_slice(&src[..len]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dst[i · stride] += src[i]` for every `i`; `dst` must reach index
+/// `(src.len() − 1) · stride`. Stride 1 is a slice add the compiler can
+/// vectorise.
+#[inline(always)]
+fn scatter_add_strided(dst: &mut [f32], src: &[f32], stride: usize) {
+    match stride {
+        1 => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d += s;
+            }
+        }
+        2 => scatter_add_by(dst, src, 2),
+        _ => scatter_add_by(dst, src, stride),
+    }
+}
+
+#[inline(always)]
+fn scatter_add_by(dst: &mut [f32], src: &[f32], stride: usize) {
+    for (d, &s) in dst.iter_mut().step_by(stride).zip(src) {
+        *d += s;
+    }
+}
+
 /// Accumulates a column matrix back into a sample buffer. `out` must be
 /// zeroed (or hold a value to accumulate onto); geometry must be
 /// validated by the caller.
+///
+/// The valid `ox` range of each `(ci, ky, kx)` row is hoisted out of the
+/// pixel loop, as in [`im2col_core`]; the visiting order, and so each
+/// pixel's summation order, is the per-element loop's.
 #[allow(clippy::too_many_arguments)]
 fn col2im_core(
     data: &[f32],
@@ -228,18 +341,18 @@ fn col2im_core(
             for kx in 0..kw {
                 let row = (ci * kh + ky) * kw + kx;
                 let crow = &data[row * ncols..(row + 1) * ncols];
-                for oy in 0..oh {
-                    let iy = (oy * sh + ky) as isize - ph as isize;
-                    if iy < 0 || iy >= h as isize {
+                let (lo, hi) = valid_ox(ow, w, kx, sw, pw);
+                if lo == hi {
+                    continue;
+                }
+                let ix0 = lo * sw + kx - pw;
+                for (oy, seg) in crow.chunks_exact(ow).enumerate() {
+                    let iy = oy * sh + ky;
+                    if iy < ph || iy - ph >= h {
                         continue;
                     }
-                    for ox in 0..ow {
-                        let ix = (ox * sw + kx) as isize - pw as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        plane[iy as usize * w + ix as usize] += crow[oy * ow + ox];
-                    }
+                    let prow = &mut plane[(iy - ph) * w..(iy - ph + 1) * w];
+                    scatter_add_strided(&mut prow[ix0..], &seg[lo..hi], sw);
                 }
             }
         }
@@ -517,7 +630,7 @@ fn conv2d_impl(
                 ld,
                 &mut cols,
             );
-            conv_panel(wd, f, kdim, &cols, ld, ncols, bias, dst);
+            conv_panel(wd, f, kdim, &cols, ld, ncols, bias, true, dst);
         }
         scratch::give(cols);
         Ok(())
@@ -587,7 +700,20 @@ pub struct Conv2dGrads {
 }
 
 /// Backward pass over a pre-validated geometry, accumulating into zeroed
-/// gradient slices.
+/// gradient slices. With `grad_input` absent the input gradient is not
+/// formed at all.
+///
+/// Per sample, both GEMMs run on [`conv_panel`]:
+///
+/// * `dW = gOut · colsᵀ` over a padded transposed column panel
+///   (`[oh·ow, c·kh·kw]`, [`im2col_t_core`]). Each element is one chain
+///   from `0.0` over the output pixels, ascending — the never-skipping
+///   chain. Zero `gOut` terms are skipped only when the sample, and so
+///   the panel, is all finite, where a skipped term is `±0.0` and
+///   changes no bit.
+/// * `dCols = Wᵀ · gOut` over a padded copy of `gOut`, skipping exact-zero
+///   weights — the accumulating kernels' chain on a zeroed output — then
+///   scattered back by [`col2im_core`].
 #[allow(clippy::too_many_arguments)]
 fn conv2d_backward_impl(
     input: &Tensor,
@@ -595,7 +721,7 @@ fn conv2d_backward_impl(
     grad_output: &Tensor,
     spec: Conv2dSpec,
     g: &ConvGeometry,
-    grad_input: &mut [f32],
+    mut grad_input: Option<&mut [f32]>,
     grad_weight: &mut [f32],
     grad_bias: &mut [f32],
 ) -> Result<()> {
@@ -610,56 +736,54 @@ fn conv2d_backward_impl(
         oh,
         ow,
     } = g;
-    let wd = weight.as_slice();
     let god = grad_output.as_slice();
     let sample_len = c * h * w;
     let out_len = f * oh * ow;
     let kdim = c * kh * kw;
     let ncols = oh * ow;
+    let ld_cols = conv_panel_stride(kdim);
+    let ld_gout = conv_panel_stride(ncols);
+    let with_input = grad_input.is_some();
 
     // Per-sample contributions are computed in parallel; the dW/dB
     // reduction below then accumulates them in sample order, which is the
     // exact floating-point summation sequence of the serial pass. All
-    // per-sample buffers are pooled: the column matrix built here has the
-    // exact forward-pass shape, so a training step reuses one buffer for
-    // both directions instead of allocating twice.
-    let work = 2 * n * out_len * kdim;
-    // The dCols GEMM shape repeats per sample; pick its kernel once on
-    // the caller thread and hand workers a plain kernel fn. It is
-    // `Wᵀ · gOut` with the full Aᵀ column range, so its packed rows are
-    // the whole `kdim × f` transpose.
-    let dcols_kernel = accumulate_kernel(f, ncols);
-    let wt = pack_at(wd, f, kdim, 0, kdim);
-    let per_sample = try_parallel_map(n, work, |ni| -> Result<(Vec<f32>, Vec<f32>, Vec<f32>)> {
-        let mut cols = scratch::take(kdim * ncols);
-        cols.resize(kdim * ncols, 0.0);
-        im2col_core(
-            &input.as_slice()[ni * sample_len..(ni + 1) * sample_len],
-            c,
-            h,
-            w,
-            kh,
-            kw,
-            spec,
-            oh,
-            ow,
-            ncols,
-            &mut cols,
-        );
+    // per-sample buffers are pooled.
+    let work = if with_input { 2 } else { 1 } * n * out_len * kdim;
+    // `Wᵀ` as `kdim` packed rows of `f` weights, shared by every sample.
+    let wt = if with_input {
+        pack_at(weight.as_slice(), f, kdim, 0, kdim)
+    } else {
+        Vec::new()
+    };
+    let per_sample = try_parallel_map(n, work, |ni| -> Result<SampleGrads> {
+        let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
         let gout = &god[ni * out_len..(ni + 1) * out_len];
-        // dW contribution: gOut · colsᵀ.
-        let mut dw = scratch::take(f * kdim);
-        dw.resize(f * kdim, 0.0);
-        abt_tiled(gout, f, ncols, &cols, kdim, &mut dw);
-        // dCols = Wᵀ · gOut, then scatter back to the input.
-        let mut dcols = scratch::take(kdim * ncols);
-        dcols.resize(kdim * ncols, 0.0);
-        dcols_kernel(&wt, kdim, f, gout, ncols, &mut dcols);
-        let mut dsample = scratch::take(sample_len);
-        dsample.resize(sample_len, 0.0);
-        col2im_core(&dcols, c, h, w, kh, kw, spec, oh, ow, &mut dsample);
-        scratch::give(dcols);
-        scratch::give(cols);
+        let mut cols_t = scratch::take_zeroed(ncols * ld_cols);
+        im2col_t_core(sample, c, h, w, kh, kw, spec, oh, ow, ld_cols, &mut cols_t);
+        let mut dw = scratch::take_zeroed(f * kdim);
+        // The panel holds sample values and zeros only.
+        let skip = all_finite(sample);
+        conv_panel(gout, f, ncols, &cols_t, ld_cols, kdim, None, skip, &mut dw);
+        scratch::give(cols_t);
+        let dsample = with_input.then(|| {
+            let mut gpanel = scratch::take_zeroed(f * ld_gout);
+            for (dst, src) in gpanel
+                .chunks_exact_mut(ld_gout)
+                .zip(gout.chunks_exact(ncols))
+            {
+                dst[..ncols].copy_from_slice(src);
+            }
+            let mut dcols = scratch::take_zeroed(kdim * ncols);
+            conv_panel(
+                &wt, kdim, f, &gpanel, ld_gout, ncols, None, true, &mut dcols,
+            );
+            scratch::give(gpanel);
+            let mut dsample = scratch::take_zeroed(sample_len);
+            col2im_core(&dcols, c, h, w, kh, kw, spec, oh, ow, &mut dsample);
+            scratch::give(dcols);
+            dsample
+        });
         // dB contribution: row sums of gOut.
         let mut db = scratch::take(f);
         for fi in 0..f {
@@ -672,16 +796,22 @@ fn conv2d_backward_impl(
         for (gw, &d) in grad_weight.iter_mut().zip(&dw) {
             *gw += d;
         }
-        grad_input[ni * sample_len..(ni + 1) * sample_len].copy_from_slice(&dsample);
+        if let (Some(gi), Some(ds)) = (grad_input.as_deref_mut(), dsample) {
+            gi[ni * sample_len..(ni + 1) * sample_len].copy_from_slice(&ds);
+            scratch::give(ds);
+        }
         for (gb, &d) in grad_bias.iter_mut().zip(&db) {
             *gb += d;
         }
         scratch::give(dw);
-        scratch::give(dsample);
         scratch::give(db);
     }
     Ok(())
 }
+
+/// One sample's `(dW, dInput, dB)` contributions; `dInput` only when the
+/// input gradient is formed.
+type SampleGrads = (Vec<f32>, Option<Vec<f32>>, Vec<f32>);
 
 fn check_backward_shapes(grad_output: &Tensor, g: &ConvGeometry) -> Result<()> {
     if grad_output.shape().dims() != [g.n, g.f, g.oh, g.ow] {
@@ -725,7 +855,7 @@ pub fn conv2d_backward(
         grad_output,
         spec,
         &g,
-        grad_input.as_mut_slice(),
+        Some(grad_input.as_mut_slice()),
         grad_weight.as_mut_slice(),
         grad_bias.as_mut_slice(),
     )?;
@@ -734,6 +864,36 @@ pub fn conv2d_backward(
         grad_weight,
         grad_bias,
     })
+}
+
+/// Like [`conv2d_backward`], but forms only `(grad_weight, grad_bias)`:
+/// the input gradient's `Wᵀ · gOut` product and scatter are skipped. Both
+/// tensors are bit-identical to [`conv2d_backward`]'s.
+///
+/// # Errors
+///
+/// Like [`conv2d_backward`].
+pub fn conv2d_backward_params(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_output: &Tensor,
+    spec: Conv2dSpec,
+) -> Result<(Tensor, Tensor)> {
+    let g = conv_geometry(input, weight, spec)?;
+    check_backward_shapes(grad_output, &g)?;
+    let mut grad_weight = Tensor::zeros([g.f, g.c, g.kh, g.kw]);
+    let mut grad_bias = Tensor::zeros([g.f]);
+    conv2d_backward_impl(
+        input,
+        weight,
+        grad_output,
+        spec,
+        &g,
+        None,
+        grad_weight.as_mut_slice(),
+        grad_bias.as_mut_slice(),
+    )?;
+    Ok((grad_weight, grad_bias))
 }
 
 /// Like [`conv2d_backward`], but overwrites the tensors of an existing
@@ -771,7 +931,7 @@ pub fn conv2d_backward_into(
         grad_output,
         spec,
         &g,
-        grads.grad_input.as_mut_slice(),
+        Some(grads.grad_input.as_mut_slice()),
         grads.grad_weight.as_mut_slice(),
         grads.grad_bias.as_mut_slice(),
     )
@@ -942,6 +1102,27 @@ mod tests {
 
         grads.grad_bias = Tensor::zeros([7]);
         assert!(conv2d_backward_into(&input, &weight, &gout, spec, &mut grads).is_err());
+    }
+
+    #[test]
+    fn backward_params_is_bit_identical_to_full_backward() {
+        for spec in [
+            Conv2dSpec::new((2, 2), (0, 0)),
+            Conv2dSpec::new((1, 1), (1, 1)),
+        ] {
+            let input = pseudo([3, 2, 9, 11], 61);
+            let weight = pseudo([5, 2, 3, 3], 62);
+            let out = conv2d(&input, &weight, None, spec).unwrap();
+            let gout = pseudo(out.shape().dims().to_vec(), 63);
+            let full = conv2d_backward(&input, &weight, &gout, spec).unwrap();
+            let (gw, gb) = conv2d_backward_params(&input, &weight, &gout, spec).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&gw), bits(&full.grad_weight));
+            assert_eq!(bits(&gb), bits(&full.grad_bias));
+        }
+        let bad = Tensor::zeros([1, 1, 9, 9]);
+        let (input, weight) = (pseudo([1, 1, 5, 5], 1), pseudo([1, 1, 3, 3], 2));
+        assert!(conv2d_backward_params(&input, &weight, &bad, Conv2dSpec::unit()).is_err());
     }
 
     #[test]
@@ -1130,6 +1311,68 @@ mod tests {
             }
             let got = im2col(&x, c, h, w, kh, kw, spec).unwrap();
             prop_assert_eq!(got.as_slice(), want.as_slice());
+        }
+
+        #[test]
+        fn col2im_matches_per_element_scatter(
+            (c, h, w) in (1usize..3, 1usize..10, 1usize..12),
+            (kh, kw, sh, sw) in (1usize..4, 1usize..5, 1usize..4, 1usize..4),
+            (ph, pw) in (0usize..3, 0usize..4),
+            seed in 0u64..500
+        ) {
+            // The hoisted-range scatter adds exactly what a per-element
+            // bounds test would, in the same order per pixel.
+            prop_assume!(h + 2 * ph >= kh && w + 2 * pw >= kw);
+            let spec = Conv2dSpec::new((sh, sw), (ph, pw));
+            let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+            let cols = pseudo([c * kh * kw, oh * ow], seed);
+            let mut want = vec![0.0f32; c * h * w];
+            for ci in 0..c {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let row = (ci * kh + ky) * kw + kx;
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = (oy * sh + ky) as isize - ph as isize;
+                                let ix = (ox * sw + kx) as isize - pw as isize;
+                                if iy >= 0 && ix >= 0 && iy < h as isize && ix < w as isize {
+                                    want[(ci * h + iy as usize) * w + ix as usize] +=
+                                        cols.as_slice()[row * oh * ow + oy * ow + ox];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let got = col2im(&cols, c, h, w, kh, kw, spec).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        #[test]
+        fn transposed_lowering_is_im2col_transposed(
+            (c, h, w) in (1usize..3, 1usize..10, 1usize..12),
+            (kh, kw, sh, sw) in (1usize..4, 1usize..5, 1usize..4, 1usize..4),
+            (ph, pw) in (0usize..3, 0usize..4),
+            seed in 0u64..500
+        ) {
+            // Row p of the padded transposed panel is column p of im2col,
+            // followed by zero pad columns.
+            prop_assume!(h + 2 * ph >= kh && w + 2 * pw >= kw);
+            let spec = Conv2dSpec::new((sh, sw), (ph, pw));
+            let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+            let x = pseudo([c * h * w], seed).into_vec();
+            let cols = im2col(&x, c, h, w, kh, kw, spec).unwrap();
+            let (kdim, ncols) = (c * kh * kw, oh * ow);
+            let ld = conv_panel_stride(kdim);
+            let mut panel = vec![0.0f32; ncols * ld];
+            im2col_t_core(&x, c, h, w, kh, kw, spec, oh, ow, ld, &mut panel);
+            for p in 0..ncols {
+                for r in 0..ld {
+                    let want = if r < kdim { cols.as_slice()[r * ncols + p] } else { 0.0 };
+                    prop_assert_eq!(panel[p * ld + r].to_bits(), want.to_bits());
+                }
+            }
         }
 
         #[test]

@@ -1,39 +1,39 @@
 //! The GEMM microkernels behind [`crate::matmul`] and [`crate::conv`].
 //!
-//! Five kernels, one per shape class, and one rule that picks between
+//! Four kernels, one per shape class, and one rule that picks between
 //! the two accumulating ones ([`accumulate_kernel`]):
 //!
 //! * [`mm_axpy`] — axpy-ordered accumulation with a 256-column tile and
 //!   B-panel packing; wins where `k` is long.
 //! * [`mm_rr2`] — two-row, 64-wide register-blocked accumulation; wins
 //!   where the output is wide and `k` short enough for the `k × 64` B
-//!   block to stay L1-resident (the wide backward GEMMs).
-//! * [`conv_panel`] — four-row, 32-wide register-blocked kernel over a
-//!   padded im2col panel with the bias in its store epilogue: every
-//!   conv forward, at every batch size.
+//!   block to stay L1-resident (the dense `dW = xᵀ·g`).
+//! * [`conv_panel`] — four-row, 32-wide register-blocked assigning kernel
+//!   over a padded panel, with an optional bias in its store epilogue.
+//!   It runs every conv forward (`W · cols`), both conv backward GEMMs
+//!   (`dW = gOut · colsᵀ` over a transposed column panel, `dCols = Wᵀ ·
+//!   gOut` over a padded `gOut`) and every `A·Bᵀ` as the transposed
+//!   product `B · Aᵀ` (the dense input gradient `g · Wᵀ` among them).
 //! * [`mm_assign`] — the same register blocks as [`mm_rr2`], assigning:
 //!   the weight-stationary `x · W` of every dense forward, run on the
 //!   layer's `[in, out]` weight. It never skips, or — only when that
 //!   weight is all finite — skips exact-zero inputs like [`mm_rr2`].
-//! * [`abt_tiled`] — the assigning `A·Bᵀ` kernel with eight independent
-//!   dot-product chains over 64-row B tiles, for every `A·Bᵀ` shape (the
-//!   dense input gradient `g · Wᵀ` among them).
 //!
 //! Every kernel honours one non-negotiable contract: **each output
 //! element is accumulated in a single chain, ascending `k`, starting from
 //! the element's initial value** — exactly the three-loop schoolbook
 //! product. Tiling, packing and register blocking only reorder *which
 //! element is worked on next*, never the additions inside one element,
-//! so the two accumulating kernels are bitwise-interchangeable, the two
+//! so the two accumulating kernels are bitwise-interchangeable, the
 //! assigning kernels are bitwise-equal on transposed operands, and every
 //! kernel is bitwise-equal to the naive product (the tests below and
 //! `tests/kernel_parity.rs`). The accumulating kernels keep the
 //! historical exact-zero skip on `A` entries, both skipping the same `l`
 //! indices. The assigning kernels write every output element exactly
-//! once and never skip, except [`mm_assign`]'s skipping form: it is
-//! only run on an all-finite `B`, where a skipped term is `±0.0` and
-//! adding it to a chain that starts at `+0.0` cannot change a bit, so it
-//! is bitwise-equal to the never-skipping form and to [`abt_tiled`].
+//! once. A caller that needs the never-skipping chain may still run a
+//! skipping form on an operand it has checked to be all finite: a
+//! skipped term is then `±0.0`, and adding it to a chain that starts at
+//! `+0.0` cannot change a bit.
 //!
 //! All but [`conv_panel`] share the calling convention `(arows, rows, k,
 //! bd, n, out)`: a packed `rows × k` block of A rows against the full B
@@ -54,12 +54,6 @@ const COL_TILE: usize = 256;
 
 /// Accumulator width of [`mm_rr2`]: output columns held in registers.
 const RR_W: usize = 64;
-
-/// B rows per [`abt_tiled`] tile.
-const ABT_ROW_TILE: usize = 64;
-
-/// Independent dot-product chains in flight in [`abt_tiled`].
-const ABT_J: usize = 8;
 
 /// The accumulating kernel for a full `k × n` problem: [`mm_rr2`] where
 /// its 64-column accumulator block fits the output (`n ≥ 64`) and the
@@ -322,8 +316,8 @@ pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize,
 
 /// Two-row, 64-wide register-blocked assigning kernel:
 /// `out[i][j] = Σ_l arows[i][l] · b[l][j]`. Each element is one chain
-/// from `0.0`, ascending `l` — exactly [`abt_tiled`]'s chain on the
-/// transposed B. Every element of `out` is assigned (zeros when
+/// from `0.0`, ascending `l` — exactly [`conv_panel`]'s chain on the
+/// transposed operands. Every element of `out` is assigned (zeros when
 /// `k == 0`).
 ///
 /// `SKIP = false` forms every term, so a non-finite B entry reaches its
@@ -455,20 +449,25 @@ fn store_block<const W: usize>(
     }
 }
 
-/// The conv forward kernel: `out[i][j] = (Σ_l w[i][l] · panel[l][j]) +
-/// bias[i]` for `f` filter rows of `w: [f, k]` against a padded column
-/// panel of `k` rows, row stride `ld` ([`conv_panel_stride`] of `n`)
-/// and zeros in the pad columns, writing the dense `f × n` output.
+/// The padded-panel kernel: `out[i][j] = (Σ_l w[i][l] · panel[l][j]) +
+/// bias[i]` for `f` rows of `w: [f, k]` against a padded panel of `k`
+/// rows, row stride `ld` ([`conv_panel_stride`] of `n`) and zeros in the
+/// pad columns, writing the dense `f × n` output.
 ///
-/// Each element's chain is the accumulating kernels' chain on a zeroed
-/// output — from `0.0`, ascending `l`, skipping exact-zero weights —
-/// followed by the single `+ bias` the separate bias pass used to add,
-/// so the result is bitwise-equal to [`mm_rr2`] or [`mm_axpy`] into a
-/// zeroed output plus that pass. Four-row × 32-column register blocks
-/// (16- and 8-wide on the tail) are computed in full and only their
-/// valid columns stored; a last block of fewer than four filters repeats
-/// its last row and stores only the live ones. Every output element is
-/// assigned.
+/// Each element's chain starts at `0.0` and runs ascending `l`, followed
+/// by the single `+ bias` when there is one. With `skip` the chain skips
+/// exact-zero weights — the accumulating kernels' chain on a zeroed
+/// output, so the result is bitwise-equal to [`mm_rr2`] or [`mm_axpy`]
+/// into a zeroed output plus a separate bias pass. Without `skip` every
+/// term is formed: the naive assigning chain, which a skipping run also
+/// reproduces bit for bit when the panel is all finite (a skipped term
+/// `0 · p` is then `±0.0`, a chain from `+0.0` never holds `-0.0`, and
+/// adding `±0.0` to any other sum leaves its bits unchanged).
+///
+/// Four-row × 32-column register blocks (16- and 8-wide on the tail) are
+/// computed in full and only their valid columns stored; a last block of
+/// fewer than four rows repeats its last row and stores only the live
+/// ones. Every output element is assigned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_panel(
     w: &[f32],
@@ -478,6 +477,7 @@ pub(crate) fn conv_panel(
     ld: usize,
     n: usize,
     bias: Option<&[f32]>,
+    skip: bool,
     out: &mut [f32],
 ) {
     debug_assert_eq!(w.len(), f * k);
@@ -492,7 +492,7 @@ pub(crate) fn conv_panel(
             let fi = (i + r).min(f - 1);
             &w[fi * k..(fi + 1) * k]
         });
-        let dense = rows.iter().all(|row| dense_row(row));
+        let dense = !skip || rows.iter().all(|row| dense_row(row));
         let bias = bias.map(|b| &b[i..i + live]);
         let out = &mut out[i * n..(i + live) * n];
         let mut j = 0;
@@ -513,6 +513,27 @@ pub(crate) fn conv_panel(
     }
 }
 
+/// Whether every element of `v` is finite: the condition under which a
+/// skipping [`conv_panel`] run reproduces the never-skipping chain. No
+/// exit inside the fold, so the scan vectorises.
+pub(crate) fn all_finite(v: &[f32]) -> bool {
+    v.iter().fold(true, |ok, x| ok & x.is_finite())
+}
+
+/// Writes `A: [m, k]` transposed into a padded panel of `k` rows, row
+/// stride `ld` ([`conv_panel_stride`] of `m`): `panel[l][i] = a[i][l]`,
+/// zeros in the pad columns.
+pub(crate) fn pack_t_padded(a: &[f32], m: usize, k: usize, ld: usize) -> Vec<f32> {
+    debug_assert_eq!(a.len(), m * k);
+    let mut panel = scratch::take_zeroed(k * ld);
+    for i in 0..m {
+        for (l, &v) in a[i * k..(i + 1) * k].iter().enumerate() {
+            panel[l * ld + i] = v;
+        }
+    }
+    panel
+}
+
 /// Transposes the `Aᵀ` column block `i0..i0 + rows` of `A: [k, m]` into
 /// a contiguous `rows × k` scratch buffer (single pass over `A`), so the
 /// accumulating kernels see plain packed rows.
@@ -526,58 +547,6 @@ pub(crate) fn pack_at(ad: &[f32], k: usize, m: usize, i0: usize, rows: usize) ->
         }
     }
     pa
-}
-
-/// Tiled assigning kernel for `A·Bᵀ`: `out[i][j] = Σ_l arows[i][l] ·
-/// b[j][l]`, eight independent dot-product chains for instruction-level
-/// parallelism over 64-row B tiles. Every element of `out` is assigned.
-pub(crate) fn abt_tiled(
-    arows: &[f32],
-    rows: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    if rows == 0 || n == 0 {
-        return;
-    }
-    let mut j0 = 0;
-    loop {
-        let tile_end = (j0 + ABT_ROW_TILE).min(n);
-        for i in 0..rows {
-            let arow = &arows[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            let mut j = j0;
-            while j + ABT_J <= tile_end {
-                let mut acc = [0.0f32; ABT_J];
-                let base: [&[f32]; ABT_J] =
-                    std::array::from_fn(|t| &bd[(j + t) * k..(j + t + 1) * k]);
-                for (l, &av) in arow.iter().enumerate() {
-                    for t in 0..ABT_J {
-                        acc[t] += av * base[t][l];
-                    }
-                }
-                orow[j..j + ABT_J].copy_from_slice(&acc);
-                j += ABT_J;
-            }
-            while j < tile_end {
-                let brow = &bd[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                orow[j] = acc;
-                j += 1;
-            }
-        }
-        if tile_end == n {
-            break;
-        }
-        j0 = tile_end;
-    }
 }
 
 #[cfg(test)]
@@ -694,8 +663,8 @@ mod tests {
     /// and the assigning ones overwrite a stale output.
     ///
     /// Shapes land on the accumulator width (64 columns ±1), the axpy
-    /// column tile, the `a_bt` tile and chain width, the row-pair
-    /// boundary, the pack threshold and an empty `k`.
+    /// column tile, the row-pair boundary, the pack threshold and an
+    /// empty `k`.
     #[test]
     fn every_kernel_matches_naive_bitwise() {
         let shapes = [
@@ -747,13 +716,12 @@ mod tests {
                         }
                     }
                 }
-                // The assigning kernels against one naive chain: `abt_tiled`
-                // on `B: [n, k]`, `mm_assign` on the same B as `[k, n]`.
+                // The assigning kernels against one naive chain on `B` as
+                // `[n, k]`: `mm_assign` on the same B as `[k, n]`.
                 let bt = pseudo_sparse(n * k, seed + 7, 0);
                 let b_kn: Vec<f32> = (0..k * n).map(|x| bt[(x % n) * k + x / n]).collect();
                 let want = naive(a, &bt, &zeroed, m, k, n, true);
-                let assigning: [(&str, Kernel, &[f32]); 3] = [
-                    ("abt_tiled", abt_tiled, &bt),
+                let assigning: [(&str, Kernel, &[f32]); 2] = [
                     ("mm_assign", mm_assign::<false>, &b_kn),
                     ("mm_assign skip", mm_assign::<true>, &b_kn),
                 ];
@@ -774,10 +742,13 @@ mod tests {
         assert!(zeros * 10 >= total * 9, "{zeros} zeros of {total}");
     }
 
-    /// `conv_panel` on a padded panel equals the naive accumulating chain
-    /// on a zeroed output plus one `+ bias`, at every tail combination of
-    /// the 32/16/8-wide blocks, remainder rows, `k = 0` and weights that
-    /// mix dense and zero-holding rows; stale output is overwritten.
+    /// `conv_panel` on a padded panel equals the naive chain on a zeroed
+    /// output plus one `+ bias` — the accumulating, zero-skipping chain
+    /// with `skip`, the never-skipping one without — at every tail
+    /// combination of the 32/16/8-wide blocks, remainder rows, `k = 0`
+    /// and weights that mix dense and zero-holding rows. A panel holding
+    /// NaN and `±∞` shows the two disciplines apart; on an all-finite
+    /// panel both give the same bits. Stale output is overwritten.
     #[test]
     fn conv_panel_matches_naive_bitwise() {
         for f in [1usize, 3, 4, 5, 9] {
@@ -787,27 +758,71 @@ mod tests {
                 ] {
                     let seed = (f * 1000 + k * 100 + n) as u64;
                     let w = pseudo_sparse(f * k, seed, if f % 2 == 0 { 0 } else { 5 });
-                    let b = pseudo_sparse(k * n, seed + 1, 0);
                     let bias = pseudo_sparse(f, seed + 2, 0);
                     let ld = conv_panel_stride(n);
                     assert!(ld >= n && ld - n < CONV_TAIL_W && ld.is_multiple_of(CONV_TAIL_W));
-                    let mut panel = vec![0.0f32; k * ld];
-                    for l in 0..k {
-                        panel[l * ld..l * ld + n].copy_from_slice(&b[l * n..(l + 1) * n]);
-                    }
-                    let chains = naive(&w, &b, &vec![0.0; f * n], f, k, n, false);
-                    for with_bias in [false, true] {
-                        let want: Vec<f32> = if with_bias {
-                            (0..f * n).map(|x| chains[x] + bias[x / n]).collect()
-                        } else {
-                            chains.clone()
-                        };
-                        let mut out = vec![f32::NAN; f * n];
-                        let bias_arg = with_bias.then_some(bias.as_slice());
-                        conv_panel(&w, f, k, &panel, ld, n, bias_arg, &mut out);
-                        assert_eq!(bits(&out), bits(&want), "f{f} k{k} n{n} bias={with_bias}");
+                    for finite in [true, false] {
+                        let mut b = pseudo_sparse(k * n, seed + 1, 0);
+                        if !finite {
+                            for (x, v) in b.iter_mut().enumerate().step_by(3) {
+                                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][x % 3];
+                            }
+                        }
+                        let mut panel = vec![0.0f32; k * ld];
+                        for l in 0..k {
+                            panel[l * ld..l * ld + n].copy_from_slice(&b[l * n..(l + 1) * n]);
+                        }
+                        let bt: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
+                        let zeroed = vec![0.0; f * n];
+                        let skipping = naive(&w, &b, &zeroed, f, k, n, false);
+                        let full = naive(&w, &bt, &zeroed, f, k, n, true);
+                        if finite {
+                            assert_eq!(bits(&skipping), bits(&full), "f{f} k{k} n{n}");
+                        }
+                        for (skip, chains) in [(true, &skipping), (false, &full)] {
+                            for with_bias in [false, true] {
+                                let want: Vec<f32> = if with_bias {
+                                    (0..f * n).map(|x| chains[x] + bias[x / n]).collect()
+                                } else {
+                                    chains.clone()
+                                };
+                                let mut out = vec![f32::NAN; f * n];
+                                let bias_arg = with_bias.then_some(bias.as_slice());
+                                conv_panel(&w, f, k, &panel, ld, n, bias_arg, skip, &mut out);
+                                assert_eq!(
+                                    bits(&out),
+                                    bits(&want),
+                                    "f{f} k{k} n{n} bias={with_bias} skip={skip} finite={finite}"
+                                );
+                            }
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    /// `pack_t_padded` transposes into zero-padded rows, and `all_finite`
+    /// finds a single NaN or `±∞` at every position.
+    #[test]
+    fn transposed_panel_and_finite_scan() {
+        assert!(pack_t_padded(&[], 3, 0, 8).is_empty());
+        let (m, k) = (5usize, 7usize);
+        let a = pseudo_sparse(m * k, 9, 0);
+        let ld = conv_panel_stride(m);
+        let panel = pack_t_padded(&a, m, k, ld);
+        for l in 0..k {
+            for i in 0..ld {
+                let want = if i < m { a[i * k + l] } else { 0.0 };
+                assert_eq!(panel[l * ld + i].to_bits(), want.to_bits());
+            }
+        }
+        assert!(all_finite(&a) && all_finite(&[]));
+        for at in 0..a.len() {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut holed = a.clone();
+                holed[at] = bad;
+                assert!(!all_finite(&holed), "{bad} at {at}");
             }
         }
     }

@@ -18,9 +18,10 @@
 //! The inner microkernels live in `crate::kernels`: [`matmul`] and
 //! [`matmul_at_b`] pick one of the two accumulating kernels from their
 //! full `k × n` shape — once per call, on the caller thread — and hand it
-//! to the row-parallel workers; [`matmul_a_bt`] always runs the tiled
-//! assigning kernel, and [`matmul_assign`] and [`matmul_assign_finite`]
-//! the register-blocked one, never skipping and skipping. Every kernel
+//! to the row-parallel workers; [`matmul_a_bt`] runs the padded-panel
+//! kernel on the transposed product, and [`matmul_assign`] and
+//! [`matmul_assign_finite`] the register-blocked one, never skipping and
+//! skipping. Every kernel
 //! is bitwise-equal to the naive kernel
 //! (blocking only reorders *which* output element is worked on next; the
 //! per-element accumulation remains a single chain in ascending-`k`
@@ -35,7 +36,9 @@
 //! never changes the per-element summation order, so results are
 //! bit-identical for any thread count.
 
-use crate::kernels::{abt_tiled, accumulate_kernel, mm_assign, pack_at};
+use crate::kernels::{
+    accumulate_kernel, all_finite, conv_panel, conv_panel_stride, mm_assign, pack_at, pack_t_padded,
+};
 use crate::par::for_each_block;
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -164,11 +167,33 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
+/// `C = A·Bᵀ` computed as its transpose `Cᵀ = B·Aᵀ` on [`conv_panel`]:
+/// the rows of `B` are the kernel's weight rows and `A` is transposed
+/// once into a padded panel, so each `B` row is read contiguously and
+/// each panel row serves a whole register block. Element `(i, j)` is the
+/// chain `Σ_l b[j][l] · a[i][l]` from `0.0`, ascending `l`. Exact-zero
+/// `B` entries are skipped only when `A` is all finite, where a skipped
+/// term is `±0.0` and the bits equal the never-skipping chain's.
 fn matmul_a_bt_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    for_each_block(out, n, m * n * k, |row0, chunk| {
-        let rows = chunk.len().checked_div(n).unwrap_or(0);
-        abt_tiled(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let ld = conv_panel_stride(m);
+    let panel = pack_t_padded(ad, m, k, ld);
+    let skip = all_finite(ad);
+    let mut ct = scratch::take_zeroed(n * m);
+    for_each_block(&mut ct, m, m * n * k, |row0, chunk| {
+        let rows = chunk.len() / m;
+        let brows = &bd[row0 * k..(row0 + rows) * k];
+        conv_panel(brows, rows, k, &panel, ld, m, None, skip, chunk);
     });
+    for (j, crow) in ct.chunks_exact(m).enumerate() {
+        for (i, &v) in crow.iter().enumerate() {
+            out[i * n + j] = v;
+        }
+    }
+    scratch::give(ct);
+    scratch::give(panel);
 }
 
 /// Computes `C = A·Bᵀ` for `A: [m, k]` and `B: [n, k]` without transposing.
@@ -353,9 +378,9 @@ mod tests {
 
     #[test]
     fn shapes_spanning_tile_boundaries_match_naive() {
-        // Exercise the axpy column tile (n > 256), the a_bt B-row tile
-        // (n > 64), the 64-wide register block's column remainder and the
-        // 8-chain remainder loop.
+        // Exercise the axpy column tile (n > 256), the 64-wide register
+        // block's column remainder, and the panel kernel's remainder rows
+        // (n not a multiple of 4) under `A·Bᵀ`.
         for &(m, k, n) in &[(5, 3, 513), (2, 7, 300), (9, 2, 65), (1, 300, 70)] {
             let a = pseudo([m, k], 91);
             let b = pseudo([k, n], 92);

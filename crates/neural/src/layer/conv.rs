@@ -1,4 +1,4 @@
-use ndtensor::{conv2d, conv2d_backward, Conv2dSpec, Tensor};
+use ndtensor::{conv2d, conv2d_backward, conv2d_backward_params, Conv2dSpec, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
@@ -117,6 +117,12 @@ impl Conv2d {
     pub fn spec(&self) -> Conv2dSpec {
         self.spec
     }
+
+    fn take_input(&mut self) -> Result<Tensor> {
+        self.cached_input
+            .take()
+            .ok_or(NeuralError::MissingCache { layer: "Conv2d" })
+    }
 }
 
 impl Layer for Conv2d {
@@ -140,14 +146,19 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or(NeuralError::MissingCache { layer: "Conv2d" })?;
+        let input = self.take_input()?;
         let grads = conv2d_backward(&input, &self.weight, grad_output, self.spec)?;
         self.grad_weight.axpy(1.0, &grads.grad_weight)?;
         self.grad_bias.axpy(1.0, &grads.grad_bias)?;
         Ok(grads.grad_input)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let input = self.take_input()?;
+        let (gw, gb) = conv2d_backward_params(&input, &self.weight, grad_output, self.spec)?;
+        self.grad_weight.axpy(1.0, &gw)?;
+        self.grad_bias.axpy(1.0, &gb)?;
+        Ok(())
     }
 
     fn params_and_grads(&mut self) -> Vec<ParamGrad<'_>> {
@@ -244,6 +255,44 @@ mod tests {
             (numeric - analytic).abs() < 2e-2 * (1.0 + numeric.abs()),
             "{numeric} vs {analytic}"
         );
+    }
+
+    /// `backward_params` leaves the weight and bias gradients bit-equal
+    /// to `backward`'s, and consumes the cache like it.
+    #[test]
+    fn backward_params_matches_backward_bitwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for spec in [
+            Conv2dSpec::new((2, 2), (0, 0)),
+            Conv2dSpec::new((1, 1), (1, 1)),
+        ] {
+            let mut full = Conv2d::new(2, 5, (3, 3), spec, &mut rng).unwrap();
+            let mut params_only =
+                Conv2d::from_parts(full.params()[0].clone(), full.params()[1].clone(), spec)
+                    .unwrap();
+            let mut x = Tensor::zeros([3, 2, 9, 11]);
+            ndtensor::fill_uniform(&mut x, &mut rng, -1.0, 1.0).unwrap();
+            // Two steps, so the gradients accumulate onto non-zero values.
+            for step in 0..2 {
+                let out = full.forward_train(&x).unwrap();
+                params_only.forward_train(&x).unwrap();
+                let mut g = Tensor::zeros(out.shape().clone());
+                ndtensor::fill_uniform(&mut g, &mut rng, -1.0, 1.0).unwrap();
+                g.map_inplace(|v| if v < 0.0 { 0.0 } else { v });
+                full.backward(&g).unwrap();
+                params_only.backward_params(&g).unwrap();
+                let (a, b) = (full.params_and_grads(), params_only.params_and_grads());
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for (pa, pb) in a.iter().zip(&b) {
+                    assert_eq!(bits(pa.grad), bits(pb.grad), "step {step}");
+                }
+                assert!(matches!(
+                    params_only.backward_params(&g),
+                    Err(NeuralError::MissingCache { .. })
+                ));
+            }
+        }
     }
 
     #[test]

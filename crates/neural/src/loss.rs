@@ -32,6 +32,20 @@ pub trait Loss: std::fmt::Debug + Send {
     /// Same conditions as [`Loss::loss`].
     fn grad(&self, prediction: &Tensor, target: &Tensor) -> Result<Tensor>;
 
+    /// [`Loss::loss`] and [`Loss::grad`] together, bit-equal to the two
+    /// called separately. Training calls this once per step; a loss whose
+    /// value and gradient share their work computes it once here.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Loss::loss`].
+    fn loss_and_grad(&self, prediction: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
+        Ok((
+            self.loss(prediction, target)?,
+            self.grad(prediction, target)?,
+        ))
+    }
+
     /// Short display name for reports.
     fn name(&self) -> &'static str;
 }
@@ -223,23 +237,32 @@ impl Loss for SsimDissimilarityLoss {
     }
 
     fn grad(&self, prediction: &Tensor, target: &Tensor) -> Result<Tensor> {
+        self.loss_and_grad(prediction, target).map(|(_, g)| g)
+    }
+
+    /// One [`metrics::ssim_with_grad`] per sample yields both the score,
+    /// bit-equal to [`metrics::ssim`]'s, and the gradient.
+    fn loss_and_grad(&self, prediction: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
         check_same_shape("SsimDissimilarityLoss", prediction, target)?;
         let preds = self.rows("SsimDissimilarityLoss", prediction)?;
         let tgts = self.rows("SsimDissimilarityLoss", target)?;
         let n = preds.len();
         let hw = self.height * self.width;
+        let mut acc = 0.0f64;
         let mut grad = vec![0.0f32; n * hw];
         for (i, (p, t)) in preds.iter().zip(&tgts).enumerate() {
             let xi = self.to_image(t)?;
             let yi = self.to_image(p)?;
-            let (_, g) = metrics::ssim_with_grad(&xi, &yi, &self.config)
+            let (s, g) = metrics::ssim_with_grad(&xi, &yi, &self.config)
                 .map_err(|e| NeuralError::invalid("SsimDissimilarityLoss", e.to_string()))?;
+            acc += 1.0 - s as f64;
             // L = 1 − SSIM, so ∂L/∂y = −∂SSIM/∂y; batch-mean divides by N.
             for (dst, &gv) in grad[i * hw..(i + 1) * hw].iter_mut().zip(g.as_slice()) {
                 *dst = -gv / n as f32;
             }
         }
-        Ok(Tensor::from_vec(prediction.shape().clone(), grad)?)
+        let loss = (acc / n as f64) as f32;
+        Ok((loss, Tensor::from_vec(prediction.shape().clone(), grad)?))
     }
 
     fn name(&self) -> &'static str {
@@ -360,6 +383,56 @@ mod tests {
                 (numeric - analytic).abs() < 2e-3 + 0.05 * numeric.abs(),
                 "grad at {probe}: {numeric} vs {analytic}"
             );
+        }
+    }
+
+    /// One `ssim_with_grad` per sample gives the bits of `loss()` and
+    /// `grad()` called separately: windows 7 and 11, 60×160 images and
+    /// images whose side equals the window, batches of 1 and 32.
+    #[test]
+    fn ssim_loss_and_grad_is_bit_equal_to_separate_calls() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for window in [7usize, 11] {
+            for (h, w) in [(60usize, 160usize), (window, window), (window, 160)] {
+                let loss =
+                    SsimDissimilarityLoss::new(h, w, SsimConfig::with_window(window)).unwrap();
+                for batch in [1usize, 32] {
+                    let target = Tensor::from_fn([batch, h * w], |i| {
+                        let v = (i[0] * 131 + i[1] * 17 + window) % 97;
+                        0.2 + 0.6 * (v as f32 / 96.0)
+                    });
+                    let pred = Tensor::from_fn([batch, h * w], |i| {
+                        let v = (i[0] * 29 + i[1] * 41 + h) % 89;
+                        (v as f32 / 88.0).min(1.0)
+                    });
+                    let (l, g) = loss.loss_and_grad(&pred, &target).unwrap();
+                    let label = format!("window {window} {h}x{w} batch {batch}");
+                    assert_eq!(
+                        l.to_bits(),
+                        loss.loss(&pred, &target).unwrap().to_bits(),
+                        "{label}"
+                    );
+                    let separate = loss.grad(&pred, &target).unwrap();
+                    assert_eq!(bits(g.as_slice()), bits(separate.as_slice()), "{label}");
+                    // The pre-fusion gradient: one `ssim_with_grad` per
+                    // sample, `-g / n`, independent of `loss_and_grad`.
+                    let mut want = Vec::with_capacity(batch * h * w);
+                    for (p, t) in pred
+                        .as_slice()
+                        .chunks(h * w)
+                        .zip(target.as_slice().chunks(h * w))
+                    {
+                        let (_, gi) = metrics::ssim_with_grad(
+                            &loss.to_image(t).unwrap(),
+                            &loss.to_image(p).unwrap(),
+                            loss.config(),
+                        )
+                        .unwrap();
+                        want.extend(gi.as_slice().iter().map(|&v| -v / batch as f32));
+                    }
+                    assert_eq!(bits(g.as_slice()), bits(&want), "{label}");
+                }
+            }
         }
     }
 

@@ -236,8 +236,11 @@ impl Network {
 
     /// Like [`Network::backward`], but only accumulates parameter
     /// gradients: the first layer runs [`Layer::backward_params`], so
-    /// `∂L/∂input`, which training discards, is never formed. The
-    /// gradients are bit-identical to [`Network::backward`]'s.
+    /// `∂L/∂input`, which training discards, is never formed when that
+    /// layer is a `Dense` (its `g · Wᵀ`) or a `Conv2d` (its `Wᵀ · gOut`
+    /// and the scatter over the input); other layers fall back to
+    /// [`Layer::backward`]. The gradients are bit-identical to
+    /// [`Network::backward`]'s.
     ///
     /// # Errors
     ///

@@ -197,18 +197,18 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         for ((m, v), pg) in self.m.iter_mut().zip(&mut self.v).zip(params.iter_mut()) {
-            let g = pg.grad.as_slice();
-            let p = pg.param.as_mut_slice();
-            for i in 0..g.len() {
-                let gi = g[i];
-                let mi = &mut m.as_mut_slice()[i];
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                let vi = &mut v.as_mut_slice()[i];
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+            // Zipped slices, one element at a time with no cross-element
+            // dependence: the loop vectorises.
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            let terms = pg.param.as_mut_slice().iter_mut().zip(pg.grad.as_slice());
+            for ((p, &gi), (mi, vi)) in terms.zip(moments) {
+                *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
                 let m_hat = *mi / bc1;
                 let v_hat = *vi / bc2;
-                p[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                *p -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
         Ok(())
@@ -286,6 +286,55 @@ mod tests {
         let mut opt = Sgd::new(0.25).unwrap();
         quadratic_step(&mut opt, &mut theta);
         assert!((theta.as_slice()[0] - 0.75).abs() < 1e-7);
+    }
+
+    /// The zipped update keeps the bits of the indexed per-element loop
+    /// over several steps, on zero, negative, tiny and large gradients.
+    #[test]
+    fn adam_step_matches_indexed_loop_bitwise() {
+        let grads: Vec<f32> = (0..67)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => -(i as f32) * 0.37,
+                3 => 1e-30 * i as f32,
+                4 => f32::MIN_POSITIVE * 3.0,
+                5 => 3e30 * (i as f32 - 30.0),
+                _ => (i as f32).sin(),
+            })
+            .collect();
+        let (lr, beta1, beta2, eps) = (0.003f32, 0.9f32, 0.999f32, 1e-8f32);
+        let mut opt = Adam::with_betas(lr, beta1, beta2).unwrap();
+        let mut theta = Tensor::from_fn([67], |i| (i[0] as f32 - 33.0) * 0.01);
+        let (mut p, mut m, mut v) = (
+            theta.as_slice().to_vec(),
+            vec![0.0f32; 67],
+            vec![0.0f32; 67],
+        );
+        for t in 1..=6i32 {
+            let scale = [1.0f32, -2.0, 0.5][t as usize % 3];
+            let mut grad = Tensor::from_fn([67], |i| grads[i[0]] * scale);
+            let g = grad.as_slice().to_vec();
+            opt.step(&mut [ParamGrad {
+                param: &mut theta,
+                grad: &mut grad,
+            }])
+            .unwrap();
+            let bc1 = 1.0 - beta1.powi(t);
+            let bc2 = 1.0 - beta2.powi(t);
+            for i in 0..g.len() {
+                let gi = g[i];
+                m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
+                v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+                let m_hat = m[i] / bc1;
+                let v_hat = v[i] / bc2;
+                p[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(theta.as_slice()), bits(&p), "step {t}");
+            assert_eq!(bits(opt.m[0].as_slice()), bits(&m), "step {t}");
+            assert_eq!(bits(opt.v[0].as_slice()), bits(&v), "step {t}");
+        }
     }
 
     #[test]

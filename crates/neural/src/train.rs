@@ -311,7 +311,7 @@ pub fn fit(
             let x = gather_rows(inputs, batch_idx)?;
             let t = gather_rows(targets, batch_idx)?;
             let pred = network.forward_train(&x)?;
-            let l = loss.loss(&pred, &t)?;
+            let (l, g) = loss.loss_and_grad(&pred, &t)?;
             if !l.is_finite() {
                 return Err(NeuralError::invalid(
                     "fit",
@@ -320,7 +320,6 @@ pub fn fit(
             }
             total += l as f64;
             batches += 1;
-            let g = loss.grad(&pred, &t)?;
             network.zero_grads();
             network.backward_params(&g)?;
             if let Some(max_norm) = config.grad_clip {

@@ -15,9 +15,9 @@
 use std::sync::Mutex;
 
 use ndtensor::{
-    conv2d, conv2d_into, matmul, matmul_a_bt, matmul_assign, matmul_assign_finite,
-    matmul_assign_into, matmul_at_b, matmul_at_b_into, set_thread_config, Conv2dSpec, Tensor,
-    ThreadConfig,
+    conv2d, conv2d_backward, conv2d_backward_params, conv2d_into, matmul, matmul_a_bt,
+    matmul_assign, matmul_assign_finite, matmul_assign_into, matmul_at_b, matmul_at_b_into,
+    set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
 };
 use proptest::prelude::*;
 
@@ -530,6 +530,250 @@ fn conv2d_panel_forward_matches_naive_bitwise() {
                     );
                     assert_eq!(bits(got.as_slice()), bits(&want), "conv2d {label}");
                     assert_eq!(bits(&into), bits(&want), "conv2d_into {label}");
+                }
+            }
+        }
+    }
+}
+
+/// Bit equality with NaNs compared by NaN-ness only: a NaN's payload may
+/// depend on operand order, which the kernels do not pin.
+fn assert_same_bits(got: &[f32], want: &[f32], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: length");
+    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+        let same = if w.is_nan() {
+            g.is_nan()
+        } else {
+            g.to_bits() == w.to_bits()
+        };
+        assert!(same, "{label}: element {i}: got {g:e}, want {w:e}");
+    }
+}
+
+/// The convolution backward pass as the GEMM kernels ran it before the
+/// panel kernel took over, one sample at a time, each element as its
+/// own chain:
+///
+/// * `dW = gOut · colsᵀ` over `im2col`: from `0.0`, ascending pixel,
+///   never skipping (the assigning `A·Bᵀ` kernel);
+/// * `dCols = Wᵀ · gOut`: from `0.0`, ascending filter, skipping exact-
+///   zero weights (the accumulating kernels into a zeroed output);
+/// * `col2im` one element at a time with a bounds test per tap;
+/// * `dB` the row sums of `gOut`;
+///
+/// then `dW` and `dB` summed over samples in sample order.
+fn reference_conv2d_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_output: &Tensor,
+    spec: Conv2dSpec,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let [n, c, h, w] = <[usize; 4]>::try_from(input.shape().dims()).unwrap();
+    let [f, _, kh, kw] = <[usize; 4]>::try_from(weight.shape().dims()).unwrap();
+    let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+    let (kdim, ncols) = (c * kh * kw, oh * ow);
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    let wd = weight.as_slice();
+    let mut grad_input = vec![0.0f32; n * c * h * w];
+    let mut grad_weight = vec![0.0f32; f * kdim];
+    let mut grad_bias = vec![0.0f32; f];
+    for ni in 0..n {
+        let sample = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+        let cols = ndtensor::im2col(sample, c, h, w, kh, kw, spec).unwrap();
+        let cols = cols.as_slice();
+        let gout = &grad_output.as_slice()[ni * f * ncols..(ni + 1) * f * ncols];
+        let mut dw = vec![0.0f32; f * kdim];
+        for fi in 0..f {
+            for r in 0..kdim {
+                let mut acc = 0.0f32;
+                for p in 0..ncols {
+                    acc += gout[fi * ncols + p] * cols[r * ncols + p];
+                }
+                dw[fi * kdim + r] = acc;
+            }
+        }
+        let mut dcols = vec![0.0f32; kdim * ncols];
+        for r in 0..kdim {
+            for p in 0..ncols {
+                let mut acc = 0.0f32;
+                for fi in 0..f {
+                    let a = wd[fi * kdim + r];
+                    if a != 0.0 {
+                        acc += a * gout[fi * ncols + p];
+                    }
+                }
+                dcols[r * ncols + p] = acc;
+            }
+        }
+        let dsample = &mut grad_input[ni * c * h * w..(ni + 1) * c * h * w];
+        for ci in 0..c {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let r = (ci * kh + ky) * kw + kx;
+                    for oy in 0..oh {
+                        let iy = (oy * sh + ky) as isize - ph as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for ox in 0..ow {
+                            let ix = (ox * sw + kx) as isize - pw as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            dsample[(ci * h + iy as usize) * w + ix as usize] +=
+                                dcols[r * ncols + oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+        for (gw, d) in grad_weight.iter_mut().zip(dw) {
+            *gw += d;
+        }
+        for fi in 0..f {
+            let db: f32 = gout[fi * ncols..(fi + 1) * ncols].iter().sum();
+            grad_bias[fi] += db;
+        }
+    }
+    (grad_input, grad_weight, grad_bias)
+}
+
+/// Writes NaN, +∞ and −∞ at three spread positions of `t`.
+fn poison(t: &mut Tensor) {
+    let len = t.len();
+    for (at, v) in [
+        (len / 7, f32::NAN),
+        (len / 2, f32::INFINITY),
+        (len - 1, f32::NEG_INFINITY),
+    ] {
+        t.as_mut_slice()[at] = v;
+    }
+}
+
+/// The conv backward on the panel kernel reproduces the pre-panel
+/// backward (`reference_conv2d_backward`) bit for bit, NaNs by NaN-ness:
+/// all five PilotNet layer geometries (`c·kh·kw` 25, 200, 300, 144, 180;
+/// `oh·ow` 2184, 444, 68), a filter count that is not a multiple of 4 and
+/// `c·kh·kw` below 8; plain, ReLU-like zero-heavy and NaN-holding `gOut`;
+/// NaN and ±∞ in the input and in the weights (with exact-zero and
+/// `-0.0` weights throughout); batches of 1, 2 and 32 and threads
+/// {1, 2, 4}. `conv2d_backward_params` gives the same weight and bias
+/// gradients.
+#[test]
+fn conv2d_backward_panel_matches_reference_bitwise() {
+    let _guard = lock();
+    let strided = Conv2dSpec::new((2, 2), (0, 0));
+    let padded = Conv2dSpec::new((1, 1), (1, 1));
+    // (c, h, w, f, kh, kw, spec)
+    let cases = [
+        (1usize, 60usize, 160usize, 8usize, 5usize, 5usize, strided),
+        (8, 28, 78, 12, 5, 5, strided),
+        (12, 12, 37, 16, 5, 5, strided),
+        (16, 4, 17, 20, 3, 3, padded),
+        (20, 4, 17, 20, 3, 3, padded),
+        (3, 9, 11, 5, 3, 3, Conv2dSpec::new((2, 1), (1, 2))),
+        (1, 6, 9, 3, 2, 3, padded),
+    ];
+    for (case, &(c, h, w, f, kh, kw, spec)) in cases.iter().enumerate() {
+        let seed = 500 + 10 * case as u64;
+        let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+        let k = c * kh * kw;
+        let mut weight = pseudo([f, c, kh, kw], seed + 1);
+        // Filter 1 all zeros, a -0.0 in filter 0, a zero in the last.
+        weight.as_mut_slice()[k..2 * k].fill(0.0);
+        weight.as_mut_slice()[k / 2] = -0.0;
+        weight.as_mut_slice()[f * k - 1] = 0.0;
+        for batch in [1usize, 2, 32] {
+            let input = pseudo([batch, c, h, w], seed + batch as u64);
+            let plain = pseudo([batch, f, oh, ow], seed + 2);
+            let heavy_2d = zero_heavy(batch * f, oh * ow, seed + 3);
+            let heavy = heavy_2d.reshape([batch, f, oh, ow]).unwrap();
+            let mut nan_gout = plain.clone();
+            poison(&mut nan_gout);
+            let mut bad_input = input.clone();
+            poison(&mut bad_input);
+            let mut bad_weight = weight.clone();
+            poison(&mut bad_weight);
+            let variants = [
+                ("plain", &input, &weight, &plain),
+                ("zero-heavy gOut", &input, &weight, &heavy),
+                ("non-finite gOut", &input, &weight, &nan_gout),
+                ("non-finite input", &bad_input, &weight, &heavy),
+                ("non-finite weight", &input, &bad_weight, &heavy),
+            ];
+            for (name, x, wt, gout) in variants {
+                let (gi, gw, gb) = reference_conv2d_backward(x, wt, gout, spec);
+                for threads in THREAD_COUNTS {
+                    set_thread_config(ThreadConfig::new(threads));
+                    let grads = conv2d_backward(x, wt, gout, spec).unwrap();
+                    let (pw, pb) = conv2d_backward_params(x, wt, gout, spec).unwrap();
+                    set_thread_config(ThreadConfig::from_env());
+                    let label = format!("case {case} batch {batch} {name} threads {threads}");
+                    assert_same_bits(grads.grad_input.as_slice(), &gi, &format!("{label} dx"));
+                    assert_same_bits(grads.grad_weight.as_slice(), &gw, &format!("{label} dW"));
+                    assert_same_bits(grads.grad_bias.as_slice(), &gb, &format!("{label} dB"));
+                    assert_same_bits(pw.as_slice(), &gw, &format!("{label} params dW"));
+                    assert_same_bits(pb.as_slice(), &gb, &format!("{label} params dB"));
+                }
+            }
+        }
+    }
+}
+
+/// `matmul_a_bt` — the dense input gradient `g · Wᵀ` and LRP — equals
+/// the never-skipping naive chain at the batch sizes training and
+/// scoring run (m ∈ {1, 2, 15, 32}) and the autoencoder and CNN-head
+/// shapes, on weights with exact-zero and `-0.0` entries. A NaN or ±∞
+/// in `g` facing an exact-zero weight must reach its output (`0 · NaN`
+/// is NaN), so the zero skip is off for a non-finite `g`. Threads
+/// {1, 2, 4}.
+#[test]
+fn matmul_a_bt_panel_matches_naive_bitwise() {
+    let _guard = lock();
+    // (k, n): g is [m, k], W is [n, k].
+    let shapes = [
+        (9600usize, 64usize),
+        (64, 1360),
+        (16, 64),
+        (64, 16),
+        (1, 1),
+        (7, 5),
+        (0, 3),
+    ];
+    for (case, &(k, n)) in shapes.iter().enumerate() {
+        for m in [1usize, 2, 15, 32] {
+            let seed = 700 + 10 * case as u64 + m as u64;
+            let mut wt = pseudo([n, k], seed);
+            for (x, v) in wt.as_mut_slice().iter_mut().enumerate() {
+                if x % 5 == 0 {
+                    *v = if x % 10 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let g = pseudo([m, k], seed + 1);
+            let mut bad = g.clone();
+            if k > 0 {
+                // Column 0 faces weight column 0, which is zero in rows
+                // 0, 2, 4, …
+                let row = m / 2;
+                bad.as_mut_slice()[row * k] = f32::NAN;
+                bad.as_mut_slice()[(m - 1) * k] = f32::INFINITY;
+                bad.as_mut_slice()[k - 1] = f32::NEG_INFINITY;
+            }
+            for (name, a) in [("finite g", &g), ("non-finite g", &bad)] {
+                let want = naive_matmul_a_bt(a.as_slice(), wt.as_slice(), m, k, n);
+                if name == "non-finite g" && k > 0 && n > 0 {
+                    assert!(want[(m / 2) * n].is_nan(), "NaN must meet a zero weight");
+                }
+                for threads in THREAD_COUNTS {
+                    set_thread_config(ThreadConfig::new(threads));
+                    let got = matmul_a_bt(a, &wt).unwrap();
+                    set_thread_config(ThreadConfig::from_env());
+                    assert_same_bits(
+                        got.as_slice(),
+                        &want,
+                        &format!("matmul_a_bt m{m} k{k} n{n} {name} threads {threads}"),
+                    );
                 }
             }
         }
