@@ -12,9 +12,8 @@
 //! count.
 //!
 //! Hot-path buffers (column matrices, per-sample gradients) come from
-//! [`crate::scratch`], and [`conv2d_into`] / [`conv2d_backward_into`] /
-//! [`im2col_into`] / [`col2im_into`] let callers recycle output storage,
-//! so a warmed pipeline performs no per-frame heap allocation.
+//! [`crate::scratch`], and [`conv2d_into`] lets callers recycle output
+//! storage, so a warmed pipeline performs no per-frame heap allocation.
 
 use crate::kernels::{all_finite, conv_panel, conv_panel_stride, pack_at};
 use crate::par::{try_for_each_block, try_parallel_map};
@@ -395,36 +394,6 @@ pub fn im2col(
     Ok(out)
 }
 
-/// Like [`im2col`], but writes into `out` (length `c·kh·kw·oh·ow`),
-/// recycling its storage.
-///
-/// # Errors
-///
-/// Like [`im2col`], plus [`TensorError::LengthMismatch`] when `out` has
-/// the wrong length.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_into(
-    sample: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: Conv2dSpec,
-    out: &mut [f32],
-) -> Result<()> {
-    let (oh, ow) = im2col_geometry(sample.len(), c, h, w, kh, kw, spec)?;
-    let expected = c * kh * kw * oh * ow;
-    if out.len() != expected {
-        return Err(TensorError::LengthMismatch {
-            expected,
-            actual: out.len(),
-        });
-    }
-    im2col_core(sample, c, h, w, kh, kw, spec, oh, ow, oh * ow, out);
-    Ok(())
-}
-
 fn col2im_geometry(
     cols: &Tensor,
     c: usize,
@@ -469,36 +438,6 @@ pub fn col2im(
     out.resize(c * h * w, 0.0);
     col2im_core(cols.as_slice(), c, h, w, kh, kw, spec, oh, ow, &mut out);
     Ok(out)
-}
-
-/// Like [`col2im`], but accumulates into `out` (length `c·h·w`), which
-/// must be zeroed first unless accumulation onto existing values is
-/// intended.
-///
-/// # Errors
-///
-/// Like [`col2im`], plus [`TensorError::LengthMismatch`] when `out` has
-/// the wrong length.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im_into(
-    cols: &Tensor,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: Conv2dSpec,
-    out: &mut [f32],
-) -> Result<()> {
-    let (oh, ow) = col2im_geometry(cols, c, h, w, kh, kw, spec)?;
-    if out.len() != c * h * w {
-        return Err(TensorError::LengthMismatch {
-            expected: c * h * w,
-            actual: out.len(),
-        });
-    }
-    col2im_core(cols.as_slice(), c, h, w, kh, kw, spec, oh, ow, out);
-    Ok(())
 }
 
 /// Resolved geometry of one convolution: batch, channels, spatial sizes.
@@ -712,7 +651,7 @@ pub struct Conv2dGrads {
 ///   the panel, is all finite, where a skipped term is `±0.0` and
 ///   changes no bit.
 /// * `dCols = Wᵀ · gOut` over a padded copy of `gOut`, skipping exact-zero
-///   weights — the accumulating kernels' chain on a zeroed output — then
+///   weights — the zero-skipping chain — then
 ///   scattered back by [`col2im_core`].
 #[allow(clippy::too_many_arguments)]
 fn conv2d_backward_impl(
@@ -896,47 +835,6 @@ pub fn conv2d_backward_params(
     Ok((grad_weight, grad_bias))
 }
 
-/// Like [`conv2d_backward`], but overwrites the tensors of an existing
-/// [`Conv2dGrads`] (which must already have the right shapes), recycling
-/// their storage.
-///
-/// # Errors
-///
-/// Like [`conv2d_backward`], plus [`TensorError::Invalid`] when `grads`
-/// has mismatched shapes.
-pub fn conv2d_backward_into(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    spec: Conv2dSpec,
-    grads: &mut Conv2dGrads,
-) -> Result<()> {
-    let g = conv_geometry(input, weight, spec)?;
-    check_backward_shapes(grad_output, &g)?;
-    if grads.grad_input.shape().dims() != [g.n, g.c, g.h, g.w]
-        || grads.grad_weight.shape().dims() != [g.f, g.c, g.kh, g.kw]
-        || grads.grad_bias.shape().dims() != [g.f]
-    {
-        return Err(TensorError::invalid(
-            "conv2d_backward_into",
-            "gradient buffers do not match the convolution geometry",
-        ));
-    }
-    grads.grad_input.as_mut_slice().fill(0.0);
-    grads.grad_weight.as_mut_slice().fill(0.0);
-    grads.grad_bias.as_mut_slice().fill(0.0);
-    conv2d_backward_impl(
-        input,
-        weight,
-        grad_output,
-        spec,
-        &g,
-        Some(grads.grad_input.as_mut_slice()),
-        grads.grad_weight.as_mut_slice(),
-        grads.grad_bias.as_mut_slice(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1060,48 +958,6 @@ mod tests {
         assert_eq!(out.as_slice(), reference.as_slice());
         let mut short = vec![0.0f32; 3];
         assert!(conv2d_into(&input, &weight, Some(&bias), spec, &mut short).is_err());
-    }
-
-    #[test]
-    fn im2col_and_col2im_into_match_allocating_forms() {
-        let (c, h, w, kh, kw) = (2, 6, 7, 3, 2);
-        let spec = Conv2dSpec::new((2, 1), (1, 1));
-        let x = pseudo([c * h * w], 17).into_vec();
-        let cols = im2col(&x, c, h, w, kh, kw, spec).unwrap();
-        let mut cols2 = vec![5.0f32; cols.len()];
-        im2col_into(&x, c, h, w, kh, kw, spec, &mut cols2).unwrap();
-        assert_eq!(cols2.as_slice(), cols.as_slice());
-
-        let back = col2im(&cols, c, h, w, kh, kw, spec).unwrap();
-        let mut back2 = vec![0.0f32; c * h * w];
-        col2im_into(&cols, c, h, w, kh, kw, spec, &mut back2).unwrap();
-        assert_eq!(back2, back);
-
-        let mut short = vec![0.0f32; 3];
-        assert!(im2col_into(&x, c, h, w, kh, kw, spec, &mut short).is_err());
-        assert!(col2im_into(&cols, c, h, w, kh, kw, spec, &mut short).is_err());
-    }
-
-    #[test]
-    fn backward_into_is_bit_identical_to_wrapper() {
-        let spec = Conv2dSpec::new((2, 2), (1, 1));
-        let input = pseudo([2, 2, 5, 6], 51);
-        let weight = pseudo([3, 2, 3, 3], 52);
-        let out = conv2d(&input, &weight, None, spec).unwrap();
-        let gout = pseudo(out.shape().dims().to_vec(), 53);
-        let reference = conv2d_backward(&input, &weight, &gout, spec).unwrap();
-        let mut grads = Conv2dGrads {
-            grad_input: Tensor::full(input.shape().clone(), 3.0),
-            grad_weight: Tensor::full(weight.shape().clone(), 3.0),
-            grad_bias: Tensor::full([3], 3.0),
-        };
-        conv2d_backward_into(&input, &weight, &gout, spec, &mut grads).unwrap();
-        assert_eq!(grads.grad_input, reference.grad_input);
-        assert_eq!(grads.grad_weight, reference.grad_weight);
-        assert_eq!(grads.grad_bias, reference.grad_bias);
-
-        grads.grad_bias = Tensor::zeros([7]);
-        assert!(conv2d_backward_into(&input, &weight, &gout, spec, &mut grads).is_err());
     }
 
     #[test]

@@ -1,133 +1,44 @@
 //! The GEMM microkernels behind [`crate::matmul`] and [`crate::conv`].
 //!
-//! Four kernels, one per shape class, and one rule that picks between
-//! the two accumulating ones ([`accumulate_kernel`]):
+//! Two kernels, one per B layout, and no rule that picks between them:
 //!
-//! * [`mm_axpy`] — axpy-ordered accumulation with a 256-column tile and
-//!   B-panel packing; wins where `k` is long.
-//! * [`mm_rr2`] — two-row, 64-wide register-blocked accumulation; wins
-//!   where the output is wide and `k` short enough for the `k × 64` B
-//!   block to stay L1-resident (the dense `dW = xᵀ·g`).
+//! * [`mm_assign`] — two-row × 64-column register-blocked assigning
+//!   kernel over a row-major B, whose last columns run the same block
+//!   zero-padded to 8, 16, 32 or 64 wide. It runs every `matmul` and
+//!   `matmul_at_b` (the dense `dW = xᵀ·g` among them) and the
+//!   weight-stationary `x · W` of every dense forward, on the layer's
+//!   `[in, out]` weight. It skips exact-zero A entries, or never skips.
 //! * [`conv_panel`] — four-row, 32-wide register-blocked assigning kernel
 //!   over a padded panel, with an optional bias in its store epilogue.
 //!   It runs every conv forward (`W · cols`), both conv backward GEMMs
 //!   (`dW = gOut · colsᵀ` over a transposed column panel, `dCols = Wᵀ ·
 //!   gOut` over a padded `gOut`) and every `A·Bᵀ` as the transposed
 //!   product `B · Aᵀ` (the dense input gradient `g · Wᵀ` among them).
-//! * [`mm_assign`] — the same register blocks as [`mm_rr2`], assigning:
-//!   the weight-stationary `x · W` of every dense forward, run on the
-//!   layer's `[in, out]` weight. It never skips, or — only when that
-//!   weight is all finite — skips exact-zero inputs like [`mm_rr2`].
 //!
 //! Every kernel honours one non-negotiable contract: **each output
 //! element is accumulated in a single chain, ascending `k`, starting from
-//! the element's initial value** — exactly the three-loop schoolbook
-//! product. Tiling, packing and register blocking only reorder *which
-//! element is worked on next*, never the additions inside one element,
-//! so the two accumulating kernels are bitwise-interchangeable, the
-//! assigning kernels are bitwise-equal on transposed operands, and every
-//! kernel is bitwise-equal to the naive product (the tests below and
-//! `tests/kernel_parity.rs`). The accumulating kernels keep the
-//! historical exact-zero skip on `A` entries, both skipping the same `l`
-//! indices. The assigning kernels write every output element exactly
-//! once. A caller that needs the never-skipping chain may still run a
-//! skipping form on an operand it has checked to be all finite: a
-//! skipped term is then `±0.0`, and adding it to a chain that starts at
-//! `+0.0` cannot change a bit.
+//! `+0.0`** — exactly the three-loop schoolbook product. Register
+//! blocking only reorders *which element is worked on next*, never the
+//! additions inside one element, so the two kernels are bitwise-equal on
+//! transposed operands and each is bitwise-equal to the naive product
+//! (the tests below and `tests/kernel_parity.rs`). Each kernel writes
+//! every output element exactly once and runs one of two chains: the
+//! zero-skipping chain, which drops the terms of exact-zero A entries,
+//! or the never-skipping chain. The two differ only where a skipped term
+//! is not `±0.0`, that is, where a NaN or `±∞` in B faces an exact-zero
+//! A entry: a skipped `±0.0` term added to a chain that starts at `+0.0`
+//! cannot change a bit. So a caller that needs the never-skipping chain
+//! may run the skipping form on a B it has checked to be all finite.
 //!
-//! All but [`conv_panel`] share the calling convention `(arows, rows, k,
-//! bd, n, out)`: a packed `rows × k` block of A rows against the full B
-//! operand, writing a `rows × n` output block — exactly the per-chunk
-//! shape [`crate::par::for_each_block`] hands to workers.
+//! [`mm_assign`] takes `(arows, rows, k, bd, n, out)`: a packed `rows × k`
+//! block of A rows against the full B operand, writing a `rows × n`
+//! output block — exactly the per-chunk shape
+//! [`crate::par::for_each_block`] hands to workers.
 
 use crate::scratch;
 
-/// The shared microkernel signature: `(arows, rows, k, bd, n, out)`.
-pub(crate) type Kernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
-
-/// Minimum rows in a chunk before packing the B panel pays for itself.
-/// The decision never affects values.
-const PACK_MIN_ROWS: usize = 4;
-
-/// Output columns per [`mm_axpy`] tile.
-const COL_TILE: usize = 256;
-
-/// Accumulator width of [`mm_rr2`]: output columns held in registers.
+/// Accumulator width of [`mm_assign`]: output columns held in registers.
 const RR_W: usize = 64;
-
-/// The accumulating kernel for a full `k × n` problem: [`mm_rr2`] where
-/// its 64-column accumulator block fits the output (`n ≥ 64`) and the
-/// `k × 64` B block stays L1-resident (`k ≤ 128`, ≤ 32 KB of f32),
-/// [`mm_axpy`] elsewhere, where its packed panel amortizes over long `k`.
-///
-/// Call once per entry-point invocation, on the caller thread, before
-/// row-splitting, so the choice cannot depend on the thread count.
-pub(crate) fn accumulate_kernel(k: usize, n: usize) -> Kernel {
-    if n >= RR_W && k <= 128 {
-        mm_rr2
-    } else {
-        mm_axpy
-    }
-}
-
-/// Packs the `k × tw` column panel of `b` starting at column `jc` into
-/// `panel` (cleared first): one streaming copy, then every row of the
-/// chunk reuses it from cache.
-fn pack_panel(bd: &[f32], k: usize, n: usize, jc: usize, tw: usize, panel: &mut Vec<f32>) {
-    panel.clear();
-    for l in 0..k {
-        panel.extend_from_slice(&bd[l * n + jc..l * n + jc + tw]);
-    }
-}
-
-/// Axpy-ordered accumulating kernel: `out[i][j] += Σ_l arows[i][l] ·
-/// b[l][j]` with column tiling and optional B-panel packing. `out` must
-/// hold the `rows × n` output block already initialised.
-///
-/// Per output element the summation is a single chain in ascending `l`,
-/// skipping exact-zero `arows` entries — identical to the naive kernel.
-pub(crate) fn mm_axpy(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    if rows == 0 || n == 0 || k == 0 {
-        return;
-    }
-    // One tile spanning all of B would pack a plain copy of it.
-    let pack = rows >= PACK_MIN_ROWS && n > COL_TILE;
-    let mut panel = if pack {
-        scratch::take(k * COL_TILE.min(n))
-    } else {
-        Vec::new()
-    };
-    let mut jc = 0;
-    while jc < n {
-        let tw = COL_TILE.min(n - jc);
-        if pack {
-            pack_panel(bd, k, n, jc, tw, &mut panel);
-        }
-        for i in 0..rows {
-            let arow = &arows[i * k..(i + 1) * k];
-            let orow = &mut out[i * n + jc..i * n + jc + tw];
-            for (l, &av) in arow.iter().enumerate() {
-                // sncheck:allow(no-float-eq): exact-zero sparsity skip,
-                // not a tolerance check.
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = if pack {
-                    &panel[l * tw..(l + 1) * tw]
-                } else {
-                    &bd[l * n + jc..l * n + jc + tw]
-                };
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        jc += tw;
-    }
-    scratch::give(panel);
-}
 
 /// Whether an A row contains no exact zero.
 ///
@@ -151,32 +62,32 @@ fn dense_row(row: &[f32]) -> bool {
         && tail.iter().all(nonzero)
 }
 
-/// Single-row register block for the remainder row of [`rr2_blocks`].
+/// Single-row register block for the remainder row of [`rr_block`]: one
+/// `W`-wide accumulator row over `b`'s first `W` columns, row stride
+/// `ld`.
 #[inline(always)]
-fn rr1_block<const SKIP: bool>(
+fn rr1_block<const SKIP: bool, const W: usize>(
     r0: &[f32],
     k: usize,
-    bd: &[f32],
-    n: usize,
-    j: usize,
-    acc0: &mut [f32; RR_W],
+    b: &[f32],
+    ld: usize,
+    acc0: &mut [f32; W],
 ) {
     if !SKIP || dense_row(r0) {
         for l in 0..k {
-            let brow = &bd[l * n + j..l * n + j + RR_W];
+            let brow = &b[l * ld..l * ld + W];
             let a0 = r0[l];
-            for t in 0..RR_W {
+            for t in 0..W {
                 acc0[t] += a0 * brow[t];
             }
         }
     } else {
         for l in 0..k {
-            let brow = &bd[l * n + j..l * n + j + RR_W];
+            let brow = &b[l * ld..l * ld + W];
             let a0 = r0[l];
-            // sncheck:allow(no-float-eq): exact-zero sparsity skip,
-            // same discipline as mm_axpy.
+            // sncheck:allow(no-float-eq): exact-zero sparsity skip.
             if a0 != 0.0 {
-                for t in 0..RR_W {
+                for t in 0..W {
                     acc0[t] += a0 * brow[t];
                 }
             }
@@ -184,134 +95,136 @@ fn rr1_block<const SKIP: bool>(
     }
 }
 
-/// Scalar column-remainder chains (identical order to the wide paths).
-fn rr_col_remainder<const ASSIGN: bool, const SKIP: bool>(
-    arows: &[f32],
-    rows: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-    mut j: usize,
-) {
-    while j < n {
-        for i in 0..rows {
-            let mut s = if ASSIGN { 0.0 } else { out[i * n + j] };
-            for l in 0..k {
-                let av = arows[i * k + l];
-                // sncheck:allow(no-float-eq): exact-zero sparsity skip,
-                // same discipline as mm_axpy.
-                if SKIP && av == 0.0 {
-                    continue;
-                }
-                s += av * bd[l * n + j];
-            }
-            out[i * n + j] = s;
-        }
-        j += 1;
-    }
-}
-
-/// Two-row register-blocked GEMM body behind [`mm_rr2`] and
-/// [`mm_assign`]: a pair of 64-wide accumulator rows lives in separate
-/// fixed-size locals (so scalar replacement keeps them in vector
-/// registers for the whole `k` chain — a nested `[[f32; W]; R]` block
-/// defeats that) and is stored back once. The `k × 64` B block is loaded
-/// once per `l`, shared by both rows, and stays L1-resident across row
-/// pairs at the same column offset when `k` is short, so B is
-/// effectively streamed from memory once per call. Each output element's
-/// chain is ascending `l`.
+/// Two-row register block: every row of `arows` (`k` entries each)
+/// against the `W` columns of `b` (row stride `ld`), storing the first
+/// `w` columns of each result row at the start of the matching `n`-wide
+/// row of `out`.
 ///
-/// `ASSIGN` picks where chains start: at `out`'s value (accumulating) or
-/// at `0.0` (assigning). `SKIP` picks the zero discipline: skipping
-/// exact-zero A entries, where row pairs whose A rows contain no exact
-/// zero take the branch-free inner loop — it performs the identical
-/// operation sequence as the skip loop on those inputs, so the choice
-/// never changes bits — or never skipping, always branch-free.
+/// A pair of `W`-wide accumulator rows lives in separate fixed-size
+/// locals (so scalar replacement keeps them in vector registers for the
+/// whole `k` chain — a nested `[[f32; W]; R]` block defeats that) and is
+/// stored back once. The `k × W` B block is loaded once per `l`, shared
+/// by both rows, and stays L1-resident across row pairs when `k` is
+/// short, so B is effectively streamed from memory once per call. Each
+/// output element's chain starts at `0.0` and is ascending `l`.
+///
+/// `SKIP` picks the zero discipline: skipping exact-zero A entries, where
+/// row pairs whose A rows contain no exact zero take the branch-free
+/// inner loop — it performs the identical operation sequence as the skip
+/// loop on those inputs, so the choice never changes bits — or never
+/// skipping, always branch-free.
 #[inline(always)]
-fn rr2_blocks<const ASSIGN: bool, const SKIP: bool>(
+fn rr_block<const SKIP: bool, const W: usize>(
     arows: &[f32],
-    rows: usize,
     k: usize,
-    bd: &[f32],
-    n: usize,
+    b: &[f32],
+    ld: usize,
     out: &mut [f32],
+    n: usize,
+    w: usize,
 ) {
-    let mut j = 0;
-    while j + RR_W <= n {
-        let mut i = 0;
-        while i + 2 <= rows {
-            let r0 = &arows[i * k..(i + 1) * k];
-            let r1 = &arows[(i + 1) * k..(i + 2) * k];
-            let mut acc0 = [0.0f32; RR_W];
-            let mut acc1 = [0.0f32; RR_W];
-            if !ASSIGN {
-                acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
-                acc1.copy_from_slice(&out[(i + 1) * n + j..(i + 1) * n + j + RR_W]);
+    let rows = arows.len() / k;
+    let mut i = 0;
+    while i + 2 <= rows {
+        let r0 = &arows[i * k..(i + 1) * k];
+        let r1 = &arows[(i + 1) * k..(i + 2) * k];
+        let mut acc0 = [0.0f32; W];
+        let mut acc1 = [0.0f32; W];
+        if !SKIP || (dense_row(r0) && dense_row(r1)) {
+            for l in 0..k {
+                let brow = &b[l * ld..l * ld + W];
+                let a0 = r0[l];
+                let a1 = r1[l];
+                for t in 0..W {
+                    acc0[t] += a0 * brow[t];
+                }
+                for t in 0..W {
+                    acc1[t] += a1 * brow[t];
+                }
             }
-            if !SKIP || (dense_row(r0) && dense_row(r1)) {
-                for l in 0..k {
-                    let brow = &bd[l * n + j..l * n + j + RR_W];
-                    let a0 = r0[l];
-                    let a1 = r1[l];
-                    for t in 0..RR_W {
+        } else {
+            for l in 0..k {
+                let brow = &b[l * ld..l * ld + W];
+                let a0 = r0[l];
+                // sncheck:allow(no-float-eq): exact-zero sparsity
+                // skip.
+                if a0 != 0.0 {
+                    for t in 0..W {
                         acc0[t] += a0 * brow[t];
                     }
-                    for t in 0..RR_W {
+                }
+                let a1 = r1[l];
+                // sncheck:allow(no-float-eq): exact-zero sparsity
+                // skip.
+                if a1 != 0.0 {
+                    for t in 0..W {
                         acc1[t] += a1 * brow[t];
                     }
                 }
-            } else {
-                for l in 0..k {
-                    let brow = &bd[l * n + j..l * n + j + RR_W];
-                    let a0 = r0[l];
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if a0 != 0.0 {
-                        for t in 0..RR_W {
-                            acc0[t] += a0 * brow[t];
-                        }
-                    }
-                    let a1 = r1[l];
-                    // sncheck:allow(no-float-eq): exact-zero sparsity
-                    // skip, same discipline as mm_axpy.
-                    if a1 != 0.0 {
-                        for t in 0..RR_W {
-                            acc1[t] += a1 * brow[t];
-                        }
-                    }
-                }
             }
-            out[i * n + j..i * n + j + RR_W].copy_from_slice(&acc0);
-            out[(i + 1) * n + j..(i + 1) * n + j + RR_W].copy_from_slice(&acc1);
-            i += 2;
         }
-        // Remainder row: single-row register block, identical chains.
-        while i < rows {
-            let r0 = &arows[i * k..(i + 1) * k];
-            let mut acc0 = [0.0f32; RR_W];
-            if !ASSIGN {
-                acc0.copy_from_slice(&out[i * n + j..i * n + j + RR_W]);
-            }
-            rr1_block::<SKIP>(r0, k, bd, n, j, &mut acc0);
-            out[i * n + j..i * n + j + RR_W].copy_from_slice(&acc0);
-            i += 1;
-        }
-        j += RR_W;
+        out[i * n..i * n + w].copy_from_slice(&acc0[..w]);
+        out[(i + 1) * n..(i + 1) * n + w].copy_from_slice(&acc1[..w]);
+        i += 2;
     }
-    rr_col_remainder::<ASSIGN, SKIP>(arows, rows, k, bd, n, out, j);
+    // Remainder row: single-row register block, identical chains.
+    if i < rows {
+        let r0 = &arows[i * k..(i + 1) * k];
+        let mut acc0 = [0.0f32; W];
+        rr1_block::<SKIP, W>(r0, k, b, ld, &mut acc0);
+        out[i * n..i * n + w].copy_from_slice(&acc0[..w]);
+    }
 }
 
-/// Two-row, 64-wide register-blocked accumulating kernel:
-/// `out[i][j] += Σ_l arows[i][l] · b[l][j]`, skipping exact-zero
-/// `arows` entries (see [`rr2_blocks`]).
-pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    if rows == 0 || n == 0 || k == 0 {
+/// [`rr_block`] over the last `n - j` (at most `W`) columns of `b: [k,
+/// n]`, copied into a `k × W` scratch panel with zeros in the pad
+/// columns; only the valid columns are stored.
+#[inline(always)]
+fn rr_padded_block<const SKIP: bool, const W: usize>(
+    arows: &[f32],
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+    j: usize,
+) {
+    let mut panel = scratch::take_zeroed(k * W);
+    for (prow, brow) in panel.chunks_exact_mut(W).zip(bd.chunks_exact(n)) {
+        prow[..n - j].copy_from_slice(&brow[j..]);
+    }
+    rr_block::<SKIP, W>(arows, k, &panel, W, &mut out[j..], n, n - j);
+    scratch::give(panel);
+}
+
+/// The GEMM body of [`mm_assign`]: [`rr_block`] over each 64-column block
+/// of B in place, then over the columns left, padded to the narrowest of
+/// 8, 16, 32 or 64 that holds them ([`rr_padded_block`]) — so no output
+/// column runs a scalar chain.
+#[inline(always)]
+fn rr2_blocks<const SKIP: bool>(
+    arows: &[f32],
+    rows: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    if rows == 0 || k == 0 {
+        out.fill(0.0);
         return;
     }
-    rr2_blocks::<false, true>(arows, rows, k, bd, n, out);
+    let mut j = 0;
+    while j + RR_W <= n {
+        rr_block::<SKIP, RR_W>(arows, k, &bd[j..], n, &mut out[j..], n, RR_W);
+        j += RR_W;
+    }
+    match n - j {
+        0 => {}
+        1..=8 => rr_padded_block::<SKIP, 8>(arows, k, bd, n, out, j),
+        9..=16 => rr_padded_block::<SKIP, 16>(arows, k, bd, n, out, j),
+        17..=32 => rr_padded_block::<SKIP, 32>(arows, k, bd, n, out, j),
+        _ => rr_padded_block::<SKIP, RR_W>(arows, k, bd, n, out, j),
+    }
 }
 
 /// Two-row, 64-wide register-blocked assigning kernel:
@@ -320,13 +233,13 @@ pub(crate) fn mm_rr2(arows: &[f32], rows: usize, k: usize, bd: &[f32], n: usize,
 /// transposed operands. Every element of `out` is assigned (zeros when
 /// `k == 0`).
 ///
-/// `SKIP = false` forms every term, so a non-finite B entry reaches its
-/// outputs even through an exact-zero A entry. `SKIP = true` skips
-/// exact-zero A entries and requires an all-finite B; under that
-/// precondition its bits equal the never-skipping chain's: a skipped
-/// term `0 · b` is `±0.0`, a chain from `+0.0` never holds `-0.0`, and
-/// adding `±0.0` to any other sum — NaN and `±∞` included — leaves its
-/// bits unchanged.
+/// `SKIP = false` forms every term: the never-skipping chain, so a
+/// non-finite B entry reaches its outputs even through an exact-zero A
+/// entry. `SKIP = true` computes the zero-skipping chain for any B: the
+/// terms of exact-zero A entries are dropped. When B is all finite the
+/// two chains give the same bits: a skipped term `0 · b` is `±0.0`, a
+/// chain from `+0.0` never holds `-0.0`, and adding `±0.0` to any other
+/// sum — NaN and `±∞` included — leaves its bits unchanged.
 pub(crate) fn mm_assign<const SKIP: bool>(
     arows: &[f32],
     rows: usize,
@@ -337,7 +250,7 @@ pub(crate) fn mm_assign<const SKIP: bool>(
 ) {
     debug_assert_eq!(arows.len(), rows * k);
     debug_assert_eq!(out.len(), rows * n);
-    rr2_blocks::<true, SKIP>(arows, rows, k, bd, n, out);
+    rr2_blocks::<SKIP>(arows, rows, k, bd, n, out);
 }
 
 /// Rows of the [`conv_panel`] register block.
@@ -362,7 +275,7 @@ pub(crate) fn conv_panel_stride(n: usize) -> usize {
 /// (no weight row holds an exact zero) the block takes the branch-free
 /// loop, which performs the identical operation sequence on those
 /// inputs. The four accumulator rows are separate locals: a nested
-/// `[[f32; W]; 4]` is not kept in registers (see [`rr2_blocks`]).
+/// `[[f32; W]; 4]` is not kept in registers (see [`rr_block`]).
 #[inline(always)]
 fn conv_block<const W: usize>(
     w: [&[f32]; CONV_R],
@@ -393,8 +306,7 @@ fn conv_block<const W: usize>(
         for l in 0..k {
             let brow = &panel[l * ld + j..l * ld + j + W];
             let (a0, a1, a2, a3) = (w0[l], w1[l], w2[l], w3[l]);
-            // sncheck:allow(no-float-eq): exact-zero sparsity skip, same
-            // discipline as mm_axpy.
+            // sncheck:allow(no-float-eq): exact-zero sparsity skip.
             if a0 != 0.0 {
                 for t in 0..W {
                     acc0[t] += a0 * brow[t];
@@ -456,10 +368,10 @@ fn store_block<const W: usize>(
 ///
 /// Each element's chain starts at `0.0` and runs ascending `l`, followed
 /// by the single `+ bias` when there is one. With `skip` the chain skips
-/// exact-zero weights — the accumulating kernels' chain on a zeroed
-/// output, so the result is bitwise-equal to [`mm_rr2`] or [`mm_axpy`]
-/// into a zeroed output plus a separate bias pass. Without `skip` every
-/// term is formed: the naive assigning chain, which a skipping run also
+/// exact-zero weights — the zero-skipping chain, bitwise-equal to
+/// [`mm_assign`]`::<true>` on the transposed operands plus a separate
+/// bias pass. Without `skip` every term is formed: the never-skipping
+/// chain, which a skipping run also
 /// reproduces bit for bit when the panel is all finite (a skipped term
 /// `0 · p` is then `±0.0`, a chain from `+0.0` never holds `-0.0`, and
 /// adding `±0.0` to any other sum leaves its bits unchanged).
@@ -535,8 +447,8 @@ pub(crate) fn pack_t_padded(a: &[f32], m: usize, k: usize, ld: usize) -> Vec<f32
 }
 
 /// Transposes the `Aᵀ` column block `i0..i0 + rows` of `A: [k, m]` into
-/// a contiguous `rows × k` scratch buffer (single pass over `A`), so the
-/// accumulating kernels see plain packed rows.
+/// a contiguous `rows × k` scratch buffer (single pass over `A`), so
+/// [`mm_assign`] sees plain packed rows.
 pub(crate) fn pack_at(ad: &[f32], k: usize, m: usize, i0: usize, rows: usize) -> Vec<f32> {
     let mut pa = scratch::take(rows * k);
     pa.resize(rows * k, 0.0);
@@ -557,9 +469,17 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Bits with every NaN mapped to one value: a NaN's payload may
+    /// depend on operand order, which the kernels do not pin.
+    fn nan_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
     /// Pseudo-random fill with every `zero_every`-th element an exact
-    /// zero (0 disables), to exercise the accumulating kernels' sparsity
-    /// skip and [`mm_rr2`]'s dense-row fast-path gate.
+    /// zero (0 disables), to exercise the sparsity skip and its
+    /// dense-row fast-path gate.
     fn pseudo_sparse(len: usize, seed: u64, zero_every: usize) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         (0..len)
@@ -574,6 +494,13 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Writes NaN, `+∞` and `−∞` in turn over every `every`-th element.
+    fn poison(v: &mut [f32], every: usize) {
+        for (x, e) in v.iter_mut().enumerate().step_by(every) {
+            *e = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(x / every) % 3];
+        }
     }
 
     /// `rows × k` values shaped like a ReLU output: at most one in 16
@@ -594,29 +521,18 @@ mod tests {
             .collect()
     }
 
-    /// Schoolbook reference over packed `A: [m, k]` rows. Accumulating
-    /// (`b: [k, n]`): element `(i, j)` starts at `init[i * n + j]` and
-    /// skips exact-zero A elements (0.0 * inf = NaN and -0.0 + 0.0 = +0.0
-    /// make the skip observable). Assigning (`b: [n, k]`): starts at 0
-    /// and never skips.
-    fn naive(
-        a: &[f32],
-        b: &[f32],
-        init: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        abt: bool,
-    ) -> Vec<f32> {
+    /// Schoolbook reference over packed `A: [m, k]` rows and `b: [k, n]`:
+    /// element `(i, j)` starts at `0.0` and runs ascending `l`. With
+    /// `skip` the terms of exact-zero A elements are dropped (`0 · ∞ =
+    /// NaN` makes the skip observable); without, every term is formed.
+    fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, skip: bool) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut acc = if abt { 0.0 } else { init[i * n + j] };
+                let mut acc = 0.0f32;
                 for l in 0..k {
                     let av = a[i * k + l];
-                    if abt {
-                        acc += av * b[j * k + l];
-                    } else if av != 0.0 {
+                    if !(skip && av == 0.0) {
                         acc += av * b[l * n + j];
                     }
                 }
@@ -625,6 +541,9 @@ mod tests {
         }
         out
     }
+
+    /// The `(arows, rows, k, bd, n, out)` signature of [`mm_assign`].
+    type Kernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
 
     /// Runs `kernel` over `chunks` contiguous row blocks of the `m × k`
     /// by `k × n` problem, the way the threaded entry points do.
@@ -653,18 +572,18 @@ mod tests {
         }
     }
 
-    /// Every kernel reproduces the naive chain bit-for-bit on every row
-    /// chunking the thread row-splitter could produce (1, 2 and 4
-    /// contiguous chunks), on A with no zeros, every third zero, and
-    /// ReLU-like zero-heavy rows (at least 90 % exact zeros, `-0.0`
-    /// entries, all-zero rows), where the skipping [`mm_assign`] must
-    /// match the never-skipping chain; the accumulating kernels honour
-    /// the accumulate-into contract (zero and non-zero initial output)
-    /// and the assigning ones overwrite a stale output.
+    /// Both forms of [`mm_assign`] reproduce their naive chain
+    /// bit-for-bit on every row chunking the thread row-splitter could
+    /// produce (1, 2 and 4 contiguous chunks), on A with no zeros, every
+    /// third zero, and ReLU-like zero-heavy rows (at least 90 % exact
+    /// zeros, `-0.0` entries, all-zero rows), overwriting a stale output.
+    /// On an all-finite B the skipping form must match the never-skipping
+    /// chain; on a B holding NaN and `±∞` it must match the zero-skipping
+    /// chain (NaNs compared by NaN-ness).
     ///
-    /// Shapes land on the accumulator width (64 columns ±1), the axpy
-    /// column tile, the row-pair boundary, the pack threshold and an
-    /// empty `k`.
+    /// Shapes land on the accumulator width (64 columns ±1), every width
+    /// of the padded last column block (8, 16, 32, 64), the row-pair
+    /// boundary and an empty `k`.
     #[test]
     fn every_kernel_matches_naive_bitwise() {
         let shapes = [
@@ -685,8 +604,12 @@ mod tests {
             (2, 64, 300),
             (15, 64, 64),
             (15, 70, 130),
+            (4, 9, 16),
+            (3, 4, 72),
+            (2, 5, 9),
+            (5, 12, 33),
+            (6, 10, 88),
         ];
-        let accumulating: [(&str, Kernel); 2] = [("mm_axpy", mm_axpy), ("mm_rr2", mm_rr2)];
         let (mut zeros, mut total) = (0usize, 0usize);
         for (case, &(m, k, n)) in shapes.iter().enumerate() {
             let seed = 100 + case as u64;
@@ -698,43 +621,33 @@ mod tests {
                 ("every third zero", pseudo_sparse(m * k, seed, 3)),
                 ("zero-heavy", heavy),
             ];
+            let init = pseudo_sparse(m * n, seed + 13, 0);
             for (zeros_in_a, a) in &inputs {
-                let b = pseudo_sparse(k * n, seed + 7, 0);
-                let zeroed = vec![0.0f32; m * n];
-                let init = pseudo_sparse(m * n, seed + 13, 0);
-                for (name, kernel) in accumulating {
-                    for start in [&zeroed, &init] {
-                        let want = naive(a, &b, start, m, k, n, false);
+                for finite in [true, false] {
+                    let mut b = pseudo_sparse(k * n, seed + 7, 0);
+                    if !finite {
+                        poison(&mut b, 7);
+                    }
+                    let full = naive(a, &b, m, k, n, false);
+                    let skipping = naive(a, &b, m, k, n, true);
+                    if finite {
+                        assert_eq!(bits(&skipping), bits(&full), "m{m} k{k} n{n} {zeros_in_a}");
+                    }
+                    let forms: [(&str, Kernel, &[f32]); 2] = [
+                        ("mm_assign", mm_assign::<false>, &full),
+                        ("mm_assign skip", mm_assign::<true>, &skipping),
+                    ];
+                    for (name, kernel, want) in forms {
                         for chunks in [1usize, 2, 4] {
-                            let mut out = start.clone();
+                            // Stale non-zero output: every element must be assigned.
+                            let mut out = init.clone();
                             chunked(kernel, chunks, (m, k, n), a, &b, &mut out);
                             assert_eq!(
-                                bits(&out),
-                                bits(&want),
-                                "{name} m{m} k{k} n{n} {zeros_in_a} chunks={chunks}"
+                                nan_bits(&out),
+                                nan_bits(want),
+                                "{name} m{m} k{k} n{n} {zeros_in_a} finite={finite} chunks={chunks}"
                             );
                         }
-                    }
-                }
-                // The assigning kernels against one naive chain on `B` as
-                // `[n, k]`: `mm_assign` on the same B as `[k, n]`.
-                let bt = pseudo_sparse(n * k, seed + 7, 0);
-                let b_kn: Vec<f32> = (0..k * n).map(|x| bt[(x % n) * k + x / n]).collect();
-                let want = naive(a, &bt, &zeroed, m, k, n, true);
-                let assigning: [(&str, Kernel, &[f32]); 2] = [
-                    ("mm_assign", mm_assign::<false>, &b_kn),
-                    ("mm_assign skip", mm_assign::<true>, &b_kn),
-                ];
-                for (name, kernel, operand) in assigning {
-                    for chunks in [1usize, 2, 4] {
-                        // Stale non-zero output: every element must be assigned.
-                        let mut out = init.clone();
-                        chunked(kernel, chunks, (m, k, n), a, operand, &mut out);
-                        assert_eq!(
-                            bits(&out),
-                            bits(&want),
-                            "{name} m{m} k{k} n{n} {zeros_in_a} chunks={chunks}"
-                        );
                     }
                 }
             }
@@ -742,13 +655,14 @@ mod tests {
         assert!(zeros * 10 >= total * 9, "{zeros} zeros of {total}");
     }
 
-    /// `conv_panel` on a padded panel equals the naive chain on a zeroed
-    /// output plus one `+ bias` — the accumulating, zero-skipping chain
-    /// with `skip`, the never-skipping one without — at every tail
+    /// `conv_panel` on a padded panel equals the naive chain plus one
+    /// `+ bias` — the zero-skipping chain with `skip`, the never-skipping
+    /// one without — at every tail
     /// combination of the 32/16/8-wide blocks, remainder rows, `k = 0`
     /// and weights that mix dense and zero-holding rows. A panel holding
-    /// NaN and `±∞` shows the two disciplines apart; on an all-finite
-    /// panel both give the same bits. Stale output is overwritten.
+    /// NaN and `±∞` shows the two disciplines apart (NaNs compared by
+    /// NaN-ness); on an all-finite panel both give the same bits. Stale
+    /// output is overwritten.
     #[test]
     fn conv_panel_matches_naive_bitwise() {
         for f in [1usize, 3, 4, 5, 9] {
@@ -764,18 +678,14 @@ mod tests {
                     for finite in [true, false] {
                         let mut b = pseudo_sparse(k * n, seed + 1, 0);
                         if !finite {
-                            for (x, v) in b.iter_mut().enumerate().step_by(3) {
-                                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][x % 3];
-                            }
+                            poison(&mut b, 3);
                         }
                         let mut panel = vec![0.0f32; k * ld];
                         for l in 0..k {
                             panel[l * ld..l * ld + n].copy_from_slice(&b[l * n..(l + 1) * n]);
                         }
-                        let bt: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
-                        let zeroed = vec![0.0; f * n];
-                        let skipping = naive(&w, &b, &zeroed, f, k, n, false);
-                        let full = naive(&w, &bt, &zeroed, f, k, n, true);
+                        let skipping = naive(&w, &b, f, k, n, true);
+                        let full = naive(&w, &b, f, k, n, false);
                         if finite {
                             assert_eq!(bits(&skipping), bits(&full), "f{f} k{k} n{n}");
                         }
@@ -790,8 +700,8 @@ mod tests {
                                 let bias_arg = with_bias.then_some(bias.as_slice());
                                 conv_panel(&w, f, k, &panel, ld, n, bias_arg, skip, &mut out);
                                 assert_eq!(
-                                    bits(&out),
-                                    bits(&want),
+                                    nan_bits(&out),
+                                    nan_bits(&want),
                                     "f{f} k{k} n{n} bias={with_bias} skip={skip} finite={finite}"
                                 );
                             }
@@ -843,15 +753,5 @@ mod tests {
             }
         }
         assert!(dense_row(&[f32::NAN, f32::INFINITY, f32::MIN_POSITIVE]));
-    }
-
-    #[test]
-    fn accumulate_kernel_splits_on_width_and_depth() {
-        let is_rr2 = |k, n| accumulate_kernel(k, n) as usize == mm_rr2 as Kernel as usize;
-        assert!(is_rr2(128, 64));
-        assert!(is_rr2(1, 9600));
-        assert!(!is_rr2(129, 64));
-        assert!(!is_rr2(128, 63));
-        assert!(!is_rr2(9600, 64));
     }
 }

@@ -44,8 +44,8 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_into, conv2d, conv2d_backward, conv2d_backward_into, conv2d_backward_params,
-    conv2d_into, im2col, im2col_into, Conv2dGrads, Conv2dSpec,
+    col2im, conv2d, conv2d_backward, conv2d_backward_params, conv2d_into, im2col, Conv2dGrads,
+    Conv2dSpec,
 };
 pub use error::TensorError;
 pub use init::{fill_he_normal, fill_normal, fill_uniform, fill_xavier_uniform};

@@ -15,20 +15,18 @@
 //! caller-provided buffer so hot loops can recycle storage; the
 //! allocating forms draw their output from [`crate::scratch`].
 //!
-//! The inner microkernels live in `crate::kernels`: [`matmul`] and
-//! [`matmul_at_b`] pick one of the two accumulating kernels from their
-//! full `k × n` shape — once per call, on the caller thread — and hand it
-//! to the row-parallel workers; [`matmul_a_bt`] runs the padded-panel
-//! kernel on the transposed product, and [`matmul_assign`] and
-//! [`matmul_assign_finite`] the register-blocked one, never skipping and
-//! skipping. Every kernel
-//! is bitwise-equal to the naive kernel
-//! (blocking only reorders *which* output element is worked on next; the
-//! per-element accumulation remains a single chain in ascending-`k`
-//! order, with the historical exact-zero skips preserved verbatim, and
-//! the skip in [`matmul_assign_finite`] only drops `±0.0` terms that
-//! cannot change a chain's bits), so the kernel choice can never change
-//! a result bit.
+//! The inner microkernels live in `crate::kernels`, and no shape rule
+//! picks between them: [`matmul_a_bt`] runs the padded-panel kernel on
+//! the transposed product, and every other entry point the
+//! register-blocked one over a row-major `B` — [`matmul`],
+//! [`matmul_at_b`] and [`matmul_assign_finite`] with the exact-zero `A`
+//! skip, [`matmul_assign`] without. Each is bitwise-equal to the naive
+//! product (blocking only reorders *which* output element is worked on
+//! next; the per-element accumulation remains a single chain from `+0.0`
+//! in ascending-`k` order). The zero-skipping chain of [`matmul`] and
+//! [`matmul_at_b`] keeps the historical exact-zero skip for any `B`; the
+//! skip in [`matmul_assign_finite`] only drops `±0.0` terms, which cannot
+//! change a chain's bits.
 //!
 //! All kernels parallelise over output rows through [`crate::par`] once the
 //! arithmetic volume crosses [`crate::par::PARALLEL_THRESHOLD`], so small
@@ -37,7 +35,7 @@
 //! bit-identical for any thread count.
 
 use crate::kernels::{
-    accumulate_kernel, all_finite, conv_panel, conv_panel_stride, mm_assign, pack_at, pack_t_padded,
+    all_finite, conv_panel, conv_panel_stride, mm_assign, pack_at, pack_t_padded,
 };
 use crate::par::for_each_block;
 use crate::{scratch, Result, Tensor, TensorError};
@@ -73,17 +71,26 @@ fn check_mm(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize, u
     Ok((m, k, n))
 }
 
-fn matmul_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    // One choice per call, on the caller thread: workers only see the
-    // chosen kernel fn, so it never depends on the thread count.
-    let kernel = accumulate_kernel(k, n);
+fn matmul_assign_slices<const SKIP: bool>(
+    ad: &[f32],
+    m: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
-        kernel(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
+        mm_assign::<SKIP>(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
     });
 }
 
 /// Computes `C = A·B` for `A: [m, k]` and `B: [k, n]`.
+///
+/// Element `(i, j)` is one chain from `+0.0`, `l` ascending, that skips
+/// the terms of exact-zero `a[i][l]` — so a NaN or `±∞` in `B` facing a
+/// zero of `A` does not reach its output (use [`matmul_assign`] for the
+/// chain that forms every term).
 ///
 /// # Errors
 ///
@@ -104,27 +111,24 @@ fn matmul_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = check_mm(a, b, "matmul")?;
     let mut out = Tensor::zeros([m, n]);
-    matmul_slices(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
+    matmul_assign_slices::<true>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }
 
 fn matmul_at_b_slices(ad: &[f32], k: usize, m: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    let kernel = accumulate_kernel(k, n);
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
-        if rows == 0 || k == 0 {
-            return;
-        }
         // Transpose this chunk's Aᵀ column block into contiguous scratch
-        // (one pass over A), then run the chosen accumulating kernel on
-        // plain packed rows.
+        // (one pass over A), then run the zero-skipping kernel on plain
+        // packed rows. It assigns every element, zeros when `k == 0`.
         let pa = pack_at(ad, k, m, row0, rows);
-        kernel(&pa, rows, k, bd, n, chunk);
+        mm_assign::<true>(&pa, rows, k, bd, n, chunk);
         scratch::give(pa);
     });
 }
 
-/// Computes `C = Aᵀ·B` for `A: [k, m]` and `B: [k, n]` without transposing.
+/// Computes `C = Aᵀ·B` for `A: [k, m]` and `B: [k, n]` without transposing,
+/// with [`matmul`]'s zero-skipping chain.
 ///
 /// # Errors
 ///
@@ -162,7 +166,7 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
         });
     }
     check_out_len(out.len(), m * n)?;
-    out.fill(0.0);
+    // The kernel assigns every element; zero-fill is unnecessary.
     matmul_at_b_slices(a.as_slice(), k, m, b.as_slice(), n, out);
     Ok(())
 }
@@ -217,20 +221,6 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-fn matmul_assign_slices<const SKIP: bool>(
-    ad: &[f32],
-    m: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    for_each_block(out, n, m * n * k, |row0, chunk| {
-        let rows = chunk.len().checked_div(n).unwrap_or(0);
-        mm_assign::<SKIP>(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
-    });
-}
-
 /// Computes `C = A·B` for `A: [m, k]` and `B: [k, n]` as a dense product:
 /// unlike [`matmul`], every term `a[i][l] · b[l][j]` is formed, even where
 /// `a[i][l]` is zero, so a non-finite `B` entry always reaches its
@@ -253,8 +243,9 @@ pub fn matmul_assign(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// Computes [`matmul_assign`] for an **all-finite** `B`, skipping the
-/// terms of exact-zero `a[i][l]` (`±0.0`). Rows of a ReLU output are
-/// mostly zeros, and each skipped zero saves a pass over one row of `B`.
+/// terms of exact-zero `a[i][l]` (`±0.0`): [`matmul`]'s zero-skipping
+/// chain. Rows of a ReLU output are mostly zeros, and each skipped zero
+/// saves a pass over one row of `B`.
 ///
 /// Precondition: every element of `b` is finite. The result is then
 /// bit-identical to [`matmul_assign`]: a skipped term `0 · b[l][j]` is
@@ -378,9 +369,9 @@ mod tests {
 
     #[test]
     fn shapes_spanning_tile_boundaries_match_naive() {
-        // Exercise the axpy column tile (n > 256), the 64-wide register
-        // block's column remainder, and the panel kernel's remainder rows
-        // (n not a multiple of 4) under `A·Bᵀ`.
+        // Exercise wide outputs (n > 256), the 64-wide register block's
+        // column remainder, and the panel kernel's remainder rows (n not
+        // a multiple of 4) under `A·Bᵀ`.
         for &(m, k, n) in &[(5, 3, 513), (2, 7, 300), (9, 2, 65), (1, 300, 70)] {
             let a = pseudo([m, k], 91);
             let b = pseudo([k, n], 92);

@@ -5,7 +5,7 @@
 //! can be inspected with any image viewer without adding a heavyweight
 //! image dependency.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::Path;
 
 use crate::{Image, Result, RgbImage, VisionError};
@@ -110,7 +110,9 @@ fn parse_dim(token: &str, what: &str) -> Result<usize> {
 /// # Errors
 ///
 /// Fails on I/O errors or malformed headers (wrong magic, zero dimensions,
-/// non-255 maxval, truncated pixel data).
+/// a pixel count that overflows `usize`, non-255 maxval, truncated pixel
+/// data). The header is not trusted for allocation: the pixel buffer
+/// grows only by the bytes that actually arrive.
 pub fn read_pgm(reader: &mut impl BufRead) -> Result<Image> {
     let magic = read_token(reader)?;
     if magic != "P5" {
@@ -129,10 +131,14 @@ pub fn read_pgm(reader: &mut impl BufRead) -> Result<Image> {
             "only maxval 255 is supported, got {maxval}"
         )));
     }
-    let mut bytes = vec![0u8; width * height];
-    reader
-        .read_exact(&mut bytes)
-        .map_err(|_| VisionError::Format("truncated pixel data".into()))?;
+    let len = width
+        .checked_mul(height)
+        .ok_or_else(|| VisionError::Format(format!("pixel count of {width}x{height} overflows")))?;
+    let mut bytes = Vec::new();
+    reader.take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len {
+        return Err(VisionError::Format("truncated pixel data".into()));
+    }
     let mut img = Image::new(height, width)?;
     for (dst, &src) in img.as_mut_slice().iter_mut().zip(&bytes) {
         *dst = src as f32 / 255.0;
@@ -206,6 +212,25 @@ mod tests {
         ] {
             assert!(read_pgm(&mut Cursor::new(bad)).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn read_pgm_rejects_overflowing_header() {
+        let data = format!("P5\n{} 2\n255\n\x00\x00", usize::MAX);
+        let err = read_pgm(&mut Cursor::new(data.as_bytes())).unwrap_err();
+        assert!(matches!(err, VisionError::Format(_)), "{err}");
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    /// A 20-byte stream that claims 60000×60000 pixels fails as truncated
+    /// without allocating what the header claims.
+    #[test]
+    fn read_pgm_rejects_huge_claim_on_truncated_stream() {
+        let data = b"P5\n60000 60000\n255\n\x00";
+        assert_eq!(data.len(), 20);
+        let err = read_pgm(&mut Cursor::new(&data[..])).unwrap_err();
+        assert!(matches!(err, VisionError::Format(_)), "{err}");
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Bit-parity of the packed, cache-blocked GEMM kernels (and their
+//! Bit-parity of the register-blocked GEMM kernels (and their
 //! workspace `_into` variants) against an embedded naive reference, for
 //! random shapes and thread counts {1, 2, 4}.
 //!
-//! The packed kernels in `ndtensor::matmul` tile output columns and pack
-//! operand panels for locality, but the contract is strict: every output
-//! element is accumulated over `k` ascending, in one chain, exactly like
-//! the three-loop schoolbook product. These tests hold the kernels to
+//! The kernels behind `ndtensor::matmul` and `ndtensor::conv2d` block
+//! output rows and columns in registers and pack operand panels for
+//! locality, but the contract is strict: every output element is
+//! accumulated over `k` ascending, in one chain, exactly like the
+//! three-loop schoolbook product. These tests hold the kernels to
 //! that contract at the bit level — any reassociation, blocking over
 //! `k`, or FMA contraction would fail them.
 //!
@@ -130,8 +131,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `matmul` reproduces the naive chain bit-for-bit
-    /// for random shapes spanning the column-tile boundary (n crosses
-    /// 256) and the packing threshold (m crosses 4).
+    /// for random shapes spanning several 64-wide register blocks and
+    /// their column remainder (n up to 319) and odd and even row counts.
     #[test]
     fn matmul_bitwise_matches_naive(
         m in 1usize..10,
@@ -172,8 +173,8 @@ proptest! {
         })?;
     }
 
-    /// Same contract for the transposed-B kernel, whose production
-    /// implementation runs 8 independent per-column accumulators.
+    /// Same contract for the transposed-B product, which production
+    /// runs on the padded-panel kernel as `B · Aᵀ`.
     #[test]
     fn matmul_a_bt_bitwise_matches_naive(
         m in 1usize..10,
@@ -315,12 +316,13 @@ fn naive_conv(
     out
 }
 
-/// Both sides of the one kernel-choice rule (the register-blocked kernel
-/// runs at `n ≥ 64 && k ≤ 128`, the axpy kernel elsewhere): `matmul`,
-/// `matmul_at_b` and `conv2d` at `n ∈ {63, 64}` × `k ∈ {128, 129}`
-/// reproduce the naive chain bit-for-bit. Odd row counts hit the
-/// register kernel's remainder row; for `conv2d` the GEMM is `W · cols`
-/// with `k = c·kh·kw` and `n = oh·ow`.
+/// `matmul`, `matmul_at_b` and `conv2d` at `n ∈ {63, 64}` × `k ∈ {128,
+/// 129}` reproduce the naive chain bit-for-bit: `n = 63` runs entirely in
+/// the register-blocked kernel's axpy column remainder, `n = 64` in one
+/// 64-wide block, and `k` straddles the depth at which a `k × 64` B block
+/// stops fitting a 32 KB L1. Odd row counts hit the register kernel's
+/// remainder row; for `conv2d` the GEMM is `W · cols` with `k = c·kh·kw`
+/// and `n = oh·ow`.
 #[test]
 fn kernel_choice_boundary_matches_naive_bitwise() {
     let _guard = lock();
@@ -379,9 +381,11 @@ fn kernel_choice_boundary_matches_naive_bitwise() {
     set_thread_config(ThreadConfig::from_env());
 }
 
-/// Fixed shapes chosen to land exactly on kernel tile edges: the column
-/// tile (256), the `a_bt` row tile (64), the 8-wide accumulator group,
-/// and the pack threshold (4 rows).
+/// Fixed shapes chosen to land exactly on kernel block edges: multiples
+/// of the 64-wide register block with and without a column remainder
+/// (256, 257, 255, 512, 64, 65), the panel kernel's 32/16/8-wide column
+/// blocks, and row counts on and off its 4-row and the register kernel's
+/// 2-row blocks.
 #[test]
 fn tile_edge_shapes_match_naive_bitwise() {
     let _guard = lock();
@@ -778,4 +782,67 @@ fn matmul_a_bt_panel_matches_naive_bitwise() {
             }
         }
     }
+}
+
+/// Schoolbook `A[m,k] · B[k,n]` on the zero-skipping chain: from `0.0`,
+/// `k` ascending, dropping the terms of exact-zero `A` entries.
+fn naive_matmul_skipping(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for l in 0..k {
+                let av = a[i * k + l];
+                if av != 0.0 {
+                    acc += av * b[l * n + j];
+                }
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// `matmul` and `matmul_at_b` run the zero-skipping chain for any `B`:
+/// with NaN, `+∞` and `−∞` in `B` facing the exact-zero (`±0.0`) entries
+/// of a ReLU-like `A`, a term of a zero `A` entry is dropped instead of
+/// poisoning its output, and a term of a non-zero one is kept. Widths
+/// cross the 64-wide register block and its axpy column remainder
+/// (n ∈ {1, 16, 50, 63, 64, 65, 100, 130}), batch sizes are those
+/// training and scoring run (m ∈ {1, 2, 15, 32}), the largest shapes clear
+/// the parallel threshold, and threads are {1, 2, 4}. NaNs are compared
+/// by NaN-ness.
+#[test]
+fn matmul_non_finite_b_matches_zero_skipping_chain_bitwise() {
+    let _guard = lock();
+    let (mut dropped, mut kept) = (0usize, 0usize);
+    for n in [1usize, 16, 50, 63, 64, 65, 100, 130] {
+        for m in [1usize, 2, 15, 32] {
+            for k in [0usize, 1, 32, 96] {
+                let seed = 900 + (n * 1000 + m * 100 + k) as u64;
+                let a = zero_heavy(m, k, seed);
+                let at = a.transpose2d().unwrap();
+                let mut b = pseudo([k, n], seed + 1);
+                for (x, v) in b.as_mut_slice().iter_mut().enumerate().step_by(5) {
+                    *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(x / 5) % 3];
+                }
+                let want = naive_matmul_skipping(a.as_slice(), b.as_slice(), m, k, n);
+                let full = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+                for (w, f) in want.iter().zip(&full) {
+                    dropped += usize::from(w.is_finite() && !f.is_finite());
+                    kept += usize::from(!w.is_finite());
+                }
+                for threads in THREAD_COUNTS {
+                    set_thread_config(ThreadConfig::new(threads));
+                    let ab = matmul(&a, &b).unwrap();
+                    let atb = matmul_at_b(&at, &b).unwrap();
+                    set_thread_config(ThreadConfig::from_env());
+                    let label = format!("m{m} k{k} n{n} threads {threads}");
+                    assert_same_bits(ab.as_slice(), &want, &format!("matmul {label}"));
+                    assert_same_bits(atb.as_slice(), &want, &format!("matmul_at_b {label}"));
+                }
+            }
+        }
+    }
+    assert!(dropped > 0 && kept > 0, "dropped {dropped}, kept {kept}");
 }
