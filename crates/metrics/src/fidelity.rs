@@ -1,4 +1,4 @@
-//! Pixel-wise fidelity measures: MSE and PSNR.
+//! Pixel-wise fidelity measure: MSE.
 
 use vision::Image;
 
@@ -36,22 +36,6 @@ pub fn mse(x: &Image, y: &Image) -> Result<f32> {
     Ok((acc / x.len() as f64) as f32)
 }
 
-/// Peak signal-to-noise ratio in dB for unit-range images:
-/// `PSNR = 10 · log10(1 / MSE)`. Identical images give `+inf`.
-///
-/// # Errors
-///
-/// Fails when the images have different dimensions.
-pub fn psnr(x: &Image, y: &Image) -> Result<f32> {
-    let m = mse(x, y)?;
-    // sncheck:allow(no-float-eq): exact zero MSE means bit-identical
-    // images — a sentinel, not a tolerance check.
-    if m == 0.0 {
-        return Ok(f32::INFINITY);
-    }
-    Ok(10.0 * (1.0 / m).log10())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,7 +44,6 @@ mod tests {
     fn identical_images_have_zero_mse() {
         let img = Image::from_fn(4, 4, |y, x| (y + x) as f32 / 6.0).unwrap();
         assert_eq!(mse(&img, &img).unwrap(), 0.0);
-        assert_eq!(psnr(&img, &img).unwrap(), f32::INFINITY);
     }
 
     #[test]
@@ -68,8 +51,6 @@ mod tests {
         let a = Image::filled(2, 2, 0.0).unwrap();
         let b = Image::filled(2, 2, 0.5).unwrap();
         assert!((mse(&a, &b).unwrap() - 0.25).abs() < 1e-7);
-        // PSNR of MSE 0.25 = 10·log10(4) ≈ 6.02 dB.
-        assert!((psnr(&a, &b).unwrap() - 6.0206).abs() < 1e-3);
     }
 
     #[test]
@@ -84,6 +65,5 @@ mod tests {
         let a = Image::new(2, 2).unwrap();
         let b = Image::new(2, 3).unwrap();
         assert!(mse(&a, &b).is_err());
-        assert!(psnr(&a, &b).is_err());
     }
 }

@@ -9,7 +9,7 @@
 //! images carry real-world variation, while SSIM (Wang & Bovik's
 //! Structural Similarity index) can. This crate implements:
 //!
-//! * [`mse`] / [`psnr`] — the baseline fidelity measures,
+//! * [`mse`] — the baseline fidelity measure,
 //! * [`ssim`] / [`ssim_map`] / [`ssim_with_grad`] — windowed SSIM with the
 //!   analytic gradient needed to *train* an autoencoder against an SSIM
 //!   objective (Fig. 5/6/7), computed in `O(H·W)` with integral images,
@@ -25,12 +25,10 @@ pub mod separation;
 
 mod error;
 mod fidelity;
-mod msssim;
 mod ssim;
 
 pub use error::MetricsError;
-pub use fidelity::{mse, psnr};
-pub use msssim::{ms_ssim, MsSsimConfig};
+pub use fidelity::mse;
 pub use ssim::{ssim, ssim_map, ssim_with_grad, SsimConfig};
 
 /// Convenience alias used across the crate.

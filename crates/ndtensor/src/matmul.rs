@@ -1,15 +1,14 @@
 //! Blocked, multi-threaded matrix multiplication kernels.
 //!
-//! Three entry points cover the access patterns needed by dense-layer and
-//! convolution backpropagation without materialising transposed copies,
-//! and two more run the dense-layer forward on its `[in, out]` weight:
+//! Four entry points cover the access patterns needed by dense-layer and
+//! convolution backpropagation without materialising transposed copies:
 //!
-//! * [`matmul`] — `C = A·B`
+//! * [`matmul`] — `C = A·B`, skipping exact-zero `A` entries (the dense
+//!   forward on all-finite weights)
 //! * [`matmul_at_b`] — `C = Aᵀ·B` (the dense `dW = xᵀ·g`)
 //! * [`matmul_a_bt`] — `C = A·Bᵀ` (the dense `dx = g·Wᵀ`)
-//! * [`matmul_assign`] — `C = A·B` with no zero skip
-//! * [`matmul_assign_finite`] — the same `C` for an all-finite `B`,
-//!   skipping exact-zero `A` entries
+//! * [`matmul_assign`] — `C = A·B` with no zero skip (the dense forward
+//!   on weights that hold a non-finite value)
 //!
 //! [`matmul_at_b_into`] and [`matmul_assign_into`] write into a
 //! caller-provided buffer so hot loops can recycle storage; the
@@ -18,15 +17,14 @@
 //! The inner microkernels live in `crate::kernels`, and no shape rule
 //! picks between them: [`matmul_a_bt`] runs the padded-panel kernel on
 //! the transposed product, and every other entry point the
-//! register-blocked one over a row-major `B` — [`matmul`],
-//! [`matmul_at_b`] and [`matmul_assign_finite`] with the exact-zero `A`
-//! skip, [`matmul_assign`] without. Each is bitwise-equal to the naive
-//! product (blocking only reorders *which* output element is worked on
-//! next; the per-element accumulation remains a single chain from `+0.0`
-//! in ascending-`k` order). The zero-skipping chain of [`matmul`] and
-//! [`matmul_at_b`] keeps the historical exact-zero skip for any `B`; the
-//! skip in [`matmul_assign_finite`] only drops `±0.0` terms, which cannot
-//! change a chain's bits.
+//! register-blocked one over a row-major `B` — [`matmul`] and
+//! [`matmul_at_b`] with the exact-zero `A` skip, [`matmul_assign`]
+//! without. Each is bitwise-equal to the naive product (blocking only
+//! reorders *which* output element is worked on next; the per-element
+//! accumulation remains a single chain from `+0.0` in ascending-`k`
+//! order). The zero-skipping chain keeps the historical exact-zero skip
+//! for any `B`; on an all-finite `B` it only drops `±0.0` terms, which
+//! cannot change a chain's bits, so it equals [`matmul_assign`] there.
 //!
 //! All kernels parallelise over output rows through [`crate::par`] once the
 //! arithmetic volume crosses [`crate::par::PARALLEL_THRESHOLD`], so small
@@ -91,6 +89,14 @@ fn matmul_assign_slices<const SKIP: bool>(
 /// the terms of exact-zero `a[i][l]` — so a NaN or `±∞` in `B` facing a
 /// zero of `A` does not reach its output (use [`matmul_assign`] for the
 /// chain that forms every term).
+///
+/// On an all-finite `B` the result is bit-identical to [`matmul_assign`]:
+/// a skipped term `0 · b[l][j]` is `±0.0`, each chain starts at `+0.0`
+/// so no partial sum is `-0.0`, and adding `±0.0` to any other sum —
+/// NaN and `±∞` included — leaves its bits unchanged. Rows of a ReLU
+/// output are mostly zeros, and each skipped zero saves a pass over one
+/// row of `B`, so `neural::Dense` runs its forward pass here whenever
+/// its weights are all finite.
 ///
 /// # Errors
 ///
@@ -229,7 +235,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// is bit-identical to `matmul_a_bt(a, &bt)`. `neural::Dense` runs its
 /// forward pass through it on its `[in, out]` weight, where each `l`
 /// reads one contiguous weight row, whenever that weight holds a
-/// non-finite value (otherwise through [`matmul_assign_finite`]).
+/// non-finite value (otherwise through [`matmul`]).
 ///
 /// # Errors
 ///
@@ -239,29 +245,6 @@ pub fn matmul_assign(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = check_mm(a, b, "matmul_assign")?;
     let mut out = Tensor::zeros([m, n]);
     matmul_assign_slices::<false>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
-    Ok(out)
-}
-
-/// Computes [`matmul_assign`] for an **all-finite** `B`, skipping the
-/// terms of exact-zero `a[i][l]` (`±0.0`): [`matmul`]'s zero-skipping
-/// chain. Rows of a ReLU output are mostly zeros, and each skipped zero
-/// saves a pass over one row of `B`.
-///
-/// Precondition: every element of `b` is finite. The result is then
-/// bit-identical to [`matmul_assign`]: a skipped term `0 · b[l][j]` is
-/// `±0.0`, each chain starts at `+0.0` so no partial sum is `-0.0`, and
-/// adding `±0.0` to any other sum — NaN and `±∞` included — leaves its
-/// bits unchanged. The precondition is not checked: a NaN or `±∞` in `b`
-/// behind a zero `a[i][l]` would be skipped instead of poisoning its
-/// output, so callers that cannot vouch for `b` use [`matmul_assign`].
-///
-/// # Errors
-///
-/// Like [`matmul_assign`].
-pub fn matmul_assign_finite(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k, n) = check_mm(a, b, "matmul_assign_finite")?;
-    let mut out = Tensor::zeros([m, n]);
-    matmul_assign_slices::<true>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }
 
@@ -337,7 +320,6 @@ mod tests {
         assert!(matmul_at_b(&Tensor::zeros([2, 3]), &Tensor::zeros([3, 2])).is_err());
         assert!(matmul_a_bt(&Tensor::zeros([2, 3]), &Tensor::zeros([2, 4])).is_err());
         assert!(matmul_assign(&a, &b).is_err());
-        assert!(matmul_assign_finite(&a, &b).is_err());
     }
 
     #[test]

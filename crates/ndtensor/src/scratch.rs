@@ -22,12 +22,9 @@
 //! * **Observable**: process-global hit/miss/byte counters (same pattern
 //!   as `par::ParStats`) are bridged into run reports by
 //!   `obs::record_scratch_delta`.
-//!
-//! [`set_enabled`] turns recycling off globally (takes allocate, gives
-//! drop) so benchmarks can A/B the pool without rebuilding.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buffers with capacity `2^c` for `c` in `0..NUM_CLASSES` are pooled.
 const NUM_CLASSES: usize = MAX_POOLED_CLASS + 1;
@@ -39,7 +36,6 @@ const MAX_POOLED_CLASS: usize = 24;
 /// Retention cap per size class, per thread.
 const MAX_PER_CLASS: usize = 8;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
@@ -78,19 +74,6 @@ pub fn stats() -> ScratchStats {
     }
 }
 
-/// Globally enables or disables recycling (enabled by default). With the
-/// pool disabled every take allocates and every give drops, which gives
-/// benchmarks a clean on/off A-B switch. Values computed are identical
-/// either way.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// `true` when recycling is active.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Size class that can satisfy a request for `len` elements:
 /// the smallest `c` with `2^c >= len`.
 fn class_for_len(len: usize) -> usize {
@@ -121,7 +104,7 @@ impl<T: Copy + Default> Pool<T> {
 
     fn take(&mut self, len: usize) -> Vec<T> {
         let class = class_for_len(len);
-        if enabled() && class <= MAX_POOLED_CLASS {
+        if class <= MAX_POOLED_CLASS {
             if let Some(mut buf) = self.classes[class].pop() {
                 buf.clear();
                 HITS.fetch_add(1, Ordering::Relaxed);
@@ -141,7 +124,7 @@ impl<T: Copy + Default> Pool<T> {
     fn give(&mut self, buf: Vec<T>) {
         // Capacity 0 marks buffers already donated elsewhere (or never
         // backed by storage); nothing to recycle.
-        if buf.capacity() == 0 || !enabled() {
+        if buf.capacity() == 0 {
             return;
         }
         let class = class_for_capacity(buf.capacity());
@@ -363,18 +346,6 @@ mod tests {
         assert_eq!(buf2.as_ptr(), ptr);
         assert!(buf2.is_empty());
         ws.give(buf2);
-    }
-
-    #[test]
-    fn disabled_pool_still_serves_buffers() {
-        set_enabled(false);
-        let buf = take(10);
-        assert!(buf.capacity() >= 10);
-        give(buf);
-        let buf = take_zeroed(10);
-        assert_eq!(buf.len(), 10);
-        give(buf);
-        set_enabled(true);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::sync::OnceLock;
 
-use ndtensor::{matmul_a_bt, matmul_assign, matmul_assign_finite, matmul_at_b, Tensor};
+use ndtensor::{matmul, matmul_a_bt, matmul_assign, matmul_at_b, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
@@ -16,10 +16,10 @@ use crate::{NeuralError, Result};
 /// reads one contiguous weight row. A flag saying whether every weight is
 /// finite is computed on the first forward pass and dropped whenever
 /// [`Layer::params_and_grads`] hands out the weights for writing. With
-/// all-finite weights the product runs through [`matmul_assign_finite`],
-/// which skips exact-zero inputs (most of a ReLU output); otherwise
-/// through [`matmul_assign`], which never skips, so a NaN or `±∞` weight
-/// reaches its output even through a zero input. Either way the output
+/// all-finite weights the product runs through [`matmul`], which skips
+/// exact-zero inputs (most of a ReLU output); otherwise through
+/// [`matmul_assign`], which never skips, so a NaN or `±∞` weight reaches
+/// its output even through a zero input. Either way the output
 /// bits are those of `x · W` computed one dot product at a time.
 ///
 /// The backward pass accumulates `dW += xᵀ·g` and returns `dx = g·Wᵀ`;
@@ -136,7 +136,7 @@ impl Dense {
             .finite
             .get_or_init(|| self.weight.as_slice().iter().all(|v| v.is_finite()));
         let mut out = if finite {
-            matmul_assign_finite(input, &self.weight)?
+            matmul(input, &self.weight)?
         } else {
             matmul_assign(input, &self.weight)?
         };

@@ -28,14 +28,12 @@ mod error;
 mod grad;
 mod lrp;
 mod occlusion;
-mod smoothgrad;
 mod vbp;
 
 pub use error::SaliencyError;
 pub use grad::gradient_saliency;
 pub use lrp::{lrp, LrpConfig};
 pub use occlusion::{occlusion_saliency, OcclusionConfig};
-pub use smoothgrad::{smoothgrad, SmoothGradConfig};
 pub use vbp::{visual_backprop, visual_backprop_batch};
 
 use neural::Network;
@@ -44,8 +42,8 @@ use vision::Image;
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, SaliencyError>;
 
-/// Which saliency method to run — used by benches and the CLI tools to
-/// select a method by name.
+/// Which saliency method to run, so one loop can compare methods side by
+/// side (`examples/saliency_viewer.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SaliencyMethod {
     /// VisualBackProp (the paper's preprocessing layer).
@@ -64,13 +62,6 @@ pub enum SaliencyMethod {
         /// Step between occluder positions in pixels.
         stride: usize,
     },
-    /// SmoothGrad: gradient saliency averaged over noisy inputs.
-    SmoothGrad {
-        /// Number of noisy samples averaged.
-        samples: usize,
-        /// Gaussian input-noise standard deviation.
-        sigma: f32,
-    },
 }
 
 impl SaliencyMethod {
@@ -81,7 +72,6 @@ impl SaliencyMethod {
             SaliencyMethod::Lrp { .. } => "lrp",
             SaliencyMethod::Gradient => "gradient",
             SaliencyMethod::Occlusion { .. } => "occlusion",
-            SaliencyMethod::SmoothGrad { .. } => "smoothgrad",
         }
     }
 
@@ -106,15 +96,6 @@ impl SaliencyMethod {
                     fill: 0.5,
                 },
             ),
-            SaliencyMethod::SmoothGrad { samples, sigma } => smoothgrad(
-                network,
-                image,
-                &SmoothGradConfig {
-                    samples,
-                    sigma,
-                    seed: 0,
-                },
-            ),
         }
     }
 }
@@ -135,14 +116,6 @@ mod tests {
             }
             .name(),
             "occlusion"
-        );
-        assert_eq!(
-            SaliencyMethod::SmoothGrad {
-                samples: 8,
-                sigma: 0.1
-            }
-            .name(),
-            "smoothgrad"
         );
     }
 }

@@ -53,17 +53,17 @@ impl SceneParams {
     /// that DSU is the more varied dataset).
     pub fn sample(world: World, rng: &mut impl Rng) -> Self {
         let max_curv = world.max_curvature();
-        let curv_dist = Normal::new(0.0f32, max_curv * 0.5).expect("valid std"); // sncheck:allow(hot-path-transitive-panic): std is a positive world-model constant; reached only through the over-approximated `.sample(` edge
+        let curv_dist = Normal::new(0.0f32, max_curv * 0.5).expect("valid std");
         let curvature = curv_dist.sample(rng).clamp(-max_curv, max_curv);
 
         let off_std = world.road_half_width() * 0.25;
         let lateral_offset = Normal::new(0.0f32, off_std)
-            .expect("valid std") // sncheck:allow(hot-path-transitive-panic): std is a positive world-model constant; reached only through the over-approximated `.sample(` edge
+            .expect("valid std")
             .sample(rng)
             .clamp(-2.0 * off_std, 2.0 * off_std);
 
         let heading_error = Normal::new(0.0f32, 0.05)
-            .expect("valid std") // sncheck:allow(hot-path-transitive-panic): std is a positive literal; reached only through the over-approximated `.sample(` edge
+            .expect("valid std")
             .sample(rng)
             .clamp(-0.15, 0.15);
 

@@ -222,7 +222,7 @@ mod tests {
     use crate::diag::{Diagnostic, Severity};
 
     fn fp_diag(fp: &str) -> Diagnostic {
-        let mut d = Diagnostic::new("a.rs", 1, 1, "lock-order", Severity::Deny, "m");
+        let mut d = Diagnostic::new("a.rs", 1, 1, "no-float-eq", Severity::Deny, "m");
         d.fingerprint = fp.to_string();
         d
     }

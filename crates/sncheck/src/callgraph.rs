@@ -323,7 +323,7 @@ impl CallGraph {
     pub fn dump_json(&self, syms: &[FnSym]) -> String {
         use crate::diag::json_string;
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"sncheck_graph_version\": 1,\n  \"symbols\": [");
+        out.push_str("{\n  \"sncheck_graph_version\": 2,\n  \"symbols\": [");
         let mut first = true;
         for s in syms {
             if s.is_test {
@@ -334,13 +334,12 @@ impl CallGraph {
             }
             first = false;
             out.push_str(&format!(
-                "\n    {{\"path\": {}, \"file\": {}, \"line\": {}, \"pub\": {}, \"hot_root\": {}, \"int_hot\": {}}}",
+                "\n    {{\"path\": {}, \"file\": {}, \"line\": {}, \"pub\": {}, \"hot_root\": {}}}",
                 json_string(&s.path()),
                 json_string(&s.file),
                 s.line,
                 s.is_pub,
                 s.hot_root,
-                s.int_hot,
             ));
         }
         out.push_str("\n  ],\n  \"edges\": [");

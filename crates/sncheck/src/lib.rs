@@ -20,13 +20,14 @@
 //! code, and the [`rules`] engine. Pass 2 is whole-workspace: a
 //! [`symbols`] table over every fn item, a [`callgraph`] with documented
 //! ambiguity handling, and [`reach`]ability rules that flag panics,
-//! allocations, clock reads and lock inversions anywhere in the cone of
-//! the hot-path roots. `sncheck:allow` comment suppressions (with
-//! hygiene checking) cover both passes, findings carry stable
-//! `rule|fn_path|token|ordinal` fingerprints, and [`baseline`]s let CI
-//! gate on *new* findings only (`--diff`). Output is byte-identical
-//! across runs by construction — the linter itself obeys the determinism
-//! rules it enforces (no clock, no environment, ordered maps only).
+//! allocations and clock reads anywhere in the cone of the hot-path
+//! roots, plus `*_recorded` wrappers that grew logic. `sncheck:allow`
+//! comment suppressions (with hygiene checking) cover both passes,
+//! findings carry stable `rule|fn_path|token|ordinal` fingerprints, and
+//! [`baseline`]s let CI gate on *new* findings only (`--diff`). Output
+//! is byte-identical across runs by construction — the linter itself
+//! obeys the determinism rules it enforces (no clock, no environment,
+//! ordered maps only).
 //!
 //! ```
 //! let diags = sncheck::check_source(

@@ -34,18 +34,8 @@
 //!   variant exactly once and contains no other statements, branches or
 //!   assignments (existence of the wrapper is the per-line
 //!   `recorded-parity` rule; this one catches the wrapper growing logic).
-//! * `lock-order` — mutex acquisition order. Each fn's acquisitions
-//!   (`<field>.lock()`) are collected; a lock acquired in a fn is
-//!   conservatively treated as held across every call the fn makes, so
-//!   ordered pairs propagate through the cone. Any unordered pair seen in
-//!   both orders is flagged at both witnesses. Self-pairs are skipped
-//!   (guard scopes are invisible lexically; a re-acquire is almost always
-//!   a dropped guard, a documented false-negative class).
-//! * `no-float-promotion` — `as f32` / `as f64` inside fns marked
-//!   `// sncheck:int-hot` (the ROADMAP item 2 integer-GEMM guard; not a
-//!   reachability rule, but it needs the symbol table so it lives here).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Severity};
@@ -205,14 +195,10 @@ pub fn run(input: &ReachInput<'_>) -> Vec<Diagnostic> {
                 let via = chain(input.syms, &parent, id);
                 cone_rules(sym, file_syms, tokens, &via, &mut out);
             }
-            if sym.int_hot {
-                float_promotion(sym, file_syms, tokens, &mut out);
-            }
         }
     }
 
     recorded_parity_drift(input, &mut out);
-    lock_order(input, &parent, &mut out);
     out
 }
 
@@ -307,33 +293,6 @@ fn cone_rules(
     }
 }
 
-/// `no-float-promotion` over one `sncheck:int-hot` fn.
-fn float_promotion(sym: &FnSym, file_syms: &[FnSym], tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    let text = |i: usize| tokens.get(i).map_or("", |t| t.text.as_str());
-    for i in body_indices(sym, file_syms, tokens.len()) {
-        if text(i) == "as" && (text(i + 1) == "f32" || text(i + 1) == "f64") {
-            let t = &tokens[i];
-            let cast = format!("as {}", text(i + 1));
-            let mut d = Diagnostic::new(
-                sym.file.clone(),
-                t.line,
-                t.col,
-                "no-float-promotion",
-                Severity::Deny,
-                format!(
-                    "`{cast}` promotes to float inside `{}`, an `sncheck:int-hot` integer \
-                     hot loop; keep the quantized path integral (or move the conversion out \
-                     of the marked fn)",
-                    sym.path()
-                ),
-            );
-            d.token = cast;
-            d.fn_path = sym.path();
-            out.push(d);
-        }
-    }
-}
-
 /// `recorded-parity-drift`: every public `*_recorded` fn with a plain
 /// sibling requires the sibling to be a pure forward.
 fn recorded_parity_drift(input: &ReachInput<'_>, out: &mut Vec<Diagnostic>) {
@@ -404,119 +363,6 @@ fn recorded_parity_drift(input: &ReachInput<'_>, out: &mut Vec<Diagnostic>) {
                 d.fn_path = plain.path();
                 out.push(d);
             }
-        }
-    }
-}
-
-/// One mutex acquisition: the field-name key and its anchor.
-#[derive(Debug, Clone)]
-struct Acquire {
-    key: String,
-    line: u32,
-    col: u32,
-}
-
-/// `lock-order` over the whole graph (not just the hot cone: a lock
-/// inversion between any two reachable paths can deadlock the server).
-fn lock_order(input: &ReachInput<'_>, _parent: &BTreeMap<usize, usize>, out: &mut Vec<Diagnostic>) {
-    let n = input.syms.len();
-    // Own acquisitions per fn, in body order.
-    let mut own: Vec<Vec<Acquire>> = vec![Vec::new(); n];
-    for &(lo, hi, tokens) in input.files {
-        let file_syms = &input.syms[lo..hi];
-        for (off, sym) in file_syms.iter().enumerate() {
-            if sym.is_test {
-                continue;
-            }
-            let text = |i: usize| tokens.get(i).map_or("", |t| t.text.as_str());
-            for i in body_indices(sym, file_syms, tokens.len()) {
-                if text(i) == "lock" && i > 0 && text(i - 1) == "." && text(i + 1) == "(" {
-                    let key = if i >= 2 && tokens[i - 2].kind == TokenKind::Ident {
-                        tokens[i - 2].text.clone()
-                    } else {
-                        "<expr>".to_string()
-                    };
-                    own[lo + off].push(Acquire {
-                        key,
-                        line: tokens[i].line,
-                        col: tokens[i].col,
-                    });
-                }
-            }
-        }
-    }
-
-    // cone_locks: fixpoint of lock keys acquired in a fn or its callees.
-    let mut cone: Vec<BTreeSet<String>> = own
-        .iter()
-        .map(|a| a.iter().map(|x| x.key.clone()).collect())
-        .collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for f in 0..n {
-            for &g in &input.graph.succ[f] {
-                if g == f {
-                    continue;
-                }
-                let add: Vec<String> = cone[g].difference(&cone[f]).cloned().collect();
-                if !add.is_empty() {
-                    cone[f].extend(add);
-                    changed = true;
-                }
-            }
-        }
-    }
-
-    // Ordered pairs with one deterministic witness each: first-seen in
-    // symbol order, anchored at the *second* acquisition of the pair.
-    let mut pairs: BTreeMap<(String, String), (String, u32, u32, String)> = BTreeMap::new();
-    for (f, sym) in input.syms.iter().enumerate() {
-        if sym.is_test {
-            continue;
-        }
-        // Own sequential pairs.
-        for (a_ix, a) in own[f].iter().enumerate() {
-            for b in own[f].iter().skip(a_ix + 1) {
-                if a.key != b.key {
-                    pairs
-                        .entry((a.key.clone(), b.key.clone()))
-                        .or_insert_with(|| (sym.file.clone(), b.line, b.col, sym.path()));
-                }
-            }
-            // Held-across-call pairs: anything the callees' cones acquire.
-            for &g in &input.graph.succ[f] {
-                for m in &cone[g] {
-                    if *m != a.key {
-                        pairs
-                            .entry((a.key.clone(), m.clone()))
-                            .or_insert_with(|| (sym.file.clone(), a.line, a.col, sym.path()));
-                    }
-                }
-            }
-        }
-    }
-
-    for ((a, b), (file, line, col, fn_path)) in &pairs {
-        if a >= b {
-            continue; // report each unordered pair once, from the a<b side
-        }
-        if let Some((rfile, rline, rcol, rfn)) = pairs.get(&(b.clone(), a.clone())) {
-            let mut d = Diagnostic::new(
-                file.clone(),
-                *line,
-                *col,
-                "lock-order",
-                Severity::Deny,
-                format!(
-                    "mutexes `{a}` then `{b}` are acquired in this order here (in `{fn_path}`) \
-                     but in the opposite order at {rfile}:{rline}:{rcol} (in `{rfn}`); pick one \
-                     global order or merge the critical sections"
-                ),
-            );
-            d.token = format!("{a}<{b}");
-            d.fn_path = fn_path.clone();
-            out.push(d);
         }
     }
 }
@@ -655,54 +501,5 @@ mod tests {
         )]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("never calls"));
-    }
-
-    #[test]
-    fn lock_inversion_is_flagged_once_with_both_witnesses() {
-        let diags = analyze(&[(
-            "crates/novelty/src/p.rs",
-            "fn ab(&self) { self.alpha.lock(); self.beta.lock(); }\n\
-             fn ba(&self) { self.beta.lock(); self.alpha.lock(); }",
-        )]);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "lock-order");
-        assert_eq!(diags[0].token, "alpha<beta");
-        assert!(diags[0].message.contains("opposite order"));
-    }
-
-    #[test]
-    fn lock_order_propagates_through_calls() {
-        let diags = analyze(&[(
-            "crates/novelty/src/p.rs",
-            "fn outer(&self) { self.alpha.lock(); inner_b(); }\n\
-             fn inner_b() { GLOBAL.beta.lock(); }\n\
-             fn other(&self) { self.beta.lock(); inner_a(); }\n\
-             fn inner_a() { GLOBAL.alpha.lock(); }",
-        )]);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "lock-order");
-    }
-
-    #[test]
-    fn consistent_lock_order_is_clean() {
-        let diags = analyze(&[(
-            "crates/novelty/src/p.rs",
-            "fn ab(&self) { self.alpha.lock(); self.beta.lock(); }\n\
-             fn ab2(&self) { self.alpha.lock(); self.beta.lock(); }",
-        )]);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn float_promotion_fires_only_in_int_hot_fns() {
-        let diags = analyze(&[(
-            "crates/ndtensor/src/q.rs",
-            "// sncheck:int-hot\nfn qgemm(x: i32) -> f32 { x as f32 }\n\
-             fn plain(x: i32) -> f32 { x as f32 }",
-        )]);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "no-float-promotion");
-        assert_eq!(diags[0].token, "as f32");
-        assert_eq!(diags[0].fn_path, "ndtensor::qgemm");
     }
 }

@@ -184,14 +184,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "the plain wrapper of a public *_recorded fn must be a pure forward to it",
     },
     RuleInfo {
-        id: "lock-order",
-        summary: "two mutexes acquired in both orders somewhere in the reachable call graph",
-    },
-    RuleInfo {
-        id: "no-float-promotion",
-        summary: "`as f32`/`as f64` casts inside fns marked `// sncheck:int-hot`",
-    },
-    RuleInfo {
         id: "unused-suppression",
         summary: "sncheck:allow(...) that suppresses nothing on its line (hygiene; warn severity)",
     },

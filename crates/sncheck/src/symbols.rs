@@ -7,15 +7,11 @@
 //! the substrate for [`crate::callgraph`] and [`crate::reach`]: call-site
 //! resolution and reachability both key off it.
 //!
-//! Two marker comments extend the table:
-//!
-//! * `// sncheck:hot-root` — the next `fn` item (or the one on the same
-//!   line) becomes an additional hot-path root for the transitive rules,
-//!   alongside the built-in root table in [`crate::reach`]. This is how
-//!   bench binaries opt their timing loops into the hot-path contract.
-//! * `// sncheck:int-hot` — the next `fn` item is an integer hot loop:
-//!   the `no-float-promotion` rule bans `as f32` / `as f64` casts inside
-//!   its body (ROADMAP item 2's quantized path guard).
+//! One marker comment extends the table: after `// sncheck:hot-root`
+//! the next `fn` item (or the one on the same line) becomes an
+//! additional hot-path root for the transitive rules, alongside the
+//! built-in root table in [`crate::reach`]. This is how bench binaries
+//! opt their timing loops into the hot-path contract.
 //!
 //! The builder is purely syntactic (delimiter counting, no type
 //! information) and total: malformed input degrades to fewer symbols,
@@ -51,8 +47,6 @@ pub struct FnSym {
     pub body: (usize, usize),
     /// Marked `// sncheck:hot-root`.
     pub hot_root: bool,
-    /// Marked `// sncheck:int-hot`.
-    pub int_hot: bool,
 }
 
 impl FnSym {
@@ -167,18 +161,13 @@ pub fn file_symbols(
     // A marker is the comment's *entire* content — prose that merely
     // mentions `sncheck:hot-root` (docs, this linter's own source) must
     // not mark anything.
-    let is_directive = |text: &str, directive: &str| {
-        text.trim_matches(|c: char| c == '/' || c == '*' || c == '!' || c.is_whitespace())
-            == directive
-    };
     let mut hot_root_lines: Vec<u32> = comments
         .iter()
-        .filter(|c| is_directive(&c.text, "sncheck:hot-root"))
-        .map(|c| c.line)
-        .collect();
-    let mut int_hot_lines: Vec<u32> = comments
-        .iter()
-        .filter(|c| is_directive(&c.text, "sncheck:int-hot"))
+        .filter(|c| {
+            c.text
+                .trim_matches(|ch: char| ch == '/' || ch == '*' || ch == '!' || ch.is_whitespace())
+                == "sncheck:hot-root"
+        })
         .map(|c| c.line)
         .collect();
 
@@ -277,7 +266,6 @@ pub fn file_symbols(
                 .last()
                 .map_or((None, None), |(_, tr, ty)| (tr.clone(), ty.clone()));
             let hot_root = consume_marker(&mut hot_root_lines, line);
-            let int_hot = consume_marker(&mut int_hot_lines, line);
             fns.push(FnSym {
                 name,
                 owner,
@@ -290,7 +278,6 @@ pub fn file_symbols(
                 is_pub,
                 body,
                 hot_root,
-                int_hot,
             });
             // Continue scanning from after the signature so nested fns
             // (closures declaring fns is rare but legal) are still seen:
@@ -302,7 +289,6 @@ pub fn file_symbols(
         }
         i += 1;
     }
-    let _ = (&hot_root_lines, &int_hot_lines);
     FileSymbols { fns }
 }
 
@@ -387,12 +373,9 @@ mod tests {
 
     #[test]
     fn markers_bind_to_the_next_fn() {
-        let src =
-            "// sncheck:hot-root\nfn looped() {}\n\n// sncheck:int-hot\nfn q() {}\nfn plain() {}";
-        let syms = build(src);
-        assert!(syms.fns[0].hot_root && !syms.fns[0].int_hot);
-        assert!(syms.fns[1].int_hot && !syms.fns[1].hot_root);
-        assert!(!syms.fns[2].hot_root && !syms.fns[2].int_hot);
+        let syms = build("// sncheck:hot-root\nfn looped() {}\n\nfn plain() {}");
+        assert!(syms.fns[0].hot_root);
+        assert!(!syms.fns[1].hot_root);
     }
 
     #[test]

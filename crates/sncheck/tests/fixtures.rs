@@ -158,22 +158,6 @@ fn drift_fixture_flags_only_the_impure_wrapper() {
 }
 
 #[test]
-fn locks_fixture_flags_the_inversion_once() {
-    let diags = check_fixture("crates/novelty/src/locks.rs");
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, "lock-order");
-    assert_eq!(diags[0].token, "queue<stats");
-}
-
-#[test]
-fn float_promotion_fixture_fires_only_in_the_marked_fn() {
-    let diags = check_fixture("crates/ndtensor/src/floatpromo.rs");
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, "no-float-promotion");
-    assert_eq!(diags[0].fn_path, "ndtensor::qdot");
-}
-
-#[test]
 fn diamond_fixture_reports_the_shared_leaf_once() {
     let diags = check_fixture("crates/saliency/src/diamond.rs");
     // The per-line rule and the transitive rule both fire on the one
@@ -216,8 +200,6 @@ fn every_primary_rule_has_a_firing_fixture() {
         "crates/ndtensor/src/stale_allow.rs",
         "crates/bench/src/bin/hot_loop.rs",
         "crates/novelty/src/drift.rs",
-        "crates/novelty/src/locks.rs",
-        "crates/ndtensor/src/floatpromo.rs",
     ];
     let mut fired: Vec<String> = fixture_rels
         .iter()
@@ -247,4 +229,26 @@ fn fixture_report_is_byte_identical_across_runs() {
     );
     assert_eq!(a.report.to_json(), b.report.to_json());
     assert_eq!(a.graph_json, b.graph_json);
+}
+
+#[test]
+fn design_rule_table_lists_exactly_the_rules() {
+    // DESIGN.md §6 documents every rule in one table; a deleted rule
+    // must lose its row and a new rule must gain one, in `RULES` order.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../DESIGN.md");
+    let design = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    let table = design
+        .split_once("### Rule table")
+        .expect("DESIGN.md has a \"Rule table\" section")
+        .1;
+    let documented: Vec<&str> = table
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2) // header and separator rows
+        .map(|row| row.split('|').nth(1).unwrap_or("").trim().trim_matches('`'))
+        .collect();
+    let ids: Vec<&str> = sncheck::rules::RULES.iter().map(|r| r.id).collect();
+    assert_eq!(documented, ids);
 }

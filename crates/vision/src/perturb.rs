@@ -35,7 +35,7 @@ pub fn add_gaussian_noise(img: &Image, rng: &mut impl Rng, sigma: f32) -> Result
     if sigma == 0.0 {
         return Ok(img.clone());
     }
-    let dist = Normal::new(0.0f32, sigma).expect("validated above"); // sncheck:allow(hot-path-transitive-panic): sigma is range-checked at function entry; negative and NaN already returned an error
+    let dist = Normal::new(0.0f32, sigma).expect("validated above");
     let mut out = img.clone();
     for v in out.as_mut_slice() {
         *v = (*v + dist.sample(rng)).clamp(0.0, 1.0);

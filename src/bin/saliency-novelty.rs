@@ -59,8 +59,7 @@ COMMANDS:
   train      train a detector (or a fused ensemble) and save it as JSON
              --world outdoor|indoor   (default outdoor)
              --backend ID             score backend: model-char|raw+mse|
-                                      vbp+mse|vbp+ssim (default vbp+ssim;
-                                      --pipeline is a deprecated alias)
+                                      vbp+mse|vbp+ssim (default vbp+ssim)
              --ensemble               train every registered backend on a
                                       shared steering CNN and save the
                                       calibrated majority-vote ensemble
@@ -167,8 +166,7 @@ COMMANDS:
              --seed S                 (default 17)
              --backends id,id,...     score backends to train per domain
                                       (default: preset — vbp+ssim for
-                                      --quick, all four otherwise;
-                                      --pipeline ID is a deprecated alias)
+                                      --quick, all four otherwise)
              --ensemble               train all registered backends and
                                       report the fused verdict per cell
              --out FILE               write the grid as schema-versioned
@@ -413,7 +411,6 @@ fn cmd_train(args: &Args) -> CliResult {
     args.reject_unknown(&[
         "world",
         "backend",
-        "pipeline",
         "ensemble",
         "len",
         "seed",
@@ -424,9 +421,7 @@ fn cmd_train(args: &Args) -> CliResult {
         "threads",
     ])?;
     let world = parse_world(&args.get("world", "outdoor"))?;
-    let backend_flag = args
-        .optional("backend")
-        .or_else(|| args.optional("pipeline"));
+    let backend_flag = args.optional("backend");
     if args.is_set("ensemble") && backend_flag.is_some() {
         return Err(usage_err(
             "--ensemble trains every registered backend; drop --backend",
@@ -1211,7 +1206,6 @@ fn cmd_evalgrid(args: &Args) -> CliResult {
         "ae-epochs",
         "seed",
         "backends",
-        "pipeline",
         "ensemble",
         "out",
         "json",
@@ -1232,12 +1226,8 @@ fn cmd_evalgrid(args: &Args) -> CliResult {
         cfg = cfg.with_ensemble();
     }
     // Explicit backend lists override the preset (and --ensemble's
-    // all-backends default); --pipeline remains as a single-backend
-    // alias for old scripts.
-    let backend_spec = args
-        .optional("backends")
-        .or_else(|| args.optional("pipeline"));
-    if let Some(spec) = backend_spec {
+    // all-backends default).
+    if let Some(spec) = args.optional("backends") {
         cfg.backends = parse_backend_list(&spec)?;
     }
     let domains = match args.optional("domains") {

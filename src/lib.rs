@@ -58,7 +58,7 @@ pub use vision;
 
 /// One-line import for the most common types across the workspace.
 pub mod prelude {
-    pub use metrics::{ecdf::Ecdf, histogram::Histogram, ms_ssim, mse, ssim, SsimConfig};
+    pub use metrics::{ecdf::Ecdf, histogram::Histogram, mse, ssim, SsimConfig};
     pub use ndtensor::{Shape, Tensor};
     pub use neural::{LrSchedule, Network, TrainConfig};
     pub use novelty::monitor::{AlarmState, StreamMonitor};

@@ -80,11 +80,14 @@ fn unknown_command_fails_with_usage() {
 
 #[test]
 fn usage_errors_exit_2_and_runtime_errors_exit_1() {
-    // Usage class: unknown command, unknown flag, unparseable value,
-    // missing required flag, bad --threads.
+    // Usage class: unknown command, unknown flag (including the retired
+    // --pipeline alias), unparseable value, missing required flag, bad
+    // --threads.
     for args in [
         vec!["frobnicate"],
         vec!["generate", "--frobnicate", "1"],
+        vec!["train", "--pipeline", "vbp+ssim"],
+        vec!["evalgrid", "--pipeline", "vbp+ssim"],
         vec!["generate", "--len", "many"],
         vec!["classify"],
         vec!["eval", "--detector", "x.json", "--threads", "0"],

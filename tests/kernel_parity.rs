@@ -17,8 +17,8 @@ use std::sync::Mutex;
 
 use ndtensor::{
     conv2d, conv2d_backward, conv2d_backward_params, conv2d_into, matmul, matmul_a_bt,
-    matmul_assign, matmul_assign_finite, matmul_assign_into, matmul_at_b, matmul_at_b_into,
-    set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
+    matmul_assign, matmul_assign_into, matmul_at_b, matmul_at_b_into, set_thread_config,
+    Conv2dSpec, Tensor, ThreadConfig,
 };
 use proptest::prelude::*;
 
@@ -221,12 +221,12 @@ proptest! {
         })?;
     }
 
-    /// The zero-skipping assigning `A·B` on an all-finite `B` and a
-    /// ReLU-like `A` — at least 90 % exact zeros, `-0.0` entries and
-    /// all-zero rows — is bit-equal to the naive chain and to
-    /// `matmul_a_bt` on the transposed `B`, at `m ∈ {1, 2, 15}`.
+    /// The zero-skipping `A·B` on an all-finite `B` and a ReLU-like `A`
+    /// — at least 90 % exact zeros, `-0.0` entries and all-zero rows — is
+    /// bit-equal to the naive chain and to `matmul_a_bt` on the
+    /// transposed `B`, at `m ∈ {1, 2, 15}`.
     #[test]
-    fn matmul_assign_finite_bitwise_matches_naive(
+    fn matmul_zero_heavy_a_finite_b_bitwise_matches_naive(
         m_pick in 0usize..3,
         k in 0usize..80,
         n in 1usize..200,
@@ -242,8 +242,8 @@ proptest! {
         let bt = b.transpose2d().unwrap();
         let abt = matmul_a_bt(&a, &bt).unwrap();
         prop_assert_eq!(bits(abt.as_slice()), bits(&reference));
-        assert_parity_across_threads(&reference, "matmul_assign_finite", || {
-            matmul_assign_finite(&a, &b).unwrap().as_slice().to_vec()
+        assert_parity_across_threads(&reference, "matmul", || {
+            matmul(&a, &b).unwrap().as_slice().to_vec()
         })?;
     }
 
