@@ -2,8 +2,7 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-//! Shared experiment harness for the figure-regeneration binaries and
-//! Criterion benches.
+//! Shared experiment harness for the figure-regeneration binaries.
 //!
 //! Every binary under `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (see `DESIGN.md` §4 for the index and

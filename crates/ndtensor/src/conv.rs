@@ -11,9 +11,9 @@
 //! caller in sample order, so results are bit-identical for any thread
 //! count.
 //!
-//! Hot-path buffers (column matrices, per-sample gradients) come from
-//! [`crate::scratch`], and [`conv2d_into`] lets callers recycle output
-//! storage, so a warmed pipeline performs no per-frame heap allocation.
+//! Hot-path buffers (column matrices, per-sample gradients) and the
+//! output tensors come from [`crate::scratch`], so a warmed pipeline
+//! performs no per-frame heap allocation.
 
 use crate::kernels::{all_finite, conv_panel, conv_panel_stride, pack_at};
 use crate::par::{try_for_each_block, try_parallel_map};
@@ -601,32 +601,6 @@ pub fn conv2d(
     Ok(out)
 }
 
-/// Like [`conv2d`], but writes into `out` (length `n·f·oh·ow`), recycling
-/// its storage.
-///
-/// # Errors
-///
-/// Like [`conv2d`], plus [`TensorError::LengthMismatch`] when `out` has
-/// the wrong length.
-pub fn conv2d_into(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: Conv2dSpec,
-    out: &mut [f32],
-) -> Result<()> {
-    let g = conv_geometry(input, weight, spec)?;
-    check_bias(bias, g.f, weight)?;
-    let expected = g.n * g.f * g.oh * g.ow;
-    if out.len() != expected {
-        return Err(TensorError::LengthMismatch {
-            expected,
-            actual: out.len(),
-        });
-    }
-    conv2d_impl(input, weight, bias, spec, &g, out)
-}
-
 /// Gradients produced by [`conv2d_backward`].
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
@@ -944,20 +918,6 @@ mod tests {
             &naive_conv(&input, &weight, None, spec),
             1e-4,
         );
-    }
-
-    #[test]
-    fn conv_into_is_bit_identical_to_wrapper() {
-        let input = pseudo([2, 2, 7, 9], 3);
-        let weight = pseudo([4, 2, 3, 3], 4);
-        let bias = pseudo([4], 5);
-        let spec = Conv2dSpec::new((2, 1), (1, 0));
-        let reference = conv2d(&input, &weight, Some(&bias), spec).unwrap();
-        let mut out = vec![9.0f32; reference.len()];
-        conv2d_into(&input, &weight, Some(&bias), spec, &mut out).unwrap();
-        assert_eq!(out.as_slice(), reference.as_slice());
-        let mut short = vec![0.0f32; 3];
-        assert!(conv2d_into(&input, &weight, Some(&bias), spec, &mut short).is_err());
     }
 
     #[test]

@@ -44,14 +44,11 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_backward_params, conv2d_into, im2col, Conv2dGrads,
-    Conv2dSpec,
+    col2im, conv2d, conv2d_backward, conv2d_backward_params, im2col, Conv2dGrads, Conv2dSpec,
 };
 pub use error::TensorError;
 pub use init::{fill_he_normal, fill_normal, fill_uniform, fill_xavier_uniform};
-pub use matmul::{
-    matmul, matmul_a_bt, matmul_assign, matmul_assign_into, matmul_at_b, matmul_at_b_into,
-};
+pub use matmul::{matmul, matmul_a_bt, matmul_assign, matmul_at_b};
 pub use par::{set_thread_config, thread_config, with_serial, ThreadConfig};
 pub use resample::{resize_bilinear, resize_nearest, upsample_sum};
 pub use shape::Shape;

@@ -10,9 +10,9 @@
 //! * [`matmul_assign`] — `C = A·B` with no zero skip (the dense forward
 //!   on weights that hold a non-finite value)
 //!
-//! [`matmul_at_b_into`] and [`matmul_assign_into`] write into a
-//! caller-provided buffer so hot loops can recycle storage; the
-//! allocating forms draw their output from [`crate::scratch`].
+//! Each returns a fresh tensor whose storage comes from
+//! [`crate::scratch`], so a warmed caller that drops its outputs
+//! recycles them.
 //!
 //! The inner microkernels live in `crate::kernels`, and no shape rule
 //! picks between them: [`matmul_a_bt`] runs the padded-panel kernel on
@@ -47,13 +47,6 @@ fn dims2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
         });
     }
     Ok((t.shape().dims()[0], t.shape().dims()[1]))
-}
-
-fn check_out_len(actual: usize, expected: usize) -> Result<()> {
-    if actual != expected {
-        return Err(TensorError::LengthMismatch { expected, actual });
-    }
-    Ok(())
 }
 
 fn check_mm(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize, usize)> {
@@ -155,28 +148,6 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Computes `C = Aᵀ·B` into `out` (length `m·n`), recycling its storage.
-///
-/// # Errors
-///
-/// Like [`matmul_at_b`], plus [`TensorError::LengthMismatch`] when `out`
-/// has the wrong length.
-pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
-    let (k, m) = dims2(a, "matmul_at_b_into")?;
-    let (kb, n) = dims2(b, "matmul_at_b_into")?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_at_b_into",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
-        });
-    }
-    check_out_len(out.len(), m * n)?;
-    // The kernel assigns every element; zero-fill is unnecessary.
-    matmul_at_b_slices(a.as_slice(), k, m, b.as_slice(), n, out);
-    Ok(())
-}
-
 /// `C = A·Bᵀ` computed as its transpose `Cᵀ = B·Aᵀ` on [`conv_panel`]:
 /// the rows of `B` are the kernel's weight rows and `A` is transposed
 /// once into a padded panel, so each `B` row is read contiguously and
@@ -248,21 +219,6 @@ pub fn matmul_assign(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Computes [`matmul_assign`] into `out` (length `m·n`), recycling its
-/// storage.
-///
-/// # Errors
-///
-/// Like [`matmul_assign`], plus [`TensorError::LengthMismatch`] when
-/// `out` has the wrong length.
-pub fn matmul_assign_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<()> {
-    let (m, k, n) = check_mm(a, b, "matmul_assign_into")?;
-    check_out_len(out.len(), m * n)?;
-    // The kernel assigns every element; zero-fill is unnecessary.
-    matmul_assign_slices::<false>(a.as_slice(), m, k, b.as_slice(), n, out);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,33 +276,6 @@ mod tests {
         assert!(matmul_at_b(&Tensor::zeros([2, 3]), &Tensor::zeros([3, 2])).is_err());
         assert!(matmul_a_bt(&Tensor::zeros([2, 3]), &Tensor::zeros([2, 4])).is_err());
         assert!(matmul_assign(&a, &b).is_err());
-    }
-
-    #[test]
-    fn into_variants_validate_output_length() {
-        let a = pseudo([2, 3], 1);
-        let b = pseudo([3, 4], 2);
-        let mut short = vec![0.0f32; 7];
-        let at = pseudo([3, 2], 4);
-        assert!(matmul_at_b_into(&at, &b, &mut short).is_err());
-        assert!(matmul_assign_into(&a, &b, &mut short).is_err());
-    }
-
-    #[test]
-    fn into_variants_are_bit_identical_to_wrappers() {
-        for seed in 0..6u64 {
-            let (m, k, n) = (3 + seed as usize, 5 + seed as usize, 300 + seed as usize);
-            let a = pseudo([m, k], seed);
-            let b = pseudo([k, n], seed + 10);
-            let at = pseudo([k, m], seed + 20);
-            let mut out2 = vec![7.0f32; m * n];
-            matmul_at_b_into(&at, &b, &mut out2).unwrap();
-            assert_eq!(out2, matmul_at_b(&at, &b).unwrap().as_slice());
-
-            let mut out4 = vec![7.0f32; m * n];
-            matmul_assign_into(&a, &b, &mut out4).unwrap();
-            assert_eq!(out4, matmul_assign(&a, &b).unwrap().as_slice());
-        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 // The acceptance fixture for the transitive hot-path rules: a bench
-// binary whose timing loop is marked as a hot root. Every per-line rule
-// exempts bench binaries (FileKind::Benches), so the v1 linter passes
-// this file clean — the panic, the allocation and the clock read are
-// each buried one or two calls below the root and only the call-graph
-// pass can see them.
-
-// sncheck:hot-root
-fn timing_loop() {
+// binary whose timing loop is a hot root, because `score_batch` matches
+// the built-in root table for any owner. Every per-line rule exempts
+// bench binaries (FileKind::Benches), so the v1 linter passes this file
+// clean — the panic, the allocation and the clock read are each buried
+// one or two calls below the root and only the call-graph pass can see
+// them.
+fn score_batch() {
     for _ in 0..1000 {
         serve_once();
     }
@@ -42,5 +41,5 @@ fn cold_setup() {
 
 fn main() {
     cold_setup();
-    timing_loop();
+    score_batch();
 }

@@ -323,7 +323,7 @@ impl CallGraph {
     pub fn dump_json(&self, syms: &[FnSym]) -> String {
         use crate::diag::json_string;
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"sncheck_graph_version\": 2,\n  \"symbols\": [");
+        out.push_str("{\n  \"sncheck_graph_version\": 3,\n  \"symbols\": [");
         let mut first = true;
         for s in syms {
             if s.is_test {
@@ -334,12 +334,11 @@ impl CallGraph {
             }
             first = false;
             out.push_str(&format!(
-                "\n    {{\"path\": {}, \"file\": {}, \"line\": {}, \"pub\": {}, \"hot_root\": {}}}",
+                "\n    {{\"path\": {}, \"file\": {}, \"line\": {}, \"pub\": {}}}",
                 json_string(&s.path()),
                 json_string(&s.file),
                 s.line,
                 s.is_pub,
-                s.hot_root,
             ));
         }
         out.push_str("\n  ],\n  \"edges\": [");
@@ -391,7 +390,7 @@ mod tests {
             let lexed = lex(src);
             let scopes = test_scopes(&lexed.tokens);
             let krate = classify_crate(rel);
-            let fs = file_symbols(rel, &krate, &lexed.tokens, &scopes, &lexed.comments);
+            let fs = file_symbols(rel, &krate, &lexed.tokens, &scopes);
             let lo = syms.len();
             syms.extend(fs.fns);
             ranges.push((lo, syms.len()));

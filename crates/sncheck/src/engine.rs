@@ -185,7 +185,7 @@ pub fn check_sources(sources: &[(String, String)]) -> Analysis {
         let max_line = lexed.tokens.last().map_or(0, |t| t.line);
         let line_is_test = (0..=max_line).map(|l| scopes.line_is_test(l)).collect();
         let sym_range = if graph_scope(&kind) {
-            let fs = file_symbols(rel, &krate, &lexed.tokens, &scopes, &lexed.comments);
+            let fs = file_symbols(rel, &krate, &lexed.tokens, &scopes);
             let lo = syms.len();
             syms.extend(fs.fns);
             Some((lo, syms.len()))

@@ -14,7 +14,6 @@
 //! | `score_batch` / `score_batch_recorded` | the batch scoring entry the paper's numbers come from |
 //! | `classify_each` | the per-frame verdict entry the stream runtime drives |
 //! | `StreamServer::offer` / `step` / `step_recorded` | the multi-tenant serve round (admission + resolve) |
-//! | any fn marked `// sncheck:hot-root` | opt-in roots — bench timing loops join the contract |
 //!
 //! ## Rules
 //!
@@ -74,17 +73,15 @@ impl std::fmt::Debug for ReachInput<'_> {
     }
 }
 
-/// Root symbol indices: built-in table matches plus `sncheck:hot-root`
-/// markers, in symbol order.
+/// Root symbol indices: built-in table matches, in symbol order.
 pub fn roots(syms: &[FnSym]) -> Vec<usize> {
     syms.iter()
         .enumerate()
         .filter(|(_, s)| !s.is_test)
         .filter(|(_, s)| {
-            s.hot_root
-                || HOT_ROOTS.iter().any(|&(name, owner)| {
-                    s.name == name && owner.is_none_or(|o| s.owner.as_deref() == Some(o))
-                })
+            HOT_ROOTS.iter().any(|&(name, owner)| {
+                s.name == name && owner.is_none_or(|o| s.owner.as_deref() == Some(o))
+            })
         })
         .map(|(k, _)| k)
         .collect()
@@ -384,7 +381,7 @@ mod tests {
             let lexed = lex(src);
             let scopes = test_scopes(&lexed.tokens);
             let krate = classify_crate(rel);
-            let fs = file_symbols(rel, &krate, &lexed.tokens, &scopes, &lexed.comments);
+            let fs = file_symbols(rel, &krate, &lexed.tokens, &scopes);
             let lo = syms.len();
             syms.extend(fs.fns);
             ranges.push((lo, syms.len()));
@@ -424,17 +421,6 @@ mod tests {
             "pub fn score_batch() {}\nfn cold() { x.unwrap(); }",
         )]);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn hot_root_marker_adds_a_root() {
-        let diags = analyze(&[(
-            "crates/bench/src/bin/b.rs",
-            "// sncheck:hot-root\nfn timing_loop() { helper(); }\n\
-             fn helper() { let v = vec![0u8; 4]; }",
-        )]);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "hot-path-transitive-alloc");
     }
 
     #[test]

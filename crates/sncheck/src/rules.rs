@@ -69,8 +69,7 @@ pub enum FileKind {
     Bin,
     /// Integration tests (`tests/**`) — exempt.
     Tests,
-    /// Benchmarks (`benches/**` and the `crates/bench` binaries, which
-    /// time the hot path and join it via `sncheck:hot-root`) — exempt
+    /// Benchmarks (`benches/**` and the `crates/bench` binaries) — exempt
     /// from per-line rules, visible to the call-graph pass.
     Benches,
     /// Examples (`examples/**`) — exempt.
@@ -564,7 +563,8 @@ mod tests {
             }
         );
         // Bench binaries are bench scope: exempt from per-line rules but
-        // first-class in the call graph (their marked loops are hot roots).
+        // first-class in the call graph (a fn there named like a built-in
+        // root is a hot root).
         assert_eq!(classify("crates/bench/src/bin/fig3.rs"), FileKind::Benches);
         assert_eq!(classify("src/bin/saliency-novelty.rs"), FileKind::Bin);
         assert_eq!(classify("crates/novelty/src/bin/tool.rs"), FileKind::Bin);

@@ -7,17 +7,11 @@
 //! the substrate for [`crate::callgraph`] and [`crate::reach`]: call-site
 //! resolution and reachability both key off it.
 //!
-//! One marker comment extends the table: after `// sncheck:hot-root`
-//! the next `fn` item (or the one on the same line) becomes an
-//! additional hot-path root for the transitive rules, alongside the
-//! built-in root table in [`crate::reach`]. This is how bench binaries
-//! opt their timing loops into the hot-path contract.
-//!
 //! The builder is purely syntactic (delimiter counting, no type
 //! information) and total: malformed input degrades to fewer symbols,
 //! never to a panic.
 
-use crate::lexer::{Comment, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::scope::TestScopes;
 
 /// One `fn` item somewhere in the workspace.
@@ -45,8 +39,6 @@ pub struct FnSym {
     /// Token index range of the body *contents* (between the braces).
     /// Empty for trait-declaration items without a body.
     pub body: (usize, usize),
-    /// Marked `// sncheck:hot-root`.
-    pub hot_root: bool,
 }
 
 impl FnSym {
@@ -149,28 +141,8 @@ fn fn_is_pub(tokens: &[Token], i: usize) -> bool {
 /// Builds the symbol table for one lexed file.
 ///
 /// `krate` comes from path classification ([`crate::rules::classify`]);
-/// `scopes` masks test code; `comments` supplies the marker comments.
-pub fn file_symbols(
-    rel: &str,
-    krate: &str,
-    tokens: &[Token],
-    scopes: &TestScopes,
-    comments: &[Comment],
-) -> FileSymbols {
-    // Marker comment lines, each consumed by the first fn at/after it.
-    // A marker is the comment's *entire* content — prose that merely
-    // mentions `sncheck:hot-root` (docs, this linter's own source) must
-    // not mark anything.
-    let mut hot_root_lines: Vec<u32> = comments
-        .iter()
-        .filter(|c| {
-            c.text
-                .trim_matches(|ch: char| ch == '/' || ch == '*' || ch == '!' || ch.is_whitespace())
-                == "sncheck:hot-root"
-        })
-        .map(|c| c.line)
-        .collect();
-
+/// `scopes` masks test code.
+pub fn file_symbols(rel: &str, krate: &str, tokens: &[Token], scopes: &TestScopes) -> FileSymbols {
     let mut fns = Vec::new();
     // Stack of (delimiter depth of the impl's `{`, trait, type).
     let mut impl_stack: Vec<(i64, Option<String>, Option<String>)> = Vec::new();
@@ -265,7 +237,6 @@ pub fn file_symbols(
             let (trait_name, owner) = impl_stack
                 .last()
                 .map_or((None, None), |(_, tr, ty)| (tr.clone(), ty.clone()));
-            let hot_root = consume_marker(&mut hot_root_lines, line);
             fns.push(FnSym {
                 name,
                 owner,
@@ -277,7 +248,6 @@ pub fn file_symbols(
                 is_test,
                 is_pub,
                 body,
-                hot_root,
             });
             // Continue scanning from after the signature so nested fns
             // (closures declaring fns is rare but legal) are still seen:
@@ -292,18 +262,6 @@ pub fn file_symbols(
     FileSymbols { fns }
 }
 
-/// Pops the first marker line at or before `fn_line` (markers bind to the
-/// next `fn` item at or after them, including the same line for trailing
-/// comments).
-fn consume_marker(lines: &mut Vec<u32>, fn_line: u32) -> bool {
-    if let Some(k) = lines.iter().position(|&l| l <= fn_line) {
-        lines.remove(k);
-        true
-    } else {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,13 +271,7 @@ mod tests {
     fn build(src: &str) -> FileSymbols {
         let lexed = lex(src);
         let scopes = test_scopes(&lexed.tokens);
-        file_symbols(
-            "crates/x/src/a.rs",
-            "x",
-            &lexed.tokens,
-            &scopes,
-            &lexed.comments,
-        )
+        file_symbols("crates/x/src/a.rs", "x", &lexed.tokens, &scopes)
     }
 
     #[test]
@@ -369,19 +321,6 @@ mod tests {
             .collect();
         assert_eq!(body, ["inner", "(", ")", ";", "1"]);
         assert_eq!(syms.fns[1].body, (0, 0), "bodyless item has no range");
-    }
-
-    #[test]
-    fn markers_bind_to_the_next_fn() {
-        let syms = build("// sncheck:hot-root\nfn looped() {}\n\nfn plain() {}");
-        assert!(syms.fns[0].hot_root);
-        assert!(!syms.fns[1].hot_root);
-    }
-
-    #[test]
-    fn trailing_marker_binds_to_its_own_line() {
-        let syms = build("fn looped() { // sncheck:hot-root\n}");
-        assert!(syms.fns[0].hot_root);
     }
 
     #[test]

@@ -129,7 +129,7 @@ fn stale_allow_fixture_warns_on_hygiene() {
 fn hot_loop_fixture_fires_only_the_transitive_rules() {
     // The acceptance fixture: a bench binary is exempt from every
     // per-line rule, so v1 passed this file clean. The panic, alloc and
-    // clock read sit below the `sncheck:hot-root` fn and only the
+    // clock read sit below the `score_batch` root and only the
     // call-graph pass reaches them.
     let diags = check_fixture("crates/bench/src/bin/hot_loop.rs");
     let mut rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();

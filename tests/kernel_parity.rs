@@ -1,6 +1,5 @@
-//! Bit-parity of the register-blocked GEMM kernels (and their
-//! workspace `_into` variants) against an embedded naive reference, for
-//! random shapes and thread counts {1, 2, 4}.
+//! Bit-parity of the register-blocked GEMM kernels against an embedded
+//! naive reference, for random shapes and thread counts {1, 2, 4}.
 //!
 //! The kernels behind `ndtensor::matmul` and `ndtensor::conv2d` block
 //! output rows and columns in registers and pack operand panels for
@@ -16,9 +15,8 @@
 use std::sync::Mutex;
 
 use ndtensor::{
-    conv2d, conv2d_backward, conv2d_backward_params, conv2d_into, matmul, matmul_a_bt,
-    matmul_assign, matmul_assign_into, matmul_at_b, matmul_at_b_into, set_thread_config,
-    Conv2dSpec, Tensor, ThreadConfig,
+    conv2d, conv2d_backward, conv2d_backward_params, matmul, matmul_a_bt, matmul_assign,
+    matmul_at_b, set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
 };
 use proptest::prelude::*;
 
@@ -166,11 +164,6 @@ proptest! {
         assert_parity_across_threads(&reference, "matmul_at_b", || {
             matmul_at_b(&a, &b).unwrap().as_slice().to_vec()
         })?;
-        assert_parity_across_threads(&reference, "matmul_at_b_into", || {
-            let mut out = vec![0.0f32; m * n];
-            matmul_at_b_into(&a, &b, &mut out).unwrap();
-            out
-        })?;
     }
 
     /// Same contract for the transposed-B product, which production
@@ -194,8 +187,7 @@ proptest! {
     /// Same contract for the assigning, never-skipping `A·B` that runs
     /// every dense forward: shapes cross the 64-wide register block and
     /// its column remainder, odd `m` hits the single-row block, `k = 0`
-    /// must assign zeros over a stale output, and exact zeros in `A`
-    /// must not be skipped.
+    /// must give zeros, and exact zeros in `A` must not be skipped.
     #[test]
     fn matmul_assign_bitwise_matches_naive(
         m in 1usize..10,
@@ -213,11 +205,6 @@ proptest! {
         let reference = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
         assert_parity_across_threads(&reference, "matmul_assign", || {
             matmul_assign(&a, &b).unwrap().as_slice().to_vec()
-        })?;
-        assert_parity_across_threads(&reference, "matmul_assign_into", || {
-            let mut out = vec![7.0f32; m * n];
-            matmul_assign_into(&a, &b, &mut out).unwrap();
-            out
         })?;
     }
 
@@ -248,7 +235,7 @@ proptest! {
     }
 
     /// The convolution (im2col + packed GEMM) is bit-stable across thread
-    /// counts and between the allocating and workspace entry points.
+    /// counts.
     #[test]
     fn conv2d_bitwise_stable_across_threads(
         n in 1usize..3,
@@ -270,11 +257,6 @@ proptest! {
                 .unwrap()
                 .as_slice()
                 .to_vec()
-        })?;
-        assert_parity_across_threads(reference.as_slice(), "conv2d_into", || {
-            let mut out = vec![0.0f32; reference.len()];
-            conv2d_into(&input, &weight, Some(&bias), spec, &mut out).unwrap();
-            out
         })?;
     }
 }
@@ -525,15 +507,12 @@ fn conv2d_panel_forward_matches_naive_bitwise() {
                 for threads in THREAD_COUNTS {
                     set_thread_config(ThreadConfig::new(threads));
                     let got = conv2d(&input, &weight, b, spec).unwrap();
-                    let mut into = vec![f32::NAN; want.len()];
-                    conv2d_into(&input, &weight, b, spec, &mut into).unwrap();
                     set_thread_config(ThreadConfig::from_env());
                     let label = format!(
                         "case {case} batch {batch} bias {} threads {threads}",
                         b.is_some()
                     );
                     assert_eq!(bits(got.as_slice()), bits(&want), "conv2d {label}");
-                    assert_eq!(bits(&into), bits(&want), "conv2d_into {label}");
                 }
             }
         }

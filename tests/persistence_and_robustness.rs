@@ -99,6 +99,29 @@ fn corrupted_detector_files_are_rejected() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A file nested deeper than the JSON parser's limit is a typed error
+/// from every loader, not a stack overflow: a megabyte of `[`, bare and
+/// behind a valid first key, and a nest one level past the limit.
+#[test]
+fn deeply_nested_files_are_rejected() {
+    let dir = std::env::temp_dir().join("saliency_novelty_integration_nested");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("nested.json");
+    let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    for body in [
+        "[".repeat(1 << 20),
+        format!("{{\"schema_version\": {}", "[".repeat(1 << 20)),
+        format!("{{\"entries\": {}}}", nest(129)),
+    ] {
+        std::fs::write(&path, &body).unwrap();
+        assert!(NoveltyDetector::load(&path).is_err());
+        assert!(novelty::AlarmLog::load(&path).is_err());
+        assert!(novelty::load_any(&path).is_err());
+        assert!(obs::RunReport::load(&path).is_err());
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn empty_and_degenerate_datasets_fail_loudly() {
     let empty = DatasetConfig::outdoor().with_len(0).generate(0);
