@@ -96,7 +96,9 @@ impl SsimConfig {
 }
 
 /// `T` summed-area tables over one `h × w` grid, each `(h+1) × (w+1)`
-/// entries in f64, stored one after another in a single buffer.
+/// entries in f64, built one row at a time: row `y` of every table is
+/// stored before row `y + 1` of any, so table `t`'s row `y` starts at
+/// `(y·T + t)·(w+1)`.
 ///
 /// The storage is borrowed from the [`ndtensor::scratch`] pool and
 /// returned on drop, so repeated SSIM evaluation (the per-frame scoring
@@ -104,7 +106,6 @@ impl SsimConfig {
 struct Integrals<const T: usize> {
     sums: Vec<f64>,
     w1: usize,
-    plane: usize,
 }
 
 impl<const T: usize> Drop for Integrals<T> {
@@ -114,34 +115,99 @@ impl<const T: usize> Drop for Integrals<T> {
 }
 
 impl<const T: usize> Integrals<T> {
-    /// Builds all `T` tables in one raster pass: `value(i)` yields the
-    /// `T` values of grid element `i`, and each table's row prefix sum is
-    /// an independent chain, so the `T` serial chains run side by side.
-    /// Every table entry is `above + row`, exactly as a table built on
-    /// its own.
-    fn build(h: usize, w: usize, mut value: impl FnMut(usize) -> [f64; T]) -> Self {
+    /// Tables with room for `h` rows after their zero row 0.
+    fn new(h: usize, w: usize) -> Self {
         let w1 = w + 1;
-        let plane = (h + 1) * w1;
-        let mut sums = ndtensor::scratch::take_zeroed_f64(T * plane);
-        for y in 0..h {
-            let mut row = [0.0f64; T];
-            for x in 0..w {
-                let v = value(y * w + x);
-                for t in 0..T {
-                    row[t] += v[t];
-                    let base = t * plane;
-                    sums[base + (y + 1) * w1 + (x + 1)] = sums[base + y * w1 + (x + 1)] + row[t];
-                }
+        let mut sums = ndtensor::scratch::take_f64(T * (h + 1) * w1);
+        sums.resize(T * w1, 0.0);
+        Integrals { sums, w1 }
+    }
+
+    /// Appends the next row of every table: `value(x)` yields the `T`
+    /// values of the row's element `x`. The new rows start as a copy of
+    /// the rows above; each table's row prefix sum is an independent
+    /// serial chain from `+0.0`, so the `T` chains run side by side and
+    /// each adds its running sum onto the copied entry: `above + row`,
+    /// exactly the entries of a table built on its own, with entry 0 zero.
+    fn push_row(&mut self, value: impl Fn(usize) -> [f64; T]) {
+        let (w1, start) = (self.w1, self.sums.len());
+        self.sums.extend_from_within(start - T * w1..start);
+        let mut rest = &mut self.sums[start..];
+        let rows: [&mut [f64]; T] = std::array::from_fn(|_| {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(w1);
+            rest = tail;
+            row
+        });
+        let mut row = [0.0f64; T];
+        for x in 0..w1 - 1 {
+            let v = value(x);
+            for t in 0..T {
+                row[t] += v[t];
+                rows[t][x + 1] += row[t];
             }
         }
-        Integrals { sums, w1, plane }
     }
 
     /// Table `t`'s row `y` (length `w + 1`).
     fn row(&self, t: usize, y: usize) -> &[f64] {
-        let start = t * self.plane + y * self.w1;
+        let start = (y * T + t) * self.w1;
         &self.sums[start..start + self.w1]
     }
+
+    /// The corner rows of the `kh`-row, `kw`-column boxes whose top rows
+    /// are row `y` and whose left columns are `0..len`, one per table.
+    fn corners(&self, y: usize, kh: usize, kw: usize, len: usize) -> [Corners<'_>; T] {
+        std::array::from_fn(|t| {
+            let (top, bot) = (self.row(t, y), self.row(t, y + kh));
+            Corners {
+                br: &bot[kw..kw + len],
+                tl: &top[..len],
+                tr: &top[kw..kw + len],
+                bl: &bot[..len],
+            }
+        })
+    }
+}
+
+/// The four corner rows of one table over a row of boxes: box `i` sums to
+/// `br[i] + tl[i] - tr[i] - bl[i]`, evaluated left to right.
+#[derive(Clone, Copy)]
+struct Corners<'a> {
+    br: &'a [f64],
+    tl: &'a [f64],
+    tr: &'a [f64],
+    bl: &'a [f64],
+}
+
+impl Corners<'_> {
+    /// The first `len` boxes: re-slicing to the loop's length lets the
+    /// compiler drop the bounds checks and vectorise the loop.
+    #[inline(always)]
+    fn cut(self, len: usize) -> Self {
+        Corners {
+            br: &self.br[..len],
+            tl: &self.tl[..len],
+            tr: &self.tr[..len],
+            bl: &self.bl[..len],
+        }
+    }
+
+    #[inline(always)]
+    fn sum(&self, i: usize) -> f64 {
+        self.br[i] + self.tl[i] - self.tr[i] - self.bl[i]
+    }
+}
+
+/// The five image tables (`x`, `y`, `x²`, `y²`, `xy`) of a pair.
+fn image_tables(xs: &[f32], ys: &[f32], h: usize, w: usize) -> Integrals<5> {
+    let mut tables = Integrals::<5>::new(h, w);
+    for (xr, yr) in xs.chunks_exact(w).zip(ys.chunks_exact(w)) {
+        tables.push_row(|i| {
+            let (a, b) = (xr[i] as f64, yr[i] as f64);
+            [a, b, a * a, b * b, a * b]
+        });
+    }
+    tables
 }
 
 fn check_sizes(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(usize, usize)> {
@@ -161,10 +227,14 @@ fn check_sizes(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(usize, usize)>
     Ok((x.height(), x.width()))
 }
 
+/// Five per-window values: the statistics `(μx, μy, σx², σy², σxy)`, or
+/// `(S, A1, A2, B1, B2)`.
+type Five = (f64, f64, f64, f64, f64);
+
 /// Per-window statistics `(μx, μy, σx², σy², σxy)` from the five window
 /// sums `[Σx, Σy, Σx², Σy², Σxy]` over `n` pixels.
 #[inline(always)]
-fn window_stats(sums: [f64; 5], n: f64) -> (f64, f64, f64, f64, f64) {
+fn window_stats(sums: [f64; 5], n: f64) -> Five {
     let mx = sums[0] / n;
     let my = sums[1] / n;
     // Population variance/covariance; max(0) guards tiny negative
@@ -177,11 +247,7 @@ fn window_stats(sums: [f64; 5], n: f64) -> (f64, f64, f64, f64, f64) {
 
 /// `(S, A1, A2, B1, B2)` of one window from its statistics.
 #[inline(always)]
-fn window_score(
-    (mx, my, vx, vy, cxy): (f64, f64, f64, f64, f64),
-    c1: f64,
-    c2: f64,
-) -> (f64, f64, f64, f64, f64) {
+fn window_score((mx, my, vx, vy, cxy): Five, c1: f64, c2: f64) -> Five {
     let a1 = 2.0 * mx * my + c1;
     let a2 = 2.0 * cxy + c2;
     let b1 = mx * mx + my * my + c1;
@@ -189,72 +255,44 @@ fn window_score(
     (a1 * a2 / (b1 * b2), a1, a2, b1, b2)
 }
 
-/// `out[i] = br[i] + tl[i] - tr[i] - bl[i]`: one row of window sums
-/// from the four corner rows of a summed-area table.
-fn corner_sums(out: &mut [f64], br: &[f64], tl: &[f64], tr: &[f64], bl: &[f64]) {
-    for (o, (((&a, &b), &c), &d)) in out.iter_mut().zip(br.iter().zip(tl).zip(tr).zip(bl)) {
-        *o = a + b - c - d;
-    }
+/// Window `wx`'s `(S, A1, A2, B1, B2)` and statistics from the five
+/// tables' corner rows.
+#[inline(always)]
+fn window_at(corners: &[Corners<'_>; 5], wx: usize, n: f64, c1: f64, c2: f64) -> (Five, Five) {
+    let [c0, c1s, c2s, c3, c4] = corners;
+    let sums = [c0.sum(wx), c1s.sum(wx), c2s.sum(wx), c3.sum(wx), c4.sum(wx)];
+    let stats = window_stats(sums, n);
+    (window_score(stats, c1, c2), stats)
 }
 
-/// One row of window scores from the row's five window-sum planes.
+/// One row of window scores, the corner sums computed in the loop:
 /// `score` is the only output, so the loop vectorises without alias
 /// checks.
-fn row_scores(score: &mut [f64], sums: [&[f64]; 5], n: f64, c1: f64, c2: f64) {
-    let len = score.len();
-    let sums = sums.map(|plane| &plane[..len]);
+fn row_scores(score: &mut [f64], corners: &[Corners<'_>; 5], n: f64, c1: f64, c2: f64) {
+    let corners = corners.map(|c| c.cut(score.len()));
     for (wx, s) in score.iter_mut().enumerate() {
-        let stats = window_stats(
-            [
-                sums[0][wx],
-                sums[1][wx],
-                sums[2][wx],
-                sums[3][wx],
-                sums[4][wx],
-            ],
-            n,
-        );
-        *s = window_score(stats, c1, c2).0;
+        *s = window_at(&corners, wx, n, c1, c2).0 .0;
     }
 }
 
-/// One window row: the five window sums and the score of the window
-/// with top-left `(wy, wx)`, at entry `wx`.
-struct WindowRow<'a> {
-    sums: [&'a [f64]; 5],
-    score: &'a [f64],
-}
-
-/// One row of the per-window gradient coefficients: for pixel `j` inside
-/// window `wx`, `∂S_w/∂y_j = x_j·cx[wx] + y_j·cy[wx] + cc[wx]`. Built from
-/// the row's window sums and its existing scores, with the statistics and
-/// `(A1, A2, B1, B2)` a window-at-a-time evaluation computes; the three
-/// outputs are the only writes, so the loop vectorises.
-fn row_coefficients(
-    (cx, cy, cc): (&mut [f64], &mut [f64], &mut [f64]),
-    row: &WindowRow<'_>,
+/// One row of window scores and of the per-window gradient coefficients:
+/// for pixel `j` inside window `wx`, `∂S_w/∂y_j = x_j·cx[wx] + y_j·cy[wx] +
+/// cc[wx]`. Each window's statistics and `(S, A1, A2, B1, B2)` are
+/// computed once and serve both; the four outputs are the only writes,
+/// so the loop vectorises.
+fn row_scores_and_coefficients(
+    [score, cx, cy, cc]: [&mut [f64]; 4],
+    corners: &[Corners<'_>; 5],
     n: f64,
     c1: f64,
     c2: f64,
 ) {
-    let len = cx.len();
-    let (cy, cc) = (&mut cy[..len], &mut cc[..len]);
-    let score = &row.score[..len];
-    let sums = row.sums.map(|plane| &plane[..len]);
+    let len = score.len();
+    let (cx, cy, cc) = (&mut cx[..len], &mut cy[..len], &mut cc[..len]);
+    let corners = corners.map(|c| c.cut(len));
     for wx in 0..len {
-        let stats = window_stats(
-            [
-                sums[0][wx],
-                sums[1][wx],
-                sums[2][wx],
-                sums[3][wx],
-                sums[4][wx],
-            ],
-            n,
-        );
-        let (mx, my, ..) = stats;
-        let (_, a1, a2, b1, b2) = window_score(stats, c1, c2);
-        let s = score[wx];
+        let ((s, a1, a2, b1, b2), (mx, my, ..)) = window_at(&corners, wx, n, c1, c2);
+        score[wx] = s;
         let scale = 2.0 / (n * b1 * b2);
         // ∂S/∂y_j = scale·[ μx·A2 + (x_j−μx)·A1 − S·(μy·B2 + (y_j−μy)·B1) ]
         //         = x_j·(scale·A1) + y_j·(−scale·S·B1)
@@ -265,41 +303,58 @@ fn row_coefficients(
     }
 }
 
-/// One pixel row of coefficient sums over the windows covering each
-/// pixel, from table rows `top` (first covering window row) and `bot`
-/// (one past the last). Pixel `px` is covered by window columns
-/// `px.saturating_sub(k − 1).min(mw − 1) ..= px.min(mw − 1)`; where that
-/// range is a full `k` wide the corner sums are one vectorised
-/// [`corner_sums`] pass, and the edge pixels take the same expression
-/// one at a time.
-fn cover_sums(out: &mut [f64], top: &[f64], bot: &[f64], k: usize, mw: usize) {
-    let corner = |px: usize| {
-        let lo = px.saturating_sub(k - 1).min(mw - 1);
-        let hi = px.min(mw - 1) + 1;
-        bot[hi] + top[lo] - top[hi] - bot[lo]
+/// One pixel row of the gradient, `(x·Σcx + y·Σcy + Σcc) / windows`, each
+/// sum over the windows covering the pixel, from the coefficient tables'
+/// rows `top` (first covering window row) and `bot` (one past the last).
+/// Pixel `px` is covered by window columns `px.saturating_sub(k −
+/// 1).min(mw − 1) ..= px.min(mw − 1)`; where that range is a full `k`
+/// wide the corner sums are formed inside one vectorised loop, and the
+/// edge pixels take the same expression one at a time.
+fn gradient_row(
+    grow: &mut [f32],
+    (xr, yr): (&[f32], &[f32]),
+    top: [&[f64]; 3],
+    bot: [&[f64]; 3],
+    k: usize,
+    mw: usize,
+    windows: f64,
+) {
+    let pixel = |x: f32, y: f32, [sx, sy, sc]: [f64; 3]| {
+        let g = (x as f64) * sx + (y as f64) * sy + sc;
+        (g / windows) as f32
     };
+    let w = grow.len();
     let (i0, i1) = (k - 1, mw);
     if i0 < i1 {
-        corner_sums(
-            &mut out[i0..i1],
-            &bot[k..mw + 1],
-            &top[..mw - k + 1],
-            &top[k..mw + 1],
-            &bot[..mw - k + 1],
-        );
+        let len = i1 - i0;
+        let [c0, c1, c2] = std::array::from_fn(|t| {
+            Corners {
+                br: &bot[t][k..],
+                tl: top[t],
+                tr: &top[t][k..],
+                bl: bot[t],
+            }
+            .cut(len)
+        });
+        let (gs, xs, ys) = (&mut grow[i0..i1], &xr[i0..i1], &yr[i0..i1]);
+        for i in 0..len {
+            gs[i] = pixel(xs[i], ys[i], [c0.sum(i), c1.sum(i), c2.sum(i)]);
+        }
     }
-    let w = out.len();
     for px in (0..i0.min(w)).chain(i1.max(i0).min(w)..w) {
-        out[px] = corner(px);
+        let lo = px.saturating_sub(k - 1).min(mw - 1);
+        let hi = px.min(mw - 1) + 1;
+        let sums = std::array::from_fn(|t| bot[t][hi] + top[t][lo] - top[t][hi] - bot[t][lo]);
+        grow[px] = pixel(xr[px], yr[px], sums);
     }
 }
 
-/// Visits every window row in raster order. The five integral tables
-/// (`x`, `y`, `x²`, `y²`, `xy`) are built in one pass; each row's window
-/// sums and scores are then computed into a scratch row buffer by loops
-/// over contiguous table rows that the compiler vectorises — the same
-/// per-window expressions as a window-at-a-time evaluation.
-fn per_window_row<F: FnMut(usize, &WindowRow<'_>)>(
+/// Visits every window row's scores in raster order. The five image
+/// tables are built row by row; each window row's scores are computed
+/// into a scratch row buffer by one loop over contiguous table rows that
+/// the compiler vectorises — the same per-window expressions as a
+/// window-at-a-time evaluation.
+fn window_rows<F: FnMut(usize, &[f64])>(
     x: &Image,
     y: &Image,
     cfg: &SsimConfig,
@@ -308,31 +363,15 @@ fn per_window_row<F: FnMut(usize, &WindowRow<'_>)>(
     let (h, w) = check_sizes(x, y, cfg)?;
     let k = cfg.window;
     let n = (k * k) as f64;
-    let xs = x.as_slice();
-    let ys = y.as_slice();
-    let tables = Integrals::<5>::build(h, w, |i| {
-        let (a, b) = (xs[i] as f64, ys[i] as f64);
-        [a, b, a * a, b * b, a * b]
-    });
+    let tables = image_tables(x.as_slice(), y.as_slice(), h, w);
     let mw = w - k + 1;
-    let mut buf = ndtensor::scratch::take_zeroed_f64(6 * mw);
+    let mut score = ndtensor::scratch::take_zeroed_f64(mw);
     for wy in 0..=(h - k) {
-        let (sums, score) = buf.split_at_mut(5 * mw);
-        for (t, out) in sums.chunks_exact_mut(mw).enumerate() {
-            let (top, bot) = (tables.row(t, wy), tables.row(t, wy + k));
-            corner_sums(
-                out,
-                &bot[k..k + mw],
-                &top[..mw],
-                &top[k..k + mw],
-                &bot[..mw],
-            );
-        }
-        let sums: [&[f64]; 5] = std::array::from_fn(|t| &sums[t * mw..(t + 1) * mw]);
-        row_scores(score, sums, n, cfg.c1 as f64, cfg.c2 as f64);
-        visit(wy, &WindowRow { sums, score });
+        let corners = tables.corners(wy, k, k, mw);
+        row_scores(&mut score, &corners, n, cfg.c1 as f64, cfg.c2 as f64);
+        visit(wy, &score);
     }
-    ndtensor::scratch::give_f64(buf);
+    ndtensor::scratch::give_f64(score);
     Ok(())
 }
 
@@ -362,11 +401,11 @@ fn per_window_row<F: FnMut(usize, &WindowRow<'_>)>(
 pub fn ssim(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<f32> {
     let mut total = 0.0f64;
     let mut count = 0usize;
-    per_window_row(x, y, cfg, |_, row| {
-        for &s in row.score {
+    window_rows(x, y, cfg, |_, scores| {
+        for &s in scores {
             total += s;
         }
-        count += row.score.len();
+        count += scores.len();
     })?;
     Ok((total / count as f64) as f32)
 }
@@ -382,8 +421,8 @@ pub fn ssim_map(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<Image> {
     let k = cfg.window;
     let mut out = Image::new(h - k + 1, w - k + 1)
         .map_err(|e| MetricsError::invalid("ssim_map", e.to_string()))?;
-    per_window_row(x, y, cfg, |wy, row| {
-        for (wx, &s) in row.score.iter().enumerate() {
+    window_rows(x, y, cfg, |wy, scores| {
+        for (wx, &s) in scores.iter().enumerate() {
             out.put(wy, wx, s as f32);
         }
     })?;
@@ -408,52 +447,46 @@ pub fn ssim_with_grad(x: &Image, y: &Image, cfg: &SsimConfig) -> Result<(f32, Im
     let mw = w - k + 1;
     let windows = (mh * mw) as f64;
 
-    // Per-window coefficient maps such that, for pixel j inside window w:
-    //   ∂S_w/∂y_j = x_j·coef_x[w] + y_j·coef_y[w] + coef_c[w].
-    let mut coef_x = ndtensor::scratch::take_zeroed_f64(mh * mw);
-    let mut coef_y = ndtensor::scratch::take_zeroed_f64(mh * mw);
-    let mut coef_c = ndtensor::scratch::take_zeroed_f64(mh * mw);
+    let (xs, ys) = (x.as_slice(), y.as_slice());
+    let tables = image_tables(xs, ys, h, w);
+
+    // Each window row's scores and gradient coefficients go straight into
+    // the next row of a second round of summed-area tables, over the
+    // window-index grid, so each coefficient can be summed over all
+    // windows covering a pixel.
+    let mut coefs = Integrals::<3>::new(mh, mw);
+    let mut rows = ndtensor::scratch::take_zeroed_f64(4 * mw);
     let mut total = 0.0f64;
-    per_window_row(x, y, cfg, |wy, row| {
-        for &s in row.score {
+    for wy in 0..mh {
+        let (score, rest) = rows.split_at_mut(mw);
+        let (cx, rest) = rest.split_at_mut(mw);
+        let (cy, cc) = rest.split_at_mut(mw);
+        let corners = tables.corners(wy, k, k, mw);
+        row_scores_and_coefficients([score, cx, cy, cc], &corners, n, c1, c2);
+        for &s in score.iter() {
             total += s;
         }
-        let at = wy * mw..(wy + 1) * mw;
-        let maps = (
-            &mut coef_x[at.clone()],
-            &mut coef_y[at.clone()],
-            &mut coef_c[at],
-        );
-        row_coefficients(maps, row, n, c1, c2);
-    })?;
+        let (cx, cy, cc) = (&*cx, &*cy, &*cc);
+        coefs.push_row(|i| [cx[i], cy[i], cc[i]]);
+    }
+    ndtensor::scratch::give_f64(rows);
+    drop(tables);
 
-    // Sum each coefficient over all windows covering a pixel with a second
-    // round of integral images over the window-index grid.
-    let coefs = Integrals::<3>::build(mh, mw, |i| [coef_x[i], coef_y[i], coef_c[i]]);
-    ndtensor::scratch::give_f64(coef_x);
-    ndtensor::scratch::give_f64(coef_y);
-    ndtensor::scratch::give_f64(coef_c);
-
-    let xs = x.as_slice();
-    let ys = y.as_slice();
     let mut grad = Image::new(h, w).map_err(|e| MetricsError::invalid("ssim", e.to_string()))?;
-    let mut cover = ndtensor::scratch::take_zeroed_f64(3 * w);
     for (py, grow) in grad.as_mut_slice().chunks_exact_mut(w).enumerate() {
         // Windows covering row py have top row wy in [py−k+1, py] ∩ [0, mh).
         let wy0 = py.saturating_sub(k - 1).min(mh - 1);
         let wy1 = py.min(mh - 1);
-        for (t, out) in cover.chunks_exact_mut(w).enumerate() {
-            cover_sums(out, coefs.row(t, wy0), coefs.row(t, wy1 + 1), k, mw);
-        }
-        let (sx, rest) = cover.split_at(w);
-        let (sy, sc) = rest.split_at(w);
-        let (xr, yr) = (&xs[py * w..(py + 1) * w], &ys[py * w..(py + 1) * w]);
-        for px in 0..w {
-            let g = (xr[px] as f64) * sx[px] + (yr[px] as f64) * sy[px] + sc[px];
-            grow[px] = (g / windows) as f32;
-        }
+        gradient_row(
+            grow,
+            (&xs[py * w..(py + 1) * w], &ys[py * w..(py + 1) * w]),
+            std::array::from_fn(|t| coefs.row(t, wy0)),
+            std::array::from_fn(|t| coefs.row(t, wy1 + 1)),
+            k,
+            mw,
+            windows,
+        );
     }
-    ndtensor::scratch::give_f64(cover);
     Ok(((total / windows) as f32, grad))
 }
 

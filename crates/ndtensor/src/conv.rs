@@ -292,21 +292,25 @@ fn im2col_t_runs<const KW: usize>(
 /// vectorise.
 #[inline(always)]
 fn scatter_add_strided(dst: &mut [f32], src: &[f32], stride: usize) {
-    match stride {
-        1 => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
+    if stride == 1 {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += s;
         }
-        2 => scatter_add_by(dst, src, 2),
-        _ => scatter_add_by(dst, src, stride),
+    } else {
+        for (d, &s) in dst.iter_mut().step_by(stride).zip(src) {
+            *d += s;
+        }
     }
 }
 
+/// `dst[2i] += a[i]` and `dst[2i + 1] += b[i]` for every `i`: one
+/// contiguous pass over `dst` that the compiler vectorises with
+/// interleaving shuffles.
 #[inline(always)]
-fn scatter_add_by(dst: &mut [f32], src: &[f32], stride: usize) {
-    for (d, &s) in dst.iter_mut().step_by(stride).zip(src) {
-        *d += s;
+fn scatter_add_pair(dst: &mut [f32], a: &[f32], b: &[f32]) {
+    for (d, (&x, &y)) in dst.chunks_exact_mut(2).zip(a.iter().zip(b)) {
+        d[0] += x;
+        d[1] += y;
     }
 }
 
@@ -316,7 +320,11 @@ fn scatter_add_by(dst: &mut [f32], src: &[f32], stride: usize) {
 ///
 /// The valid `ox` range of each `(ci, ky, kx)` row is hoisted out of the
 /// pixel loop, as in [`im2col_core`]; the visiting order, and so each
-/// pixel's summation order, is the per-element loop's.
+/// pixel's summation order, is the per-element loop's. At stride 2, taps
+/// `kx` and `kx + 1` land on pixels of opposite parity, so no pixel takes
+/// a term from both: the pair is scattered as one interleaved contiguous
+/// add where both are valid, and each pixel still takes its terms in
+/// `(ky, kx)` order.
 #[allow(clippy::too_many_arguments)]
 fn col2im_core(
     data: &[f32],
@@ -337,21 +345,62 @@ fn col2im_core(
     for ci in 0..c {
         let plane = &mut out[ci * h * w..(ci + 1) * h * w];
         for ky in 0..kh {
-            for kx in 0..kw {
+            // The pixel row tap row `ky` of output row `oy` lands on.
+            let prow_of = |oy: usize| {
+                let iy = oy * sh + ky;
+                (iy >= ph && iy - ph < h).then(|| (iy - ph) * w)
+            };
+            let crow = |kx: usize| {
                 let row = (ci * kh + ky) * kw + kx;
-                let crow = &data[row * ncols..(row + 1) * ncols];
-                let (lo, hi) = valid_ox(ow, w, kx, sw, pw);
-                if lo == hi {
-                    continue;
-                }
-                let ix0 = lo * sw + kx - pw;
-                for (oy, seg) in crow.chunks_exact(ow).enumerate() {
-                    let iy = oy * sh + ky;
-                    if iy < ph || iy - ph >= h {
-                        continue;
+                &data[row * ncols..(row + 1) * ncols]
+            };
+            let mut kx = 0;
+            while kx < kw {
+                if sw == 2 && kx + 1 < kw {
+                    // Taps `kx` (a) and `kx + 1` (b): both valid on
+                    // `lo..hi`, each alone on the rest of its own range.
+                    let (a, b) = (crow(kx), crow(kx + 1));
+                    let (ra, rb) = (valid_ox(ow, w, kx, 2, pw), valid_ox(ow, w, kx + 1, 2, pw));
+                    let lo = ra.0.max(rb.0);
+                    let hi = ra.1.min(rb.1).max(lo);
+                    let lone = [
+                        (0, ra.0, ra.1.min(lo)),
+                        (0, hi.max(ra.0), ra.1),
+                        (1, rb.0, rb.1.min(lo)),
+                        (1, hi.max(rb.0), rb.1),
+                    ];
+                    for oy in 0..oh {
+                        let Some(p0) = prow_of(oy) else { continue };
+                        let prow = &mut plane[p0..p0 + w];
+                        let (sa, sb) = (&a[oy * ow..(oy + 1) * ow], &b[oy * ow..(oy + 1) * ow]);
+                        for (t, l, r) in lone {
+                            if l < r {
+                                let seg = if t == 0 { sa } else { sb };
+                                scatter_add_strided(
+                                    &mut prow[l * 2 + kx + t - pw..],
+                                    &seg[l..r],
+                                    2,
+                                );
+                            }
+                        }
+                        if lo < hi {
+                            let ix0 = lo * 2 + kx - pw;
+                            scatter_add_pair(&mut prow[ix0..], &sa[lo..hi], &sb[lo..hi]);
+                        }
                     }
-                    let prow = &mut plane[(iy - ph) * w..(iy - ph + 1) * w];
-                    scatter_add_strided(&mut prow[ix0..], &seg[lo..hi], sw);
+                    kx += 2;
+                } else {
+                    let row = crow(kx);
+                    let (lo, hi) = valid_ox(ow, w, kx, sw, pw);
+                    if lo < hi {
+                        let ix0 = lo * sw + kx - pw;
+                        for oy in 0..oh {
+                            let Some(p0) = prow_of(oy) else { continue };
+                            let seg = &row[oy * ow + lo..oy * ow + hi];
+                            scatter_add_strided(&mut plane[p0 + ix0..p0 + w], seg, sw);
+                        }
+                    }
+                    kx += 1;
                 }
             }
         }

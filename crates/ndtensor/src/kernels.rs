@@ -4,10 +4,12 @@
 //!
 //! * [`mm_assign`] — two-row × 64-column register-blocked assigning
 //!   kernel over a row-major B, whose last columns run the same block
-//!   zero-padded to 8, 16, 32 or 64 wide. It runs every `matmul` and
-//!   `matmul_at_b` (the dense `dW = xᵀ·g` among them) and the
+//!   zero-padded to 8, 16, 32 or 64 wide, and whose `k` runs in
+//!   cache-sized blocks. It runs every `matmul` and `matmul_at_b` and the
 //!   weight-stationary `x · W` of every dense forward, on the layer's
 //!   `[in, out]` weight. It skips exact-zero A entries, or never skips.
+//!   [`mm_accumulate`] is the same block storing `out + chain`: the
+//!   dense `dW += xᵀ·g` (`matmul_at_b_acc`).
 //! * [`conv_panel`] — four-row, 32-wide register-blocked assigning kernel
 //!   over a padded panel, with an optional bias in its store epilogue.
 //!   It runs every conv forward (`W · cols`), both conv backward GEMMs
@@ -19,10 +21,12 @@
 //! element is accumulated in a single chain, ascending `k`, starting from
 //! `+0.0`** — exactly the three-loop schoolbook product. Register
 //! blocking only reorders *which element is worked on next*, never the
-//! additions inside one element, so the two kernels are bitwise-equal on
-//! transposed operands and each is bitwise-equal to the naive product
-//! (the tests below and `tests/kernel_parity.rs`). Each kernel writes
-//! every output element exactly once and runs one of two chains: the
+//! additions inside one element, and a k-block pauses a chain in the
+//! output and resumes it from there, which an f32 store and load carry
+//! exactly; so the two kernels are bitwise-equal on transposed operands
+//! and each is bitwise-equal to the naive product (the tests below and
+//! `tests/kernel_parity.rs`). Each kernel stores every output element
+//! (the accumulating store as `out + chain`) and runs one of two chains: the
 //! zero-skipping chain, which drops the terms of exact-zero A entries,
 //! or the never-skipping chain. The two differ only where a skipped term
 //! is not `±0.0`, that is, where a NaN or `±∞` in B faces an exact-zero
@@ -39,6 +43,13 @@ use crate::scratch;
 
 /// Accumulator width of [`mm_assign`]: output columns held in registers.
 const RR_W: usize = 64;
+
+/// Depth of one k-block: [`mm_assign`] runs each chain over `k` in
+/// blocks of this many steps, so the B rows of one block (32 KiB at the
+/// 64-column accumulator width) stay in L1 while every row pair of the
+/// call walks them, instead of streaming a long `k` from memory once per
+/// row pair.
+const KC: usize = 128;
 
 /// Whether an A row contains no exact zero.
 ///
@@ -62,29 +73,73 @@ fn dense_row(row: &[f32]) -> bool {
         && tail.iter().all(nonzero)
 }
 
+/// How one k-block of chains meets the output.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Store {
+    /// The first k-block: the chains start at `+0.0` and the block
+    /// stores its sums.
+    First,
+    /// A later k-block: the chains resume from the partial sums the
+    /// previous block stored in the output and store theirs back.
+    Resume,
+    /// The one block of the accumulating form: the chains start at
+    /// `+0.0` and the block stores `out + sum`.
+    Add,
+}
+
+impl Store {
+    /// The block's starting accumulators: zeros, or the first `w`
+    /// entries of `out`.
+    #[inline(always)]
+    fn load<const W: usize>(self, out: &[f32], w: usize) -> [f32; W] {
+        let mut acc = [0.0f32; W];
+        if self == Store::Resume {
+            acc[..w].copy_from_slice(&out[..w]);
+        }
+        acc
+    }
+
+    /// Stores the first `w` accumulators into `out`.
+    #[inline(always)]
+    fn save<const W: usize>(self, acc: &[f32; W], out: &mut [f32], w: usize) {
+        let out = &mut out[..w];
+        if self == Store::Add {
+            for (o, &a) in out.iter_mut().zip(acc) {
+                *o += a;
+            }
+        } else {
+            out.copy_from_slice(&acc[..w]);
+        }
+    }
+}
+
+/// The k-blocks of a `k`-step chain: `(k0, kc)` pairs of at most
+/// `depth` steps in ascending order, and one empty block when `k == 0`
+/// (so every output is still stored).
+fn k_blocks(k: usize, depth: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..k.div_ceil(depth).max(1)).map(move |b| (b * depth, depth.min(k - b * depth)))
+}
+
 /// Single-row register block for the remainder row of [`rr_block`]: one
-/// `W`-wide accumulator row over `b`'s first `W` columns, row stride
+/// `W`-wide accumulator row over `b`'s columns `j..j + W`, row stride
 /// `ld`.
 #[inline(always)]
 fn rr1_block<const SKIP: bool, const W: usize>(
     r0: &[f32],
-    k: usize,
     b: &[f32],
-    ld: usize,
+    (ld, j): (usize, usize),
     acc0: &mut [f32; W],
 ) {
     if !SKIP || dense_row(r0) {
-        for l in 0..k {
-            let brow = &b[l * ld..l * ld + W];
-            let a0 = r0[l];
+        for (l, &a0) in r0.iter().enumerate() {
+            let brow = &b[l * ld + j..l * ld + j + W];
             for t in 0..W {
                 acc0[t] += a0 * brow[t];
             }
         }
     } else {
-        for l in 0..k {
-            let brow = &b[l * ld..l * ld + W];
-            let a0 = r0[l];
+        for (l, &a0) in r0.iter().enumerate() {
+            let brow = &b[l * ld + j..l * ld + j + W];
             // sncheck:allow(no-float-eq): exact-zero sparsity skip.
             if a0 != 0.0 {
                 for t in 0..W {
@@ -95,44 +150,48 @@ fn rr1_block<const SKIP: bool, const W: usize>(
     }
 }
 
-/// Two-row register block: every row of `arows` (`k` entries each)
-/// against the `W` columns of `b` (row stride `ld`), storing the first
-/// `w` columns of each result row at the start of the matching `n`-wide
-/// row of `out`.
+/// Two-row register block over one k-block: steps `k0..k0 + kc` of every
+/// row of `arows` (`rows` rows of `k` entries each) against columns
+/// `j..j + W` of `b` (B's rows from `k0` on, row stride `ld`), meeting
+/// the first `w` columns of each matching `n`-wide row of `out` as
+/// `store` says.
 ///
 /// A pair of `W`-wide accumulator rows lives in separate fixed-size
 /// locals (so scalar replacement keeps them in vector registers for the
-/// whole `k` chain — a nested `[[f32; W]; R]` block defeats that) and is
-/// stored back once. The `k × W` B block is loaded once per `l`, shared
-/// by both rows, and stays L1-resident across row pairs when `k` is
-/// short, so B is effectively streamed from memory once per call. Each
-/// output element's chain starts at `0.0` and is ascending `l`.
+/// whole k-block — a nested `[[f32; W]; R]` block defeats that) and is
+/// stored back once. The `kc × W` B block is loaded once per step, shared
+/// by both rows, and stays cache-resident across row pairs. Each output
+/// element's chain runs ascending `l`, from `+0.0` or from its own partial
+/// sum, which an f32 store and load carry exactly.
 ///
 /// `SKIP` picks the zero discipline: skipping exact-zero A entries, where
 /// row pairs whose A rows contain no exact zero take the branch-free
 /// inner loop — it performs the identical operation sequence as the skip
 /// loop on those inputs, so the choice never changes bits — or never
 /// skipping, always branch-free.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn rr_block<const SKIP: bool, const W: usize>(
     arows: &[f32],
+    rows: usize,
     k: usize,
+    (k0, kc): (usize, usize),
     b: &[f32],
-    ld: usize,
+    (ld, j): (usize, usize),
     out: &mut [f32],
     n: usize,
     w: usize,
+    store: Store,
 ) {
-    let rows = arows.len() / k;
+    let arow = |i: usize| &arows[i * k + k0..i * k + k0 + kc];
     let mut i = 0;
     while i + 2 <= rows {
-        let r0 = &arows[i * k..(i + 1) * k];
-        let r1 = &arows[(i + 1) * k..(i + 2) * k];
-        let mut acc0 = [0.0f32; W];
-        let mut acc1 = [0.0f32; W];
+        let (r0, r1) = (arow(i), arow(i + 1));
+        let mut acc0: [f32; W] = store.load(&out[i * n..], w);
+        let mut acc1: [f32; W] = store.load(&out[(i + 1) * n..], w);
         if !SKIP || (dense_row(r0) && dense_row(r1)) {
-            for l in 0..k {
-                let brow = &b[l * ld..l * ld + W];
+            for l in 0..kc {
+                let brow = &b[l * ld + j..l * ld + j + W];
                 let a0 = r0[l];
                 let a1 = r1[l];
                 for t in 0..W {
@@ -143,8 +202,8 @@ fn rr_block<const SKIP: bool, const W: usize>(
                 }
             }
         } else {
-            for l in 0..k {
-                let brow = &b[l * ld..l * ld + W];
+            for l in 0..kc {
+                let brow = &b[l * ld + j..l * ld + j + W];
                 let a0 = r0[l];
                 // sncheck:allow(no-float-eq): exact-zero sparsity
                 // skip.
@@ -163,44 +222,60 @@ fn rr_block<const SKIP: bool, const W: usize>(
                 }
             }
         }
-        out[i * n..i * n + w].copy_from_slice(&acc0[..w]);
-        out[(i + 1) * n..(i + 1) * n + w].copy_from_slice(&acc1[..w]);
+        store.save(&acc0, &mut out[i * n..], w);
+        store.save(&acc1, &mut out[(i + 1) * n..], w);
         i += 2;
     }
     // Remainder row: single-row register block, identical chains.
     if i < rows {
-        let r0 = &arows[i * k..(i + 1) * k];
-        let mut acc0 = [0.0f32; W];
-        rr1_block::<SKIP, W>(r0, k, b, ld, &mut acc0);
-        out[i * n..i * n + w].copy_from_slice(&acc0[..w]);
+        let mut acc0: [f32; W] = store.load(&out[i * n..], w);
+        rr1_block::<SKIP, W>(arow(i), b, (ld, j), &mut acc0);
+        store.save(&acc0, &mut out[i * n..], w);
     }
 }
 
-/// [`rr_block`] over the last `n - j` (at most `W`) columns of `b: [k,
-/// n]`, copied into a `k × W` scratch panel with zeros in the pad
-/// columns; only the valid columns are stored.
+/// [`rr_block`] over the last `n - j` (at most `W`) columns of `b` (B's
+/// rows from `k0` on, `n` wide), copied for the k-block's `kc` rows into
+/// a `kc × W` scratch panel with zeros in the pad columns; only the valid
+/// columns are stored.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn rr_padded_block<const SKIP: bool, const W: usize>(
     arows: &[f32],
+    rows: usize,
     k: usize,
-    bd: &[f32],
+    (k0, kc): (usize, usize),
+    b: &[f32],
     n: usize,
     out: &mut [f32],
     j: usize,
+    store: Store,
 ) {
-    let mut panel = scratch::take_zeroed(k * W);
-    for (prow, brow) in panel.chunks_exact_mut(W).zip(bd.chunks_exact(n)) {
+    let mut panel = scratch::take_zeroed(kc * W);
+    for (prow, brow) in panel.chunks_exact_mut(W).zip(b.chunks_exact(n)) {
         prow[..n - j].copy_from_slice(&brow[j..]);
     }
-    rr_block::<SKIP, W>(arows, k, &panel, W, &mut out[j..], n, n - j);
+    let w = n - j;
+    rr_block::<SKIP, W>(
+        arows,
+        rows,
+        k,
+        (k0, kc),
+        &panel,
+        (W, 0),
+        &mut out[j..],
+        n,
+        w,
+        store,
+    );
     scratch::give(panel);
 }
 
-/// The GEMM body of [`mm_assign`]: [`rr_block`] over each 64-column block
-/// of B in place, then over the columns left, padded to the narrowest of
-/// 8, 16, 32 or 64 that holds them ([`rr_padded_block`]) — so no output
-/// column runs a scalar chain.
-#[inline(always)]
+/// The GEMM body of [`mm_assign`] and [`mm_accumulate`]: per k-block
+/// ([`KC`] steps; the accumulating form runs all of `k` as one block),
+/// [`rr_block`] over each 64-column block of B in place, then over the
+/// columns left, padded to the narrowest of 8, 16, 32 or 64 that holds
+/// them ([`rr_padded_block`]) — so no output column runs a scalar chain.
 fn rr2_blocks<const SKIP: bool>(
     arows: &[f32],
     rows: usize,
@@ -208,30 +283,54 @@ fn rr2_blocks<const SKIP: bool>(
     bd: &[f32],
     n: usize,
     out: &mut [f32],
+    add: bool,
 ) {
-    if rows == 0 || k == 0 {
-        out.fill(0.0);
+    debug_assert_eq!(arows.len(), rows * k);
+    debug_assert_eq!(out.len(), rows * n);
+    if rows == 0 {
         return;
     }
-    let mut j = 0;
-    while j + RR_W <= n {
-        rr_block::<SKIP, RR_W>(arows, k, &bd[j..], n, &mut out[j..], n, RR_W);
-        j += RR_W;
-    }
-    match n - j {
-        0 => {}
-        1..=8 => rr_padded_block::<SKIP, 8>(arows, k, bd, n, out, j),
-        9..=16 => rr_padded_block::<SKIP, 16>(arows, k, bd, n, out, j),
-        17..=32 => rr_padded_block::<SKIP, 32>(arows, k, bd, n, out, j),
-        _ => rr_padded_block::<SKIP, RR_W>(arows, k, bd, n, out, j),
+    for (k0, kc) in k_blocks(k, if add { k.max(1) } else { KC }) {
+        let store = match (add, k0) {
+            (true, _) => Store::Add,
+            (false, 0) => Store::First,
+            (false, _) => Store::Resume,
+        };
+        let b = &bd[k0 * n..(k0 + kc) * n];
+        let blk = (k0, kc);
+        let mut j = 0;
+        while j + RR_W <= n {
+            rr_block::<SKIP, RR_W>(
+                arows,
+                rows,
+                k,
+                blk,
+                b,
+                (n, j),
+                &mut out[j..],
+                n,
+                RR_W,
+                store,
+            );
+            j += RR_W;
+        }
+        match n - j {
+            0 => {}
+            1..=8 => rr_padded_block::<SKIP, 8>(arows, rows, k, blk, b, n, out, j, store),
+            9..=16 => rr_padded_block::<SKIP, 16>(arows, rows, k, blk, b, n, out, j, store),
+            17..=32 => rr_padded_block::<SKIP, 32>(arows, rows, k, blk, b, n, out, j, store),
+            _ => rr_padded_block::<SKIP, RR_W>(arows, rows, k, blk, b, n, out, j, store),
+        }
     }
 }
 
 /// Two-row, 64-wide register-blocked assigning kernel:
 /// `out[i][j] = Σ_l arows[i][l] · b[l][j]`. Each element is one chain
 /// from `0.0`, ascending `l` — exactly [`conv_panel`]'s chain on the
-/// transposed operands. Every element of `out` is assigned (zeros when
-/// `k == 0`).
+/// transposed operands. `k` runs in blocks of [`KC`] steps, each block
+/// resuming every chain from the partial sum the previous one stored in
+/// `out`: still one chain per element, since an f32 store and load are
+/// exact. Every element of `out` is assigned (zeros when `k == 0`).
 ///
 /// `SKIP = false` forms every term: the never-skipping chain, so a
 /// non-finite B entry reaches its outputs even through an exact-zero A
@@ -248,9 +347,24 @@ pub(crate) fn mm_assign<const SKIP: bool>(
     n: usize,
     out: &mut [f32],
 ) {
-    debug_assert_eq!(arows.len(), rows * k);
-    debug_assert_eq!(out.len(), rows * n);
-    rr2_blocks::<SKIP>(arows, rows, k, bd, n, out);
+    rr2_blocks::<SKIP>(arows, rows, k, bd, n, out, false);
+}
+
+/// [`mm_assign`]'s zero-skipping chains, each added to the output
+/// element it lands on once complete: `out[i][j] = out[i][j] + Σ_l
+/// arows[i][l] · b[l][j]`, the bits of adding a separately computed
+/// product. The chains run over all of `k` in one block, since a partial
+/// sum has nowhere to wait without a buffer the size of the output; its
+/// caller, the dense `dW += xᵀ·g`, has `k` = the batch size.
+pub(crate) fn mm_accumulate(
+    arows: &[f32],
+    rows: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    rr2_blocks::<true>(arows, rows, k, bd, n, out, true);
 }
 
 /// Rows of the [`conv_panel`] register block.
@@ -434,29 +548,26 @@ pub(crate) fn all_finite(v: &[f32]) -> bool {
 
 /// Writes `A: [m, k]` transposed into a padded panel of `k` rows, row
 /// stride `ld` ([`conv_panel_stride`] of `m`): `panel[l][i] = a[i][l]`,
-/// zeros in the pad columns.
+/// zeros in the pad columns. The panel is written row by row, so the
+/// writes are sequential and the `m` strided reads of one row share cache
+/// lines with the next rows'.
 pub(crate) fn pack_t_padded(a: &[f32], m: usize, k: usize, ld: usize) -> Vec<f32> {
     debug_assert_eq!(a.len(), m * k);
-    let mut panel = scratch::take_zeroed(k * ld);
-    for i in 0..m {
-        for (l, &v) in a[i * k..(i + 1) * k].iter().enumerate() {
-            panel[l * ld + i] = v;
-        }
+    let mut panel = scratch::take(k * ld);
+    for l in 0..k {
+        panel.extend((0..m).map(|i| a[i * k + l]));
+        panel.extend(std::iter::repeat_n(0.0, ld - m));
     }
     panel
 }
 
 /// Transposes the `Aᵀ` column block `i0..i0 + rows` of `A: [k, m]` into
-/// a contiguous `rows × k` scratch buffer (single pass over `A`), so
-/// [`mm_assign`] sees plain packed rows.
+/// a contiguous `rows × k` scratch buffer, so [`mm_assign`] sees plain
+/// packed rows. Written row by row, as [`pack_t_padded`].
 pub(crate) fn pack_at(ad: &[f32], k: usize, m: usize, i0: usize, rows: usize) -> Vec<f32> {
     let mut pa = scratch::take(rows * k);
-    pa.resize(rows * k, 0.0);
-    for l in 0..k {
-        let acol = &ad[l * m + i0..l * m + i0 + rows];
-        for (i, &av) in acol.iter().enumerate() {
-            pa[i * k + l] = av;
-        }
+    for i in i0..i0 + rows {
+        pa.extend((0..k).map(|l| ad[l * m + i]));
     }
     pa
 }
@@ -583,7 +694,9 @@ mod tests {
     ///
     /// Shapes land on the accumulator width (64 columns ±1), every width
     /// of the padded last column block (8, 16, 32, 64), the row-pair
-    /// boundary and an empty `k`.
+    /// boundary, an empty `k` and both sides of the k-block depth [`KC`].
+    /// [`mm_accumulate`] must add the zero-skipping chain to each stale
+    /// output element.
     #[test]
     fn every_kernel_matches_naive_bitwise() {
         let shapes = [
@@ -609,6 +722,9 @@ mod tests {
             (2, 5, 9),
             (5, 12, 33),
             (6, 10, 88),
+            (3, KC - 1, 65),
+            (2, KC, 64),
+            (5, 2 * KC + 1, 17),
         ];
         let (mut zeros, mut total) = (0usize, 0usize);
         for (case, &(m, k, n)) in shapes.iter().enumerate() {
@@ -633,13 +749,16 @@ mod tests {
                     if finite {
                         assert_eq!(bits(&skipping), bits(&full), "m{m} k{k} n{n} {zeros_in_a}");
                     }
-                    let forms: [(&str, Kernel, &[f32]); 2] = [
+                    let added: Vec<f32> = init.iter().zip(&skipping).map(|(i, s)| i + s).collect();
+                    let forms: [(&str, Kernel, &[f32]); 3] = [
                         ("mm_assign", mm_assign::<false>, &full),
                         ("mm_assign skip", mm_assign::<true>, &skipping),
+                        ("mm_accumulate", mm_accumulate, &added),
                     ];
                     for (name, kernel, want) in forms {
                         for chunks in [1usize, 2, 4] {
-                            // Stale non-zero output: every element must be assigned.
+                            // Stale non-zero output: every element must be
+                            // assigned, or added to.
                             let mut out = init.clone();
                             chunked(kernel, chunks, (m, k, n), a, &b, &mut out);
                             assert_eq!(

@@ -48,7 +48,7 @@ pub use conv::{
 };
 pub use error::TensorError;
 pub use init::{fill_he_normal, fill_normal, fill_uniform, fill_xavier_uniform};
-pub use matmul::{matmul, matmul_a_bt, matmul_assign, matmul_at_b};
+pub use matmul::{matmul, matmul_a_bt, matmul_assign, matmul_at_b, matmul_at_b_acc};
 pub use par::{set_thread_config, thread_config, with_serial, ThreadConfig};
 pub use resample::{resize_bilinear, resize_nearest, upsample_sum};
 pub use shape::Shape;

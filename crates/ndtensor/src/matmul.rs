@@ -1,30 +1,32 @@
 //! Blocked, multi-threaded matrix multiplication kernels.
 //!
-//! Four entry points cover the access patterns needed by dense-layer and
+//! Five entry points cover the access patterns needed by dense-layer and
 //! convolution backpropagation without materialising transposed copies:
 //!
 //! * [`matmul`] — `C = A·B`, skipping exact-zero `A` entries (the dense
 //!   forward on all-finite weights)
-//! * [`matmul_at_b`] — `C = Aᵀ·B` (the dense `dW = xᵀ·g`)
+//! * [`matmul_at_b`] — `C = Aᵀ·B`
+//! * [`matmul_at_b_acc`] — `C += Aᵀ·B` in place (the dense `dW += xᵀ·g`)
 //! * [`matmul_a_bt`] — `C = A·Bᵀ` (the dense `dx = g·Wᵀ`)
 //! * [`matmul_assign`] — `C = A·B` with no zero skip (the dense forward
 //!   on weights that hold a non-finite value)
 //!
-//! Each returns a fresh tensor whose storage comes from
+//! The allocating ones return a fresh tensor whose storage comes from
 //! [`crate::scratch`], so a warmed caller that drops its outputs
 //! recycles them.
 //!
 //! The inner microkernels live in `crate::kernels`, and no shape rule
 //! picks between them: [`matmul_a_bt`] runs the padded-panel kernel on
-//! the transposed product, and every other entry point the
-//! register-blocked one over a row-major `B` — [`matmul`] and
-//! [`matmul_at_b`] with the exact-zero `A` skip, [`matmul_assign`]
-//! without. Each is bitwise-equal to the naive product (blocking only
-//! reorders *which* output element is worked on next; the per-element
-//! accumulation remains a single chain from `+0.0` in ascending-`k`
-//! order). The zero-skipping chain keeps the historical exact-zero skip
-//! for any `B`; on an all-finite `B` it only drops `±0.0` terms, which
-//! cannot change a chain's bits, so it equals [`matmul_assign`] there.
+//! the transposed product, [`matmul`] and [`matmul_assign`] the
+//! register-blocked one over a row-major `B`, with and without the
+//! exact-zero `A` skip, and the `Aᵀ·B` forms the same block with the skip
+//! (assigning, or adding to the output for [`matmul_at_b_acc`]). Each is bitwise-equal to the naive
+//! product (blocking only reorders *which* output element is worked on
+//! next; the per-element accumulation remains a single chain from `+0.0`
+//! in ascending-`k` order, paused and resumed across k-blocks). The
+//! zero-skipping chain keeps the historical exact-zero skip for any `B`;
+//! on an all-finite `B` it only drops `±0.0` terms, which cannot change
+//! a chain's bits, so it equals [`matmul_assign`] there.
 //!
 //! All kernels parallelise over output rows through [`crate::par`] once the
 //! arithmetic volume crosses [`crate::par::PARALLEL_THRESHOLD`], so small
@@ -33,7 +35,7 @@
 //! bit-identical for any thread count.
 
 use crate::kernels::{
-    all_finite, conv_panel, conv_panel_stride, mm_assign, pack_at, pack_t_padded,
+    all_finite, conv_panel, conv_panel_stride, mm_accumulate, mm_assign, pack_at, pack_t_padded,
 };
 use crate::par::for_each_block;
 use crate::{scratch, Result, Tensor, TensorError};
@@ -114,16 +116,42 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-fn matmul_at_b_slices(ad: &[f32], k: usize, m: usize, bd: &[f32], n: usize, out: &mut [f32]) {
+/// The `(arows, rows, k, bd, n, out)` signature of the row-major-B
+/// kernels.
+type RowKernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
+
+/// `Aᵀ·B` for `A: [k, m]` and `B: [k, n]` into `out` by `kernel`:
+/// [`mm_assign`] stores each element's zero-skipping chain,
+/// [`mm_accumulate`] adds it to the element.
+fn matmul_at_b_slices(
+    ad: &[f32],
+    (k, m, n): (usize, usize, usize),
+    bd: &[f32],
+    out: &mut [f32],
+    kernel: RowKernel,
+) {
     for_each_block(out, n, m * n * k, |row0, chunk| {
         let rows = chunk.len().checked_div(n).unwrap_or(0);
         // Transpose this chunk's Aᵀ column block into contiguous scratch
-        // (one pass over A), then run the zero-skipping kernel on plain
-        // packed rows. It assigns every element, zeros when `k == 0`.
+        // (one pass over A), then run the kernel on plain packed rows.
         let pa = pack_at(ad, k, m, row0, rows);
-        mm_assign::<true>(&pa, rows, k, bd, n, chunk);
+        kernel(&pa, rows, k, bd, n, chunk);
         scratch::give(pa);
     });
+}
+
+/// `(k, m, n)` of `Aᵀ·B` for `A: [k, m]` and `B: [k, n]`.
+fn check_at_b(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize, usize)> {
+    let (k, m) = dims2(a, op)?;
+    let (kb, n) = dims2(b, op)?;
+    if k != kb {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: a.shape().clone(),
+            rhs: b.shape().clone(),
+        });
+    }
+    Ok((k, m, n))
 }
 
 /// Computes `C = Aᵀ·B` for `A: [k, m]` and `B: [k, n]` without transposing,
@@ -134,18 +162,46 @@ fn matmul_at_b_slices(ad: &[f32], k: usize, m: usize, bd: &[f32], n: usize, out:
 /// Returns [`TensorError::RankMismatch`] for non-matrix inputs and
 /// [`TensorError::ShapeMismatch`] when the leading dimensions disagree.
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = dims2(a, "matmul_at_b")?;
-    let (kb, n) = dims2(b, "matmul_at_b")?;
-    if k != kb {
+    let (k, m, n) = check_at_b(a, b, "matmul_at_b")?;
+    let mut out = Tensor::zeros([m, n]);
+    matmul_at_b_slices(
+        a.as_slice(),
+        (k, m, n),
+        b.as_slice(),
+        out.as_mut_slice(),
+        mm_assign::<true>,
+    );
+    Ok(out)
+}
+
+/// Accumulates `C += Aᵀ·B` for `A: [k, m]`, `B: [k, n]` and `C: [m, n]`:
+/// element `(i, j)` becomes `c[i][j] + chain`, where `chain` is
+/// [`matmul_at_b`]'s element — the bits of adding a separately computed
+/// product, with no product tensor and no second pass. The dense
+/// `dW += xᵀ·g` runs here.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for non-matrix inputs and
+/// [`TensorError::ShapeMismatch`] when the leading dimensions disagree or
+/// `c` is not `[m, n]`.
+pub fn matmul_at_b_acc(a: &Tensor, b: &Tensor, c: &mut Tensor) -> Result<()> {
+    let (k, m, n) = check_at_b(a, b, "matmul_at_b_acc")?;
+    if c.shape().dims() != [m, n] {
         return Err(TensorError::ShapeMismatch {
-            op: "matmul_at_b",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
+            op: "matmul_at_b_acc",
+            lhs: c.shape().clone(),
+            rhs: [m, n].into(),
         });
     }
-    let mut out = Tensor::zeros([m, n]);
-    matmul_at_b_slices(a.as_slice(), k, m, b.as_slice(), n, out.as_mut_slice());
-    Ok(out)
+    matmul_at_b_slices(
+        a.as_slice(),
+        (k, m, n),
+        b.as_slice(),
+        c.as_mut_slice(),
+        mm_accumulate,
+    );
+    Ok(())
 }
 
 /// `C = A·Bᵀ` computed as its transpose `Cᵀ = B·Aᵀ` on [`conv_panel`]:

@@ -1,6 +1,6 @@
 use std::sync::OnceLock;
 
-use ndtensor::{matmul, matmul_a_bt, matmul_assign, matmul_at_b, Tensor};
+use ndtensor::{matmul, matmul_a_bt, matmul_assign, matmul_at_b_acc, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
@@ -192,9 +192,9 @@ impl Layer for Dense {
                 ),
             ));
         }
-        // dW += xᵀ·g, db += column sums of g.
-        let dw = matmul_at_b(&input, grad_output)?;
-        self.grad_weight.axpy(1.0, &dw)?;
+        // dW += xᵀ·g, each element's product chain added once complete;
+        // db += column sums of g.
+        matmul_at_b_acc(&input, grad_output, &mut self.grad_weight)?;
         let f = self.out_features();
         let g = grad_output.as_slice();
         let gb = self.grad_bias.as_mut_slice();
@@ -678,6 +678,77 @@ mod tests {
         layer.zero_grads();
         let pgs = layer.params_and_grads();
         assert_eq!(pgs[1].grad.as_slice()[0], 0.0);
+    }
+
+    /// `dW` accumulates in the stored gradient: two `backward_params`
+    /// calls without `zero_grads`, onto a non-zero gradient, leave
+    /// `(grad + dW₁) + dW₂` with each `dW = xᵀ·g` a separate product
+    /// tensor — the accumulation as it ran before it moved into the
+    /// kernel's store — bit for bit. Inputs are ReLU-like (exact zeros,
+    /// whose terms the product skips) and dense, at the paper's batch of
+    /// 32 and the 9600 → 64 encode and 64 → 9600 decode widths.
+    #[test]
+    fn backward_params_accumulates_like_separate_products() {
+        // Schoolbook xᵀ·g: each element one chain from 0.0 over ascending
+        // samples, skipping exact-zero inputs.
+        fn product(x: &[f32], g: &[f32], m: usize, inp: usize, out: usize) -> Vec<f32> {
+            let mut dw = vec![0.0f32; inp * out];
+            for i in 0..inp {
+                for j in 0..out {
+                    let mut acc = 0.0f32;
+                    for l in 0..m {
+                        if x[l * inp + i] != 0.0 {
+                            acc += x[l * inp + i] * g[l * out + j];
+                        }
+                    }
+                    dw[i * out + j] = acc;
+                }
+            }
+            dw
+        }
+        let m = 32;
+        for (case, (inp, out)) in [(9600usize, 64usize), (64, 9600), (70, 65)]
+            .into_iter()
+            .enumerate()
+        {
+            let seed = 40 + case as u64;
+            let mut layer = layer_with(
+                pseudo(inp * out, seed, 0),
+                pseudo(out, seed + 1, 0),
+                inp,
+                out,
+            );
+            let start = pseudo(inp * out, seed + 2, 0);
+            layer.params_and_grads()[0]
+                .grad
+                .as_mut_slice()
+                .copy_from_slice(&start);
+            let mut want = start;
+            for (step, x) in [zero_heavy(m, inp, seed + 3), pseudo(m * inp, seed + 4, 7)]
+                .into_iter()
+                .enumerate()
+            {
+                let g = pseudo(m * out, seed + 5 + step as u64, 0);
+                let dw = product(&x, &g, m, inp, out);
+                for (w, d) in want.iter_mut().zip(&dw) {
+                    *w += d;
+                }
+                layer
+                    .forward_train(&Tensor::from_vec([m, inp], x).unwrap())
+                    .unwrap();
+                layer
+                    .backward_params(&Tensor::from_vec([m, out], g).unwrap())
+                    .unwrap();
+            }
+            let got: Vec<u32> = layer
+                .grad_weight
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert!(got == want, "{inp} -> {out}: accumulated dW differs");
+        }
     }
 
     #[test]

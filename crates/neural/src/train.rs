@@ -248,12 +248,25 @@ fn clip_gradients(network: &mut Network, max_norm: f32) {
     }
 }
 
+/// Records the time since `lap` started as one `phase` span and restarts
+/// it; a stopwatch that is not running reads no clock and records nothing.
+fn end_phase(recorder: &dyn obs::Recorder, phase: &str, lap: &mut obs::Stopwatch) {
+    if let Some(secs) = lap.elapsed_secs() {
+        recorder.record_span(phase, secs);
+        *lap = obs::Stopwatch::started();
+    }
+}
+
 /// Trains `network` on `(inputs, targets)` (both batch-first, same leading
 /// dimension) and returns per-epoch mean losses.
 ///
 /// Per-epoch mean loss and wall time are pushed into `recorder` as the
 /// `epoch_loss` / `epoch_secs` series, and the `epochs` / `batches`
-/// counters track the run's totals. Callers namespace these via
+/// counters track the run's totals. Each step's four phases are timed as
+/// spans when the recorder is enabled: `forward` (gathering the batch and
+/// the forward pass), `loss` (loss and its gradient), `backward`
+/// (clearing and back-propagating the gradients) and `optim` (clipping
+/// and the optimizer step). Callers namespace these via
 /// [`obs::Scoped`] (e.g. `cnn-train.epoch_loss`) and pass [`obs::noop`]
 /// to record nothing. Recording never changes what is trained: the
 /// parameter updates and returned losses are bit-identical with any
@@ -308,10 +321,13 @@ pub fn fit(
         let mut total = 0.0f64;
         let mut batches = 0usize;
         for batch_idx in order.chunks(config.batch_size) {
+            let mut phase = obs::Stopwatch::started_if(recorder.enabled());
             let x = gather_rows(inputs, batch_idx)?;
             let t = gather_rows(targets, batch_idx)?;
             let pred = network.forward_train(&x)?;
+            end_phase(recorder, "forward", &mut phase);
             let (l, g) = loss.loss_and_grad(&pred, &t)?;
+            end_phase(recorder, "loss", &mut phase);
             if !l.is_finite() {
                 return Err(NeuralError::invalid(
                     "fit",
@@ -322,10 +338,12 @@ pub fn fit(
             batches += 1;
             network.zero_grads();
             network.backward_params(&g)?;
+            end_phase(recorder, "backward", &mut phase);
             if let Some(max_norm) = config.grad_clip {
                 clip_gradients(network, max_norm);
             }
             optimizer.step(&mut network.params_and_grads())?;
+            end_phase(recorder, "optim", &mut phase);
         }
         let mean = (total / batches as f64) as f32;
         if config.verbose {
@@ -490,6 +508,12 @@ mod tests {
         assert_eq!(report.series("epoch_secs").unwrap().values.len(), 5);
         assert_eq!(report.counter("epochs"), Some(5));
         assert_eq!(report.counter("batches"), Some(5 * 4));
+        // One span per phase per step.
+        for phase in ["forward", "loss", "backward", "optim"] {
+            let stage = report.stage(phase).unwrap();
+            assert_eq!(stage.count, 5 * 4, "{phase}");
+            assert!(stage.total_secs > 0.0, "{phase}");
+        }
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! locality, but the contract is strict: every output element is
 //! accumulated over `k` ascending, in one chain, exactly like the
 //! three-loop schoolbook product. These tests hold the kernels to
-//! that contract at the bit level — any reassociation, blocking over
-//! `k`, or FMA contraction would fail them.
+//! that contract at the bit level — any reassociation, a blocking over
+//! `k` that splits a chain into partial sums added together, or FMA
+//! contraction would fail them. (Blocking `k` so that a chain pauses in
+//! the output and resumes from it is allowed: an f32 store and load are
+//! exact, so it is still one chain.)
 //!
 //! The tests mutate the process-wide thread configuration, so they all
 //! serialise on one mutex (same convention as `parallel_parity.rs`).
@@ -16,7 +19,7 @@ use std::sync::Mutex;
 
 use ndtensor::{
     conv2d, conv2d_backward, conv2d_backward_params, matmul, matmul_a_bt, matmul_assign,
-    matmul_at_b, set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
+    matmul_at_b, matmul_at_b_acc, set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
 };
 use proptest::prelude::*;
 
@@ -819,6 +822,93 @@ fn matmul_non_finite_b_matches_zero_skipping_chain_bitwise() {
                     let label = format!("m{m} k{k} n{n} threads {threads}");
                     assert_same_bits(ab.as_slice(), &want, &format!("matmul {label}"));
                     assert_same_bits(atb.as_slice(), &want, &format!("matmul_at_b {label}"));
+                }
+            }
+        }
+    }
+    assert!(dropped > 0 && kept > 0, "dropped {dropped}, kept {kept}");
+}
+
+/// Depth of the GEMM kernels' k-blocks (`KC` in `ndtensor`'s kernels).
+const K_BLOCK: usize = 128;
+
+/// The k-blocked `A·B` reproduces the naive chains bit for bit: depths on
+/// either side of one block, past two blocks, and the paper's 9600-deep
+/// encode (k ∈ {block − 1, block, block + 1, 2·block + 3, 9600}), batch
+/// sizes m ∈ {1, 2, 3, 15, 32}, widths around the 64-wide register block
+/// (n ∈ {1, 16, 63, 64, 65, 130}) and threads {1, 2, 4}. Both zero
+/// disciplines run on an A with no zeros and on a ReLU-like one:
+/// `matmul_assign` against the never-skipping chain, `matmul` against the
+/// zero-skipping one, on an all-finite B and on a B whose NaN and `±∞`
+/// face zeros of A. `matmul_at_b` (one block over all of `k`) runs the
+/// same products from a transposed A, and `matmul_at_b_acc` adds each
+/// chain onto a prefilled output. NaNs are compared by NaN-ness.
+#[test]
+fn k_blocked_matmul_bitwise_matches_naive() {
+    let _guard = lock();
+    let (mut dropped, mut kept) = (0usize, 0usize);
+    for k in [K_BLOCK - 1, K_BLOCK, K_BLOCK + 1, 2 * K_BLOCK + 3, 9600] {
+        for m in [1usize, 2, 3, 15, 32] {
+            for n in [1usize, 16, 63, 64, 65, 130] {
+                let seed = (k * 10_000 + m * 1000 + n) as u64;
+                let prior = pseudo([m, n], seed + 3);
+                for (a_name, a) in [
+                    ("dense A", pseudo([m, k], seed)),
+                    ("ReLU-like A", zero_heavy(m, k, seed)),
+                ] {
+                    let at = a.transpose2d().unwrap();
+                    for finite in [true, false] {
+                        let mut b = pseudo([k, n], seed + 1);
+                        if !finite {
+                            for (x, v) in b.as_mut_slice().iter_mut().enumerate().step_by(5) {
+                                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(x / 5) % 3];
+                            }
+                        }
+                        let full = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
+                        let skipping = naive_matmul_skipping(a.as_slice(), b.as_slice(), m, k, n);
+                        for (s, f) in skipping.iter().zip(&full) {
+                            dropped += usize::from(s.is_finite() && !f.is_finite());
+                            kept += usize::from(!s.is_finite());
+                        }
+                        let added: Vec<f32> = prior
+                            .as_slice()
+                            .iter()
+                            .zip(&skipping)
+                            .map(|(p, s)| p + s)
+                            .collect();
+                        for threads in THREAD_COUNTS {
+                            set_thread_config(ThreadConfig::new(threads));
+                            let assigned = matmul_assign(&a, &b).unwrap();
+                            let skipped = matmul(&a, &b).unwrap();
+                            let atb = matmul_at_b(&at, &b).unwrap();
+                            let mut acc = prior.clone();
+                            matmul_at_b_acc(&at, &b, &mut acc).unwrap();
+                            set_thread_config(ThreadConfig::from_env());
+                            let label = format!(
+                                "k{k} m{m} n{n} {a_name} finite={finite} threads {threads}"
+                            );
+                            assert_same_bits(
+                                assigned.as_slice(),
+                                &full,
+                                &format!("matmul_assign {label}"),
+                            );
+                            assert_same_bits(
+                                skipped.as_slice(),
+                                &skipping,
+                                &format!("matmul {label}"),
+                            );
+                            assert_same_bits(
+                                atb.as_slice(),
+                                &skipping,
+                                &format!("matmul_at_b {label}"),
+                            );
+                            assert_same_bits(
+                                acc.as_slice(),
+                                &added,
+                                &format!("matmul_at_b_acc {label}"),
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -99,6 +99,34 @@ fn corrupted_detector_files_are_rejected() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A threshold beyond `f32` range is a load error, not `+∞`: such a
+/// detector would call every frame novel, print `"threshold": inf` in
+/// `classify --json` and fail to save back. So is a literal beyond `f64`
+/// range, which the parser reads as `+∞`.
+#[test]
+fn out_of_range_floats_are_rejected() {
+    let dir = std::env::temp_dir().join("saliency_novelty_integration_range");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge_threshold.json");
+    let (detector, _) = trained_detector();
+    save_detector(&detector, &path).unwrap();
+    let full = std::fs::read_to_string(&path).unwrap();
+    let key = "\"threshold\":{\"value\":";
+    let at = full.find(key).unwrap() + key.len();
+    let end = at + full[at..].find(',').unwrap();
+    for huge in ["1e39", "-1e39", "1e400"] {
+        std::fs::write(&path, format!("{}{huge}{}", &full[..at], &full[end..])).unwrap();
+        let err = NoveltyDetector::load(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("out of range") || err.contains("non-finite"),
+            "{huge}: {err}"
+        );
+    }
+    std::fs::write(&path, &full).unwrap();
+    assert!(NoveltyDetector::load(&path).is_ok());
+    std::fs::remove_file(&path).ok();
+}
+
 /// A file nested deeper than the JSON parser's limit is a typed error
 /// from every loader, not a stack overflow: a megabyte of `[`, bare and
 /// behind a valid first key, and a nest one level past the limit.

@@ -70,6 +70,40 @@ fn seeded_detector_spec_digest_is_pinned() {
     );
 }
 
+/// Digest of the persisted detector trained by
+/// [`paper_geometry_detector_digest_is_pinned`], recorded before the
+/// k-blocked GEMM, the accumulating `dW` store and the row-built SSIM
+/// tables landed. Update it only for a deliberate numeric change, and say
+/// so.
+const PINNED_PAPER_GEOMETRY_DIGEST: u64 = 0x6fd3_5dd4_f54f_5cc6;
+
+/// The paper's geometry end to end, for a short run: 60×160 frames, the
+/// 9600-64-16-64-9600 autoencoder, batches of 32 and 11×11 SSIM windows.
+/// Training runs the 9600-deep encode over many k-blocks, the `dW`
+/// accumulation at batch 32 into the stored gradients, and the SSIM loss
+/// and gradient at the paper's window, so a change that moves one bit in
+/// any of them moves this digest.
+#[test]
+fn paper_geometry_detector_digest_is_pinned() {
+    let data = DatasetConfig::outdoor().with_len(48).generate(9);
+    let detector = NoveltyDetectorBuilder::paper()
+        .classifier_config(ClassifierConfig {
+            epochs: 3,
+            warmup_epochs: 1,
+            ..ClassifierConfig::paper()
+        })
+        .cnn_epochs(1)
+        .seed(3)
+        .train(&data)
+        .unwrap();
+    let spec = novelty::detector_to_spec(&detector).unwrap();
+    let json = serde_json::to_string(&spec).unwrap();
+    assert_eq!(
+        format!("{:016x}", fnv1a(json.as_bytes())),
+        format!("{PINNED_PAPER_GEOMETRY_DIGEST:016x}")
+    );
+}
+
 #[test]
 fn datasets_are_bit_identical_across_generations() {
     let a = small_dataset(77);
