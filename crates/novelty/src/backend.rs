@@ -17,7 +17,7 @@
 //!   bit-identical at any thread count, with or without recording;
 //! * `preprocess`/`score` never mutate observable state (interior
 //!   mutability is allowed only when call order cannot change results);
-//! * the backend is `Send + Sync` so `score_batch` can fan out over the
+//! * the backend is `Send + Sync` so `score_each` can fan out over the
 //!   [`ndtensor::par`] work pool.
 //!
 //! [`Detector`] is the counterpart one level up: the common face of
@@ -179,14 +179,26 @@ pub trait ScoreBackend: std::fmt::Debug + Send + Sync {
     /// Fails when the image is incompatible with the backend's networks.
     fn score(&self, image: &Image) -> Result<f32>;
 
-    /// Scores several (finite, correctly-sized) images, one result per
-    /// image, in order. Unlike a fail-fast batch, a bad image fails
-    /// only its own slot — the serving layer's cross-tenant mega-batch
-    /// depends on that isolation. Implementations may batch internally
-    /// but must keep score `i` bit-identical to [`ScoreBackend::score`]
-    /// on image `i`, at any thread count.
-    fn score_each(&self, images: &[&Image]) -> Vec<Result<f32>> {
-        images.iter().map(|img| self.score(img)).collect()
+    /// Scores several (finite, correctly-sized) images, one score per
+    /// image, in order; by default [`ScoreBackend::score`] per image,
+    /// spread over the [`ndtensor::par`] work pool. The detector
+    /// validates every frame first and checks every score for finiteness
+    /// after, so a bad frame fails only its own slot. Implementations may
+    /// batch internally but must keep score `i` bit-identical to
+    /// [`ScoreBackend::score`] on image `i`, at any thread count.
+    ///
+    /// An error here fails every frame of the call (in a serving round,
+    /// every tenant's), so implementations must not fail for a single
+    /// frame once it has passed the detector's validation.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the backend itself is faulty (its networks do not fit
+    /// the validated geometry).
+    fn score_each(&self, images: &[&Image]) -> Result<Vec<f32>> {
+        let (h, w) = self.input_size();
+        let work = images.len().saturating_mul(h * w).saturating_mul(64);
+        ndtensor::par::try_parallel_map(images.len(), work, |i| self.score(images[i]))
     }
 
     /// The (representation, reconstruction) pair of Fig. 6, for backends
@@ -299,54 +311,16 @@ impl ScoreBackend for AutoencoderBackend {
         self.classifier.score(&rep)
     }
 
-    fn score_each(&self, images: &[&Image]) -> Vec<Result<f32>> {
-        if images.is_empty() {
-            return Vec::new();
-        }
-        // Per-image preprocessing (identity or VBP), fanned over the
-        // pool; each image's failure stays its own slot.
+    /// Preprocesses the images on the work pool (identity or VBP), then
+    /// scores the representations through the classifier's stacked
+    /// passes ([`AutoencoderClassifier::score_many`]).
+    fn score_each(&self, images: &[&Image]) -> Result<Vec<f32>> {
         let (h, w) = self.input_size();
         let work = images.len().saturating_mul(h * w).saturating_mul(64);
-        let reps = match ndtensor::par::try_parallel_map::<Result<Image>, NoveltyError>(
-            images.len(),
-            work,
-            |i| Ok(self.preprocess(images[i])),
-        ) {
-            Ok(reps) => reps,
-            // Unreachable (the closure never errors), but degrade to a
-            // per-slot error rather than panic.
-            Err(e) => {
-                let msg = e.to_string();
-                return images
-                    .iter()
-                    .map(|_| Err(NoveltyError::invalid("score_each", msg.clone())))
-                    .collect();
-            }
-        };
-        let valid: Vec<&Image> = reps.iter().filter_map(|r| r.as_ref().ok()).collect();
-        let scores: Vec<Result<f32>> = if valid.is_empty() {
-            Vec::new()
-        } else {
-            match self.classifier.score_many(&valid) {
-                Ok(scores) => scores.into_iter().map(Ok).collect(),
-                // Structurally unreachable after per-image validation;
-                // fall back to per-image scoring so one frame's failure
-                // cannot poison the rest of the batch.
-                Err(_) => valid.iter().map(|rep| self.classifier.score(rep)).collect(),
-            }
-        };
-        let mut batched = scores.into_iter();
-        reps.into_iter()
-            .map(|rep| match rep {
-                Err(e) => Err(e),
-                Ok(_) => batched.next().unwrap_or_else(|| {
-                    Err(NoveltyError::invalid(
-                        "score_each",
-                        "batched scorer returned too few scores",
-                    ))
-                }),
-            })
-            .collect()
+        let reps =
+            ndtensor::par::try_parallel_map(images.len(), work, |i| self.preprocess(images[i]))?;
+        let reps: Vec<&Image> = reps.iter().collect();
+        self.classifier.score_many(&reps)
     }
 
     fn reconstruct(&self, image: &Image) -> Result<(Image, Image)> {
@@ -380,31 +354,17 @@ pub trait Detector: std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Fails on non-finite pixels or incompatible geometry.
+    /// Fails on non-finite pixels, incompatible geometry or a non-finite
+    /// score.
     fn classify(&self, image: &Image) -> Result<crate::Verdict>;
 
-    /// Classifies a batch; verdict `i` is exactly what
-    /// [`Detector::classify`] returns for image `i`, bit-identical at any
-    /// thread count and with any `recorder` (pass [`obs::noop`] to record
-    /// nothing).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first incompatible image (by index, matching serial
-    /// iteration order).
-    fn classify_batch(
-        &self,
-        images: &[Image],
-        recorder: &dyn Recorder,
-    ) -> Result<Vec<crate::Verdict>>;
-
     /// Classifies each image independently: one result per image, in
-    /// order. Unlike the fail-fast [`Detector::classify_batch`], one
-    /// incompatible image never poisons its neighbours — the serving
-    /// layer's cross-tenant mega-batch ([`crate::serve::StreamServer`])
-    /// depends on that isolation. Verdict `i` is bit-identical to
-    /// [`Detector::classify`] on image `i`, at any thread count, with
-    /// any recorder.
+    /// order, so one bad image never poisons its neighbours — the
+    /// serving layer's cross-tenant mega-batch
+    /// ([`crate::serve::StreamServer`]) depends on that isolation.
+    /// Verdict `i` is bit-identical to [`Detector::classify`] on image
+    /// `i`, at any thread count, with any `recorder` (pass [`obs::noop`]
+    /// to record nothing).
     ///
     /// The batch runs under a `scoring` span and
     /// `scoring.scores_computed` counts the verdicts produced.
@@ -412,18 +372,21 @@ pub trait Detector: std::fmt::Debug {
         &self,
         images: &[Image],
         recorder: &dyn Recorder,
-    ) -> Vec<Result<crate::Verdict>> {
-        let verdicts = obs::time(recorder, "scoring", || {
-            images
-                .iter()
-                .map(|img| self.classify(img))
-                .collect::<Vec<_>>()
-        });
-        recorder.add(
-            "scoring.scores_computed",
-            verdicts.iter().filter(|v| v.is_ok()).count() as u64,
-        );
-        verdicts
+    ) -> Vec<Result<crate::Verdict>>;
+
+    /// [`Detector::classify_each`], failing fast: the error of the first
+    /// image that fails (by index, matching serial iteration order).
+    ///
+    /// # Errors
+    ///
+    /// Fails on non-finite pixels, incompatible geometry or a non-finite
+    /// score, for any image.
+    fn classify_batch(
+        &self,
+        images: &[Image],
+        recorder: &dyn Recorder,
+    ) -> Result<Vec<crate::Verdict>> {
+        self.classify_each(images, recorder).into_iter().collect()
     }
 
     /// Human-readable label for logs and reports (a backend id, or an

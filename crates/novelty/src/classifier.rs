@@ -106,6 +106,13 @@ impl ClassifierConfig {
     }
 }
 
+/// Rows per stacked autoencoder pass when a batch is scored
+/// ([`AutoencoderClassifier::score_many`]) or gauged after training.
+/// At the paper's geometry, chunks of 32–256 frames scored 7–17 %
+/// faster than per-image passes, and one 128-row pass was slower than
+/// two of 64 rows (EXPERIMENTS.md P10).
+const CHUNK_ROWS: usize = 64;
+
 /// A trained autoencoder one-class classifier over `height × width`
 /// grayscale images.
 #[derive(Debug)]
@@ -275,11 +282,12 @@ impl AutoencoderClassifier {
         }
     }
 
-    /// Scores several same-sized images in one batched forward pass:
-    /// the images are stacked into an `[N, H·W]` matrix, reconstructed
-    /// via [`Network::forward_batch`] (amortizing packed-GEMM panel
-    /// packing across the whole batch instead of repaying it per frame),
-    /// and the metric is computed per row on the work pool.
+    /// Scores several same-sized images through stacked forward passes:
+    /// every `CHUNK_ROWS` (64) images are stacked into one `[rows, H·W]`
+    /// matrix and reconstructed via [`Network::forward_batch`]
+    /// (amortizing packed-GEMM panel packing across the chunk instead of
+    /// repaying it per frame), and the metric is computed per row on the
+    /// work pool.
     ///
     /// Every network layer treats batch rows independently and the
     /// packed kernels never reorder the additions inside one output
@@ -292,33 +300,37 @@ impl AutoencoderClassifier {
     ///
     /// Fails when any image's size differs from the training size.
     pub fn score_many(&self, images: &[&Image]) -> Result<Vec<f32>> {
-        if images.is_empty() {
-            return Ok(Vec::new());
-        }
         for img in images {
             self.check_input(img)?;
         }
         let dim = self.height * self.width;
-        let mut data = Vec::with_capacity(images.len() * dim); // sncheck:allow(hot-path-transitive-alloc): one packed input buffer per batch call, amortized across all frames in it
-        for img in images {
-            data.extend_from_slice(img.as_slice());
+        let mut scores = Vec::with_capacity(images.len()); // sncheck:allow(hot-path-transitive-alloc): the batch's score vector, one per batch call
+        for chunk in images.chunks(CHUNK_ROWS) {
+            let mut data = Vec::with_capacity(chunk.len() * dim); // sncheck:allow(hot-path-transitive-alloc): one packed input buffer per chunk of up to CHUNK_ROWS frames
+            for img in chunk {
+                data.extend_from_slice(img.as_slice());
+            }
+            let out = self
+                .network
+                .forward_batch(&Tensor::from_vec([chunk.len(), dim], data)?)?;
+            let out_slice = out.as_slice();
+            // Per-row metric: rows are independent, so fan out over the
+            // pool (windowed SSIM is a real share of the per-frame cost).
+            let work = chunk.len().saturating_mul(dim).saturating_mul(32);
+            scores.extend(ndtensor::par::try_parallel_map::<f32, NoveltyError>(
+                chunk.len(),
+                work,
+                |i| {
+                    let row = &out_slice[i * dim..(i + 1) * dim];
+                    let recon =
+                        Image::from_tensor(Tensor::from_slice([self.height, self.width], row)?)?;
+                    match self.objective.ssim_config() {
+                        None => Ok(metrics::mse(chunk[i], &recon)?),
+                        Some(cfg) => Ok(metrics::ssim(chunk[i], &recon, &cfg)?),
+                    }
+                },
+            )?);
         }
-        let stacked = Tensor::from_vec([images.len(), dim], data)?;
-        let out = self.network.forward_batch(&stacked)?;
-        let out_slice = out.as_slice();
-        // Per-row metric: rows are independent, so fan out over the pool
-        // (windowed SSIM is a real share of the per-frame cost).
-        let work = images.len().saturating_mul(dim).saturating_mul(32);
-        let scores =
-            ndtensor::par::try_parallel_map::<f32, NoveltyError>(images.len(), work, |i| {
-                let row = &out_slice[i * dim..(i + 1) * dim];
-                let recon =
-                    Image::from_tensor(Tensor::from_slice([self.height, self.width], row)?)?;
-                match self.objective.ssim_config() {
-                    None => Ok(metrics::mse(images[i], &recon)?),
-                    Some(cfg) => Ok(metrics::ssim(images[i], &recon, &cfg)?),
-                }
-            })?;
         Ok(scores)
     }
 
@@ -374,7 +386,6 @@ fn record_relu_sparsity(
     data: &Tensor,
     recorder: &dyn obs::Recorder,
 ) -> Result<()> {
-    const CHUNK_ROWS: usize = 64;
     let (n, dim) = (data.shape().dims()[0], data.shape().dims()[1]);
     let relus: Vec<usize> = network
         .layers()

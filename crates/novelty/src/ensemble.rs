@@ -219,7 +219,7 @@ impl Detector for EnsembleDetector {
     }
 
     fn classify(&self, image: &Image) -> Result<Verdict> {
-        let mut scores = Vec::with_capacity(self.members.len()); // sncheck:allow(hot-path-transitive-alloc): one score slot per ensemble member (2-4), per verdict
+        let mut scores = Vec::with_capacity(self.members.len());
         for member in &self.members {
             let score = member.score(image)?;
             scores.push(member.backend_score(score));
@@ -227,26 +227,39 @@ impl Detector for EnsembleDetector {
         Ok(fuse_verdict(&scores, self.quorum))
     }
 
-    fn classify_batch(&self, images: &[Image], recorder: &dyn Recorder) -> Result<Vec<Verdict>> {
-        // Score the whole batch per member (each under its own scoped
-        // `<id>.scoring` stage), then fuse column-wise. The per-member
-        // batches are bit-identical to scoring each image alone, so the
-        // fused verdicts match `classify` exactly.
-        let mut columns = Vec::with_capacity(self.members.len());
-        for member in &self.members {
-            let scoped = Scoped::new(recorder, member.kind().id());
-            columns.push(member.score_batch_recorded(images, &scoped)?);
-        }
-        let mut fused = Vec::with_capacity(images.len());
-        let mut scores = Vec::with_capacity(self.members.len());
-        for i in 0..images.len() {
-            scores.clear();
-            for (member, column) in self.members.iter().zip(&columns) {
-                scores.push(member.backend_score(column[i]));
+    /// Scores the batch per member (each under its own scoped
+    /// `<id>.scoring` stage), then fuses each slot's member scores. A
+    /// slot fails with the first member error in member order — the
+    /// error [`Detector::classify`] returns — and the member batches are
+    /// bit-identical to scoring each image alone, so the fused verdicts
+    /// match `classify` exactly.
+    fn classify_each(&self, images: &[Image], recorder: &dyn Recorder) -> Vec<Result<Verdict>> {
+        let verdicts = obs::time(recorder, "scoring", || {
+            let mut slots: Vec<Result<Vec<BackendScore>>> = images
+                .iter()
+                .map(|_| Ok(Vec::with_capacity(self.members.len()))) // sncheck:allow(hot-path-transitive-alloc): one member-score list per frame per batch call, 2-4 entries each
+                .collect();
+            for member in &self.members {
+                let scoped = Scoped::new(recorder, member.kind().id());
+                for (slot, score) in slots.iter_mut().zip(member.score_each(images, &scoped)) {
+                    if let Ok(scores) = slot {
+                        match score {
+                            Ok(score) => scores.push(member.backend_score(score)),
+                            Err(e) => *slot = Err(e),
+                        }
+                    }
+                }
             }
-            fused.push(fuse_verdict(&scores, self.quorum));
-        }
-        Ok(fused)
+            slots
+                .into_iter()
+                .map(|slot| slot.map(|scores| fuse_verdict(&scores, self.quorum)))
+                .collect::<Vec<_>>()
+        });
+        recorder.add(
+            "scoring.scores_computed",
+            verdicts.iter().filter(|v| v.is_ok()).count() as u64,
+        );
+        verdicts
     }
 
     fn label(&self) -> String {

@@ -219,7 +219,7 @@ impl ModelCharBackend {
             .tensor()
             .reshape([1, 1, image.height(), image.width()])?;
         let activations = self.steering.forward_collect(&input)?;
-        let mut features = Vec::with_capacity(2 * activations.len() + 2); // sncheck:allow(hot-path-transitive-alloc): the feature vector is this backend's score input; ~2 floats per layer, exact-size, one per frame by design
+        let mut features = Vec::with_capacity(2 * activations.len() + 2);
         for act in &activations {
             let (mean, std) = mean_std(act.as_slice());
             features.push(mean);

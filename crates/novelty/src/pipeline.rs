@@ -267,14 +267,16 @@ impl NoveltyDetector {
     ///
     /// # Errors
     ///
-    /// Fails when the image size is incompatible with the pipeline.
+    /// Fails when the image has non-finite pixels or the wrong size, or
+    /// when the score is not finite (a numerically broken detector fails
+    /// closed instead of calling every frame familiar).
     pub fn score(&self, image: &Image) -> Result<f32> {
         self.validate_input(image)?;
-        self.backend.score(image)
+        finite_score(self.backend.score(image)?)
     }
 
-    /// The input checks [`NoveltyDetector::score`] performs before the
-    /// backend is consulted.
+    /// The input checks every scoring path performs before the backend
+    /// is consulted.
     fn validate_input(&self, image: &Image) -> Result<()> {
         if image.tensor().has_non_finite() {
             return Err(NoveltyError::invalid(
@@ -301,17 +303,18 @@ impl NoveltyDetector {
         Ok(())
     }
 
-    /// Scores a batch of images, fanning the work out over the pool
-    /// configured in [`ndtensor::par`].
+    /// Scores a batch of images through the backend's batched path
+    /// ([`ScoreBackend::score_each`]).
     ///
-    /// Each image is scored exactly as [`NoveltyDetector::score`] would,
-    /// so the result is bit-identical to serial scoring for any thread
-    /// count.
+    /// Score `i` is bit-identical to [`NoveltyDetector::score`] on image
+    /// `i`, for any thread count.
     ///
     /// # Errors
     ///
-    /// Fails on the first incompatible image (by index, matching serial
-    /// iteration order).
+    /// Fails on the first image that [`NoveltyDetector::score`] would
+    /// fail on (by index, matching serial iteration order). A fault of
+    /// the backend itself fails every valid image, reported as
+    /// [`NoveltyError::Invalid`] with `op: "score"`.
     #[must_use = "the scores are the batch's only output; the call has no other effect"]
     pub fn score_batch(&self, images: &[Image]) -> Result<Vec<f32>> {
         self.score_batch_recorded(images, obs::noop())
@@ -319,9 +322,8 @@ impl NoveltyDetector {
 
     /// [`NoveltyDetector::score_batch`] with observability: the batch
     /// runs under a `scoring` span, `scoring.scores_computed` counts the
-    /// scores, per-image latency samples land in the
-    /// `scoring.latency_secs` histogram, and the work pool's activity
-    /// during the batch lands under `scoring.par.*`.
+    /// scores, and the work pool's activity during the batch lands under
+    /// `scoring.par.*`.
     ///
     /// Recording never changes the scores — they are bit-identical with
     /// any recorder, at any thread count.
@@ -334,38 +336,79 @@ impl NoveltyDetector {
         images: &[Image],
         recorder: &dyn Recorder,
     ) -> Result<Vec<f32>> {
-        let (height, width) = self.backend.input_size();
-        let work = images
-            .len()
-            .saturating_mul(height * width)
-            .saturating_mul(64);
+        self.score_each(images, recorder).into_iter().collect()
+    }
+
+    /// The one multi-frame scorer behind [`NoveltyDetector::score_batch`]
+    /// and [`Detector::classify_each`]: one result per image, in order,
+    /// each exactly what [`NoveltyDetector::score`] returns for it. Every
+    /// frame is validated once; the valid ones are scored together
+    /// through [`ScoreBackend::score_each`]. A frame that fails
+    /// validation, or whose score is not finite, fails only its own slot;
+    /// a backend fault (an error, or a score count that does not match
+    /// the frames) fails every valid slot with `Invalid { op: "score" }`.
+    ///
+    /// The batch runs under a `scoring` span, `scoring.scores_computed`
+    /// counts the scores produced, and the work pool's activity lands
+    /// under `scoring.par.*`.
+    pub(crate) fn score_each(&self, images: &[Image], recorder: &dyn Recorder) -> Vec<Result<f32>> {
         let pool_before = recorder.enabled().then(obs::par_snapshot);
         let scratch_before = recorder.enabled().then(obs::scratch_snapshot);
         let scores = obs::time(recorder, "scoring", || {
-            ndtensor::par::try_parallel_map(images.len(), work, |i| {
-                let timer = obs::Stopwatch::started_if(recorder.enabled());
-                let score = self.score(&images[i]);
-                if let Some(secs) = timer.elapsed_secs() {
-                    recorder.observe("scoring.latency_secs", secs);
+            let checks: Vec<Result<()>> =
+                images.iter().map(|img| self.validate_input(img)).collect();
+            let valid: Vec<&Image> = images
+                .iter()
+                .zip(&checks)
+                .filter_map(|(img, check)| check.is_ok().then_some(img))
+                .collect();
+            let scored = self.backend.score_each(&valid).and_then(|scores| {
+                if scores.len() == valid.len() {
+                    Ok(scores)
+                } else {
+                    Err(NoveltyError::invalid(
+                        "score",
+                        format!(
+                            "backend returned {} scores for {} frames",
+                            scores.len(),
+                            valid.len()
+                        ),
+                    ))
                 }
-                score
-            })
-        })?;
-        recorder.add("scoring.scores_computed", scores.len() as u64);
+            });
+            let mut next = 0;
+            checks
+                .into_iter()
+                .map(|check| {
+                    check?;
+                    match &scored {
+                        Err(e) => Err(NoveltyError::invalid("score", e.to_string())),
+                        Ok(scores) => {
+                            next += 1;
+                            finite_score(scores[next - 1])
+                        }
+                    }
+                })
+                .collect::<Vec<Result<f32>>>()
+        });
+        recorder.add(
+            "scoring.scores_computed",
+            scores.iter().filter(|s| s.is_ok()).count() as u64,
+        );
         if let Some(before) = pool_before {
             obs::record_par_delta(&Scoped::new(recorder, "scoring"), before);
         }
         if let Some(before) = scratch_before {
             obs::record_scratch_delta(&Scoped::new(recorder, "scoring"), before);
         }
-        Ok(scores)
+        scores
     }
 
     /// Classifies an image as novel or in-distribution.
     ///
     /// # Errors
     ///
-    /// Fails when the image size is incompatible with the pipeline.
+    /// Same conditions as [`NoveltyDetector::score`].
     pub fn classify(&self, image: &Image) -> Result<Verdict> {
         Ok(self.verdict_for(self.score(image)?))
     }
@@ -407,65 +450,30 @@ impl Detector for NoveltyDetector {
         NoveltyDetector::classify(self, image)
     }
 
-    fn classify_batch(&self, images: &[Image], recorder: &dyn Recorder) -> Result<Vec<Verdict>> {
-        Ok(self
-            .score_batch_recorded(images, recorder)?
-            .into_iter()
-            .map(|score| self.verdict_for(score))
-            .collect())
-    }
-
-    /// Valid images are scored together through the backend's batched
-    /// path ([`ScoreBackend::score_each`] — one stacked autoencoder
-    /// forward pass instead of per-frame batch-1 GEMMs), while invalid
-    /// images fail only their own slot. The work pool's activity during
-    /// the batch lands under `scoring.par.*`.
     fn classify_each(&self, images: &[Image], recorder: &dyn Recorder) -> Vec<Result<Verdict>> {
-        let pool_before = recorder.enabled().then(obs::par_snapshot);
-        let scratch_before = recorder.enabled().then(obs::scratch_snapshot);
-        let verdicts = obs::time(recorder, "scoring", || {
-            let mut pre: Vec<Option<NoveltyError>> = Vec::with_capacity(images.len()); // sncheck:allow(hot-path-transitive-alloc): per-batch validation ledger, amortized across the batch
-            let mut valid: Vec<&Image> = Vec::with_capacity(images.len()); // sncheck:allow(hot-path-transitive-alloc): borrowed-frame routing table, one per batch call
-            for img in images {
-                match self.validate_input(img) {
-                    Err(e) => pre.push(Some(e)),
-                    Ok(()) => {
-                        pre.push(None);
-                        valid.push(img);
-                    }
-                }
-            }
-            let mut batched = self.backend.score_each(&valid).into_iter();
-            pre.into_iter()
-                .map(|slot| match slot {
-                    Some(e) => Err(e),
-                    None => batched
-                        .next()
-                        .unwrap_or_else(|| {
-                            Err(NoveltyError::invalid(
-                                "classify_each",
-                                "backend returned too few scores",
-                            ))
-                        })
-                        .map(|score| self.verdict_for(score)),
-                })
-                .collect::<Vec<Result<Verdict>>>()
-        });
-        recorder.add(
-            "scoring.scores_computed",
-            verdicts.iter().filter(|v| v.is_ok()).count() as u64,
-        );
-        if let Some(before) = pool_before {
-            obs::record_par_delta(&Scoped::new(recorder, "scoring"), before);
-        }
-        if let Some(before) = scratch_before {
-            obs::record_scratch_delta(&Scoped::new(recorder, "scoring"), before);
-        }
-        verdicts
+        self.score_each(images, recorder)
+            .into_iter()
+            .map(|score| score.map(|score| self.verdict_for(score)))
+            .collect()
     }
 
     fn label(&self) -> String {
         self.kind().id().to_string()
+    }
+}
+
+/// Passes a finite score through and turns NaN or ±∞ into a typed error:
+/// `Threshold::is_novel` is false for NaN in either direction, so a
+/// numerically broken detector would otherwise call every frame
+/// familiar.
+fn finite_score(score: f32) -> Result<f32> {
+    if score.is_finite() {
+        Ok(score)
+    } else {
+        Err(NoveltyError::invalid(
+            "score",
+            format!("the detector produced a non-finite score ({score})"),
+        ))
     }
 }
 
@@ -820,17 +828,10 @@ impl NoveltyDetectorBuilder {
         )?;
         ae_span.finish();
 
-        // Calibrate on the training distribution (Richter & Roy rule).
-        // Scoring fans out over the work pool; order and values match the
-        // serial map exactly.
-        let score_work = representations
-            .len()
-            .saturating_mul(classifier.height() * classifier.width())
-            .saturating_mul(64);
+        // Calibrate on the training distribution (Richter & Roy rule),
+        // scored through the same stacked passes as a served batch.
         let training_scores: Vec<f32> = obs::time(recorder, "scoring", || {
-            ndtensor::par::try_parallel_map(representations.len(), score_work, |i| {
-                classifier.score(&representations[i])
-            })
+            classifier.score_many(&representations.iter().collect::<Vec<_>>())
         })?;
         recorder.add("scoring.scores_computed", training_scores.len() as u64);
 

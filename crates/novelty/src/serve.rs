@@ -17,8 +17,8 @@
 //!   tenant B ────► │                    (same, independent)           │─┤
 //!                  └──────────────────────────────────────────────────┘ │
 //!                             cross-tenant mega-batch  ◄───────────────┘
-//!                       one batched score pass (packed GEMM at
-//!                        batch N instead of N× batch 1), then
+//!                     one Detector::classify_each call (stacked
+//!                      autoencoder passes of up to 64 frames), then
 //!                      demultiplex verdicts back to each lane
 //! ```
 //!
@@ -31,11 +31,14 @@
 //! tracker sees the gap ([`crate::HealthEvent::Shed`]).
 //!
 //! **Fault isolation.** Shedding for tenant A is a pure function of A's
-//! own arrivals, queue and deadline state; scoring runs through
-//! [`Detector::classify_each`], whose verdicts are bit-identical
-//! to per-image [`Detector::classify`] regardless of batch composition.
-//! Removing a tenant therefore never changes any other tenant's decision
-//! stream (proven in `tests/serve_isolation.rs`).
+//! own arrivals, queue and deadline state. Every round's admitted frames,
+//! a lone frame included, are scored by one [`Detector::classify_each`]
+//! call: its verdicts are bit-identical to per-image
+//! [`Detector::classify`] regardless of batch composition, and a frame
+//! that fails validation or scores non-finite fails only its own slot,
+//! which that tenant's runtime resolves as a score error. Removing a
+//! tenant therefore never changes any other tenant's decision stream
+//! (proven in `tests/serve_isolation.rs`).
 //!
 //! **Determinism.** Rounds are a virtual clock: queueing deadlines count
 //! rounds, and scoring deadlines can charge a seeded
@@ -405,20 +408,6 @@ impl<'d> StreamServer<'d> {
         recorder.observe("serve.coalesce.batch_size", batch.len() as f64);
         let mut results: Vec<Option<Result<crate::Verdict>>> = if batch.is_empty() {
             Vec::new()
-        } else if batch.len() == 1 {
-            // Single-frame fast path: a lone admitted frame (the common
-            // single-tenant case) skips batch assembly — validation
-            // ledgers, routing tables, stacked batch-1 GEMMs — and runs
-            // the scalar classify path instead. `classify_each`'s
-            // contract makes verdict `i` bit-identical to `classify` on
-            // frame `i`, so the decision cannot differ; the same
-            // `serve-score`/`scoring` spans and the scores-computed
-            // counter fire so recorded output keeps its shape.
-            let span = Span::root(recorder, "serve-score");
-            let verdict = obs::time(recorder, "scoring", || self.detector.classify(&batch[0]));
-            recorder.add("scoring.scores_computed", u64::from(verdict.is_ok()));
-            span.finish();
-            std::iter::once(Some(verdict)).collect()
         } else {
             let span = Span::root(recorder, "serve-score");
             let verdicts = self.detector.classify_each(&batch, recorder);

@@ -43,7 +43,7 @@
 //! {
 //!     let span = Span::root(&rec, "scoring");
 //!     rec.add("scoring.scores_computed", 3);
-//!     rec.observe("scoring.latency_secs", 0.002);
+//!     rec.observe("stream-score.latency_secs", 0.002);
 //!     span.finish();
 //! }
 //! let report = rec.report("demo");

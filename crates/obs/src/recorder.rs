@@ -12,7 +12,7 @@ use std::time::Instant;
 /// recorder can be shared across the worker threads of
 /// [`ndtensor::par`].
 ///
-/// Probe names are dotted paths (`"scoring.latency_secs"`); the first
+/// Probe names are dotted paths (`"stream-score.latency_secs"`); the first
 /// segment conventionally names the pipeline stage.
 pub trait Recorder: Send + Sync + fmt::Debug {
     /// `false` when every probe is a no-op. Instrumented code uses this

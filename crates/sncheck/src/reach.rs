@@ -12,7 +12,7 @@
 //! | root | why |
 //! |------|-----|
 //! | `score_batch` / `score_batch_recorded` | the batch scoring entry the paper's numbers come from |
-//! | `classify_each` | the per-frame verdict entry the stream runtime drives |
+//! | `classify_each` | the batch verdict entry every serve round drives |
 //! | `StreamServer::offer` / `step` / `step_recorded` | the multi-tenant serve round (admission + resolve) |
 //!
 //! ## Rules

@@ -3,7 +3,10 @@
 //! The `ScoreBackend` refactor must be a pure re-plumbing: each of the
 //! paper's three legacy pipelines, trained and scored *through the
 //! trait*, has to produce bit-identical scores and byte-identical
-//! persisted specs at any thread count. The ensemble layer on top must
+//! persisted specs at any thread count. Every batch entry point runs the
+//! one stacked scoring path, which must give per-image `classify`'s
+//! score bits for every backend and an ensemble, at any batch size
+//! around the 64-row scoring chunk. The ensemble layer on top must
 //! fuse deterministically: `fuse_verdict` is a pure function of the
 //! (unordered) member-score set and the quorum, order-independent and
 //! monotone in both the oriented ranks and the votes.
@@ -16,7 +19,7 @@ use std::sync::Mutex;
 use ndtensor::{set_thread_config, ThreadConfig};
 use novelty::{
     detector_to_spec, fuse_verdict, BackendKind, BackendScore, Detector, Direction,
-    NoveltyDetectorBuilder,
+    EnsembleDetector, NoveltyDetectorBuilder, Verdict,
 };
 use proptest::prelude::*;
 use simdrive::{DatasetConfig, DrivingDataset};
@@ -121,6 +124,120 @@ fn legacy_backends_are_bit_identical_across_thread_counts() {
             // write the same detector file at any thread count.
             let spec = serde_json::to_string(&detector_to_spec(&detector).unwrap()).unwrap();
             assert_eq!(spec, ref_spec, "{} spec JSON, threads={threads}", kind.id());
+        }
+    }
+}
+
+/// A verdict's score bits followed by those of its members, so an
+/// ensemble verdict is compared member by member too.
+fn verdict_bits(v: &Verdict) -> Vec<u32> {
+    std::iter::once(v.score)
+        .chain(v.backends.iter().map(|b| b.score))
+        .map(f32::to_bits)
+        .collect()
+}
+
+/// `classify_batch`, `classify_each` and `score_batch` all run the one
+/// stacked scoring path (autoencoder passes of 64 rows). For every
+/// backend and a two-member ensemble, at batch sizes on both sides of
+/// one and two chunks, each must return per-image `classify`'s verdicts
+/// with the same score bits, at one worker thread and at four. In
+/// `classify_each` a NaN frame and a wrong-size frame fail only their
+/// own slots, and `classify_batch` fails with the first of them.
+#[test]
+fn batch_paths_match_classify_bitwise_around_the_scoring_chunk() {
+    let _guard = lock();
+    let _restore = ConfigRestore;
+    let data = tiny_dataset(41);
+    let frames: Vec<Image> = DatasetConfig::outdoor()
+        .with_len(130)
+        .with_size(40, 80)
+        .with_supersample(1)
+        .generate(43)
+        .frames()
+        .iter()
+        .map(|f| f.image.clone())
+        .collect();
+    let mut mixed = frames.clone();
+    mixed[3] = Image::from_fn(40, 80, |_, _| f32::NAN).unwrap();
+    mixed[64] = Image::from_fn(40, 81, |_, _| 0.5).unwrap();
+
+    let base = NoveltyDetectorBuilder::paper()
+        .cnn_epochs(1)
+        .ae_epochs(2)
+        .seed(13);
+    let singles = EnsembleDetector::train(&base, &BackendKind::all(), &data, obs::noop()).unwrap();
+    let pair = EnsembleDetector::train(
+        &base,
+        &[BackendKind::RawMse, BackendKind::VbpSsim],
+        &data,
+        obs::noop(),
+    )
+    .unwrap();
+    let mut detectors: Vec<&dyn Detector> = singles
+        .members()
+        .iter()
+        .map(|m| m as &dyn Detector)
+        .collect();
+    detectors.push(&pair);
+
+    for threads in [1usize, 4] {
+        set_thread_config(ThreadConfig::new(threads));
+        for detector in &detectors {
+            let label = format!("{} threads={threads}", detector.label());
+            let reference: Vec<Verdict> = frames
+                .iter()
+                .map(|f| detector.classify(f).unwrap())
+                .collect();
+            for n in [1usize, 63, 64, 65, 130] {
+                let batch = detector.classify_batch(&frames[..n], obs::noop()).unwrap();
+                let each: Vec<Verdict> = detector
+                    .classify_each(&frames[..n], obs::noop())
+                    .into_iter()
+                    .map(Result::unwrap)
+                    .collect();
+                for verdicts in [&batch, &each] {
+                    assert_eq!(verdicts.len(), n, "{label} n={n}");
+                    for (i, (got, want)) in verdicts.iter().zip(&reference).enumerate() {
+                        assert_eq!(got, want, "{label} n={n} frame {i}");
+                        assert_eq!(
+                            verdict_bits(got),
+                            verdict_bits(want),
+                            "{label} n={n} frame {i}"
+                        );
+                    }
+                }
+            }
+
+            let each = detector.classify_each(&mixed, obs::noop());
+            assert_eq!(each.len(), mixed.len(), "{label}");
+            for (i, verdict) in each.iter().enumerate() {
+                match i {
+                    3 | 64 => assert!(verdict.is_err(), "{label}: bad frame {i} scored"),
+                    _ => assert_eq!(
+                        verdict_bits(verdict.as_ref().unwrap()),
+                        verdict_bits(&reference[i]),
+                        "{label}: frame {i}"
+                    ),
+                }
+            }
+            let first_error = detector.classify_batch(&mixed, obs::noop()).unwrap_err();
+            assert!(
+                first_error.to_string().contains("NaN"),
+                "{label}: {first_error}"
+            );
+        }
+
+        for member in singles.members().iter().chain(pair.members()) {
+            let reference: Vec<f32> = frames.iter().map(|f| member.score(f).unwrap()).collect();
+            for n in [1usize, 63, 64, 65, 130] {
+                assert_eq!(
+                    bits(&member.score_batch(&frames[..n]).unwrap()),
+                    bits(&reference[..n]),
+                    "{} score_batch n={n} threads={threads}",
+                    member.kind().id()
+                );
+            }
         }
     }
 }

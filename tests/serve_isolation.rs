@@ -195,13 +195,11 @@ proptest! {
     }
 }
 
-/// The single-frame serve fast path (a coalesced batch of exactly one
-/// frame skips batch assembly and scores through the scalar classify
-/// path) must be invisible: a single-tenant server's decisions are
-/// bit-identical to a solo [`StreamRuntime`], and to the same tenant
-/// riding in a two-tenant fleet whose batches of two take the batched
-/// path — while the `serve-score`/`scoring` stages and score counters
-/// still fire.
+/// A single-tenant server, whose every round scores a batch of exactly
+/// one frame, must be invisible: its decisions are bit-identical to a
+/// solo [`StreamRuntime`] (per-image `classify`), and to the same tenant
+/// riding in a two-tenant fleet whose rounds score batches of two — while
+/// the `serve-score`/`scoring` stages and score counters still fire.
 #[test]
 fn single_tenant_fast_path_is_bit_identical() {
     let gen_solo = || {
@@ -228,7 +226,7 @@ fn single_tenant_fast_path_is_bit_identical() {
     );
 
     // The same tenant in a two-tenant fleet: every round admits two
-    // frames, so scoring takes the coalesced batch path instead.
+    // frames, so every scoring call holds both tenants' frames.
     let mut pair = vec![
         gen_solo(),
         small_traffic("other", World::Indoor)
@@ -248,7 +246,7 @@ fn single_tenant_fast_path_is_bit_identical() {
         "fast-path decisions diverged from the coalesced batch path"
     );
 
-    // Observability keeps its shape on the fast path.
+    // Observability keeps its shape on one-frame rounds.
     let report = recorder.report("serve");
     assert!(report
         .missing_stages(&["serve-score", "scoring"])

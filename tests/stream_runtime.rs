@@ -3,10 +3,13 @@
 //! policy (no panics, no silent frame drops), the health machine must
 //! degrade and recover, and all of it must be visible in the obs report.
 
+use neural::serialize::LayerSpec;
 use novelty::monitor::AlarmState;
+use novelty::serve::{StreamServer, TenantSpec};
 use novelty::{
-    ClassifierConfig, DecisionSource, FallbackPolicy, HealthState, NoveltyDetector,
-    NoveltyDetectorBuilder, ReconstructionObjective, StreamConfig, StreamDecision, StreamRuntime,
+    detector_from_spec, detector_to_spec, ClassifierConfig, DecisionSource, FallbackPolicy,
+    HealthState, NoveltyDetector, NoveltyDetectorBuilder, ReconstructionObjective, StreamConfig,
+    StreamDecision, StreamRuntime,
 };
 use obs::{Recorder, RunRecorder};
 use simdrive::{DriveConfig, FaultBurst, FaultConfig, FaultInjector, FaultKind, World};
@@ -232,4 +235,62 @@ fn hold_last_coasts_and_abstain_reports_gaps() {
     // Scoring resumes after the gap under both policies.
     assert_eq!(held[8].source, DecisionSource::Scored);
     assert_eq!(abstained[8].source, DecisionSource::Scored);
+}
+
+/// A detector whose weights are finite but overflow at run time scores
+/// NaN. `Threshold::is_novel(NaN)` is false in both directions, so such
+/// a detector must fail closed — every frame a score error driving the
+/// health machine to FailSafe — instead of calling every frame familiar.
+/// Checked on the solo runtime and on a two-tenant server, whose frames
+/// take the batched scoring path.
+#[test]
+fn non_finite_scores_fail_closed_into_failsafe() {
+    // The spec loader accepts any finite weight; 3e38 in the first
+    // autoencoder bias overflows to ±inf and then NaN downstream.
+    let mut spec = detector_to_spec(detector()).unwrap();
+    let first = spec.autoencoder.as_mut().unwrap().layers.first_mut();
+    let Some(LayerSpec::Dense { bias, .. }) = first else {
+        panic!("the autoencoder starts with a dense layer");
+    };
+    bias.data.fill(3e38);
+    let poisoned = detector_from_spec(spec).unwrap();
+    let frames = drive_frames(10, 13);
+    let assert_failed_closed = |decisions: &[StreamDecision], label: &str| {
+        assert_eq!(decisions.len(), frames.len(), "{label}");
+        for d in decisions {
+            assert_ne!(
+                d.source,
+                DecisionSource::Scored,
+                "{label}: frame {}",
+                d.frame
+            );
+            assert!(d.score_error.is_some(), "{label}: frame {}", d.frame);
+        }
+        assert_eq!(
+            decisions.last().unwrap().health,
+            HealthState::FailSafe,
+            "{label}"
+        );
+    };
+
+    let mut runtime = StreamRuntime::new(&poisoned, StreamConfig::for_detector(&poisoned)).unwrap();
+    let solo: Vec<StreamDecision> = frames.iter().map(|f| runtime.process(Some(f))).collect();
+    assert_failed_closed(&solo, "runtime");
+
+    let tenants = (0..2)
+        .map(|t| TenantSpec::new(format!("t{t}"), StreamConfig::for_detector(&poisoned)))
+        .collect();
+    let mut server = StreamServer::new(&poisoned, tenants).unwrap();
+    let mut served = [Vec::new(), Vec::new()];
+    for frame in &frames {
+        for tenant in 0..2 {
+            server.offer(tenant, Some(frame.clone())).unwrap();
+        }
+        for (tenant, decision) in server.step() {
+            served[tenant].push(decision);
+        }
+    }
+    for (tenant, decisions) in served.iter().enumerate() {
+        assert_failed_closed(decisions, &format!("server tenant {tenant}"));
+    }
 }
