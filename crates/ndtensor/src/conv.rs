@@ -601,8 +601,8 @@ fn conv2d_impl(
     let work = n * out_len * kdim;
     try_for_each_block(out, out_len, work, |n0, chunk| {
         // One panel per worker chunk, reused across its samples.
-        let mut cols = scratch::take(kdim * ld);
-        cols.resize(kdim * ld, 0.0);
+        // `im2col_core` assigns all of it, pad columns included.
+        let mut cols = scratch::take_stale(kdim * ld);
         for (local, dst) in chunk.chunks_mut(out_len).enumerate() {
             let ni = n0 + local;
             im2col_core(
@@ -645,7 +645,8 @@ pub fn conv2d(
 ) -> Result<Tensor> {
     let g = conv_geometry(input, weight, spec)?;
     check_bias(bias, g.f, weight)?;
-    let mut out = Tensor::zeros([g.n, g.f, g.oh, g.ow]);
+    // `conv_panel` assigns every output element.
+    let mut out = Tensor::stale([g.n, g.f, g.oh, g.ow]);
     conv2d_impl(input, weight, bias, spec, &g, out.as_mut_slice())?;
     Ok(out)
 }

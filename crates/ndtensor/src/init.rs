@@ -4,9 +4,16 @@
 //! workspace is reproducible from a single `u64` seed.
 
 use rand::Rng;
-use rand_distr::{Distribution, Normal, Uniform};
+use rand_distr::{Distribution, Uniform};
 
-use crate::{Result, Tensor, TensorError};
+use crate::{math, Result, Tensor, TensorError};
+
+/// Values drawn per block by [`fill_normal`]: the draws are buffered, then
+/// the block's `ln`, `sqrt` and `cos` run as one loop that vectorises.
+const NORMAL_BLOCK: usize = 64;
+
+/// `2^-53`, the spacing of the uniform `f64` draws.
+const DRAW_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// Fills the tensor with samples from `U(lo, hi)`.
 ///
@@ -28,7 +35,14 @@ pub fn fill_uniform(t: &mut Tensor, rng: &mut impl Rng, lo: f32, hi: f32) -> Res
     Ok(())
 }
 
-/// Fills the tensor with samples from `N(mean, std²)`.
+/// Fills the tensor with samples from `N(mean, std²)` by Box–Muller.
+///
+/// Each value takes two draws, exactly as `rand_distr::Normal::sample`
+/// does: `u1 = (next_u64 >> 11) + 1` and `u2 = next_u64 >> 11`, both
+/// scaled by `2^-53`, so `u1` lies in `(0, 1]` and `ln u1` is finite.
+/// The value is `mean + std · z` with `z = √(−2 ln u1) · cos(2π u2)`
+/// computed by [`math`], so the bits do not depend on the host's libm.
+/// Filling `n` values leaves `rng` exactly `2n` draws ahead.
 ///
 /// # Errors
 ///
@@ -41,10 +55,17 @@ pub fn fill_normal(t: &mut Tensor, rng: &mut impl Rng, mean: f32, std: f32) -> R
             format!("invalid parameters mean={mean}, std={std}"),
         ));
     }
-    let dist =
-        Normal::new(mean, std).map_err(|e| TensorError::invalid("fill_normal", e.to_string()))?;
-    for v in t.as_mut_slice() {
-        *v = dist.sample(rng);
+    let mut u1 = [0.0f64; NORMAL_BLOCK];
+    let mut u2 = [0.0f64; NORMAL_BLOCK];
+    for block in t.as_mut_slice().chunks_mut(NORMAL_BLOCK) {
+        for (a, b) in u1.iter_mut().zip(&mut u2).take(block.len()) {
+            *a = ((rng.next_u64() >> 11) as f64 + 1.0) * DRAW_SCALE;
+            *b = (rng.next_u64() >> 11) as f64 * DRAW_SCALE;
+        }
+        for (v, (&a, &b)) in block.iter_mut().zip(u1.iter().zip(&u2)) {
+            let z = (-2.0 * math::ln(a)).sqrt() * math::cos(std::f64::consts::TAU * b);
+            *v = mean + std * z as f32;
+        }
     }
     Ok(())
 }
@@ -145,6 +166,40 @@ mod tests {
         let expect_std = (2.0f32 / 50.0).sqrt();
         assert!((t.variance().sqrt() - expect_std).abs() < 0.1 * expect_std);
         assert!(fill_he_normal(&mut t, &mut rng, 0).is_err());
+    }
+
+    #[test]
+    fn normal_consumes_two_draws_per_value() {
+        for n in [0, 1, 63, 64, 65, 200] {
+            let mut t = Tensor::zeros([n]);
+            let mut rng = StdRng::seed_from_u64(17);
+            fill_normal(&mut t, &mut rng, 0.0, 1.0).unwrap();
+            let mut reference = StdRng::seed_from_u64(17);
+            for _ in 0..2 * n {
+                reference.next_u64();
+            }
+            for _ in 0..4 {
+                assert_eq!(rng.next_u64(), reference.next_u64(), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn normal_matches_the_box_muller_formula_per_value() {
+        // Block boundaries must not change which draws feed which value.
+        let mut t = Tensor::zeros([150]);
+        fill_normal(&mut t, &mut StdRng::seed_from_u64(23), 0.5, 2.0).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        for (i, &v) in t.as_slice().iter().enumerate() {
+            let u1 = ((rng.next_u64() >> 11) as f64 + 1.0) * DRAW_SCALE;
+            let u2 = (rng.next_u64() >> 11) as f64 * DRAW_SCALE;
+            let z = (-2.0 * math::ln(u1)).sqrt() * math::cos(std::f64::consts::TAU * u2);
+            assert_eq!(v.to_bits(), (0.5 + 2.0 * z as f32).to_bits(), "value {i}");
+            // Within float noise of the libm Box–Muller that the vendored
+            // `rand_distr::Normal` computes.
+            let libm = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            assert!((z - libm).abs() <= 1e-12 * (1.0 + libm.abs()), "value {i}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! Visual-based Deep Learning"* (DSN 2019): shapes, contiguous row-major
 //! tensors, elementwise and reduction kernels, a blocked multi-threaded
 //! GEMM, im2col-based 2-D convolution (forward and backward), resampling,
-//! and random initialisation.
+//! random initialisation and libm-free transcendental functions
+//! ([`math`]).
 //!
 //! The design goals are, in order: correctness (every kernel has a naive
 //! reference implementation it is tested against), determinism (no
@@ -35,6 +36,7 @@ mod conv;
 mod error;
 mod init;
 mod kernels;
+pub mod math;
 mod matmul;
 mod ops;
 pub mod par;

@@ -13,7 +13,8 @@
 //!
 //! The allocating ones return a fresh tensor whose storage comes from
 //! [`crate::scratch`], so a warmed caller that drops its outputs
-//! recycles them.
+//! recycles them. The kernels assign every output element (zeros when
+//! `k == 0`), so the output is taken stale, with no zero fill.
 //!
 //! The inner microkernels live in `crate::kernels`, and no shape rule
 //! picks between them: [`matmul_a_bt`] runs the padded-panel kernel on
@@ -111,7 +112,7 @@ fn matmul_assign_slices<const SKIP: bool>(
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = check_mm(a, b, "matmul")?;
-    let mut out = Tensor::zeros([m, n]);
+    let mut out = Tensor::stale([m, n]);
     matmul_assign_slices::<true>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }
@@ -163,7 +164,7 @@ fn check_at_b(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize,
 /// [`TensorError::ShapeMismatch`] when the leading dimensions disagree.
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (k, m, n) = check_at_b(a, b, "matmul_at_b")?;
-    let mut out = Tensor::zeros([m, n]);
+    let mut out = Tensor::stale([m, n]);
     matmul_at_b_slices(
         a.as_slice(),
         (k, m, n),
@@ -218,7 +219,7 @@ fn matmul_a_bt_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out:
     let ld = conv_panel_stride(m);
     let panel = pack_t_padded(ad, m, k, ld);
     let skip = all_finite(ad);
-    let mut ct = scratch::take_zeroed(n * m);
+    let mut ct = scratch::take_stale(n * m);
     for_each_block(&mut ct, m, m * n * k, |row0, chunk| {
         let rows = chunk.len() / m;
         let brows = &bd[row0 * k..(row0 + rows) * k];
@@ -249,7 +250,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.shape().clone(),
         });
     }
-    let mut out = Tensor::zeros([m, n]);
+    let mut out = Tensor::stale([m, n]);
     matmul_a_bt_slices(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }
@@ -270,7 +271,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// [`TensorError::ShapeMismatch`] when the inner dimensions disagree.
 pub fn matmul_assign(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = check_mm(a, b, "matmul_assign")?;
-    let mut out = Tensor::zeros([m, n]);
+    let mut out = Tensor::stale([m, n]);
     matmul_assign_slices::<false>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }

@@ -11,7 +11,8 @@
 //! * **Thread-local**: each `par` worker owns its pool, so pooling never
 //!   introduces cross-thread traffic and cannot perturb the bit-identical
 //!   thread-parity guarantee — a recycled buffer holds the same values a
-//!   fresh one would after initialisation.
+//!   fresh one would after initialisation. The one exception,
+//!   [`take_stale`], serves only kernels that assign every element.
 //! * **Size-classed**: buffers live in power-of-two capacity classes;
 //!   [`take`] returns a cleared buffer with `capacity >= len` from class
 //!   `ceil(log2(len))`, [`give`] files a buffer under
@@ -102,11 +103,12 @@ impl<T: Copy + Default> Pool<T> {
         Pool { classes }
     }
 
+    /// A buffer with `capacity >= len`, holding whatever a recycled
+    /// buffer held when it was given back (empty on a miss).
     fn take(&mut self, len: usize) -> Vec<T> {
         let class = class_for_len(len);
         if class <= MAX_POOLED_CLASS {
-            if let Some(mut buf) = self.classes[class].pop() {
-                buf.clear();
+            if let Some(buf) = self.classes[class].pop() {
                 HITS.fetch_add(1, Ordering::Relaxed);
                 return buf;
             }
@@ -142,12 +144,26 @@ thread_local! {
 /// Takes an empty `f32` buffer with `capacity >= len` from this thread's
 /// pool (allocating on miss).
 pub fn take(len: usize) -> Vec<f32> {
-    F32_POOL.with(|p| p.borrow_mut().take(len))
+    let mut buf = F32_POOL.with(|p| p.borrow_mut().take(len));
+    buf.clear();
+    buf
 }
 
 /// Takes a zero-filled `f32` buffer of exactly `len` elements.
 pub fn take_zeroed(len: usize) -> Vec<f32> {
     let mut buf = take(len);
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Takes an `f32` buffer of exactly `len` elements for a caller that
+/// assigns every one of them: a recycled buffer keeps the values it held
+/// when it was given back, and only elements beyond its old length are
+/// zero-filled. Every element is initialised, so no `unsafe` is needed,
+/// but its value is whatever an earlier user left there.
+pub fn take_stale(len: usize) -> Vec<f32> {
+    let mut buf = F32_POOL.with(|p| p.borrow_mut().take(len));
+    buf.truncate(len);
     buf.resize(len, 0.0);
     buf
 }
@@ -162,7 +178,9 @@ pub fn give(buf: Vec<f32>) {
 /// Takes an empty `f64` buffer with `capacity >= len` (SSIM integral
 /// images are the hot `f64` consumer).
 pub fn take_f64(len: usize) -> Vec<f64> {
-    F64_POOL.with(|p| p.borrow_mut().take(len))
+    let mut buf = F64_POOL.with(|p| p.borrow_mut().take(len));
+    buf.clear();
+    buf
 }
 
 /// Takes a zero-filled `f64` buffer of exactly `len` elements.
@@ -308,6 +326,23 @@ mod tests {
         let buf = take_zeroed(64);
         assert_eq!(buf.len(), 64);
         assert!(buf.iter().all(|&v| v == 0.0));
+        give(buf);
+    }
+
+    #[test]
+    fn take_stale_keeps_old_values_and_zero_fills_growth() {
+        let mut buf = take(64);
+        buf.resize(40, 7.0);
+        let ptr = buf.as_ptr();
+        give(buf);
+        let buf = take_stale(50);
+        assert_eq!(buf.as_ptr(), ptr);
+        assert_eq!(buf.len(), 50);
+        assert!(buf[..40].iter().all(|&v| v == 7.0));
+        assert!(buf[40..].iter().all(|&v| v == 0.0));
+        give(buf);
+        let buf = take_stale(33);
+        assert_eq!(buf.len(), 33);
         give(buf);
     }
 

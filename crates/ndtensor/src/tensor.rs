@@ -62,6 +62,17 @@ impl Tensor {
         }
     }
 
+    /// A tensor whose elements hold whatever a recycled scratch buffer
+    /// held ([`scratch::take_stale`]): the output of a kernel that assigns
+    /// every element, which then needs no zero fill.
+    pub(crate) fn stale(shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        Tensor {
+            data: scratch::take_stale(shape.volume()),
+            shape,
+        }
+    }
+
     /// Creates a tensor of the given shape filled with ones.
     pub fn ones(shape: impl Into<Shape>) -> Self {
         Self::full(shape, 1.0)

@@ -5,7 +5,7 @@
 //! Sigmoid and Tanh keep the *output* (their derivatives are functions of
 //! the output).
 
-use ndtensor::Tensor;
+use ndtensor::{math, scratch, Tensor};
 
 use crate::layer::{Layer, LayerKind};
 use crate::{NeuralError, Result};
@@ -64,8 +64,9 @@ impl Layer for ReLU {
     }
 }
 
-/// Logistic sigmoid: `y = 1 / (1 + e^{−x})`. The paper's autoencoder uses
-/// a sigmoid output layer so reconstructions live in `[0, 1]`.
+/// Logistic sigmoid: `y = 1 / (1 + e^{−x})`, computed by
+/// [`ndtensor::math::sigmoid_slice`]. The paper's autoencoder uses a
+/// sigmoid output layer so reconstructions live in `[0, 1]`.
 #[derive(Debug, Default)]
 pub struct Sigmoid {
     cached_output: Option<Tensor>,
@@ -84,7 +85,10 @@ impl Layer for Sigmoid {
     }
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.map(|v| 1.0 / (1.0 + (-v).exp())))
+        // `sigmoid_slice` assigns every element of the stale buffer.
+        let mut out = scratch::take_stale(input.len());
+        math::sigmoid_slice(input.as_slice(), &mut out);
+        Ok(Tensor::from_vec(input.shape().clone(), out)?)
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
@@ -103,8 +107,8 @@ impl Layer for Sigmoid {
     }
 }
 
-/// Hyperbolic tangent: `y = tanh(x)`. Used by the steering head so the
-/// predicted angle lands in `[-1, 1]`.
+/// Hyperbolic tangent: `y = tanh(x)`, computed by [`ndtensor::math::tanh`].
+/// Used by the steering head so the predicted angle lands in `[-1, 1]`.
 #[derive(Debug, Default)]
 pub struct Tanh {
     cached_output: Option<Tensor>,
@@ -123,7 +127,7 @@ impl Layer for Tanh {
     }
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.map(f32::tanh))
+        Ok(input.map(math::tanh))
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {

@@ -51,7 +51,8 @@ impl LrSchedule {
                 } else {
                     epoch as f32 / (total_epochs - 1) as f32
                 };
-                let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
+                let angle = f64::from(std::f32::consts::PI * t);
+                let cos = 0.5 * (1.0 + ndtensor::math::cos(angle) as f32);
                 min_fraction + (1.0 - min_fraction) * cos
             }
         }
@@ -232,7 +233,45 @@ pub fn gather_rows(t: &Tensor, indices: &[usize]) -> Result<Tensor> {
     Ok(Tensor::from_vec(Shape::from(dims), out)?)
 }
 
+/// `Σ g²` over `g` in eight independent `f64` chains. Each `g²` is exact
+/// in `f64`, so this and the serial chain in [`clip_gradients`] are both
+/// within `γ_n · Σ g²` of the exact sum (`γ_n ≈ n · 2^-53`), whatever
+/// their order.
+fn sum_squares(g: &[f32]) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let mut chunks = g.chunks_exact(8);
+    for c in &mut chunks {
+        for (acc, &v) in lanes.iter_mut().zip(c) {
+            *acc += f64::from(v) * f64::from(v);
+        }
+    }
+    let tail: f64 = chunks
+        .remainder()
+        .iter()
+        .map(|&v| f64::from(v) * f64::from(v))
+        .sum();
+    lanes.iter().sum::<f64>() + tail
+}
+
+/// Scales every gradient by `max_norm / ‖g‖` when the global norm exceeds
+/// `max_norm`.
+///
+/// The lane-parallel [`sum_squares`] runs first. When it is at most
+/// `(max_norm / 2)²`, the serial sum is below `max_norm²` (their gap is
+/// at most `2 γ_n · Σ g²`, about `3e-10` of it for the paper AE's 1.2 M
+/// parameters), so the serial chain would clip nothing and is skipped:
+/// the gradients are the ones it would leave. Otherwise, and always for
+/// a non-finite sum, the serial chain below decides.
 fn clip_gradients(network: &mut Network, max_norm: f32) {
+    let bound: f64 = network
+        .params_and_grads()
+        .iter()
+        .map(|pg| sum_squares(pg.grad.as_slice()))
+        .sum();
+    let half = f64::from(max_norm) / 2.0;
+    if bound <= half * half {
+        return;
+    }
     let mut sq = 0.0f64;
     for pg in network.params_and_grads() {
         for &g in pg.grad.as_slice() {
@@ -640,6 +679,96 @@ mod tests {
             "{}",
             opt.learning_rate()
         );
+    }
+
+    /// The clipping code as it was before the lane-parallel bound: one
+    /// serial `f64` chain, then the scale.
+    fn serial_clip(grads: &mut [Vec<f32>], max_norm: f32) -> bool {
+        let mut sq = 0.0f64;
+        for g in grads.iter() {
+            for &v in g {
+                sq += (v as f64) * (v as f64);
+            }
+        }
+        let norm = sq.sqrt() as f32;
+        if norm > max_norm && norm > 0.0 {
+            let scale = max_norm / norm;
+            for g in grads.iter_mut() {
+                for v in g.iter_mut() {
+                    *v *= scale;
+                }
+            }
+            return true;
+        }
+        false
+    }
+
+    #[test]
+    fn clipping_is_bit_identical_to_the_serial_chain_around_max_norm() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut net = Network::new()
+            .with(Dense::new(13, 50, &mut rng).unwrap())
+            .with(Dense::new(50, 7, &mut rng).unwrap());
+        let base: Vec<Vec<f32>> = net
+            .params_and_grads()
+            .iter()
+            .enumerate()
+            .map(|(p, pg)| {
+                (0..pg.grad.len())
+                    .map(|i| (((i * 7 + p * 3) % 23) as f32 - 11.0) * 0.37)
+                    .collect()
+            })
+            .collect();
+        let max_norm = 10.0f32;
+        let norm0 = {
+            let sq: f64 = base
+                .iter()
+                .flatten()
+                .map(|&v| (v as f64) * (v as f64))
+                .sum();
+            sq.sqrt() as f32
+        };
+        // A walk of norms across max_norm in steps of about a quarter ulp,
+        // then norms on both sides of the max_norm / 2 fast-path bound.
+        let walk = 49;
+        let mut factors: Vec<f32> = (0..walk)
+            .map(|k| (max_norm / norm0) * (1.0 + (k as f32 - 24.0) * f32::EPSILON / 4.0))
+            .collect();
+        factors.extend([0.0, 0.3, 0.49, 0.5, 0.51, 3.0].map(|f| f * max_norm / norm0));
+        let (mut clipped, mut kept) = (0, 0);
+        for (case, &factor) in factors.iter().enumerate() {
+            for poison in [None, Some(f32::NAN), Some(f32::INFINITY)] {
+                let mut grads: Vec<Vec<f32>> = base
+                    .iter()
+                    .map(|g| g.iter().map(|&v| v * factor).collect())
+                    .collect();
+                if let Some(bad) = poison {
+                    grads[2][5] = bad;
+                }
+                for (pg, g) in net.params_and_grads().iter_mut().zip(&grads) {
+                    pg.grad.as_mut_slice().copy_from_slice(g);
+                }
+                let clips = serial_clip(&mut grads, max_norm);
+                if case < walk && poison.is_none() {
+                    if clips {
+                        clipped += 1;
+                    } else {
+                        kept += 1;
+                    }
+                }
+                clip_gradients(&mut net, max_norm);
+                for (pg, g) in net.params_and_grads().iter().zip(&grads) {
+                    let got: Vec<u32> = pg.grad.as_slice().iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        got, want,
+                        "case {case} (factor {factor}), poison {poison:?}"
+                    );
+                }
+            }
+        }
+        // The walk crosses max_norm: both outcomes occur near it.
+        assert!(clipped > 0 && kept > 0, "{clipped} clipped, {kept} kept");
     }
 
     #[test]

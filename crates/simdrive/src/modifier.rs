@@ -207,6 +207,9 @@ impl SceneModifier for FogRamp {
         Image::from_fn(image.height(), image.width(), |y, x| {
             // Depth ramp: rows near the top of the frame (far geometry)
             // fog the hardest; the foreground keeps some contrast.
+            // sncheck:allow(no-libm-math): this libm call shapes generated
+            // frames; moving it to `ndtensor::math` changes every dataset
+            // digest, which ROADMAP item 3 leaves to a change of its own.
             let ramp = ((h - y as f32) / h).powf(1.2);
             let patch = 0.8 + 0.2 * value_noise(s, x as f32 * 0.06 + drift, y as f32 * 0.1, 1.0);
             let w = self.intensity * (0.35 + 0.65 * ramp) * patch;

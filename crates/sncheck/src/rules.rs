@@ -10,6 +10,7 @@
 //! | `no-float-eq` | the ECDF-threshold contract — exact float equality is seed-hostile; epsilon helpers make tolerance explicit |
 //! | `no-stdout-in-lib` | recording never perturbs detector output — library crates must not write to std streams |
 //! | `recorded-parity` | the obs API lockstep — every public `*_recorded` entry point keeps a plain delegating wrapper |
+//! | `no-libm-math` | digests that hold on any host — transcendental functions come from `ndtensor::math`, not the platform libm |
 //!
 //! Rules run on *library* code only (the scope tracker exempts
 //! `#[cfg(test)]`/`#[test]` regions; bins, benches, examples and
@@ -54,6 +55,16 @@ const HOT_ALLOC_FILES: &[&str] = &[
 
 /// The one crate allowed to read the ambient clock.
 const CLOCK_ALLOWED_CRATE: &str = "obs";
+
+/// The one module allowed to call libm's transcendental functions: it
+/// holds none, and replaces them for everyone else.
+const LIBM_ALLOWED_FILE: &str = "crates/ndtensor/src/math.rs";
+
+/// `f32`/`f64` methods whose results come from the platform libm.
+const LIBM_METHODS: &[&str] = &[
+    "exp", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "sin", "cos", "sin_cos", "tan", "tanh",
+    "powf",
+];
 
 /// How a file participates in the build, derived from its path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,6 +178,10 @@ pub const RULES: &[RuleInfo] = &[
         summary: "vec!/Vec::with_capacity/.to_vec() banned in per-frame hot modules; use ndtensor::scratch",
     },
     RuleInfo {
+        id: "no-libm-math",
+        summary: "libm exp/ln/log/sin/cos/tan/tanh/powf outside ndtensor::math; its bits differ between hosts",
+    },
+    RuleInfo {
         id: "hot-path-transitive-alloc",
         summary: "allocation (vec!/Vec::with_capacity/.to_vec()) in any fn reachable from a hot root",
     },
@@ -270,6 +285,9 @@ pub fn run_rules(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     }
     if HOT_ALLOC_FILES.contains(&ctx.rel) {
         no_hot_alloc(ctx, &mut out);
+    }
+    if ctx.rel != LIBM_ALLOWED_FILE {
+        no_libm_math(ctx, &mut out);
     }
     recorded_parity(ctx, &mut out);
     out
@@ -472,6 +490,32 @@ fn no_hot_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Flags `.exp(`-style method calls and `f32::exp`-style paths naming a
+/// [`LIBM_METHODS`] entry.
+fn no_libm_math(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    for i in ctx.lib_indices() {
+        let t = &ctx.tokens[i];
+        if t.kind != TokenKind::Ident || !LIBM_METHODS.contains(&t.text.as_str()) || i == 0 {
+            continue;
+        }
+        let method = ctx.text(i - 1) == "." && ctx.text(i + 1) == "(";
+        let path = i >= 2
+            && ctx.text(i - 1) == "::"
+            && (ctx.is_ident(i - 2, "f32") || ctx.is_ident(i - 2, "f64"));
+        if method || path {
+            out.push(ctx.diag(
+                i,
+                "no-libm-math",
+                format!(
+                    "`{}` calls the platform libm, whose bits differ between hosts; use \
+                     `ndtensor::math` (or `sncheck:allow` a dataset-generator site with a reason)",
+                    t.text
+                ),
+            ));
+        }
+    }
+}
+
 /// True when the `fn` keyword at `i` belongs to a `pub` item. Walks back
 /// over the tokens a visibility-qualified signature can legally contain.
 fn fn_is_pub(ctx: &FileCtx<'_>, i: usize) -> bool {
@@ -553,6 +597,28 @@ mod tests {
     }
 
     const LIB: &str = "crates/novelty/src/x.rs";
+
+    #[test]
+    fn libm_math_fires_on_methods_and_paths_outside_the_math_module() {
+        let src = "fn f(x: f32, y: f64) -> f32 {\n\
+                   let a = x.exp() + x.tanh() + x.powf(2.0);\n\
+                   let b = y.ln() * y.cos() + y.log10();\n\
+                   let c = [x].map(f32::tanh);\n\
+                   let d = exp(x) + x.exponent() + sin(y) as f32;\n\
+                   a + b as f32 + c[0] + d\n}\n\
+                   #[cfg(test)]\nmod tests { fn g(x: f32) -> f32 { x.exp() } }\n";
+        let diags = check(LIB, src);
+        let libm: Vec<&str> = diags
+            .iter()
+            .filter(|d| d.rule == "no-libm-math")
+            .map(|d| d.token.as_str())
+            .collect();
+        assert_eq!(libm, ["exp", "tanh", "powf", "ln", "cos", "log10", "tanh"]);
+        assert!(check("crates/ndtensor/src/math.rs", src)
+            .iter()
+            .all(|d| d.rule != "no-libm-math"));
+        assert!(check("tests/t.rs", src).is_empty());
+    }
 
     #[test]
     fn classify_kinds() {

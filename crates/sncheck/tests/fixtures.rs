@@ -111,6 +111,16 @@ fn kernels_module_is_hot_alloc_covered() {
 }
 
 #[test]
+fn libm_fixture_fires_for_methods_and_paths() {
+    let diags = check_fixture("crates/neural/src/libm.rs");
+    assert!(diags.iter().all(|d| d.rule == "no-libm-math"), "{diags:?}");
+    // `.exp(`, `.ln(`, `.cos(` and `f32::tanh` fire; the suppressed
+    // `.powf(`, the free `exp(`, `.exponent(` and the test module do not.
+    let tokens: Vec<&str> = diags.iter().map(|d| d.token.as_str()).collect();
+    assert_eq!(tokens, ["exp", "ln", "cos", "tanh"], "{diags:?}");
+}
+
+#[test]
 fn suppressed_fixture_is_clean() {
     let diags = check_fixture("crates/ndtensor/src/suppressed.rs");
     assert!(diags.is_empty(), "{diags:?}");
@@ -200,6 +210,7 @@ fn every_primary_rule_has_a_firing_fixture() {
         "crates/ndtensor/src/stale_allow.rs",
         "crates/bench/src/bin/hot_loop.rs",
         "crates/novelty/src/drift.rs",
+        "crates/neural/src/libm.rs",
     ];
     let mut fired: Vec<String> = fixture_rels
         .iter()

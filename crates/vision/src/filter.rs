@@ -25,6 +25,9 @@ pub fn gaussian_kernel_1d(sigma: f32) -> Result<Vec<f32>> {
     let inv2s2 = 1.0 / (2.0 * sigma * sigma);
     for i in 0..=(2 * radius) {
         let d = i as f32 - radius as f32;
+        // sncheck:allow(no-libm-math): this libm call shapes generated
+        // frames; moving it to `ndtensor::math` changes every dataset
+        // digest, which ROADMAP item 3 leaves to a change of its own.
         kernel.push((-d * d * inv2s2).exp());
     }
     let sum: f32 = kernel.iter().sum();

@@ -76,6 +76,9 @@ pub fn adjust_gamma(img: &Image, gamma: f32) -> Result<Image> {
             format!("gamma must be positive and finite, got {gamma}"),
         ));
     }
+    // sncheck:allow(no-libm-math): this libm call shapes generated
+    // frames; moving it to `ndtensor::math` changes every dataset
+    // digest, which ROADMAP item 3 leaves to a change of its own.
     Ok(img.map(|v| v.clamp(0.0, 1.0).powf(gamma)))
 }
 
@@ -101,6 +104,9 @@ fn sample_bilinear(img: &Image, y: f32, x: f32, fill: f32) -> f32 {
 /// bilinear sampling; uncovered pixels take `fill`.
 pub fn rotate(img: &Image, degrees: f32, fill: f32) -> Image {
     let rad = degrees.to_radians();
+    // sncheck:allow(no-libm-math): this libm call shapes generated
+    // frames; moving it to `ndtensor::math` changes every dataset
+    // digest, which ROADMAP item 3 leaves to a change of its own.
     let (sin, cos) = rad.sin_cos();
     let cy = (img.height() as f32 - 1.0) / 2.0;
     let cx = (img.width() as f32 - 1.0) / 2.0;

@@ -915,3 +915,103 @@ fn k_blocked_matmul_bitwise_matches_naive() {
     }
     assert!(dropped > 0 && kept > 0, "dropped {dropped}, kept {kept}");
 }
+
+/// Files NaN-filled buffers into every scratch pool class up to `2^18`
+/// elements on this thread, the most each class retains, so an output
+/// taken stale from the pool holds NaN wherever a kernel fails to assign.
+fn poison_scratch_pool() {
+    for class in 0..=18 {
+        for _ in 0..8 {
+            ndtensor::scratch::give(vec![f32::NAN; 1 << class]);
+        }
+    }
+}
+
+/// The GEMM and conv forward outputs, and the conv panel, are taken from
+/// the scratch pool without a zero fill, so the kernels must assign every
+/// element. On a pool poisoned with NaN, each still equals its naive
+/// chain bit for bit, `k = 0` (all-zero output) included. Serial, so the
+/// kernels run on the poisoned thread.
+#[test]
+fn stale_scratch_outputs_are_fully_assigned() {
+    let _guard = lock();
+    set_thread_config(ThreadConfig::serial());
+    let shapes = [
+        (1usize, 1usize, 1usize),
+        (3, 0, 5),
+        (2, 7, 65),
+        (15, 130, 33),
+        (32, 64, 200),
+    ];
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        let seed = 900 + 10 * case as u64;
+        let a = pseudo([m, k], seed);
+        let b = pseudo([k, n], seed + 1);
+        let at = pseudo([k, m], seed + 2);
+        let bt = pseudo([n, k], seed + 3);
+        let label = format!("m {m} k {k} n {n}");
+        poison_scratch_pool();
+        let got = matmul(&a, &b).unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&naive_matmul(a.as_slice(), b.as_slice(), m, k, n)),
+            "matmul {label}"
+        );
+        poison_scratch_pool();
+        let got = matmul_assign(&a, &b).unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&naive_matmul(a.as_slice(), b.as_slice(), m, k, n)),
+            "matmul_assign {label}"
+        );
+        poison_scratch_pool();
+        let got = matmul_at_b(&at, &b).unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&naive_matmul_at_b(at.as_slice(), b.as_slice(), m, k, n)),
+            "matmul_at_b {label}"
+        );
+        poison_scratch_pool();
+        let got = matmul_a_bt(&a, &bt).unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&naive_matmul_a_bt(a.as_slice(), bt.as_slice(), m, k, n)),
+            "matmul_a_bt {label}"
+        );
+    }
+    let strided = Conv2dSpec::new((2, 2), (0, 0));
+    let padded = Conv2dSpec::new((1, 1), (1, 1));
+    // (c, h, w, f, kh, kw, spec): a pad-column panel, both PilotNet
+    // strides and a zero-padded layer.
+    let convs = [
+        (
+            2usize,
+            3usize,
+            33usize,
+            5usize,
+            3usize,
+            3usize,
+            Conv2dSpec::unit(),
+        ),
+        (1, 60, 160, 8, 5, 5, strided),
+        (12, 12, 37, 16, 5, 5, strided),
+        (16, 4, 17, 20, 3, 3, padded),
+    ];
+    for (case, &(c, h, w, f, kh, kw, spec)) in convs.iter().enumerate() {
+        let seed = 950 + 10 * case as u64;
+        let input = pseudo([2, c, h, w], seed);
+        let weight = pseudo([f, c, kh, kw], seed + 1);
+        let bias = pseudo([f], seed + 2);
+        for b in [None, Some(&bias)] {
+            poison_scratch_pool();
+            let got = conv2d(&input, &weight, b, spec).unwrap();
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(&naive_conv_general(&input, &weight, b, spec)),
+                "conv2d case {case} bias {}",
+                b.is_some()
+            );
+        }
+    }
+    set_thread_config(ThreadConfig::from_env());
+}

@@ -39,7 +39,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// training score is in the spec, so a kernel, layer or optimizer change
 /// that moves one output bit anywhere in training or scoring moves this
 /// value. Update it only for a deliberate numeric change, and say so.
-const PINNED_SPEC_DIGEST: u64 = 0xf156_edbb_a632_ed5a;
+/// Last recorded when the He-normal draws, the sigmoid, tanh and the
+/// cosine schedule moved from libm to `ndtensor::math`.
+const PINNED_SPEC_DIGEST: u64 = 0x05c4_cd47_6bc9_92b8;
 
 /// Kernel changes must keep detector output bit-identical: the persisted
 /// form of a small seeded detector matches a pinned digest. The 64-wide
@@ -71,11 +73,11 @@ fn seeded_detector_spec_digest_is_pinned() {
 }
 
 /// Digest of the persisted detector trained by
-/// [`paper_geometry_detector_digest_is_pinned`], recorded before the
-/// k-blocked GEMM, the accumulating `dW` store and the row-built SSIM
-/// tables landed. Update it only for a deliberate numeric change, and say
-/// so.
-const PINNED_PAPER_GEOMETRY_DIGEST: u64 = 0x6fd3_5dd4_f54f_5cc6;
+/// [`paper_geometry_detector_digest_is_pinned`], last recorded when the
+/// He-normal draws, the sigmoid, tanh and the cosine schedule moved from
+/// libm to `ndtensor::math`. Update it only for a deliberate numeric
+/// change, and say so.
+const PINNED_PAPER_GEOMETRY_DIGEST: u64 = 0xb105_0ca7_7c54_3798;
 
 /// The paper's geometry end to end, for a short run: 60×160 frames, the
 /// 9600-64-16-64-9600 autoencoder, batches of 32 and 11×11 SSIM windows.
