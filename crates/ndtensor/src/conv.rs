@@ -15,7 +15,7 @@
 //! output tensors come from [`crate::scratch`], so a warmed pipeline
 //! performs no per-frame heap allocation.
 
-use crate::kernels::{all_finite, conv_panel, conv_panel_stride, pack_at};
+use crate::kernels::{conv_panel, conv_panel_stride, pack_at};
 use crate::par::{try_for_each_block, try_parallel_map};
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -201,12 +201,13 @@ fn im2col_core(
     }
 }
 
-/// Writes the transposed column matrix for one sample into a zeroed
-/// `out`: row `p = oy·ow + ox` at `out[p · ld..]` holds output pixel
-/// `p`'s receptive field in im2col row order `(ci, ky, kx)`, with `ld ≥
-/// c·kh·kw`. Only in-bounds taps are written, so padding taps and the
-/// pad columns of each row keep their zeros. Geometry must be validated
-/// by the caller.
+/// Writes the transposed column matrix for one sample: row `p = oy·ow +
+/// ox` at `out[p · ld..]` holds output pixel `p`'s receptive field in
+/// im2col row order `(ci, ky, kx)`, with `ld ≥ c·kh·kw`. Assigns every
+/// element of `out` (padding taps and the `ld − c·kh·kw` pad columns of
+/// each row become zeros), so the buffer needs no pre-zeroing; only
+/// pixels whose field crosses the padding zero any taps. Geometry must be
+/// validated by the caller.
 ///
 /// Each `(ci, ky)` run of taps is one copy from an input row, clipped to
 /// the valid `kx` range of the pixel's column. Kernel widths 3 and 5
@@ -262,24 +263,32 @@ fn im2col_t_runs<const KW: usize>(
         let ky_hi = (h + ph).saturating_sub(y0).min(kh).max(ky_lo);
         for ox in 0..ow {
             let p = oy * ow + ox;
-            let taps = &mut out[p * ld..p * ld + kdim];
+            let (taps, pad) = out[p * ld..(p + 1) * ld].split_at_mut(kdim);
+            pad.fill(0.0);
             // Tap kx reads input column x0 + kx − pw.
             let x0 = ox * sw;
             let kx_lo = pw.saturating_sub(x0).min(kw);
-            let kx_hi = (w + pw).saturating_sub(x0).min(kw);
-            if kx_lo >= kx_hi {
-                continue;
-            }
-            let (ix, len) = (x0 + kx_lo - pw, kx_hi - kx_lo);
+            let kx_hi = (w + pw).saturating_sub(x0).min(kw).max(kx_lo);
+            let (ix, len) = ((x0 + kx_lo).saturating_sub(pw), kx_hi - kx_lo);
+            let clipped = ky_lo > 0 || ky_hi < kh || len < kw;
             for ci in 0..c {
                 let plane = &sample[ci * h * w..(ci + 1) * h * w];
-                for ky in ky_lo..ky_hi {
-                    let src = &plane[(y0 + ky - ph) * w + ix..];
-                    let run = (ci * kh + ky) * kw + kx_lo;
-                    if KW != 0 && len == KW {
-                        taps[run..run + KW].copy_from_slice(&src[..KW]);
+                for ky in 0..kh {
+                    let run = &mut taps[(ci * kh + ky) * kw..(ci * kh + ky + 1) * kw];
+                    if !clipped {
+                        let src = &plane[(y0 + ky - ph) * w + ix..];
+                        if KW != 0 {
+                            run[..KW].copy_from_slice(&src[..KW]);
+                        } else {
+                            run.copy_from_slice(&src[..kw]);
+                        }
+                    } else if ky < ky_lo || ky >= ky_hi || len == 0 {
+                        run.fill(0.0);
                     } else {
-                        taps[run..run + len].copy_from_slice(&src[..len]);
+                        let src = &plane[(y0 + ky - ph) * w + ix..];
+                        run[..kx_lo].fill(0.0);
+                        run[kx_lo..kx_hi].copy_from_slice(&src[..len]);
+                        run[kx_hi..].fill(0.0);
                     }
                 }
             }
@@ -670,13 +679,16 @@ pub struct Conv2dGrads {
 ///
 /// * `dW = gOut · colsᵀ` over a padded transposed column panel
 ///   (`[oh·ow, c·kh·kw]`, [`im2col_t_core`]). Each element is one chain
-///   from `0.0` over the output pixels, ascending — the never-skipping
-///   chain. Zero `gOut` terms are skipped only when the sample, and so
-///   the panel, is all finite, where a skipped term is `±0.0` and
-///   changes no bit.
+///   from `0.0` over the output pixels, ascending, with every term formed
+///   — the never-skipping chain, on the kernel's branch-free loop.
 /// * `dCols = Wᵀ · gOut` over a padded copy of `gOut`, skipping exact-zero
 ///   weights — the zero-skipping chain — then
 ///   scattered back by [`col2im_core`].
+///
+/// The panels and both products are taken stale from the scratch pool:
+/// the lowering and the copy assign their panels in full, pad columns
+/// included, and [`conv_panel`] assigns every output element. Only the
+/// input gradient, which [`col2im_core`] accumulates into, starts zeroed.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_backward_impl(
     input: &Tensor,
@@ -722,22 +734,22 @@ fn conv2d_backward_impl(
     let per_sample = try_parallel_map(n, work, |ni| -> Result<SampleGrads> {
         let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
         let gout = &god[ni * out_len..(ni + 1) * out_len];
-        let mut cols_t = scratch::take_zeroed(ncols * ld_cols);
+        let mut cols_t = scratch::take_stale(ncols * ld_cols);
         im2col_t_core(sample, c, h, w, kh, kw, spec, oh, ow, ld_cols, &mut cols_t);
-        let mut dw = scratch::take_zeroed(f * kdim);
-        // The panel holds sample values and zeros only.
-        let skip = all_finite(sample);
-        conv_panel(gout, f, ncols, &cols_t, ld_cols, kdim, None, skip, &mut dw);
+        let mut dw = scratch::take_stale(f * kdim);
+        conv_panel(gout, f, ncols, &cols_t, ld_cols, kdim, None, false, &mut dw);
         scratch::give(cols_t);
         let dsample = with_input.then(|| {
-            let mut gpanel = scratch::take_zeroed(f * ld_gout);
+            let mut gpanel = scratch::take_stale(f * ld_gout);
             for (dst, src) in gpanel
                 .chunks_exact_mut(ld_gout)
                 .zip(gout.chunks_exact(ncols))
             {
-                dst[..ncols].copy_from_slice(src);
+                let (row, pad) = dst.split_at_mut(ncols);
+                row.copy_from_slice(src);
+                pad.fill(0.0);
             }
-            let mut dcols = scratch::take_zeroed(kdim * ncols);
+            let mut dcols = scratch::take_stale(kdim * ncols);
             conv_panel(
                 &wt, kdim, f, &gpanel, ld_gout, ncols, None, true, &mut dcols,
             );
@@ -1223,7 +1235,7 @@ mod tests {
             seed in 0u64..500
         ) {
             // Row p of the padded transposed panel is column p of im2col,
-            // followed by zero pad columns.
+            // followed by zero pad columns, over a NaN-filled buffer.
             prop_assume!(h + 2 * ph >= kh && w + 2 * pw >= kw);
             let spec = Conv2dSpec::new((sh, sw), (ph, pw));
             let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
@@ -1231,7 +1243,7 @@ mod tests {
             let cols = im2col(&x, c, h, w, kh, kw, spec).unwrap();
             let (kdim, ncols) = (c * kh * kw, oh * ow);
             let ld = conv_panel_stride(kdim);
-            let mut panel = vec![0.0f32; ncols * ld];
+            let mut panel = vec![f32::NAN; ncols * ld];
             im2col_t_core(&x, c, h, w, kh, kw, spec, oh, ow, ld, &mut panel);
             for p in 0..ncols {
                 for r in 0..ld {

@@ -176,13 +176,56 @@ impl Tensor {
     /// Rescales values linearly so the minimum maps to 0 and the maximum
     /// to 1. A constant tensor maps to all zeros.
     pub fn normalize_minmax(&self) -> Tensor {
-        let lo = self.min_value();
-        let hi = self.max_value();
+        let mut out = self.clone();
+        out.normalize_minmax_in_place();
+        out
+    }
+
+    /// [`Tensor::normalize_minmax`] in place: `(v − lo) · inv` per element
+    /// with `inv = 1 / (hi − lo)`, or all zeros when `lo`/`hi` are not
+    /// finite or `hi <= lo`.
+    ///
+    /// `min`/`max` ignore NaN, and over the rest they are order-free except
+    /// for the sign of a zero result, so they are taken over 16 lanes at
+    /// once. The sign of `hi` never matters (`hi − lo` and `hi <= lo` do not
+    /// see it); the sign of a zero `lo` only matters to a `-0.0` element
+    /// (`-0.0 − 0.0` is `-0.0`, `-0.0 − -0.0` is `+0.0`). So when `lo` is zero
+    /// and some element is `-0.0`, `lo` is taken from the serial fold of
+    /// [`Tensor::min_value`] instead, and the result has the bits of that
+    /// two-pass definition.
+    pub fn normalize_minmax_in_place(&mut self) {
+        const LANES: usize = 16;
+        let data = self.as_mut_slice();
+        let mut lo = [f32::INFINITY; LANES];
+        let mut hi = [f32::NEG_INFINITY; LANES];
+        let mut neg_zero = [false; LANES];
+        let mut chunks = data.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for l in 0..LANES {
+                lo[l] = lo[l].min(chunk[l]);
+                hi[l] = hi[l].max(chunk[l]);
+                neg_zero[l] |= chunk[l].to_bits() == (-0.0f32).to_bits();
+            }
+        }
+        for (l, &v) in chunks.remainder().iter().enumerate() {
+            lo[l] = lo[l].min(v);
+            hi[l] = hi[l].max(v);
+            neg_zero[l] |= v.to_bits() == (-0.0f32).to_bits();
+        }
+        let mut lo = lo.iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = hi.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        // sncheck:allow(no-float-eq): exact test for a zero of either sign.
+        if lo == 0.0 && neg_zero.contains(&true) {
+            lo = data.iter().copied().fold(f32::INFINITY, f32::min);
+        }
         if !lo.is_finite() || !hi.is_finite() || hi <= lo {
-            return Tensor::zeros(self.shape().clone());
+            data.fill(0.0);
+            return;
         }
         let inv = 1.0 / (hi - lo);
-        self.map(|v| (v - lo) * inv)
+        for v in data {
+            *v = (*v - lo) * inv;
+        }
     }
 
     /// `true` if any element is NaN or infinite.
@@ -356,6 +399,62 @@ mod tests {
         assert_eq!(a.normalize_minmax().as_slice(), &[0., 0.5, 1.]);
         let c = t(vec![3., 3., 3.]);
         assert_eq!(c.normalize_minmax().as_slice(), &[0., 0., 0.]);
+    }
+
+    /// The two-pass definition the lane-parallel normaliser must match:
+    /// serial `min`/`max` folds, then one pass of `(v − lo) · inv`.
+    fn two_pass_normalize(t: &Tensor) -> Tensor {
+        let lo = t.as_slice().iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = t
+            .as_slice()
+            .iter()
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max);
+        if !lo.is_finite() || !hi.is_finite() || hi <= lo {
+            return Tensor::zeros(t.shape().clone());
+        }
+        let inv = 1.0 / (hi - lo);
+        Tensor::from_fn(t.shape().clone(), |i| (t.at(i).unwrap() - lo) * inv)
+    }
+
+    /// The lane-parallel normalisation gives the two-pass fold's bits:
+    /// lengths around the lane count, maps whose minimum is a zero of
+    /// either sign with `-0.0` elements, negatives, NaN, ±∞, constant and
+    /// empty maps.
+    #[test]
+    fn normalize_minmax_matches_two_pass_fold_bitwise() {
+        let bits = |t: &Tensor| -> Vec<u32> {
+            t.as_slice()
+                .iter()
+                .map(|v| {
+                    if v.is_nan() {
+                        f32::NAN.to_bits()
+                    } else {
+                        v.to_bits()
+                    }
+                })
+                .collect()
+        };
+        let palettes: [&[f32]; 6] = [
+            &[0.0, -0.0, 0.25, 1.5, 0.75],
+            &[-0.0, 0.0, 3.0],
+            &[-2.0, -0.0, 0.0, 4.0, 1.0],
+            &[0.5, f32::NAN, 2.0, -0.0],
+            &[1.0, f32::INFINITY, 0.0],
+            &[0.3],
+        ];
+        for (p, palette) in palettes.iter().enumerate() {
+            for len in [0usize, 1, 15, 16, 17, 33, 9600] {
+                for shift in 0..palette.len() {
+                    let t = Tensor::from_fn([len], |i| palette[(i[0] * 7 + shift) % palette.len()]);
+                    let expect = bits(&two_pass_normalize(&t));
+                    assert_eq!(bits(&t.normalize_minmax()), expect, "palette {p} len {len}");
+                    let mut in_place = t.clone();
+                    in_place.normalize_minmax_in_place();
+                    assert_eq!(bits(&in_place), expect, "palette {p} len {len}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,21 +55,78 @@ pub fn resize_nearest(map: &Tensor, out_h: usize, out_w: usize) -> Result<Tensor
     Tensor::from_vec([out_h, out_w], out)
 }
 
-/// Per-column bilinear taps `(x0, x1, tx)` of [`resize_bilinear`],
-/// reused across calls so a warmed stream computes them without heap
-/// allocation.
-type ColumnTaps = Vec<(usize, usize, f32)>;
+/// Column taps of [`resize_bilinear`], reused across calls so a warmed
+/// stream computes them without heap allocation. Output column `ox` reads
+/// source columns `x0[ox]` and `x1[ox]` with weight `tx[ox]` on the second.
+#[derive(Default)]
+struct ColumnTaps {
+    x0: Vec<usize>,
+    x1: Vec<usize>,
+    tx: Vec<f32>,
+    /// Output columns `lo..hi` in order, each with `Some(x0 of lo)` when
+    /// every column of the segment reads taps `(x0 + i, x0 + i + 1)`.
+    segments: Vec<(usize, usize, Option<usize>)>,
+}
+
+/// Shortest column run [`resize_bilinear`] reads as contiguous slices;
+/// shorter runs take the per-column path. No production shape depends on
+/// the value: the VisualBackProp walk's one-pixel upscales form a single
+/// run over all but the two edge columns, and a downscale moves `x0` by
+/// more than one every column or two.
+const MIN_RUN: usize = 4;
+
+impl ColumnTaps {
+    fn build(&mut self, w: usize, out_w: usize) {
+        let scale_x = w as f32 / out_w as f32;
+        self.x0.clear();
+        self.x1.clear();
+        self.tx.clear();
+        for ox in 0..out_w {
+            let fx = ((ox as f32 + 0.5) * scale_x - 0.5).clamp(0.0, (w - 1) as f32);
+            let x0 = fx.floor() as usize;
+            self.x0.push(x0);
+            self.x1.push((x0 + 1).min(w - 1));
+            self.tx.push(fx - x0 as f32);
+        }
+        self.segments.clear();
+        let mut ox = 0;
+        while ox < out_w {
+            // The longest run from `ox` whose taps step by one column.
+            let start = self.x0[ox];
+            let run = self.x0[ox..]
+                .iter()
+                .zip(&self.x1[ox..])
+                .enumerate()
+                .take_while(|&(i, (&a, &b))| a == start + i && b == a + 1)
+                .count();
+            if run >= MIN_RUN {
+                self.segments.push((ox, ox + run, Some(start)));
+                ox += run;
+            } else {
+                match self.segments.last_mut() {
+                    Some((_, hi, None)) if *hi == ox => *hi += 1,
+                    _ => self.segments.push((ox, ox + 1, None)),
+                }
+                ox += 1;
+            }
+        }
+    }
+}
 
 thread_local! {
-    static COLUMN_TAPS: RefCell<ColumnTaps> = const { RefCell::new(Vec::new()) };
+    static COLUMN_TAPS: RefCell<ColumnTaps> = RefCell::new(ColumnTaps::default());
 }
 
 /// Bilinear resize of a `[H, W]` map to `[out_h, out_w]` with half-pixel
 /// centre alignment.
 ///
 /// The column taps depend only on `ox`, so they are computed once per
-/// call rather than once per pixel; every output pixel is the same
-/// expression on the same operands as a per-pixel evaluation.
+/// call rather than once per pixel. Runs of columns whose taps are
+/// `(x0 + i, x0 + i + 1)` — all of an upscale by a few pixels, as in the
+/// VisualBackProp walk — read their source rows as contiguous slices the
+/// compiler vectorises; other columns take the per-column path. Either
+/// way every output pixel is the same expression on the same operands as
+/// a per-pixel evaluation.
 ///
 /// # Errors
 ///
@@ -78,29 +135,45 @@ pub fn resize_bilinear(map: &Tensor, out_h: usize, out_w: usize) -> Result<Tenso
     let (h, w) = require_map(map, "resize_bilinear")?;
     require_target(out_h, out_w, "resize_bilinear")?;
     let data = map.as_slice();
-    let mut out = scratch::take(out_h * out_w);
+    // Every element is assigned below, segment by segment.
+    let mut out = scratch::take_stale(out_h * out_w);
     let scale_y = h as f32 / out_h as f32;
-    let scale_x = w as f32 / out_w as f32;
     COLUMN_TAPS.with(|taps| {
         let mut taps = taps.borrow_mut();
-        taps.clear();
-        taps.extend((0..out_w).map(|ox| {
-            let fx = ((ox as f32 + 0.5) * scale_x - 0.5).clamp(0.0, (w - 1) as f32);
-            let x0 = fx.floor() as usize;
-            (x0, (x0 + 1).min(w - 1), fx - x0 as f32)
-        }));
-        for oy in 0..out_h {
+        taps.build(w, out_w);
+        for (oy, orow) in out.chunks_exact_mut(out_w).enumerate() {
             let fy = ((oy as f32 + 0.5) * scale_y - 0.5).clamp(0.0, (h - 1) as f32);
             let y0 = fy.floor() as usize;
             let y1 = (y0 + 1).min(h - 1);
             let ty = fy - y0 as f32;
             let row0 = &data[y0 * w..(y0 + 1) * w];
             let row1 = &data[y1 * w..(y1 + 1) * w];
-            out.extend(taps.iter().map(|&(x0, x1, tx)| {
-                let top = row0[x0] * (1.0 - tx) + row0[x1] * tx;
-                let bot = row1[x0] * (1.0 - tx) + row1[x1] * tx;
-                top * (1.0 - ty) + bot * ty
-            }));
+            for &(lo, hi, run) in &taps.segments {
+                let dst = &mut orow[lo..hi];
+                match run {
+                    Some(x0) => {
+                        let n = hi - lo;
+                        let (a0, b0) = (&row0[x0..x0 + n], &row0[x0 + 1..x0 + 1 + n]);
+                        let (a1, b1) = (&row1[x0..x0 + n], &row1[x0 + 1..x0 + 1 + n]);
+                        let tx = &taps.tx[lo..hi];
+                        for i in 0..n {
+                            let t = tx[i];
+                            let top = a0[i] * (1.0 - t) + b0[i] * t;
+                            let bot = a1[i] * (1.0 - t) + b1[i] * t;
+                            dst[i] = top * (1.0 - ty) + bot * ty;
+                        }
+                    }
+                    None => {
+                        let cols = taps.x0[lo..hi].iter().zip(&taps.x1[lo..hi]);
+                        for ((d, (&x0, &x1)), &t) in dst.iter_mut().zip(cols).zip(&taps.tx[lo..hi])
+                        {
+                            let top = row0[x0] * (1.0 - t) + row0[x1] * t;
+                            let bot = row1[x0] * (1.0 - t) + row1[x1] * t;
+                            *d = top * (1.0 - ty) + bot * ty;
+                        }
+                    }
+                }
+            }
         }
     });
     Tensor::from_vec([out_h, out_w], out)
@@ -113,6 +186,16 @@ pub fn resize_bilinear(map: &Tensor, out_h: usize, out_w: usize) -> Result<Tenso
 /// This mirrors the deconvolution step in VisualBackProp, which scales an
 /// averaged feature map up through the geometry of the convolution layer it
 /// came from. The output size is `(h-1)*sh + kh` by `(w-1)*sw + kw`.
+///
+/// Each output is gathered: `+0.0` plus its sources in source raster
+/// order (`y` ascending, then `x` ascending), the order a per-source
+/// scatter adds them in. Output column `ox = q·sw + p` takes sources
+/// `x = q − d` for `d < ⌈(kw − p)/sw⌉`, so the columns of one phase `p`
+/// share their tap pattern and are summed in register blocks of
+/// consecutive columns over zero-padded source rows, then interleaved
+/// into the output row. A padding zero is `+0.0`: a sum
+/// that starts at `+0.0` never becomes `-0.0`, so adding it changes no
+/// bit, NaN and `±∞` included (only a NaN's payload is unspecified).
 ///
 /// # Errors
 ///
@@ -133,53 +216,102 @@ pub fn upsample_sum(map: &Tensor, kh: usize, kw: usize, sh: usize, sw: usize) ->
     }
     let out_h = (h - 1) * sh + kh;
     let out_w = (w - 1) * sw + kw;
-    let data = map.as_slice();
-    let mut out = scratch::take(out_h * out_w);
-    out.resize(out_h * out_w, 0.0);
-    // Row passes: source row `y` is added into output row `y·sh + ky`
-    // at column offset `kx`, every `sw`-th column. An output element's
-    // contributions come from sources `(y, x)` with `kx = ox − x·sw`, so
-    // ascending `y` with descending `kx` adds them in source raster
-    // order, as a per-source scatter would. There is no exact-zero skip:
-    // every sum starts at `+0.0` and a sum that starts there never
-    // becomes `-0.0`, so adding `±0.0` leaves its bits unchanged.
-    for (y, src) in data.chunks_exact(w).enumerate() {
-        for ky in 0..kh {
-            let oy = y * sh + ky;
-            let row = &mut out[oy * out_w..(oy + 1) * out_w];
-            for kx in (0..kw).rev() {
-                add_strided(&mut row[kx..], src, sw);
+    // Each source row with `lead` zeros on both sides: phase-0 column `q`
+    // reads `x = q − d` for `d ≤ lead` and `q ≤ w − 1 + lead`.
+    let lead = (kw - 1) / sw;
+    let pw = w + 2 * lead;
+    let mut padded = scratch::take_zeroed(h * pw);
+    for (dst, src) in padded
+        .chunks_exact_mut(pw)
+        .zip(map.as_slice().chunks_exact(w))
+    {
+        dst[lead..lead + w].copy_from_slice(src);
+    }
+    // One accumulator row per phase; phase 0 has the most columns.
+    let qn = out_w.div_ceil(sw);
+    let mut acc = scratch::take_stale(sw * qn);
+    // Every element is assigned below, row by row.
+    let mut out = scratch::take_stale(out_h * out_w);
+    for (oy, orow) in out.chunks_exact_mut(out_w).enumerate() {
+        // Source rows `y` with `oy − y·sh` in `0..kh`, ascending.
+        let y_lo = (oy + 1).saturating_sub(kh).div_ceil(sh);
+        let y_hi = (oy / sh + 1).min(h);
+        for (p, phase) in acc.chunks_exact_mut(qn).enumerate() {
+            let n = (out_w - p.min(out_w)).div_ceil(sw);
+            let taps = kw.saturating_sub(p).div_ceil(sw);
+            let rows = &padded[y_lo * pw..y_hi.max(y_lo) * pw];
+            // Column `q` of this phase sums `row[lead − d + q]` for `d`
+            // descending: from `start = lead + 1 − taps` on, ascending.
+            let start = lead + 1 - taps;
+            let mut blocks = phase[..n].chunks_exact_mut(BLOCK);
+            for (b, block) in (&mut blocks).enumerate() {
+                block.copy_from_slice(&gather_block::<BLOCK>(rows, pw, start + b * BLOCK, taps));
+            }
+            let rest = blocks.into_remainder();
+            let q0 = n - rest.len();
+            rest.fill(0.0);
+            for row in rows.chunks_exact(pw) {
+                for t in 0..taps {
+                    for (a, &v) in rest.iter_mut().zip(&row[start + t + q0..]) {
+                        *a += v;
+                    }
+                }
             }
         }
+        interleave(orow, &acc, qn, sw);
     }
+    scratch::give(padded);
+    scratch::give(acc);
     Tensor::from_vec([out_h, out_w], out)
 }
 
-/// `dst[x · stride] += src[x]` for every `x`; `dst` must reach index
-/// `(src.len() − 1) · stride`. Strides 1 and 2 (every PilotNet conv) get
-/// a slice add and a fixed-width scatter the compiler can vectorise.
+/// Output columns per register block of [`upsample_sum`], enough
+/// independent chains to hide the adder's latency; the columns past the
+/// last full block are summed one slice pass per tap.
+const BLOCK: usize = 64;
+
+/// `W` consecutive phase columns of one output row, kept in registers:
+/// column `i` is `+0.0` plus, for each padded source row of `rows` (row
+/// stride `pw`) in order, its `taps` elements from `start + i` on.
 #[inline(always)]
-fn add_strided(dst: &mut [f32], src: &[f32], stride: usize) {
-    match stride {
-        1 => {
-            for (d, &v) in dst.iter_mut().zip(src) {
-                *d += v;
+fn gather_block<const W: usize>(rows: &[f32], pw: usize, start: usize, taps: usize) -> [f32; W] {
+    let mut acc = [0.0f32; W];
+    for row in rows.chunks_exact(pw) {
+        for t in 0..taps {
+            let src = &row[start + t..start + t + W];
+            for i in 0..W {
+                acc[i] += src[i];
             }
         }
-        2 => add_by(dst, src, 2),
-        _ => add_by(dst, src, stride),
     }
+    acc
 }
 
+/// `row[q·sw + p] = phases[p·qn + q]` for every column of `row`. Stride 2
+/// (every strided PilotNet conv) pairs the two phases in one contiguous
+/// pass the compiler vectorises.
 #[inline(always)]
-fn add_by(dst: &mut [f32], src: &[f32], stride: usize) {
-    let Some((&last, body)) = src.split_last() else {
-        return;
-    };
-    for (chunk, &v) in dst.chunks_exact_mut(stride).zip(body) {
-        chunk[0] += v;
+fn interleave(row: &mut [f32], phases: &[f32], qn: usize, sw: usize) {
+    match sw {
+        1 => row.copy_from_slice(&phases[..row.len()]),
+        2 => {
+            let mid = row.len() / 2;
+            let (even, odd) = phases.split_at(qn);
+            let mut pairs = row.chunks_exact_mut(2);
+            for (pair, (&a, &b)) in (&mut pairs).zip(even.iter().zip(odd)) {
+                pair[0] = a;
+                pair[1] = b;
+            }
+            if let [last] = pairs.into_remainder() {
+                *last = even[mid];
+            }
+        }
+        _ => {
+            for (ox, v) in row.iter_mut().enumerate() {
+                *v = phases[(ox % sw) * qn + ox / sw];
+            }
+        }
     }
-    dst[body.len() * stride] += last;
 }
 
 #[cfg(test)]
@@ -255,7 +387,7 @@ mod tests {
     }
 
     /// The per-source scatter with exact-zero skip this module used
-    /// before the row passes.
+    /// before the row passes and the gather.
     fn old_upsample_sum(map: &Tensor, kh: usize, kw: usize, sh: usize, sw: usize) -> Tensor {
         let (h, w) = (map.shape().dims()[0], map.shape().dims()[1]);
         let out_h = (h - 1) * sh + kh;
@@ -382,32 +514,63 @@ mod tests {
         assert!(upsample_sum(&Tensor::ones([2]), 1, 1, 1, 1).is_err());
     }
 
-    /// The VBP walk's geometries on the compact PilotNet, on hostile maps.
+    /// The VBP walk's five levels (compact and paper PilotNet share
+    /// them): conv5 and conv4 upsample a 4×17 mask through 3×3 stride 1,
+    /// conv3–conv1 through 5×5 stride 2, and the strided levels resize
+    /// 11×37, 27×77 and 59×159 up by one row and column. Hostile maps,
+    /// several seeds each.
     #[test]
     fn resample_matches_old_loops_on_vbp_shapes() {
-        for (seed, &(h, w, k, s)) in [
+        let levels = [
             (4usize, 17usize, 3usize, 1usize),
+            (4, 17, 3, 1),
+            (4, 17, 5, 2),
             (12, 37, 5, 2),
             (28, 78, 5, 2),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let m = hostile(h, w, seed as u64);
-            assert_eq!(
-                bits(&upsample_sum(&m, k, k, s, s).unwrap()),
-                bits(&old_upsample_sum(&m, k, k, s, s))
-            );
-            let (th, tw) = ((h - 1) * s + k + 1, (w - 1) * s + k + 1);
-            assert_eq!(
-                bits(&resize_bilinear(&m, th, tw).unwrap()),
-                bits(&old_resize_bilinear(&m, th, tw))
-            );
+        ];
+        for (level, &(h, w, k, s)) in levels.iter().enumerate() {
+            for seed in 0..8u64 {
+                let m = hostile(h, w, 100 * level as u64 + seed);
+                let up = upsample_sum(&m, k, k, s, s).unwrap();
+                assert_eq!(bits(&up), bits(&old_upsample_sum(&m, k, k, s, s)));
+                let (uh, uw) = ((h - 1) * s + k, (w - 1) * s + k);
+                assert_eq!(up.shape().dims(), &[uh, uw]);
+                if s > 1 {
+                    let u = hostile(uh, uw, 100 * level as u64 + seed + 50);
+                    assert_eq!(
+                        bits(&resize_bilinear(&u, uh + 1, uw + 1).unwrap()),
+                        bits(&old_resize_bilinear(&u, uh + 1, uw + 1))
+                    );
+                }
+            }
         }
     }
 
+    /// A stale output buffer from the pool is fully overwritten.
+    #[test]
+    fn resample_outputs_are_fully_assigned_from_a_poisoned_pool() {
+        let m = hostile(12, 37, 7);
+        for class in 0..=14 {
+            for _ in 0..8 {
+                scratch::give(vec![f32::NAN; 1 << class]);
+            }
+        }
+        assert_eq!(
+            bits(&upsample_sum(&m, 5, 5, 2, 2).unwrap()),
+            bits(&old_upsample_sum(&m, 5, 5, 2, 2))
+        );
+        assert_eq!(
+            bits(&upsample_sum(&m, 2, 2, 3, 3).unwrap()),
+            bits(&old_upsample_sum(&m, 2, 2, 3, 3))
+        );
+        assert_eq!(
+            bits(&resize_bilinear(&m, 13, 38).unwrap()),
+            bits(&old_resize_bilinear(&m, 13, 38))
+        );
+    }
+
     proptest! {
-        /// Row passes reproduce the per-source scatter bit-for-bit,
+        /// The gather reproduces the per-source scatter bit-for-bit,
         /// including the dropped exact-zero skip, on maps holding ±0.0,
         /// negatives, NaN and ±∞.
         #[test]
@@ -435,6 +598,42 @@ mod tests {
             prop_assert_eq!(
                 bits(&resize_bilinear(&m, oh, ow).unwrap()),
                 bits(&old_resize_bilinear(&m, oh, ow))
+            );
+        }
+
+        /// Near-identity upscales, where most columns form contiguous
+        /// tap runs, and wide maps up- and downsampled, on hostile maps.
+        #[test]
+        fn resize_bilinear_runs_match_old_loop_bitwise(
+            (h, w) in (1usize..12, 1usize..90),
+            (dh, dw) in (0usize..4, 0usize..4),
+            down in 0u8..2,
+            seed in 0u64..10_000
+        ) {
+            let m = hostile(h, w, seed);
+            let (oh, ow) = if down == 1 {
+                (h.saturating_sub(dh).max(1), w.saturating_sub(dw * 7).max(1))
+            } else {
+                (h + dh, w + dw)
+            };
+            prop_assert_eq!(
+                bits(&resize_bilinear(&m, oh, ow).unwrap()),
+                bits(&old_resize_bilinear(&m, oh, ow))
+            );
+        }
+
+        /// Wide maps through kernels wider and narrower than the stride,
+        /// so phases with no taps (gap columns) are covered too.
+        #[test]
+        fn upsample_sum_wide_maps_match_old_scatter_bitwise(
+            (h, w) in (1usize..5, 1usize..80),
+            (kh, kw, sh, sw) in (1usize..7, 1usize..7, 1usize..5, 1usize..5),
+            seed in 0u64..10_000
+        ) {
+            let m = hostile(h, w, seed);
+            prop_assert_eq!(
+                bits(&upsample_sum(&m, kh, kw, sh, sw).unwrap()),
+                bits(&old_upsample_sum(&m, kh, kw, sh, sw))
             );
         }
 

@@ -287,10 +287,15 @@ impl Tensor {
 
     /// Transposes a rank-2 tensor.
     ///
+    /// A pure copy in `32 × 32` tiles, so both the rows read and the rows
+    /// written stay in cache across a tile (a column-at-a-time walk of a
+    /// wide matrix touches a new cache line on every read).
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] when the tensor is not rank 2.
     pub fn transpose2d(&self) -> Result<Tensor> {
+        const TILE: usize = 32;
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 op: "transpose2d",
@@ -299,16 +304,21 @@ impl Tensor {
             });
         }
         let (r, c) = (self.shape.dims()[0], self.shape.dims()[1]);
-        let mut out = scratch::take(r * c);
-        for j in 0..c {
-            for i in 0..r {
-                out.push(self.data[i * c + j]);
+        // Every element is assigned below, tile by tile.
+        let mut out = Tensor::stale([c, r]);
+        let dst = out.as_mut_slice();
+        for i0 in (0..r).step_by(TILE) {
+            let i1 = (i0 + TILE).min(r);
+            for j0 in (0..c).step_by(TILE) {
+                for j in j0..(j0 + TILE).min(c) {
+                    let column = &mut dst[j * r + i0..j * r + i1];
+                    for (d, i) in column.iter_mut().zip(i0..i1) {
+                        *d = self.data[i * c + j];
+                    }
+                }
             }
         }
-        Ok(Tensor {
-            data: out,
-            shape: Shape::new([c, r]),
-        })
+        Ok(out)
     }
 }
 
@@ -400,6 +410,37 @@ mod tests {
         assert_eq!(tt.shape().dims(), &[3, 2]);
         assert_eq!(tt.as_slice(), &[1., 4., 2., 5., 3., 6.]);
         assert!(Tensor::zeros([2, 2, 2]).transpose2d().is_err());
+    }
+
+    /// The tiled copy equals the element-wise definition at shapes below,
+    /// at and off the tile size, over a NaN-poisoned pool.
+    #[test]
+    fn transpose2d_matches_elementwise_at_odd_shapes() {
+        for (r, c) in [
+            (1usize, 1usize),
+            (1, 70),
+            (70, 1),
+            (31, 33),
+            (32, 32),
+            (33, 65),
+            (64, 9600 / 64 + 3),
+        ] {
+            let t = Tensor::from_fn([r, c], |i| (i[0] * 1000 + i[1]) as f32 - 0.5);
+            for _ in 0..8 {
+                scratch::give(vec![f32::NAN; (r * c).next_power_of_two()]);
+            }
+            let tt = t.transpose2d().unwrap();
+            assert_eq!(tt.shape().dims(), &[c, r]);
+            for j in 0..c {
+                for i in 0..r {
+                    assert_eq!(
+                        tt.as_slice()[j * r + i].to_bits(),
+                        t.as_slice()[i * c + j].to_bits(),
+                        "{r}x{c} at ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

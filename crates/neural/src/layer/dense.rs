@@ -1,6 +1,6 @@
 use std::sync::OnceLock;
 
-use ndtensor::{matmul, matmul_a_bt, matmul_assign, matmul_at_b_acc, Tensor};
+use ndtensor::{matmul, matmul_a_bt, matmul_assign, matmul_at_b, matmul_at_b_acc, Tensor};
 use rand::Rng;
 
 use crate::layer::{Layer, LayerKind, ParamGrad};
@@ -23,8 +23,13 @@ use crate::{NeuralError, Result};
 /// bits are those of `x · W` computed one dot product at a time.
 ///
 /// The backward pass accumulates `dW += xᵀ·g` and returns `dx = g·Wᵀ`;
-/// [`Layer::backward_params`] skips `dx`. Detector files keep their own
-/// weight layout, which [`crate::serialize`] converts.
+/// [`Layer::backward_params`] skips `dx`. [`Layer::zero_grads`] leaves
+/// `dW` unwritten and marks it zero, and the next backward assigns `xᵀ·g`
+/// instead of adding it to zeros: the same bits, since the product's
+/// chains start at `+0.0` and so are never `-0.0`, and `0.0 + v` is `v`.
+/// [`Layer::params_and_grads`] writes the zeros first if no backward ran,
+/// so every reader sees zeros. Detector files keep their own weight
+/// layout, which [`crate::serialize`] converts.
 ///
 /// # Example
 ///
@@ -51,6 +56,9 @@ pub struct Dense {
     /// Every weight is finite, so exact-zero inputs may be skipped;
     /// derived on first use.
     finite: OnceLock<bool>,
+    /// `grad_weight` is logically all zeros but holds stale values:
+    /// [`Layer::zero_grads`] ran and no backward or reader since.
+    grad_weight_cleared: bool,
 }
 
 impl Dense {
@@ -103,6 +111,7 @@ impl Dense {
             grad_bias: gb,
             cached_input: None,
             finite: OnceLock::new(),
+            grad_weight_cleared: false,
         })
     }
 
@@ -192,9 +201,14 @@ impl Layer for Dense {
                 ),
             ));
         }
-        // dW += xᵀ·g, each element's product chain added once complete;
-        // db += column sums of g.
-        matmul_at_b_acc(&input, grad_output, &mut self.grad_weight)?;
+        // dW += xᵀ·g, each element's product chain added once complete
+        // (assigned when dW is all zeros); db += column sums of g.
+        if self.grad_weight_cleared {
+            self.grad_weight = matmul_at_b(&input, grad_output)?;
+            self.grad_weight_cleared = false;
+        } else {
+            matmul_at_b_acc(&input, grad_output, &mut self.grad_weight)?;
+        }
         let f = self.out_features();
         let g = grad_output.as_slice();
         let gb = self.grad_bias.as_mut_slice();
@@ -209,6 +223,10 @@ impl Layer for Dense {
     fn params_and_grads(&mut self) -> Vec<ParamGrad<'_>> {
         // The caller may write the weights: the flag would go stale.
         self.finite = OnceLock::new();
+        if self.grad_weight_cleared {
+            self.grad_weight.as_mut_slice().fill(0.0);
+            self.grad_weight_cleared = false;
+        }
         vec![
             ParamGrad {
                 param: &mut self.weight,
@@ -223,9 +241,9 @@ impl Layer for Dense {
 
     /// Clears the gradients without [`Layer::params_and_grads`], so the
     /// all-finite flag survives: gradient saliency zeroes grads every
-    /// frame.
+    /// frame. `dW` is only marked zero; see the type's docs.
     fn zero_grads(&mut self) {
-        self.grad_weight.map_inplace(|_| 0.0);
+        self.grad_weight_cleared = true;
         self.grad_bias.map_inplace(|_| 0.0);
     }
 
@@ -678,6 +696,96 @@ mod tests {
         layer.zero_grads();
         let pgs = layer.params_and_grads();
         assert_eq!(pgs[1].grad.as_slice()[0], 0.0);
+        assert!(pgs[0].grad.as_slice().iter().all(|v| v.to_bits() == 0));
+    }
+
+    /// `zero_grads` followed by a backward assigns `dW = xᵀ·g`, with the
+    /// bits of writing zeros and accumulating onto them (as `zero_grads`
+    /// did before): over two training steps, each followed by a second
+    /// backward that accumulates onto the assigned `dW`, through both
+    /// backward entry points, with NaN, ±∞ and ±0.0 in `x` and `g`. A
+    /// reader between `zero_grads` and the backward sees zeros.
+    #[test]
+    fn zero_grads_then_backward_matches_zero_then_accumulate() {
+        let nan_bits = |t: &Tensor| -> Vec<u32> {
+            t.as_slice()
+                .iter()
+                .map(|v| {
+                    if v.is_nan() {
+                        f32::NAN.to_bits()
+                    } else {
+                        v.to_bits()
+                    }
+                })
+                .collect()
+        };
+        let (m, inp, out) = (5usize, 70usize, 65usize);
+        let (w, b) = (pseudo(inp * out, 60, 0), pseudo(out, 61, 0));
+        let mut fast = layer_with(w.clone(), b.clone(), inp, out);
+        let mut slow = layer_with(w, b, inp, out);
+        let hostile = |seed: u64, len: usize, specials: &[(usize, f32)]| {
+            let mut v = zero_heavy(1, len, seed);
+            for (i, x) in pseudo(len, seed + 1, 0).into_iter().enumerate() {
+                if i % 3 == 0 {
+                    v[i] = x;
+                }
+            }
+            for &(at, s) in specials {
+                v[at % len] = s;
+            }
+            v
+        };
+        for step in 0..2u64 {
+            let seed = 70 + 10 * step;
+            let specials = [(3, f32::NAN), (10, -0.0), (20, f32::INFINITY), (41, 0.0)];
+            let x = Tensor::from_vec([m, inp], hostile(seed, m * inp, &specials)).unwrap();
+            let g_specials = [(1, -0.0), (7, f32::NAN), (9, f32::NEG_INFINITY), (30, 0.0)];
+            let g = Tensor::from_vec([m, out], hostile(seed + 2, m * out, &g_specials)).unwrap();
+            let x2 = Tensor::from_vec([m, inp], pseudo(m * inp, seed + 4, 3)).unwrap();
+            let g2 = Tensor::from_vec([m, out], pseudo(m * out, seed + 5, 2)).unwrap();
+
+            fast.zero_grads();
+            slow.zero_grads();
+            for pg in slow.params_and_grads() {
+                pg.grad.as_mut_slice().fill(0.0);
+            }
+            assert!(slow.grad_weight.as_slice().iter().all(|v| v.to_bits() == 0));
+            fast.forward_train(&x).unwrap();
+            slow.forward_train(&x).unwrap();
+            if step == 0 {
+                fast.backward_params(&g).unwrap();
+                slow.backward_params(&g).unwrap();
+            } else {
+                fast.backward(&g).unwrap();
+                slow.backward(&g).unwrap();
+            }
+            let label = format!("step {step}");
+            assert_eq!(
+                nan_bits(&fast.grad_weight),
+                nan_bits(&slow.grad_weight),
+                "{label} dW"
+            );
+            assert_eq!(
+                nan_bits(&fast.grad_bias),
+                nan_bits(&slow.grad_bias),
+                "{label} db"
+            );
+
+            fast.forward_train(&x2).unwrap();
+            slow.forward_train(&x2).unwrap();
+            fast.backward_params(&g2).unwrap();
+            slow.backward_params(&g2).unwrap();
+            assert_eq!(
+                nan_bits(&fast.grad_weight),
+                nan_bits(&slow.grad_weight),
+                "{label} dW acc"
+            );
+            assert_eq!(
+                nan_bits(&fast.grad_bias),
+                nan_bits(&slow.grad_bias),
+                "{label} db acc"
+            );
+        }
     }
 
     /// `dW` accumulates in the stored gradient: two `backward_params`

@@ -265,6 +265,10 @@ impl FrameGate {
                 got,
             });
         }
+        if screen(frame.as_slice(), &self.config) {
+            return self.stuck_fault(run);
+        }
+        // The serial classification: the screen could not decide alone.
         let mut non_finite = 0usize;
         let mut min = f32::INFINITY;
         let mut max = f32::NEG_INFINITY;
@@ -291,10 +295,14 @@ impl FrameGate {
         if mean >= self.config.saturated_mean {
             return Some(FrameFault::Saturated);
         }
-        if self.config.stuck_after > 0 && run > self.config.stuck_after {
-            return Some(FrameFault::StuckFrame { run });
-        }
-        None
+        self.stuck_fault(run)
+    }
+
+    /// The last check of [`FrameGate::admit`], on a frame that passed the
+    /// pixel checks.
+    fn stuck_fault(&self, run: usize) -> Option<FrameFault> {
+        (self.config.stuck_after > 0 && run > self.config.stuck_after)
+            .then_some(FrameFault::StuckFrame { run })
     }
 
     /// Forgets the stuck-frame history (e.g. after a camera restart).
@@ -302,6 +310,64 @@ impl FrameGate {
         self.last_dims = None;
         self.run = 0;
     }
+}
+
+/// Lanes of the [`screen`] pass.
+const LANES: usize = 16;
+
+/// One lane-parallel pass over a frame of the expected size: `true` when
+/// the frame certainly passes the finiteness, range, black and saturated
+/// checks of [`FrameGate::admit`], so the serial classification would
+/// reach the stuck check. `false` means "not certain", never a verdict:
+/// the caller then runs the serial loop, so every fault and its payload
+/// come from that loop alone.
+///
+/// The pass keeps per-lane non-finite flags, `min`/`max` and `f64` sums.
+/// Finite `min`/`max` are order-free, so the range check is exact. The
+/// lane sum `s` differs from the serial chain by reordering only: both
+/// are within `γ_{n−1}·Σ|x|` of the exact sum (`γ_k ≈ k·2⁻⁵³`), and
+/// `Σ|x| ≤ n·max|x|`. The screen widens `s` by `8·n·2⁻⁵³·n·max|x|`, over
+/// four times that gap, so the rounding of the widening itself is
+/// covered too. When the widened interval, divided by `n`, lies above
+/// the `f32` value next above `black_mean` and below the one next below
+/// `saturated_mean`, the serial mean — rounded to `f64` and then to
+/// `f32`, both monotone — lies strictly between the two thresholds.
+fn screen(pixels: &[f32], config: &GateConfig) -> bool {
+    let mut bad = [0u32; LANES];
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let mut sum = [0.0f64; LANES];
+    let mut chunks = pixels.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for l in 0..LANES {
+            let v = chunk[l];
+            bad[l] |= u32::from(!v.is_finite());
+            lo[l] = lo[l].min(v);
+            hi[l] = hi[l].max(v);
+            sum[l] += f64::from(v);
+        }
+    }
+    for (l, &v) in chunks.remainder().iter().enumerate() {
+        bad[l] |= u32::from(!v.is_finite());
+        lo[l] = lo[l].min(v);
+        hi[l] = hi[l].max(v);
+        sum[l] += f64::from(v);
+    }
+    if bad.iter().any(|&b| b != 0) {
+        return false;
+    }
+    let min = lo.iter().copied().fold(f32::INFINITY, f32::min);
+    let max = hi.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    if min < config.min_pixel || max > config.max_pixel {
+        return false;
+    }
+    let n = pixels.len() as f64;
+    let s: f64 = sum.iter().sum();
+    let abs_bound = n * f64::from(min.abs().max(max.abs()));
+    let slack = 8.0 * n * f64::EPSILON / 2.0 * abs_bound;
+    let (mean_lo, mean_hi) = ((s - slack) / n, (s + slack) / n);
+    mean_lo > f64::from(config.black_mean.next_up())
+        && mean_hi < f64::from(config.saturated_mean.next_down())
 }
 
 /// Whether two pixel buffers are bit-identical. Compares 64-pixel blocks
@@ -511,6 +577,224 @@ mod tests {
             let _ = g.admit(Some(&nan));
         }
         assert_eq!(g.run, 3);
+    }
+
+    /// `FrameGate::admit` as it was before the screen: one serial loop
+    /// classifies every frame.
+    struct SerialGate {
+        config: GateConfig,
+        last: Option<((usize, usize), Vec<u32>)>,
+        run: usize,
+    }
+
+    impl SerialGate {
+        fn new(config: GateConfig) -> Self {
+            SerialGate {
+                config,
+                last: None,
+                run: 0,
+            }
+        }
+
+        fn admit(&mut self, frame: Option<&Image>) -> Option<FrameFault> {
+            let Some(frame) = frame else {
+                return Some(FrameFault::MissingFrame);
+            };
+            let got = (frame.height(), frame.width());
+            let pixels: Vec<u32> = frame.as_slice().iter().map(|v| v.to_bits()).collect();
+            let run = match &self.last {
+                Some((dims, last)) if *dims == got && *last == pixels => self.run + 1,
+                _ => {
+                    self.last = Some((got, pixels));
+                    1
+                }
+            };
+            self.run = run;
+            if got != self.config.expected {
+                return Some(FrameFault::WrongDimensions {
+                    expected: self.config.expected,
+                    got,
+                });
+            }
+            let mut non_finite = 0usize;
+            let mut min = f32::INFINITY;
+            let mut max = f32::NEG_INFINITY;
+            let mut sum = 0.0f64;
+            for &px in frame.as_slice() {
+                if !px.is_finite() {
+                    non_finite += 1;
+                    continue;
+                }
+                min = min.min(px);
+                max = max.max(px);
+                sum += px as f64;
+            }
+            if non_finite > 0 {
+                return Some(FrameFault::NonFinitePixels { count: non_finite });
+            }
+            if min < self.config.min_pixel || max > self.config.max_pixel {
+                return Some(FrameFault::OutOfRangePixels { min, max });
+            }
+            let mean = (sum / frame.len() as f64) as f32;
+            if mean <= self.config.black_mean {
+                return Some(FrameFault::AllBlack);
+            }
+            if mean >= self.config.saturated_mean {
+                return Some(FrameFault::Saturated);
+            }
+            if self.config.stuck_after > 0 && run > self.config.stuck_after {
+                return Some(FrameFault::StuckFrame { run });
+            }
+            None
+        }
+    }
+
+    /// A fault with its `f32` payloads as bits, so `-0.0` differs from
+    /// `0.0`.
+    fn fault_bits(f: Option<FrameFault>) -> Option<(FrameFault, u32, u32)> {
+        f.map(|f| match f {
+            FrameFault::OutOfRangePixels { min, max } => (f, min.to_bits(), max.to_bits()),
+            _ => (f, 0, 0),
+        })
+    }
+
+    /// Frames of `h × w` pixels around the gate's edges: near-constant
+    /// frames whose mean sits at each threshold and a few ulps either
+    /// side, pixels at, and one ulp beyond, each range bound, NaN, ±∞ and
+    /// `-0.0` pixels, all-zero frames and repeats (stuck runs).
+    fn edge_frames(h: usize, w: usize, config: &GateConfig, seed: u64) -> Vec<Image> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let ulps = |v: f32, k: i32| {
+            (0..k.unsigned_abs()).fold(v, |v, _| if k > 0 { v.next_up() } else { v.next_down() })
+        };
+        let mut frames = Vec::new();
+        let levels = [
+            config.black_mean,
+            config.saturated_mean,
+            config.min_pixel,
+            config.max_pixel,
+            0.0,
+            0.5,
+        ];
+        for &level in &levels {
+            for k in -3..=3 {
+                let base = ulps(level, k);
+                // Constant, then with a share of pixels nudged by ±1 ulp.
+                frames.push(Image::filled(h, w, base).unwrap());
+                let share = next() % 4 + 1;
+                let picks: Vec<usize> = (0..h * w).map(|_| next() % 8).collect();
+                frames.push(
+                    Image::from_fn(h, w, |y, x| match picks[y * w + x] {
+                        0 if share > 1 => base.next_up(),
+                        1 if share > 2 => base.next_down(),
+                        _ => base,
+                    })
+                    .unwrap(),
+                );
+            }
+        }
+        let textured = Image::from_fn(h, w, |y, x| {
+            0.1 + 0.8 * ((y * 31 + x * 17) % 23) as f32 / 22.0
+        })
+        .unwrap();
+        let special = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            config.min_pixel,
+            config.min_pixel.next_down(),
+            config.max_pixel,
+            config.max_pixel.next_up(),
+        ];
+        for &v in &special {
+            for _ in 0..2 {
+                let mut f = textured.clone();
+                let at = next() % (h * w);
+                f.put(at / w, at % w, v);
+                frames.push(f);
+            }
+        }
+        let mut zeros = Image::filled(h, w, -0.0).unwrap();
+        zeros.put(0, 0, 0.0);
+        frames.push(zeros);
+        // Repeats make stuck runs.
+        for _ in 0..3 {
+            frames.push(textured.clone());
+        }
+        frames
+    }
+
+    /// The screened gate classifies every frame, fault payload bits
+    /// included, exactly as the serial gate: default and narrow-band
+    /// configurations, frame lengths below, at and not a multiple of the
+    /// screen's lane count, frames at every threshold ±1 ulp, non-finite
+    /// and `-0.0` pixels, stuck runs and missing frames.
+    #[test]
+    fn screen_matches_the_serial_gate() {
+        let mut narrow = GateConfig::new(1, 1);
+        narrow.black_mean = 0.5;
+        narrow.saturated_mean = 0.5f32.next_up();
+        let mut wide = GateConfig::new(1, 1);
+        wide.min_pixel = f32::NEG_INFINITY;
+        wide.max_pixel = f32::INFINITY;
+        wide.black_mean = -1.0;
+        // Frames the screen left to the serial loop, and frames it decided.
+        let mut decided = [0usize; 2];
+        for (h, w) in [(1usize, 1usize), (3, 3), (4, 4), (5, 7), (7, 13), (60, 160)] {
+            for (c, template) in [GateConfig::new(h, w), narrow.clone(), wide.clone()]
+                .into_iter()
+                .enumerate()
+            {
+                let config = GateConfig {
+                    expected: (h, w),
+                    ..template
+                };
+                let mut screened = FrameGate::new(config.clone()).unwrap();
+                let mut serial = SerialGate::new(config.clone());
+                let frames = edge_frames(h, w, &config, (h * w + c) as u64);
+                for (i, frame) in frames.iter().enumerate() {
+                    decided[usize::from(screen(frame.as_slice(), &config))] += 1;
+                    let got = fault_bits(screened.admit(Some(frame)));
+                    let want = fault_bits(serial.admit(Some(frame)));
+                    assert_eq!(got, want, "{h}x{w} config {c} frame {i}");
+                    if i % 7 == 3 {
+                        assert_eq!(screened.admit(None), serial.admit(None));
+                    }
+                }
+            }
+        }
+        assert!(decided[0] > 100 && decided[1] > 100, "{decided:?}");
+    }
+
+    /// A frame whose serial `f64` sum loses a tiny pixel that the lane
+    /// sums keep: `0.5 + 2⁻⁶⁰` rounds to `0.5` in the serial chain, which
+    /// the later `−0.5` then cancels to `0`, while lane 0 cancels the
+    /// halves first and lane 1 keeps `2⁻⁶⁰`. The serial mean is `0`, at
+    /// a `black_mean` of `0`; only the screen's reordering slack keeps it
+    /// from admitting the frame.
+    #[test]
+    fn screen_defers_when_reordering_could_cross_a_threshold() {
+        let mut config = GateConfig::new(4, 8);
+        config.min_pixel = -1.0;
+        config.black_mean = 0.0;
+        config.stuck_after = 0;
+        let mut frame = Image::filled(4, 8, 0.0).unwrap();
+        frame.put(0, 0, 0.5);
+        frame.put(0, 1, 2f32.powi(-60));
+        frame.put(2, 0, -0.5);
+        assert!(!screen(frame.as_slice(), &config));
+        let mut gate = FrameGate::new(config.clone()).unwrap();
+        let mut serial = SerialGate::new(config);
+        assert_eq!(serial.admit(Some(&frame)), Some(FrameFault::AllBlack));
+        assert_eq!(gate.admit(Some(&frame)), Some(FrameFault::AllBlack));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The algorithm, as described in the paper's §III.B:
 //!
-//! 1. run a forward pass, keeping each convolutional block's feature maps
-//!    (after their ReLU),
+//! 1. run a forward pass up to the last convolutional block, keeping each
+//!    block's feature maps (after their ReLU),
 //! 2. average each block's feature maps over channels,
 //! 3. starting from the deepest averaged map, repeatedly *deconvolve* the
 //!    running mask up to the previous block's resolution (transposed
@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 
 use ndtensor::{resize_bilinear, scratch, upsample_sum, Conv2dSpec, Tensor};
-use neural::{LayerKind, Network};
+use neural::{Layer, LayerKind, Network};
 use vision::Image;
 
 use crate::{Result, SaliencyError};
@@ -41,7 +41,7 @@ thread_local! {
 /// One convolutional block discovered in a network: the conv layer plus
 /// the activation (post-ReLU when present) that VBP averages.
 pub(crate) struct ConvBlock {
-    /// Index into `forward_collect` output of the activation to average.
+    /// Index of the layer whose output (the activation) VBP averages.
     pub act_index: usize,
     /// Kernel size of the conv layer.
     pub kernel: (usize, usize),
@@ -119,28 +119,98 @@ pub(crate) fn deconv_to(
     target_h: usize,
     target_w: usize,
 ) -> Result<Tensor> {
-    let up = upsample_sum(mask, kernel.0, kernel.1, spec.stride.0, spec.stride.1)?;
+    deconv_gated(mask, kernel, spec, (target_h, target_w), None)
+}
+
+/// [`deconv_to`] followed, when `gate` is given, by the pointwise product
+/// `up · gate` (`gate` has the target's shape). The product is taken in
+/// place, or fused with the crop of a padded conv's border, so no level
+/// of the walk copies a map only to multiply it.
+fn deconv_gated(
+    mask: &Tensor,
+    kernel: (usize, usize),
+    spec: Conv2dSpec,
+    (target_h, target_w): (usize, usize),
+    gate: Option<&Tensor>,
+) -> Result<Tensor> {
+    let mut up = upsample_sum(mask, kernel.0, kernel.1, spec.stride.0, spec.stride.1)?;
     // Remove the zero padding the forward conv added, when possible.
     let (ph, pw) = spec.padding;
     let (uh, uw) = (up.shape().dims()[0], up.shape().dims()[1]);
-    let cropped = if (ph > 0 || pw > 0) && uh > 2 * ph && uw > 2 * pw {
-        let mut data = scratch::take((uh - 2 * ph) * (uw - 2 * pw));
-        for y in ph..(uh - ph) {
-            for x in pw..(uw - pw) {
-                data.push(up.as_slice()[y * uw + x]);
+    if (ph > 0 || pw > 0) && uh > 2 * ph && uw > 2 * pw {
+        let (ch, cw) = (uh - 2 * ph, uw - 2 * pw);
+        let mut data = scratch::take_stale(ch * cw);
+        let rows = up.as_slice().chunks_exact(uw).skip(ph);
+        for (y, (dst, src)) in data.chunks_exact_mut(cw).zip(rows).enumerate() {
+            let src = &src[pw..pw + cw];
+            match gate {
+                Some(g) if (ch, cw) == (target_h, target_w) => {
+                    let g = &g.as_slice()[y * cw..(y + 1) * cw];
+                    for ((d, &u), &gv) in dst.iter_mut().zip(src).zip(g) {
+                        *d = u * gv;
+                    }
+                }
+                _ => dst.copy_from_slice(src),
             }
         }
-        Tensor::from_vec([uh - 2 * ph, uw - 2 * pw], data)?
-    } else {
-        up
-    };
+        let cropped = Tensor::from_vec([ch, cw], data)?;
+        if (ch, cw) == (target_h, target_w) {
+            return Ok(cropped);
+        }
+        up = cropped;
+    }
     // Strided convolutions may not tile the input exactly; settle any
     // remainder with a bilinear resize.
-    if cropped.shape().dims() == [target_h, target_w] {
-        Ok(cropped)
-    } else {
-        Ok(resize_bilinear(&cropped, target_h, target_w)?)
+    if up.shape().dims() != [target_h, target_w] {
+        up = resize_bilinear(&up, target_h, target_w)?;
     }
+    if let Some(g) = gate {
+        for (u, &gv) in up.as_mut_slice().iter_mut().zip(g.as_slice()) {
+            *u *= gv;
+        }
+    }
+    Ok(up)
+}
+
+/// Checks that the layers after the last conv block accept its output
+/// `last` (`[N, C, h, w]`), as running them would: VisualBackProp stops at
+/// that block, yet an image the full network rejects must still be
+/// rejected. `Flatten`, a `Dense` whose feature count matches and the
+/// shape-preserving layers pass by shape through [`LayerKind`]; any other
+/// head, a mismatched `Dense` included, is run for real so the layer that
+/// rejects the input produces the error.
+fn check_head(head: &[Box<dyn Layer>], last: &Tensor) -> Result<()> {
+    let dims = last.shape().dims();
+    // `(batch, features)` once the map is flat.
+    let mut flat: Option<(usize, usize)> = None;
+    for layer in head {
+        match (layer.kind(), flat) {
+            (
+                LayerKind::ReLU | LayerKind::Sigmoid | LayerKind::Tanh | LayerKind::Dropout { .. },
+                _,
+            )
+            | (LayerKind::Flatten, Some(_)) => {}
+            (LayerKind::Flatten, None) => flat = Some((dims[0], dims[1..].iter().product())),
+            (
+                LayerKind::Dense {
+                    in_features,
+                    out_features,
+                },
+                Some((n, f)),
+            ) if f == in_features => flat = Some((n, out_features)),
+            _ => return run_head(head, last),
+        }
+    }
+    Ok(())
+}
+
+/// Runs `layers` on `input`, keeping only the error.
+fn run_head(layers: &[Box<dyn Layer>], input: &Tensor) -> Result<()> {
+    let mut x = None;
+    for layer in layers {
+        x = Some(layer.forward(x.as_ref().unwrap_or(input))?);
+    }
+    Ok(())
 }
 
 /// Computes the VisualBackProp saliency mask of `image` under `network`,
@@ -175,14 +245,25 @@ pub fn visual_backprop(network: &Network, image: &Image) -> Result<Image> {
             averages,
         } = &mut *ws;
         conv_blocks_into(network, blocks);
-        if blocks.is_empty() {
+        let Some(last) = blocks.last().map(|b| b.act_index) else {
             return Err(SaliencyError::invalid(
                 "visual_backprop",
                 "network contains no convolutional layers",
             ));
-        }
+        };
         let input = image_to_batch(image)?;
-        network.forward_collect_into(&input, acts)?;
+        // Forward through the last conv block only: no mask reads the
+        // head's output, so the head is checked by shape, not run.
+        let layers = network.layers();
+        acts.clear();
+        for layer in &layers[..=last] {
+            let x = match acts.last() {
+                Some(prev) => layer.forward(prev)?,
+                None => layer.forward(&input)?,
+            };
+            acts.push(x);
+        }
+        check_head(&layers[last + 1..], &acts[last])?;
 
         // Channel-averaged feature map per block, shallow → deep.
         averages.clear();
@@ -200,20 +281,20 @@ pub fn visual_backprop(network: &Network, image: &Image) -> Result<Image> {
         // gating with the shallower averaged map.
         for j in (1..blocks.len()).rev() {
             let target = &averages[j - 1];
-            let (th, tw) = (target.shape().dims()[0], target.shape().dims()[1]);
-            let up = deconv_to(&mask, blocks[j].kernel, blocks[j].spec, th, tw)?;
-            mask = &up * target;
+            let dims = (target.shape().dims()[0], target.shape().dims()[1]);
+            mask = deconv_gated(&mask, blocks[j].kernel, blocks[j].spec, dims, Some(target))?;
         }
         averages.clear();
         // Final deconvolution through the first conv layer to input size.
-        let final_mask = deconv_to(
+        let mut final_mask = deconv_to(
             &mask,
             blocks[0].kernel,
             blocks[0].spec,
             image.height(),
             image.width(),
         )?;
-        Ok(Image::from_tensor(final_mask.normalize_minmax())?)
+        final_mask.normalize_minmax_in_place();
+        Ok(Image::from_tensor(final_mask)?)
     })
 }
 
@@ -429,6 +510,55 @@ mod tests {
         let net = pilotnet(&PilotNetConfig::compact(), 1).unwrap();
         let img = Image::from_fn(10, 10, |_, _| 0.5).unwrap();
         assert!(visual_backprop(&net, &img).is_err());
+    }
+
+    /// Heads past the last conv block, checked by shape or run, reject
+    /// exactly the inputs the full network rejects: a pooled head (run),
+    /// a flat head with dropout and sigmoid (checked), a `Dense` on an
+    /// unflattened map, and a pool after `Flatten`.
+    #[test]
+    fn head_check_rejects_what_the_network_rejects() {
+        use neural::layer::{Dropout, MaxPool2d, Sigmoid};
+        let mut rng = StdRng::seed_from_u64(9);
+        let conv = |rng: &mut StdRng| {
+            Conv2d::new(1, 2, (3, 3), Conv2dSpec::new((2, 2), (0, 0)), rng).unwrap()
+        };
+        // A 9×13 input gives a 2×4×6 map.
+        let nets = [
+            Network::new()
+                .with(conv(&mut rng))
+                .with(ReLU::new())
+                .with(MaxPool2d::new((2, 2)).unwrap())
+                .with(Flatten::new())
+                .with(Dense::new(2 * 2 * 3, 1, &mut rng).unwrap()),
+            Network::new()
+                .with(conv(&mut rng))
+                .with(ReLU::new())
+                .with(Flatten::new())
+                .with(Dropout::new(0.3, 1).unwrap())
+                .with(Dense::new(2 * 4 * 6, 5, &mut rng).unwrap())
+                .with(Sigmoid::new())
+                .with(Dense::new(5, 1, &mut rng).unwrap()),
+            Network::new()
+                .with(conv(&mut rng))
+                .with(ReLU::new())
+                .with(Dense::new(6, 1, &mut rng).unwrap()),
+            Network::new()
+                .with(conv(&mut rng))
+                .with(Flatten::new())
+                .with(MaxPool2d::new((1, 1)).unwrap()),
+        ];
+        let mut outcomes = [0usize; 2];
+        for (i, net) in nets.iter().enumerate() {
+            for (h, w) in [(9, 13), (9, 14), (10, 13), (11, 15), (7, 7), (3, 3)] {
+                let img = Image::from_fn(h, w, |y, x| ((y * 3 + x) % 5) as f32 / 4.0).unwrap();
+                let full = net.forward(&image_to_batch(&img).unwrap());
+                let vbp = visual_backprop(net, &img);
+                assert_eq!(vbp.is_ok(), full.is_ok(), "net {i} at {h}x{w}");
+                outcomes[usize::from(vbp.is_ok())] += 1;
+            }
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
     }
 
     #[test]

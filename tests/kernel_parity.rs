@@ -927,11 +927,14 @@ fn poison_scratch_pool() {
     }
 }
 
-/// The GEMM and conv forward outputs, and the conv panel, are taken from
-/// the scratch pool without a zero fill, so the kernels must assign every
-/// element. On a pool poisoned with NaN, each still equals its naive
-/// chain bit for bit, `k = 0` (all-zero output) included. Serial, so the
-/// kernels run on the poisoned thread.
+/// The GEMM and conv forward outputs, the conv panels, and the conv
+/// backward's transposed panel, padded `gOut` copy and both products are
+/// taken from the scratch pool without a zero fill, so the kernels must
+/// assign every element. On a pool poisoned with NaN, each still equals
+/// its naive chain bit for bit (NaNs by NaN-ness in the backward), `k =
+/// 0` (all-zero output) included; the backward runs at the five PilotNet
+/// layer geometries on plain, ReLU-zero and non-finite `gOut` and on
+/// NaN/±∞ samples. Serial, so the kernels run on the poisoned thread.
 #[test]
 fn stale_scratch_outputs_are_fully_assigned() {
     let _guard = lock();
@@ -1011,6 +1014,47 @@ fn stale_scratch_outputs_are_fully_assigned() {
                 "conv2d case {case} bias {}",
                 b.is_some()
             );
+        }
+    }
+    // The five compact-PilotNet layers: (c, h, w, f, kh, kw, spec).
+    let layers = [
+        (1usize, 60usize, 160usize, 8usize, 5usize, 5usize, strided),
+        (8, 28, 78, 12, 5, 5, strided),
+        (12, 12, 37, 16, 5, 5, strided),
+        (16, 4, 17, 20, 3, 3, padded),
+        (20, 4, 17, 20, 3, 3, padded),
+    ];
+    for (case, &(c, h, w, f, kh, kw, spec)) in layers.iter().enumerate() {
+        let seed = 980 + 10 * case as u64;
+        let (oh, ow) = spec.output_hw(h, w, kh, kw).unwrap();
+        let input = pseudo([2, c, h, w], seed);
+        let weight = pseudo([f, c, kh, kw], seed + 1);
+        let plain = pseudo([2, f, oh, ow], seed + 2);
+        let relu_zero = zero_heavy(2 * f, oh * ow, seed + 3)
+            .reshape([2, f, oh, ow])
+            .unwrap();
+        let mut nan_gout = plain.clone();
+        poison(&mut nan_gout);
+        let mut bad_input = input.clone();
+        poison(&mut bad_input);
+        let variants = [
+            ("plain", &input, &plain),
+            ("ReLU-zero gOut", &input, &relu_zero),
+            ("non-finite gOut", &input, &nan_gout),
+            ("non-finite sample", &bad_input, &relu_zero),
+        ];
+        for (name, x, gout) in variants {
+            let (gi, gw, gb) = reference_conv2d_backward(x, &weight, gout, spec);
+            let label = format!("backward layer {} {name}", case + 1);
+            poison_scratch_pool();
+            let grads = conv2d_backward(x, &weight, gout, spec).unwrap();
+            assert_same_bits(grads.grad_input.as_slice(), &gi, &format!("{label} dx"));
+            assert_same_bits(grads.grad_weight.as_slice(), &gw, &format!("{label} dW"));
+            assert_same_bits(grads.grad_bias.as_slice(), &gb, &format!("{label} dB"));
+            poison_scratch_pool();
+            let (pw, pb) = conv2d_backward_params(x, &weight, gout, spec).unwrap();
+            assert_same_bits(pw.as_slice(), &gw, &format!("{label} params dW"));
+            assert_same_bits(pb.as_slice(), &gb, &format!("{label} params dB"));
         }
     }
     set_thread_config(ThreadConfig::from_env());
