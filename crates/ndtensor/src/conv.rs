@@ -5,18 +5,15 @@
 //! tensor's own contiguous storage — `[F, C, KH, KW]` row-major *is*
 //! `[F, C·KH·KW]` — so the kernel bank is "packed" exactly once per layer
 //! and reused across every sample of every batch with no reshape copy.
-//! Both passes parallelise over the batch dimension through [`crate::par`]:
-//! each worker owns a disjoint sample range (the inner GEMMs then stay on
-//! that worker), and the weight/bias gradient reduction is performed by the
-//! caller in sample order, so results are bit-identical for any thread
-//! count.
+//! Both passes walk the batch in sample order; the backward adds each
+//! sample's weight and bias gradients into the totals as soon as they
+//! are formed.
 //!
-//! Hot-path buffers (column matrices, per-sample gradients) and the
-//! output tensors come from [`crate::scratch`], so a warmed pipeline
+//! Hot-path buffers (column panels, one sample's weight gradient) and
+//! the output tensors come from [`crate::scratch`], so a warmed pipeline
 //! performs no per-frame heap allocation.
 
 use crate::kernels::{conv_panel, conv_panel_stride, pack_at};
-use crate::par::{try_for_each_block, try_parallel_map};
 use crate::{scratch, Result, Tensor, TensorError};
 
 /// Stride and zero-padding configuration for a 2-D convolution.
@@ -586,7 +583,7 @@ fn conv2d_impl(
     spec: Conv2dSpec,
     g: &ConvGeometry,
     out: &mut [f32],
-) -> Result<()> {
+) {
     let &ConvGeometry {
         n,
         c,
@@ -607,31 +604,16 @@ fn conv2d_impl(
     let ncols = oh * ow;
     let ld = conv_panel_stride(ncols);
     let bias = bias.map(Tensor::as_slice);
-    let work = n * out_len * kdim;
-    try_for_each_block(out, out_len, work, |n0, chunk| {
-        // One panel per worker chunk, reused across its samples.
-        // `im2col_core` assigns all of it, pad columns included.
-        let mut cols = scratch::take_stale(kdim * ld);
-        for (local, dst) in chunk.chunks_mut(out_len).enumerate() {
-            let ni = n0 + local;
-            im2col_core(
-                &input.as_slice()[ni * sample_len..(ni + 1) * sample_len],
-                c,
-                h,
-                w,
-                kh,
-                kw,
-                spec,
-                oh,
-                ow,
-                ld,
-                &mut cols,
-            );
-            conv_panel(wd, f, kdim, &cols, ld, ncols, bias, true, dst);
-        }
-        scratch::give(cols);
-        Ok(())
-    })
+    // One panel reused across the samples. `im2col_core` assigns all of
+    // it, pad columns included.
+    let mut cols = scratch::take_stale(kdim * ld);
+    for ni in 0..n {
+        let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
+        im2col_core(sample, c, h, w, kh, kw, spec, oh, ow, ld, &mut cols);
+        let dst = &mut out[ni * out_len..(ni + 1) * out_len];
+        conv_panel(wd, f, kdim, &cols, ld, ncols, bias, true, dst);
+    }
+    scratch::give(cols);
 }
 
 /// 2-D convolution forward pass.
@@ -656,7 +638,7 @@ pub fn conv2d(
     check_bias(bias, g.f, weight)?;
     // `conv_panel` assigns every output element.
     let mut out = Tensor::stale([g.n, g.f, g.oh, g.ow]);
-    conv2d_impl(input, weight, bias, spec, &g, out.as_mut_slice())?;
+    conv2d_impl(input, weight, bias, spec, &g, out.as_mut_slice());
     Ok(out)
 }
 
@@ -675,20 +657,24 @@ pub struct Conv2dGrads {
 /// gradient slices. With `grad_input` absent the input gradient is not
 /// formed at all.
 ///
-/// Per sample, both GEMMs run on [`conv_panel`]:
+/// Samples run in order. Per sample, both GEMMs run on [`conv_panel`]:
 ///
 /// * `dW = gOut · colsᵀ` over a padded transposed column panel
 ///   (`[oh·ow, c·kh·kw]`, [`im2col_t_core`]). Each element is one chain
 ///   from `0.0` over the output pixels, ascending, with every term formed
-///   — the never-skipping chain, on the kernel's branch-free loop.
+///   — the never-skipping chain, on the kernel's branch-free loop. The
+///   sample's `dW` is then added to `grad_weight`, and its `gOut` row
+///   sums to `grad_bias`, so both totals are sums over samples in sample
+///   order.
 /// * `dCols = Wᵀ · gOut` over a padded copy of `gOut`, skipping exact-zero
-///   weights — the zero-skipping chain — then
-///   scattered back by [`col2im_core`].
+///   weights — the zero-skipping chain — then scattered by
+///   [`col2im_core`] into the sample's slice of `grad_input`.
 ///
-/// The panels and both products are taken stale from the scratch pool:
-/// the lowering and the copy assign their panels in full, pad columns
-/// included, and [`conv_panel`] assigns every output element. Only the
-/// input gradient, which [`col2im_core`] accumulates into, starts zeroed.
+/// The column panel and both products are taken stale from the scratch
+/// pool once and reused by every sample: the lowering assigns its panel
+/// in full, pad columns included, and [`conv_panel`] assigns every output
+/// element. The `gOut` panel starts zeroed, so its pad columns stay zero
+/// while each sample copies in its rows.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_backward_impl(
     input: &Tensor,
@@ -699,7 +685,7 @@ fn conv2d_backward_impl(
     mut grad_input: Option<&mut [f32]>,
     grad_weight: &mut [f32],
     grad_bias: &mut [f32],
-) -> Result<()> {
+) {
     let &ConvGeometry {
         n,
         c,
@@ -718,75 +704,48 @@ fn conv2d_backward_impl(
     let ncols = oh * ow;
     let ld_cols = conv_panel_stride(kdim);
     let ld_gout = conv_panel_stride(ncols);
-    let with_input = grad_input.is_some();
-
-    // Per-sample contributions are computed in parallel; the dW/dB
-    // reduction below then accumulates them in sample order, which is the
-    // exact floating-point summation sequence of the serial pass. All
-    // per-sample buffers are pooled.
-    let work = if with_input { 2 } else { 1 } * n * out_len * kdim;
-    // `Wᵀ` as `kdim` packed rows of `f` weights, shared by every sample.
-    let wt = if with_input {
-        pack_at(weight.as_slice(), f, kdim, 0, kdim)
+    let mut cols_t = scratch::take_stale(ncols * ld_cols);
+    let mut dw = scratch::take_stale(f * kdim);
+    // `Wᵀ` as `kdim` packed rows of `f` weights, the padded `gOut` panel
+    // and the `dCols` product: only when the input gradient is formed.
+    let (wt, mut gpanel, mut dcols) = if grad_input.is_some() {
+        (
+            pack_at(weight.as_slice(), f, kdim),
+            scratch::take_zeroed(f * ld_gout),
+            scratch::take_stale(kdim * ncols),
+        )
     } else {
-        Vec::new()
+        (Vec::new(), Vec::new(), Vec::new())
     };
-    let per_sample = try_parallel_map(n, work, |ni| -> Result<SampleGrads> {
+    for ni in 0..n {
         let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
         let gout = &god[ni * out_len..(ni + 1) * out_len];
-        let mut cols_t = scratch::take_stale(ncols * ld_cols);
         im2col_t_core(sample, c, h, w, kh, kw, spec, oh, ow, ld_cols, &mut cols_t);
-        let mut dw = scratch::take_stale(f * kdim);
         conv_panel(gout, f, ncols, &cols_t, ld_cols, kdim, None, false, &mut dw);
-        scratch::give(cols_t);
-        let dsample = with_input.then(|| {
-            let mut gpanel = scratch::take_stale(f * ld_gout);
+        for (gw, &d) in grad_weight.iter_mut().zip(&dw) {
+            *gw += d;
+        }
+        if let Some(gi) = grad_input.as_deref_mut() {
             for (dst, src) in gpanel
                 .chunks_exact_mut(ld_gout)
                 .zip(gout.chunks_exact(ncols))
             {
-                let (row, pad) = dst.split_at_mut(ncols);
-                row.copy_from_slice(src);
-                pad.fill(0.0);
+                dst[..ncols].copy_from_slice(src);
             }
-            let mut dcols = scratch::take_stale(kdim * ncols);
             conv_panel(
                 &wt, kdim, f, &gpanel, ld_gout, ncols, None, true, &mut dcols,
             );
-            scratch::give(gpanel);
-            let mut dsample = scratch::take_zeroed(sample_len);
-            col2im_core(&dcols, c, h, w, kh, kw, spec, oh, ow, &mut dsample);
-            scratch::give(dcols);
-            dsample
-        });
-        // dB contribution: row sums of gOut.
-        let mut db = scratch::take(f);
-        for fi in 0..f {
-            db.push(gout[fi * ncols..(fi + 1) * ncols].iter().sum());
+            let dsample = &mut gi[ni * sample_len..(ni + 1) * sample_len];
+            col2im_core(&dcols, c, h, w, kh, kw, spec, oh, ow, dsample);
         }
-        Ok((dw, dsample, db))
-    });
-    scratch::give(wt);
-    for (ni, (dw, dsample, db)) in per_sample?.into_iter().enumerate() {
-        for (gw, &d) in grad_weight.iter_mut().zip(&dw) {
-            *gw += d;
+        for (gb, row) in grad_bias.iter_mut().zip(gout.chunks_exact(ncols)) {
+            *gb += row.iter().sum::<f32>();
         }
-        if let (Some(gi), Some(ds)) = (grad_input.as_deref_mut(), dsample) {
-            gi[ni * sample_len..(ni + 1) * sample_len].copy_from_slice(&ds);
-            scratch::give(ds);
-        }
-        for (gb, &d) in grad_bias.iter_mut().zip(&db) {
-            *gb += d;
-        }
-        scratch::give(dw);
-        scratch::give(db);
     }
-    Ok(())
+    for buf in [cols_t, dw, wt, gpanel, dcols] {
+        scratch::give(buf);
+    }
 }
-
-/// One sample's `(dW, dInput, dB)` contributions; `dInput` only when the
-/// input gradient is formed.
-type SampleGrads = (Vec<f32>, Option<Vec<f32>>, Vec<f32>);
 
 fn check_backward_shapes(grad_output: &Tensor, g: &ConvGeometry) -> Result<()> {
     if grad_output.shape().dims() != [g.n, g.f, g.oh, g.ow] {
@@ -833,7 +792,7 @@ pub fn conv2d_backward(
         Some(grad_input.as_mut_slice()),
         grad_weight.as_mut_slice(),
         grad_bias.as_mut_slice(),
-    )?;
+    );
     Ok(Conv2dGrads {
         grad_input,
         grad_weight,
@@ -867,7 +826,7 @@ pub fn conv2d_backward_params(
         None,
         grad_weight.as_mut_slice(),
         grad_bias.as_mut_slice(),
-    )?;
+    );
     Ok((grad_weight, grad_bias))
 }
 
@@ -1098,6 +1057,21 @@ mod tests {
         let weight = pseudo([1, 1, 3, 3], 2);
         let bad = Tensor::zeros([1, 1, 9, 9]);
         assert!(conv2d_backward(&input, &weight, &bad, Conv2dSpec::unit()).is_err());
+    }
+
+    #[test]
+    fn empty_batch_filters_and_channels_are_handled() {
+        // (n, c, f): no samples, no filters, no input channels.
+        for (n, c, f) in [(0usize, 2usize, 3usize), (2, 2, 0), (2, 0, 3)] {
+            let input = Tensor::zeros([n, c, 5, 5]);
+            let weight = Tensor::zeros([f, c, 3, 3]);
+            let out = conv2d(&input, &weight, None, Conv2dSpec::unit()).unwrap();
+            assert_eq!(out.shape().dims(), &[n, f, 3, 3]);
+            assert!(out.as_slice().iter().all(|&v| v == 0.0));
+            let grads = conv2d_backward(&input, &weight, &out, Conv2dSpec::unit()).unwrap();
+            assert_eq!(grads.grad_input.shape().dims(), &[n, c, 5, 5]);
+            assert!(grads.grad_weight.as_slice().iter().all(|&v| v == 0.0));
+        }
     }
 
     proptest! {

@@ -34,10 +34,8 @@
 //! cannot change a bit. So a caller that needs the never-skipping chain
 //! may run the skipping form on a B it has checked to be all finite.
 //!
-//! [`mm_assign`] takes `(arows, rows, k, bd, n, out)`: a packed `rows × k`
-//! block of A rows against the full B operand, writing a `rows × n`
-//! output block — exactly the per-chunk shape
-//! [`crate::par::for_each_block`] hands to workers.
+//! [`mm_assign`] takes `(arows, rows, k, bd, n, out)`: `rows × k` packed
+//! A rows against the full B operand, writing a `rows × n` output.
 
 use crate::scratch;
 
@@ -561,12 +559,12 @@ pub(crate) fn pack_t_padded(a: &[f32], m: usize, k: usize, ld: usize) -> Vec<f32
     panel
 }
 
-/// Transposes the `Aᵀ` column block `i0..i0 + rows` of `A: [k, m]` into
-/// a contiguous `rows × k` scratch buffer, so [`mm_assign`] sees plain
-/// packed rows. Written row by row, as [`pack_t_padded`].
-pub(crate) fn pack_at(ad: &[f32], k: usize, m: usize, i0: usize, rows: usize) -> Vec<f32> {
-    let mut pa = scratch::take(rows * k);
-    for i in i0..i0 + rows {
+/// Transposes `A: [k, m]` into a contiguous `m × k` scratch buffer, so
+/// [`mm_assign`] sees plain packed rows of `Aᵀ`. Written row by row, as
+/// [`pack_t_padded`].
+pub(crate) fn pack_at(ad: &[f32], k: usize, m: usize) -> Vec<f32> {
+    let mut pa = scratch::take(m * k);
+    for i in 0..m {
         pa.extend((0..k).map(|l| ad[l * m + i]));
     }
     pa
@@ -656,38 +654,10 @@ mod tests {
     /// The `(arows, rows, k, bd, n, out)` signature of [`mm_assign`].
     type Kernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
 
-    /// Runs `kernel` over `chunks` contiguous row blocks of the `m × k`
-    /// by `k × n` problem, the way the threaded entry points do.
-    fn chunked(
-        kernel: Kernel,
-        chunks: usize,
-        (m, k, n): (usize, usize, usize),
-        pa: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        let per = m.div_ceil(chunks);
-        let mut row0 = 0;
-        while row0 < m {
-            let rows = per.min(m - row0);
-            let a_chunk = &pa[row0 * k..(row0 + rows) * k];
-            kernel(
-                a_chunk,
-                rows,
-                k,
-                b,
-                n,
-                &mut out[row0 * n..(row0 + rows) * n],
-            );
-            row0 += rows;
-        }
-    }
-
     /// Both forms of [`mm_assign`] reproduce their naive chain
-    /// bit-for-bit on every row chunking the thread row-splitter could
-    /// produce (1, 2 and 4 contiguous chunks), on A with no zeros, every
-    /// third zero, and ReLU-like zero-heavy rows (at least 90 % exact
-    /// zeros, `-0.0` entries, all-zero rows), overwriting a stale output.
+    /// bit-for-bit on A with no zeros, every third zero, and ReLU-like
+    /// zero-heavy rows (at least 90 % exact zeros, `-0.0` entries,
+    /// all-zero rows), overwriting a stale output.
     /// On an all-finite B the skipping form must match the never-skipping
     /// chain; on a B holding NaN and `±∞` it must match the zero-skipping
     /// chain (NaNs compared by NaN-ness).
@@ -756,17 +726,15 @@ mod tests {
                         ("mm_accumulate", mm_accumulate, &added),
                     ];
                     for (name, kernel, want) in forms {
-                        for chunks in [1usize, 2, 4] {
-                            // Stale non-zero output: every element must be
-                            // assigned, or added to.
-                            let mut out = init.clone();
-                            chunked(kernel, chunks, (m, k, n), a, &b, &mut out);
-                            assert_eq!(
-                                nan_bits(&out),
-                                nan_bits(want),
-                                "{name} m{m} k{k} n{n} {zeros_in_a} finite={finite} chunks={chunks}"
-                            );
-                        }
+                        // Stale non-zero output: every element must be
+                        // assigned, or added to.
+                        let mut out = init.clone();
+                        kernel(a, m, k, &b, n, &mut out);
+                        assert_eq!(
+                            nan_bits(&out),
+                            nan_bits(want),
+                            "{name} m{m} k{k} n{n} {zeros_in_a} finite={finite}"
+                        );
                     }
                 }
             }

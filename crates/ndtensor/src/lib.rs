@@ -7,10 +7,10 @@
 //! This crate provides the numeric foundation used by every other crate in
 //! the reproduction of *"Novelty Detection via Network Saliency in
 //! Visual-based Deep Learning"* (DSN 2019): shapes, contiguous row-major
-//! tensors, elementwise and reduction kernels, a blocked multi-threaded
-//! GEMM, im2col-based 2-D convolution (forward and backward), resampling,
+//! tensors, elementwise and reduction kernels, a blocked GEMM,
+//! im2col-based 2-D convolution (forward and backward), resampling,
 //! random initialisation and libm-free transcendental functions
-//! ([`math`]).
+//! ([`math`]). Everything runs on the calling thread.
 //!
 //! The design goals are, in order: correctness (every kernel has a naive
 //! reference implementation it is tested against), determinism (no
@@ -39,7 +39,6 @@ mod kernels;
 pub mod math;
 mod matmul;
 mod ops;
-pub mod par;
 mod resample;
 pub mod scratch;
 mod shape;
@@ -51,10 +50,25 @@ pub use conv::{
 pub use error::TensorError;
 pub use init::{fill_he_normal, fill_normal, fill_uniform, fill_xavier_uniform};
 pub use matmul::{matmul, matmul_a_bt, matmul_assign, matmul_at_b, matmul_at_b_acc};
-pub use par::{set_thread_config, thread_config, with_serial, ThreadConfig};
 pub use resample::{resize_bilinear, resize_nearest, upsample_sum};
 pub use shape::Shape;
 pub use tensor::Tensor;
 
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, TensorError>;
+
+/// The one thread configuration: every kernel runs on the calling
+/// thread. Kept, with [`set_thread_config`], so callers written against
+/// the retired worker pool still compile.
+#[derive(Debug)]
+pub struct ThreadConfig;
+
+impl ThreadConfig {
+    /// The calling thread only — the library's sole mode.
+    pub fn serial() -> Self {
+        ThreadConfig
+    }
+}
+
+/// Does nothing: the library is single-threaded.
+pub fn set_thread_config(_config: ThreadConfig) {}

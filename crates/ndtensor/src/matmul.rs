@@ -1,4 +1,4 @@
-//! Blocked, multi-threaded matrix multiplication kernels.
+//! Blocked matrix multiplication kernels.
 //!
 //! Five entry points cover the access patterns needed by dense-layer and
 //! convolution backpropagation without materialising transposed copies:
@@ -28,17 +28,10 @@
 //! zero-skipping chain keeps the historical exact-zero skip for any `B`;
 //! on an all-finite `B` it only drops `±0.0` terms, which cannot change
 //! a chain's bits, so it equals [`matmul_assign`] there.
-//!
-//! All kernels parallelise over output rows through [`crate::par`] once the
-//! arithmetic volume crosses [`crate::par::PARALLEL_THRESHOLD`], so small
-//! problems stay on one thread and avoid spawn overhead. Row partitioning
-//! never changes the per-element summation order, so results are
-//! bit-identical for any thread count.
 
 use crate::kernels::{
     all_finite, conv_panel, conv_panel_stride, mm_accumulate, mm_assign, pack_at, pack_t_padded,
 };
-use crate::par::for_each_block;
 use crate::{scratch, Result, Tensor, TensorError};
 
 fn dims2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -63,20 +56,6 @@ fn check_mm(a: &Tensor, b: &Tensor, op: &'static str) -> Result<(usize, usize, u
         });
     }
     Ok((m, k, n))
-}
-
-fn matmul_assign_slices<const SKIP: bool>(
-    ad: &[f32],
-    m: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    for_each_block(out, n, m * n * k, |row0, chunk| {
-        let rows = chunk.len().checked_div(n).unwrap_or(0);
-        mm_assign::<SKIP>(&ad[row0 * k..(row0 + rows) * k], rows, k, bd, n, chunk);
-    });
 }
 
 /// Computes `C = A·B` for `A: [m, k]` and `B: [k, n]`.
@@ -113,7 +92,7 @@ fn matmul_assign_slices<const SKIP: bool>(
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = check_mm(a, b, "matmul")?;
     let mut out = Tensor::stale([m, n]);
-    matmul_assign_slices::<true>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
+    mm_assign::<true>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }
 
@@ -131,14 +110,11 @@ fn matmul_at_b_slices(
     out: &mut [f32],
     kernel: RowKernel,
 ) {
-    for_each_block(out, n, m * n * k, |row0, chunk| {
-        let rows = chunk.len().checked_div(n).unwrap_or(0);
-        // Transpose this chunk's Aᵀ column block into contiguous scratch
-        // (one pass over A), then run the kernel on plain packed rows.
-        let pa = pack_at(ad, k, m, row0, rows);
-        kernel(&pa, rows, k, bd, n, chunk);
-        scratch::give(pa);
-    });
+    // Transpose A into contiguous scratch (one pass over A), then run the
+    // kernel on plain packed rows.
+    let pa = pack_at(ad, k, m);
+    kernel(&pa, m, k, bd, n, out);
+    scratch::give(pa);
 }
 
 /// `(k, m, n)` of `Aᵀ·B` for `A: [k, m]` and `B: [k, n]`.
@@ -220,11 +196,7 @@ fn matmul_a_bt_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out:
     let panel = pack_t_padded(ad, m, k, ld);
     let skip = all_finite(ad);
     let mut ct = scratch::take_stale(n * m);
-    for_each_block(&mut ct, m, m * n * k, |row0, chunk| {
-        let rows = chunk.len() / m;
-        let brows = &bd[row0 * k..(row0 + rows) * k];
-        conv_panel(brows, rows, k, &panel, ld, m, None, skip, chunk);
-    });
+    conv_panel(bd, n, k, &panel, ld, m, None, skip, &mut ct);
     for (j, crow) in ct.chunks_exact(m).enumerate() {
         for (i, &v) in crow.iter().enumerate() {
             out[i * n + j] = v;
@@ -272,7 +244,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 pub fn matmul_assign(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k, n) = check_mm(a, b, "matmul_assign")?;
     let mut out = Tensor::stale([m, n]);
-    matmul_assign_slices::<false>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
+    mm_assign::<false>(a.as_slice(), m, k, b.as_slice(), n, out.as_mut_slice());
     Ok(out)
 }
 
@@ -369,8 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn large_enough_to_trigger_parallel_path() {
-        // 128×128×128 = 2^21 multiply-adds > PARALLEL_THRESHOLD.
+    fn large_product_matches_naive() {
         let a = pseudo([128, 128], 21);
         let b = pseudo([128, 128], 22);
         let fast = matmul(&a, &b).unwrap();
@@ -387,6 +358,16 @@ mod tests {
         let d = matmul(&Tensor::zeros([2, 0]), &Tensor::zeros([0, 4])).unwrap();
         assert_eq!(d.shape().dims(), &[2, 4]);
         assert!(d.as_slice().iter().all(|&v| v == 0.0));
+        // Every entry point with no output rows or no output columns.
+        for (m, k, n) in [(0usize, 3usize, 2usize), (2, 3, 0), (0, 0, 0)] {
+            let (a, b) = (Tensor::zeros([m, k]), Tensor::zeros([k, n]));
+            let (at, bt) = (Tensor::zeros([k, m]), Tensor::zeros([n, k]));
+            assert_eq!(matmul_assign(&a, &b).unwrap().shape().dims(), &[m, n]);
+            assert_eq!(matmul_at_b(&at, &b).unwrap().shape().dims(), &[m, n]);
+            assert_eq!(matmul_a_bt(&a, &bt).unwrap().shape().dims(), &[m, n]);
+            let mut c = Tensor::zeros([m, n]);
+            matmul_at_b_acc(&at, &b, &mut c).unwrap();
+        }
     }
 
     proptest! {

@@ -8,11 +8,11 @@
 //!
 //! Design points:
 //!
-//! * **Thread-local**: each `par` worker owns its pool, so pooling never
-//!   introduces cross-thread traffic and cannot perturb the bit-identical
-//!   thread-parity guarantee — a recycled buffer holds the same values a
-//!   fresh one would after initialisation. The one exception,
-//!   [`take_stale`], serves only kernels that assign every element.
+//! * **Thread-local**: the pool belongs to the thread that uses it, so it
+//!   needs no lock, and cannot perturb results — a recycled buffer holds
+//!   the same values a fresh one would after initialisation. The one
+//!   exception, [`take_stale`], serves only kernels that assign every
+//!   element.
 //! * **Size-classed**: buffers live in power-of-two capacity classes;
 //!   [`take`] returns a cleared buffer with `capacity >= len` from class
 //!   `ceil(log2(len))`, [`give`] files a buffer under
@@ -20,9 +20,8 @@
 //! * **Bounded**: at most `MAX_PER_CLASS` buffers per class are
 //!   retained and classes above `MAX_POOLED_CLASS` are never pooled,
 //!   so the pool cannot hoard unbounded memory during training.
-//! * **Observable**: process-global hit/miss/byte counters (same pattern
-//!   as `par::ParStats`) are bridged into run reports by
-//!   `obs::record_scratch_delta`.
+//! * **Observable**: process-global hit/miss/byte counters are bridged
+//!   into run reports by `obs::record_scratch_delta`.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +43,7 @@ static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 /// Snapshot of the process-global scratch counters.
 ///
 /// Counters are monotonic; use [`ScratchStats::since`] to express the
-/// work of one region, exactly like `par::ParStats`.
+/// work of one region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchStats {
     /// Takes served by recycling a pooled buffer.

@@ -4,8 +4,8 @@
 //! a caching [`Layer::forward_train`], and a [`Layer::backward`] that
 //! consumes the cache, accumulates parameter gradients and returns the
 //! gradient with respect to its input ([`Layer::backward_params`] skips
-//! that last part). Layers are `Send` so networks can be trained or
-//! evaluated from worker threads.
+//! that last part). Layers are `Send` and `Sync`, so a caller may move
+//! or share a network across threads of its own.
 
 mod activation;
 mod conv;

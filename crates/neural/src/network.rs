@@ -96,79 +96,6 @@ impl Network {
         Ok(x)
     }
 
-    /// Batch-parallel inference forward pass.
-    ///
-    /// Splits the leading (batch) dimension into contiguous chunks and
-    /// runs each chunk through the layer stack on the work pool configured
-    /// in [`ndtensor::par`]. Every layer treats batch samples
-    /// independently, so the concatenated result is bit-identical to
-    /// [`Network::forward`] on the full batch for any thread count
-    /// (enforced by `tests/parallel_parity.rs` at the workspace root).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the network is empty, the input has no batch dimension,
-    /// or any layer rejects its input.
-    pub fn forward_batch(&self, input: &Tensor) -> Result<Tensor> {
-        self.require_nonempty("Network::forward_batch")?;
-        let dims = input.shape().dims();
-        let n = *dims.first().ok_or_else(|| {
-            NeuralError::invalid(
-                "Network::forward_batch",
-                "input must have a batch dimension",
-            )
-        })?;
-        if n <= 1 {
-            return self.forward(input);
-        }
-        let sample_dims = dims[1..].to_vec(); // sncheck:allow(hot-path-transitive-alloc): rank-length shape header, copied once per batch call
-        let sample_len = input.len() / n;
-        let chunks = ndtensor::thread_config().threads().clamp(1, n);
-        let per = n.div_ceil(chunks);
-        let ranges: Vec<(usize, usize)> = (0..chunks)
-            .map(|i| (i * per, ((i + 1) * per).min(n)))
-            .filter(|(start, end)| start < end)
-            .collect();
-        // Work estimate: parameters touched once per sample.
-        let work = self.param_count().saturating_mul(n);
-        let outputs = ndtensor::par::try_parallel_map(ranges.len(), work, |i| {
-            let (start, end) = ranges[i];
-            let mut shape = vec![end - start]; // sncheck:allow(hot-path-transitive-alloc): rank-length chunk shape, one per worker chunk (not per sample)
-            shape.extend_from_slice(&sample_dims);
-            let chunk = Tensor::from_slice(
-                shape,
-                &input.as_slice()[start * sample_len..end * sample_len],
-            )?;
-            self.forward(&chunk)
-        })?;
-        let mut out_sample_dims: Option<Vec<usize>> = None;
-        let total: usize = outputs.iter().map(|o| o.len()).sum();
-        let mut data = ndtensor::scratch::take(total);
-        for (output, &(start, end)) in outputs.iter().zip(&ranges) {
-            let odims = output.shape().dims();
-            if odims.first() != Some(&(end - start)) {
-                return Err(NeuralError::invalid(
-                    "Network::forward_batch",
-                    "layer stack did not preserve the batch dimension",
-                ));
-            }
-            match &out_sample_dims {
-                None => out_sample_dims = Some(odims[1..].to_vec()), // sncheck:allow(hot-path-transitive-alloc): rank-length shape header, captured once per batch call
-                Some(expect) if expect.as_slice() == &odims[1..] => {}
-                Some(_) => {
-                    return Err(NeuralError::invalid(
-                        "Network::forward_batch",
-                        "inconsistent per-sample output shapes across chunks",
-                    ))
-                }
-            }
-            data.extend_from_slice(output.as_slice());
-        }
-        let mut out_shape = vec![n]; // sncheck:allow(hot-path-transitive-alloc): rank-length output shape, one per batch call
-        out_shape.extend(out_sample_dims.unwrap_or_default());
-        Ok(Tensor::from_vec(out_shape, data)?)
-    }
-
     /// Inference forward pass that returns the activation *after every
     /// layer* (index 0 = output of the first layer). Saliency methods use
     /// this to reach the conv feature maps.
@@ -371,27 +298,6 @@ mod tests {
         let a = net.forward(&x).unwrap();
         let b = net.forward_train(&x).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn forward_batch_matches_forward_bitwise() {
-        let net = small_net(9);
-        let x = Tensor::from_fn([13, 3], |i| ((i[0] * 3 + i[1]) as f32).sin());
-        let serial = net.forward(&x).unwrap();
-        for threads in [1, 2, 4] {
-            ndtensor::set_thread_config(ndtensor::ThreadConfig::new(threads));
-            let batched = net.forward_batch(&x).unwrap();
-            assert_eq!(serial, batched, "threads={threads}");
-        }
-        ndtensor::set_thread_config(ndtensor::ThreadConfig::from_env());
-    }
-
-    #[test]
-    fn forward_batch_handles_single_sample_and_empty_net() {
-        let net = small_net(10);
-        let x = Tensor::from_fn([1, 3], |i| i[1] as f32);
-        assert_eq!(net.forward(&x).unwrap(), net.forward_batch(&x).unwrap());
-        assert!(Network::new().forward_batch(&x).is_err());
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! The contract every backend must uphold (see `DESIGN.md`):
 //!
 //! * `score` is a pure function of `(backend state, image)` —
-//!   bit-identical at any thread count, with or without recording;
+//!   bit-identical on every call, with or without recording;
 //! * `preprocess`/`score` never mutate observable state (interior
 //!   mutability is allowed only when call order cannot change results);
-//! * the backend is `Send + Sync` so `score_each` can fan out over the
-//!   [`ndtensor::par`] work pool.
+//! * the backend is `Send + Sync`, so a program may share a detector
+//!   across threads of its own.
 //!
 //! [`Detector`] is the counterpart one level up: the common face of
 //! [`NoveltyDetector`] (one backend + one calibrated threshold) and
@@ -148,7 +148,7 @@ impl BackendKind {
 /// [`crate::NoveltyDetector`] wraps with calibration.
 ///
 /// Implementations must be pure: `score` is a function of the backend's
-/// frozen state and the image only, bit-identical at any thread count.
+/// frozen state and the image only, bit-identical on every call.
 /// Input validation (non-finite pixels, geometry) is performed by the
 /// detector before the backend is consulted, so implementations may
 /// assume a finite, correctly-sized image.
@@ -180,12 +180,12 @@ pub trait ScoreBackend: std::fmt::Debug + Send + Sync {
     fn score(&self, image: &Image) -> Result<f32>;
 
     /// Scores several (finite, correctly-sized) images, one score per
-    /// image, in order; by default [`ScoreBackend::score`] per image,
-    /// spread over the [`ndtensor::par`] work pool. The detector
+    /// image, in order; by default [`ScoreBackend::score`] per image.
+    /// The detector
     /// validates every frame first and checks every score for finiteness
     /// after, so a bad frame fails only its own slot. Implementations may
     /// batch internally but must keep score `i` bit-identical to
-    /// [`ScoreBackend::score`] on image `i`, at any thread count.
+    /// [`ScoreBackend::score`] on image `i`.
     ///
     /// An error here fails every frame of the call (in a serving round,
     /// every tenant's), so implementations must not fail for a single
@@ -196,9 +196,7 @@ pub trait ScoreBackend: std::fmt::Debug + Send + Sync {
     /// Fails when the backend itself is faulty (its networks do not fit
     /// the validated geometry).
     fn score_each(&self, images: &[&Image]) -> Result<Vec<f32>> {
-        let (h, w) = self.input_size();
-        let work = images.len().saturating_mul(h * w).saturating_mul(64);
-        ndtensor::par::try_parallel_map(images.len(), work, |i| self.score(images[i]))
+        images.iter().map(|img| self.score(img)).collect()
     }
 
     /// The (representation, reconstruction) pair of Fig. 6, for backends
@@ -311,14 +309,14 @@ impl ScoreBackend for AutoencoderBackend {
         self.classifier.score(&rep)
     }
 
-    /// Preprocesses the images on the work pool (identity or VBP), then
-    /// scores the representations through the classifier's stacked
-    /// passes ([`AutoencoderClassifier::score_many`]).
+    /// Preprocesses the images (identity or VBP), then scores the
+    /// representations through the classifier's stacked passes
+    /// ([`AutoencoderClassifier::score_many`]).
     fn score_each(&self, images: &[&Image]) -> Result<Vec<f32>> {
-        let (h, w) = self.input_size();
-        let work = images.len().saturating_mul(h * w).saturating_mul(64);
-        let reps =
-            ndtensor::par::try_parallel_map(images.len(), work, |i| self.preprocess(images[i]))?;
+        let reps = images
+            .iter()
+            .map(|img| self.preprocess(img))
+            .collect::<Result<Vec<_>>>()?;
         let reps: Vec<&Image> = reps.iter().collect();
         self.classifier.score_many(&reps)
     }
@@ -363,8 +361,7 @@ pub trait Detector: std::fmt::Debug {
     /// serving layer's cross-tenant mega-batch
     /// ([`crate::serve::StreamServer`]) depends on that isolation.
     /// Verdict `i` is bit-identical to [`Detector::classify`] on image
-    /// `i`, at any thread count, with any `recorder` (pass [`obs::noop`]
-    /// to record nothing).
+    /// `i`, with any `recorder` (pass [`obs::noop`] to record nothing).
     ///
     /// The batch runs under a `scoring` span and
     /// `scoring.scores_computed` counts the verdicts produced.

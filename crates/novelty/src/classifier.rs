@@ -284,17 +284,16 @@ impl AutoencoderClassifier {
 
     /// Scores several same-sized images through stacked forward passes:
     /// every `CHUNK_ROWS` (64) images are stacked into one `[rows, H·W]`
-    /// matrix and reconstructed via [`Network::forward_batch`]
-    /// (amortizing packed-GEMM panel packing across the chunk instead of
-    /// repaying it per frame), and the metric is computed per row on the
-    /// work pool.
+    /// matrix and reconstructed by one [`Network::forward`] (amortizing
+    /// packed-GEMM panel packing across the chunk instead of repaying it
+    /// per frame), and the metric is computed row by row.
     ///
     /// Every network layer treats batch rows independently and the
     /// packed kernels never reorder the additions inside one output
     /// element, so score `i` is bit-identical to
-    /// [`AutoencoderClassifier::score`] on image `i` — at any thread
-    /// count. The serving layer's cross-tenant mega-batch and the
-    /// isolation proofs in `tests/serve_isolation.rs` rely on this.
+    /// [`AutoencoderClassifier::score`] on image `i`. The serving layer's
+    /// cross-tenant mega-batch and the isolation proofs in
+    /// `tests/serve_isolation.rs` rely on this.
     ///
     /// # Errors
     ///
@@ -312,24 +311,15 @@ impl AutoencoderClassifier {
             }
             let out = self
                 .network
-                .forward_batch(&Tensor::from_vec([chunk.len(), dim], data)?)?;
-            let out_slice = out.as_slice();
-            // Per-row metric: rows are independent, so fan out over the
-            // pool (windowed SSIM is a real share of the per-frame cost).
-            let work = chunk.len().saturating_mul(dim).saturating_mul(32);
-            scores.extend(ndtensor::par::try_parallel_map::<f32, NoveltyError>(
-                chunk.len(),
-                work,
-                |i| {
-                    let row = &out_slice[i * dim..(i + 1) * dim];
-                    let recon =
-                        Image::from_tensor(Tensor::from_slice([self.height, self.width], row)?)?;
-                    match self.objective.ssim_config() {
-                        None => Ok(metrics::mse(chunk[i], &recon)?),
-                        Some(cfg) => Ok(metrics::ssim(chunk[i], &recon, &cfg)?),
-                    }
-                },
-            )?);
+                .forward(&Tensor::from_vec([chunk.len(), dim], data)?)?;
+            for (img, row) in chunk.iter().zip(out.as_slice().chunks_exact(dim)) {
+                let recon =
+                    Image::from_tensor(Tensor::from_slice([self.height, self.width], row)?)?;
+                scores.push(match self.objective.ssim_config() {
+                    None => metrics::mse(img, &recon)?,
+                    Some(cfg) => metrics::ssim(img, &recon, &cfg)?,
+                });
+            }
         }
         Ok(scores)
     }

@@ -88,8 +88,8 @@ fn flag_rate(verdicts: &[Verdict]) -> f32 {
 /// from the training distribution) and a novel sample.
 ///
 /// Both batches are classified through [`Detector::classify_batch`] with
-/// `recorder` (so scoring wall time, per-image latency and pool activity
-/// are captured), and the report's headline numbers (AUROC, detection
+/// `recorder` (so scoring wall time, per-image latency and scratch-pool
+/// activity are captured), and the report's headline numbers (AUROC, detection
 /// rate, false-positive rate, threshold) are recorded as `eval.*` gauges.
 /// Pass [`obs::noop`] to record nothing; recording never changes the
 /// evaluation result.

@@ -25,8 +25,8 @@
 //!   contextualizes the score-space separation (diagonal ≡ 1).
 //!
 //! Everything is a pure function of the config seed: the same
-//! [`GridConfig`] produces a byte-identical [`GridReport`] at any thread
-//! count, which is what lets CI `cmp` two runs of the smoke grid.
+//! [`GridConfig`] produces a byte-identical [`GridReport`] on every run,
+//! which is what lets CI `cmp` two runs of the smoke grid.
 
 use metrics::separation::{auroc, detection_rate};
 use metrics::{ssim, SsimConfig};

@@ -19,8 +19,8 @@
 //! the gradient pass runs on a dedicated clone of the CNN behind a
 //! mutex. [`saliency::grad::gradient_saliency`] zeroes accumulated
 //! gradients before and after, so its result is a pure function of
-//! `(parameters, image)` — lock acquisition order cannot change any
-//! score, which keeps batch scoring bit-identical at any thread count.
+//! `(parameters, image)`, and batch scoring gives per-image scoring's
+//! bits.
 
 use std::sync::Mutex;
 
@@ -162,12 +162,10 @@ impl ModelCharBackend {
                 stds: Vec::new(),
             },
         };
-        let work = images
-            .len()
-            .saturating_mul(height * width)
-            .saturating_mul(64);
-        let rows =
-            ndtensor::par::try_parallel_map(images.len(), work, |i| backend.features(&images[i]))?;
+        let rows = images
+            .iter()
+            .map(|img| backend.features(img))
+            .collect::<Result<Vec<_>>>()?;
         backend.profile = StatProfile::fit(&rows)?;
         let scores = rows
             .iter()

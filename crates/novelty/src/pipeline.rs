@@ -307,7 +307,7 @@ impl NoveltyDetector {
     /// ([`ScoreBackend::score_each`]).
     ///
     /// Score `i` is bit-identical to [`NoveltyDetector::score`] on image
-    /// `i`, for any thread count.
+    /// `i`.
     ///
     /// # Errors
     ///
@@ -322,11 +322,11 @@ impl NoveltyDetector {
 
     /// [`NoveltyDetector::score_batch`] with observability: the batch
     /// runs under a `scoring` span, `scoring.scores_computed` counts the
-    /// scores, and the work pool's activity during the batch lands under
-    /// `scoring.par.*`.
+    /// scores, and the scratch pool's activity during the batch lands
+    /// under `scoring.scratch.*`.
     ///
     /// Recording never changes the scores — they are bit-identical with
-    /// any recorder, at any thread count.
+    /// any recorder.
     ///
     /// # Errors
     ///
@@ -349,10 +349,9 @@ impl NoveltyDetector {
     /// the frames) fails every valid slot with `Invalid { op: "score" }`.
     ///
     /// The batch runs under a `scoring` span, `scoring.scores_computed`
-    /// counts the scores produced, and the work pool's activity lands
-    /// under `scoring.par.*`.
+    /// counts the scores produced, and the scratch pool's activity lands
+    /// under `scoring.scratch.*`.
     pub(crate) fn score_each(&self, images: &[Image], recorder: &dyn Recorder) -> Vec<Result<f32>> {
-        let pool_before = recorder.enabled().then(obs::par_snapshot);
         let scratch_before = recorder.enabled().then(obs::scratch_snapshot);
         let scores = obs::time(recorder, "scoring", || {
             let checks: Vec<Result<()>> =
@@ -395,9 +394,6 @@ impl NoveltyDetector {
             "scoring.scores_computed",
             scores.iter().filter(|s| s.is_ok()).count() as u64,
         );
-        if let Some(before) = pool_before {
-            obs::record_par_delta(&Scoped::new(recorder, "scoring"), before);
-        }
         if let Some(before) = scratch_before {
             obs::record_scratch_delta(&Scoped::new(recorder, "scoring"), before);
         }
@@ -738,8 +734,7 @@ impl NoveltyDetectorBuilder {
     /// threshold is recorded as a gauge.
     ///
     /// Recording never changes what is trained: the resulting detector
-    /// is identical (same weights, scores, threshold) with any recorder,
-    /// at any thread count.
+    /// is identical (same weights, scores, threshold) with any recorder.
     ///
     /// # Errors
     ///
@@ -801,8 +796,8 @@ impl NoveltyDetectorBuilder {
         };
 
         // Preprocess the training images into the classifier's input space
-        // (VBP masks are computed batch-parallel; results are bit-identical
-        // to the serial map for any thread count).
+        // (VBP masks through the batch entry point, bit-identical to
+        // mapping `visual_backprop` over the frames).
         let representations: Vec<Image> = match (&steering, self.preprocessing) {
             (None, _) => train_split
                 .frames()

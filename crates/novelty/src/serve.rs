@@ -43,7 +43,7 @@
 //! **Determinism.** Rounds are a virtual clock: queueing deadlines count
 //! rounds, and scoring deadlines can charge a seeded
 //! [`crate::CostModel`] instead of wall time. Same seeds + same tenant
-//! set ⇒ byte-identical per-tenant [`AlarmLog`]s at any thread count.
+//! set ⇒ byte-identical per-tenant [`AlarmLog`]s on every run.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -490,8 +490,7 @@ impl<'d> StreamServer<'d> {
 /// One line of a per-tenant serve (or stream) alarm log. Only
 /// deterministic fields are logged — deadline overruns under the ambient
 /// clock are deliberately absent — so runs with the same seeds, tenant
-/// set and fault schedules produce byte-identical logs at any thread
-/// count.
+/// set and fault schedules produce byte-identical logs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlarmLogEntry {
     /// Frame index within the tenant's stream.

@@ -31,8 +31,7 @@
 //!
 //! Recorders only *observe*. Nothing in this crate feeds back into any
 //! computation, so detector JSON and novelty scores are bit-identical
-//! with recording on or off, at any thread count (enforced by
-//! `tests/observability.rs`).
+//! with recording on or off (enforced by `tests/observability.rs`).
 //!
 //! # Example
 //!
@@ -52,14 +51,12 @@
 //! ```
 
 mod error;
-mod par_stats;
 mod recorder;
 mod report;
 mod scratch_stats;
 mod stopwatch;
 
 pub use error::ObsError;
-pub use par_stats::{par_snapshot, record_par_delta};
 pub use recorder::{noop, NoopRecorder, Recorder, RunRecorder, Scoped, Span};
 pub use report::{
     CounterReport, GaugeReport, HistogramReport, RunReport, SeriesReport, StageReport,

@@ -8,9 +8,9 @@ use std::time::Instant;
 /// The instrumentation sink.
 ///
 /// Instrumented code calls these methods unconditionally; implementations
-/// decide what (if anything) to keep. All methods take `&self` so one
-/// recorder can be shared across the worker threads of
-/// [`ndtensor::par`].
+/// decide what (if anything) to keep. All methods take `&self`, so one
+/// recorder is passed down through every layer of a run, and a program
+/// that runs work on several threads of its own can share it.
 ///
 /// Probe names are dotted paths (`"stream-score.latency_secs"`); the first
 /// segment conventionally names the pipeline stage.

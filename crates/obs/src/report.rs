@@ -94,7 +94,8 @@ pub struct RunReport {
     pub schema_version: u32,
     /// What produced the report (`train`, `eval`, `bench:fig3`, …).
     pub command: String,
-    /// Configured worker-thread count (`ndtensor::par::thread_config`).
+    /// Threads the library computes on: always 1, since every kernel runs
+    /// on the calling thread. Kept so reports keep one schema.
     pub threads: u64,
     /// Span wall-times, sorted by path.
     pub stages: Vec<StageReport>,
@@ -165,13 +166,13 @@ fn summarize(name: &str, samples: &[f64]) -> HistogramReport {
 impl RunRecorder {
     /// Snapshots everything recorded so far into a [`RunReport`].
     ///
-    /// `command` labels what produced the report. The report's `threads`
-    /// field is read from the process-wide [`ndtensor::par`] config.
+    /// `command` labels what produced the report. Its `threads` field is
+    /// 1.
     pub fn report(&self, command: &str) -> RunReport {
         self.snapshot(|s| RunReport {
             schema_version: REPORT_SCHEMA_VERSION,
             command: command.to_string(),
-            threads: ndtensor::par::thread_config().threads() as u64,
+            threads: 1,
             stages: s
                 .spans
                 .iter()

@@ -1,10 +1,10 @@
 //! Bridge from [`ndtensor::scratch`]'s always-on pool counters into a
 //! [`Recorder`].
 //!
-//! Same pattern as [`crate::par_stats`]: `ndtensor` sits below `obs` in
-//! the crate graph, so the scratch pool keeps cheap global atomics
-//! ([`ndtensor::scratch::ScratchStats`]) and observers diff snapshots
-//! around the region they care about. The hit rate is the headline
+//! `ndtensor` sits below `obs` in the crate graph, so it cannot record
+//! into a `Recorder` directly; instead the scratch pool keeps cheap
+//! global atomics ([`ndtensor::scratch::ScratchStats`]) and observers
+//! diff snapshots around the region they care about. The hit rate is the headline
 //! number: a warmed hot path should sit at 1.0 (every buffer reused,
 //! zero allocator traffic).
 

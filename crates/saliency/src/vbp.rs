@@ -298,20 +298,17 @@ pub fn visual_backprop(network: &Network, image: &Image) -> Result<Image> {
     })
 }
 
-/// Computes the VisualBackProp masks of a whole image set in parallel.
+/// Computes the VisualBackProp masks of a whole image set, in order.
 ///
-/// Images are fanned out over the work pool configured in
-/// [`ndtensor::par`]; each mask is computed exactly as
-/// [`visual_backprop`] would, so the result is bit-identical to mapping
-/// the single-image function serially, for any thread count. On failure
-/// the error of the lowest-indexed failing image is returned — the same
-/// error serial iteration would surface first.
+/// Each mask is computed exactly as [`visual_backprop`] would, so the
+/// result is bit-identical to mapping the single-image function over the
+/// images. On failure the error of the first failing image is returned.
 ///
 /// The whole batch runs under a `vbp` span of `recorder`,
 /// `vbp.masks_computed` counts the masks produced, `vbp.batch_size`
-/// collects batch-size samples, and the work pool's activity during the
-/// batch lands under `vbp.par.*`. Pass [`obs::noop`] to record nothing;
-/// recording never changes the returned masks.
+/// collects batch-size samples, and the scratch pool's activity during
+/// the batch lands under `vbp.scratch.*`. Pass [`obs::noop`] to record
+/// nothing; recording never changes the returned masks.
 ///
 /// # Errors
 ///
@@ -321,22 +318,15 @@ pub fn visual_backprop_batch(
     images: &[Image],
     recorder: &dyn obs::Recorder,
 ) -> Result<Vec<Image>> {
-    let work = images
-        .len()
-        .saturating_mul(images.first().map_or(0, |img| img.height() * img.width()))
-        .saturating_mul(64);
-    let pool_before = recorder.enabled().then(obs::par_snapshot);
     let scratch_before = recorder.enabled().then(obs::scratch_snapshot);
     let masks = obs::time(recorder, "vbp", || {
-        ndtensor::par::try_parallel_map(images.len(), work, |i| {
-            visual_backprop(network, &images[i])
-        })
+        images
+            .iter()
+            .map(|img| visual_backprop(network, img))
+            .collect::<Result<Vec<_>>>()
     })?;
     recorder.add("vbp.masks_computed", masks.len() as u64);
     recorder.observe("vbp.batch_size", images.len() as f64);
-    if let Some(before) = pool_before {
-        obs::record_par_delta(&obs::Scoped::new(recorder, "vbp"), before);
-    }
     if let Some(before) = scratch_before {
         obs::record_scratch_delta(&obs::Scoped::new(recorder, "vbp"), before);
     }
@@ -458,7 +448,8 @@ mod tests {
         let batch = visual_backprop_batch(&net, &images, obs::noop()).unwrap();
         assert_eq!(batch.len(), serial.len());
         for (b, s) in batch.iter().zip(&serial) {
-            assert_eq!(b.as_slice(), s.as_slice());
+            let bits = |m: &Image| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(b), bits(s));
         }
     }
 
@@ -480,7 +471,7 @@ mod tests {
         assert_eq!(report.counter("vbp.masks_computed"), Some(3));
         assert!(report.stage("vbp").unwrap().total_secs > 0.0);
         assert_eq!(report.histogram("vbp.batch_size").unwrap().count, 1);
-        assert!(report.counter("vbp.par.jobs").unwrap_or(0) >= 1);
+        assert!(report.gauge("vbp.scratch.hit_rate").is_some());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Fixture: thread spawning outside `ndtensor::par` must fire.
+//! Fixture: thread spawning in library code must fire.
 
 pub fn bad_spawn() {
     std::thread::spawn(|| {}).join().ok();

@@ -8,8 +8,8 @@
 //! * **Path calls** `Qualifier::name(` resolve to methods whose `impl`
 //!   owner is `Qualifier`; failing that, to free fns named `name` whose
 //!   crate or file stem matches `Qualifier` (covering `obs::time(..)` and
-//!   `par::try_parallel_map(..)` style module calls). `Self::name(`
-//!   resolves against the calling fn's own owner.
+//!   `scratch::take(..)` style module calls). `Self::name(` resolves
+//!   against the calling fn's own owner.
 //! * **Method calls** `.name(` resolve to *every* workspace method named
 //!   `name` — the sound over-approximation for trait objects and generic
 //!   dispatch (a `Box<dyn ScoreBackend>` call reaches all impls). Two
@@ -193,7 +193,7 @@ fn resolve(
                 return Ok(owned);
             }
         }
-        // Module-path free fns: `obs::time`, `par::try_parallel_map`.
+        // Module-path free fns: `obs::time`, `scratch::take`.
         if let Some(cands) = idx.free.get(name) {
             let moduled: Vec<usize> = cands
                 .iter()
@@ -450,13 +450,13 @@ mod tests {
             (
                 "crates/a/src/l.rs",
                 "struct S; impl S { fn make() {} }\n\
-                 fn top() { S::make(); par::map(); }",
+                 fn top() { S::make(); scratch::take(); }",
             ),
-            ("crates/nd/src/par.rs", "pub fn map() {}"),
+            ("crates/nd/src/scratch.rs", "pub fn take() {}"),
         ]);
         let paths = edge_paths(&syms, &g);
         assert!(paths.contains(&("a::top".into(), "a::S::make".into())));
-        assert!(paths.contains(&("a::top".into(), "nd::map".into())));
+        assert!(paths.contains(&("a::top".into(), "nd::take".into())));
     }
 
     #[test]

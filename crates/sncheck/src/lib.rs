@@ -4,8 +4,8 @@
 
 //! `sncheck` — the workspace invariant linter.
 //!
-//! The reproduction's headline guarantees are dynamic: bit-identical
-//! scores at any thread count (`tests/parallel_parity.rs`), recording
+//! The reproduction's headline guarantees are dynamic: pinned detector
+//! digests (`tests/reproducibility.rs`), recording
 //! that never perturbs detector JSON (`tests/observability.rs`), and
 //! byte-reproducible fault schedules (`tests/stream_runtime.rs`). Those
 //! tests only catch a regression on the paths they exercise; one stray

@@ -4,8 +4,8 @@
 //! | rule | guarantee it backs |
 //! |------|--------------------|
 //! | `no-panic-in-lib` | the streaming runtime's "every frame yields exactly one decision" promise — a panic in scoring kills the stream |
-//! | `no-ambient-clock` | bit-identical results at any thread count and with recording on/off — wall-clock reads belong to `obs::Stopwatch` |
-//! | `no-raw-spawn` | the serial-parity proof — all parallelism funnels through `ndtensor::par` so one knob (and one proof) covers it |
+//! | `no-ambient-clock` | bit-identical results with recording on/off — wall-clock reads belong to `obs::Stopwatch` |
+//! | `no-raw-spawn` | the library is single-threaded; every digest assumes it |
 //! | `no-nondeterministic-iteration` | byte-reproducible detector JSON and fault schedules — `HashMap` iteration order varies per process |
 //! | `no-float-eq` | the ECDF-threshold contract — exact float equality is seed-hostile; epsilon helpers make tolerance explicit |
 //! | `no-stdout-in-lib` | recording never perturbs detector output — library crates must not write to std streams |
@@ -37,9 +37,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 const FLOAT_EQ_CRATES: &[&str] = &[
     "ndtensor", "neural", "saliency", "metrics", "novelty", "simdrive", "vision",
 ];
-
-/// The one module allowed to spawn threads.
-const SPAWN_ALLOWED_FILE: &str = "crates/ndtensor/src/par.rs";
 
 /// Per-frame hot-path modules where ad-hoc heap allocation is banned:
 /// buffers must come from `ndtensor::scratch` (or a reused workspace) so
@@ -155,7 +152,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "no-raw-spawn",
-        summary: "thread spawning only inside ndtensor::par, preserving the serial-parity proof surface",
+        summary: "no thread spawning in library code: the library is single-threaded; every digest assumes it",
     },
     RuleInfo {
         id: "no-nondeterministic-iteration",
@@ -271,9 +268,7 @@ pub fn run_rules(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     if krate != CLOCK_ALLOWED_CRATE {
         no_ambient_clock(ctx, &mut out);
     }
-    if ctx.rel != SPAWN_ALLOWED_FILE {
-        no_raw_spawn(ctx, &mut out);
-    }
+    no_raw_spawn(ctx, &mut out);
     if DETERMINISTIC_CRATES.contains(&krate) {
         no_nondeterministic_iteration(ctx, &mut out);
     }
@@ -366,8 +361,8 @@ fn no_raw_spawn(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 i,
                 "no-raw-spawn",
                 format!(
-                    "`thread::{}` outside `ndtensor::par` escapes the serial-parity proof; \
-                     use `ndtensor::par::{{for_each_block, try_parallel_map}}`",
+                    "`thread::{}` in library code: the library is single-threaded; \
+                     every digest assumes it",
                     ctx.text(i + 2)
                 ),
             ));
@@ -687,7 +682,15 @@ mod tests {
         let src = "fn f() { std::thread::spawn(|| {}); thread::scope(|s| {}); }";
         let diags = check(LIB, src);
         assert_eq!(diags.iter().filter(|d| d.rule == "no-raw-spawn").count(), 2);
-        assert!(check("crates/ndtensor/src/par.rs", src).is_empty());
+        // No library file is exempt.
+        let in_ndtensor = check("crates/ndtensor/src/matmul.rs", src);
+        assert_eq!(
+            in_ndtensor
+                .iter()
+                .filter(|d| d.rule == "no-raw-spawn")
+                .count(),
+            2
+        );
         // available_parallelism is not spawning.
         assert!(check(LIB, "fn f() { thread::available_parallelism(); }").is_empty());
     }

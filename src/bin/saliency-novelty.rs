@@ -25,7 +25,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use ndtensor::par::{set_thread_config, ThreadConfig};
 use novelty::eval::evaluate;
 use novelty::evalgrid::{run_evalgrid, GridConfig, GridDomain};
 use novelty::monitor::AlarmState;
@@ -144,7 +143,7 @@ COMMANDS:
                                       --cost-ms (keeps runs reproducible)
              --log-dir DIR            write one atomic per-tenant alarm
                                       log DIR/<tenant>.json (byte-identical
-                                      across runs and thread counts)
+                                      across runs)
              --require-recovery       exit 1 unless the --hostile tenant
                                       degraded AND ended healthy
              --json                   emit the summary as JSON
@@ -180,9 +179,6 @@ COMMANDS:
              --file FILE              (required)
              --expect s1,s2,...       fail unless every named pipeline
                                       stage appears with positive time
-
-  All pipeline commands also accept --threads N to fix the worker-pool
-  size (overrides the SALIENCY_THREADS environment variable).
 
 EXIT CODES:
   0 success · 1 runtime failure · 2 usage error
@@ -292,20 +288,6 @@ impl Args {
                 .map_err(|_| usage_err(format!("--{key} must be an integer, got {v:?}"))),
         }
     }
-
-    /// Applies `--threads N` to the process-global worker pool.
-    fn apply_threads(&self) -> Result<(), CliError> {
-        if let Some(v) = self.flags.get("threads") {
-            let n: usize = v
-                .parse()
-                .map_err(|_| usage_err(format!("--threads must be an integer, got {v:?}")))?;
-            if n == 0 {
-                return Err(usage_err("--threads must be at least 1"));
-            }
-            set_thread_config(ThreadConfig::new(n));
-        }
-        Ok(())
-    }
 }
 
 fn parse_world(s: &str) -> Result<World, CliError> {
@@ -378,7 +360,7 @@ fn flush_report(
 }
 
 fn cmd_generate(args: &Args) -> CliResult {
-    args.reject_unknown(&["world", "weather", "len", "seed", "out", "threads"])?;
+    args.reject_unknown(&["world", "weather", "len", "seed", "out"])?;
     let world = parse_world(&args.get("world", "outdoor"))?;
     let weather = parse_weather(&args.get("weather", "clear"))?;
     let len = args.usize("len", 20)?;
@@ -418,7 +400,6 @@ fn cmd_train(args: &Args) -> CliResult {
         "ae-epochs",
         "out",
         "obs-out",
-        "threads",
     ])?;
     let world = parse_world(&args.get("world", "outdoor"))?;
     let backend_flag = args.optional("backend");
@@ -552,9 +533,7 @@ fn cmd_backends(args: &Args) -> CliResult {
 }
 
 fn cmd_classify(args: &Args) -> CliResult {
-    args.reject_unknown(&[
-        "detector", "image", "backend", "ensemble", "json", "threads",
-    ])?;
+    args.reject_unknown(&["detector", "image", "backend", "ensemble", "json"])?;
     let loaded = load_detector_file(args)?;
     let detector = select_detector(&loaded, args)?;
     let image = load_image(&args.required("image")?)?;
@@ -592,7 +571,6 @@ fn cmd_eval(args: &Args) -> CliResult {
         "seed",
         "json",
         "obs-out",
-        "threads",
     ])?;
     let loaded = load_detector_file(args)?;
     let detector = select_detector(&loaded, args)?;
@@ -698,7 +676,6 @@ fn cmd_stream(args: &Args) -> CliResult {
         "require-recovery",
         "json",
         "obs-out",
-        "threads",
     ])?;
     let loaded = load_detector_file(args)?;
     let detector = select_detector(&loaded, args)?;
@@ -920,7 +897,6 @@ fn cmd_serve(args: &Args) -> CliResult {
         "require-recovery",
         "json",
         "obs-out",
-        "threads",
     ])?;
     let loaded = load_detector_file(args)?;
     let detector = select_detector(&loaded, args)?;
@@ -1210,7 +1186,6 @@ fn cmd_evalgrid(args: &Args) -> CliResult {
         "out",
         "json",
         "obs-out",
-        "threads",
     ])?;
     let seed = args.u64("seed", 17)?;
     let mut cfg = if args.is_set("quick") {
@@ -1371,7 +1346,6 @@ fn run() -> CliResult {
         return Ok(());
     }
     let args = Args::parse(&argv[1..])?;
-    args.apply_threads()?;
     match command.as_str() {
         "generate" => cmd_generate(&args),
         "backends" => cmd_backends(&args),

@@ -3,20 +3,14 @@
 //! The `ScoreBackend` refactor must be a pure re-plumbing: each of the
 //! paper's three legacy pipelines, trained and scored *through the
 //! trait*, has to produce bit-identical scores and byte-identical
-//! persisted specs at any thread count. Every batch entry point runs the
+//! persisted specs on every same-seed run. Every batch entry point runs the
 //! one stacked scoring path, which must give per-image `classify`'s
 //! score bits for every backend and an ensemble, at any batch size
 //! around the 64-row scoring chunk. The ensemble layer on top must
 //! fuse deterministically: `fuse_verdict` is a pure function of the
 //! (unordered) member-score set and the quorum, order-independent and
 //! monotone in both the oriented ranks and the votes.
-//!
-//! Thread-config tests mutate process-global state and serialise on one
-//! mutex, same as `parallel_parity.rs`.
 
-use std::sync::Mutex;
-
-use ndtensor::{set_thread_config, ThreadConfig};
 use novelty::{
     detector_to_spec, fuse_verdict, BackendKind, BackendScore, Detector, Direction,
     EnsembleDetector, NoveltyDetectorBuilder, Verdict,
@@ -24,22 +18,6 @@ use novelty::{
 use proptest::prelude::*;
 use simdrive::{DatasetConfig, DrivingDataset};
 use vision::Image;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Restores the environment-derived config when dropped, so a failing
-/// test does not leak its thread count into later tests.
-struct ConfigRestore;
-
-impl Drop for ConfigRestore {
-    fn drop(&mut self) {
-        set_thread_config(ThreadConfig::from_env());
-    }
-}
 
 fn tiny_dataset(seed: u64) -> DrivingDataset {
     DatasetConfig::outdoor()
@@ -61,13 +39,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Every legacy pipeline, trained and scored through the `ScoreBackend`
-/// trait, is bit-identical between one worker thread and four — scores,
-/// calibration, and the persisted JSON spec alike.
+/// Every legacy pipeline, trained twice with one seed and scored through
+/// the `ScoreBackend` trait, is bit-identical between the two runs —
+/// scores, calibration, and the persisted JSON spec alike — and its
+/// batch verdicts carry per-image `score`'s bits.
 #[test]
-fn legacy_backends_are_bit_identical_across_thread_counts() {
-    let _guard = lock();
-    let _restore = ConfigRestore;
+fn legacy_backends_are_deterministic_through_the_trait() {
     let data = tiny_dataset(41);
     let probes = probe_images();
 
@@ -81,7 +58,6 @@ fn legacy_backends_are_bit_identical_across_thread_counts() {
                 .expect("tiny detector trains")
         };
 
-        set_thread_config(ThreadConfig::serial());
         let reference = build();
         let ref_scores: Vec<f32> = probes
             .iter()
@@ -89,42 +65,34 @@ fn legacy_backends_are_bit_identical_across_thread_counts() {
             .collect();
         let ref_spec = serde_json::to_string(&detector_to_spec(&reference).unwrap()).unwrap();
 
-        for threads in [1usize, 4] {
-            set_thread_config(ThreadConfig::new(threads));
-            let detector = build();
-            assert_eq!(detector.kind(), kind);
-            assert_eq!(
-                bits(detector.training_scores()),
-                bits(reference.training_scores()),
-                "{} training scores, threads={threads}",
-                kind.id()
-            );
-            assert_eq!(
-                detector.threshold().value().to_bits(),
-                reference.threshold().value().to_bits(),
-                "{} threshold, threads={threads}",
-                kind.id()
-            );
-            // Scoring through the trait object (the batch path fans out
-            // over the pool) matches the serial reference bit for bit.
-            let batch = detector.classify_batch(&probes, obs::noop()).unwrap();
-            let scores: Vec<f32> = batch.iter().map(|v| v.score).collect();
-            assert_eq!(
-                bits(&scores),
-                bits(&ref_scores),
-                "{} scores, threads={threads}",
-                kind.id()
-            );
-            for (verdict, score) in batch.iter().zip(&ref_scores) {
-                assert_eq!(verdict.backend, kind.id());
-                assert_eq!(verdict.score.to_bits(), score.to_bits());
-                assert_eq!(verdict.total_votes, 1);
-            }
-            // The persisted spec is byte-identical, so same-seed runs
-            // write the same detector file at any thread count.
-            let spec = serde_json::to_string(&detector_to_spec(&detector).unwrap()).unwrap();
-            assert_eq!(spec, ref_spec, "{} spec JSON, threads={threads}", kind.id());
+        let detector = build();
+        assert_eq!(detector.kind(), kind);
+        assert_eq!(
+            bits(detector.training_scores()),
+            bits(reference.training_scores()),
+            "{} training scores",
+            kind.id()
+        );
+        assert_eq!(
+            detector.threshold().value().to_bits(),
+            reference.threshold().value().to_bits(),
+            "{} threshold",
+            kind.id()
+        );
+        // Batch scoring through the trait object matches per-image
+        // scoring bit for bit.
+        let batch = detector.classify_batch(&probes, obs::noop()).unwrap();
+        let scores: Vec<f32> = batch.iter().map(|v| v.score).collect();
+        assert_eq!(bits(&scores), bits(&ref_scores), "{} scores", kind.id());
+        for (verdict, score) in batch.iter().zip(&ref_scores) {
+            assert_eq!(verdict.backend, kind.id());
+            assert_eq!(verdict.score.to_bits(), score.to_bits());
+            assert_eq!(verdict.total_votes, 1);
         }
+        // The persisted spec is byte-identical, so same-seed runs
+        // write the same detector file.
+        let spec = serde_json::to_string(&detector_to_spec(&detector).unwrap()).unwrap();
+        assert_eq!(spec, ref_spec, "{} spec JSON", kind.id());
     }
 }
 
@@ -141,13 +109,11 @@ fn verdict_bits(v: &Verdict) -> Vec<u32> {
 /// stacked scoring path (autoencoder passes of 64 rows). For every
 /// backend and a two-member ensemble, at batch sizes on both sides of
 /// one and two chunks, each must return per-image `classify`'s verdicts
-/// with the same score bits, at one worker thread and at four. In
+/// with the same score bits. In
 /// `classify_each` a NaN frame and a wrong-size frame fail only their
 /// own slots, and `classify_batch` fails with the first of them.
 #[test]
 fn batch_paths_match_classify_bitwise_around_the_scoring_chunk() {
-    let _guard = lock();
-    let _restore = ConfigRestore;
     let data = tiny_dataset(41);
     let frames: Vec<Image> = DatasetConfig::outdoor()
         .with_len(130)
@@ -181,63 +147,60 @@ fn batch_paths_match_classify_bitwise_around_the_scoring_chunk() {
         .collect();
     detectors.push(&pair);
 
-    for threads in [1usize, 4] {
-        set_thread_config(ThreadConfig::new(threads));
-        for detector in &detectors {
-            let label = format!("{} threads={threads}", detector.label());
-            let reference: Vec<Verdict> = frames
-                .iter()
-                .map(|f| detector.classify(f).unwrap())
+    for detector in &detectors {
+        let label = detector.label();
+        let reference: Vec<Verdict> = frames
+            .iter()
+            .map(|f| detector.classify(f).unwrap())
+            .collect();
+        for n in [1usize, 63, 64, 65, 130] {
+            let batch = detector.classify_batch(&frames[..n], obs::noop()).unwrap();
+            let each: Vec<Verdict> = detector
+                .classify_each(&frames[..n], obs::noop())
+                .into_iter()
+                .map(Result::unwrap)
                 .collect();
-            for n in [1usize, 63, 64, 65, 130] {
-                let batch = detector.classify_batch(&frames[..n], obs::noop()).unwrap();
-                let each: Vec<Verdict> = detector
-                    .classify_each(&frames[..n], obs::noop())
-                    .into_iter()
-                    .map(Result::unwrap)
-                    .collect();
-                for verdicts in [&batch, &each] {
-                    assert_eq!(verdicts.len(), n, "{label} n={n}");
-                    for (i, (got, want)) in verdicts.iter().zip(&reference).enumerate() {
-                        assert_eq!(got, want, "{label} n={n} frame {i}");
-                        assert_eq!(
-                            verdict_bits(got),
-                            verdict_bits(want),
-                            "{label} n={n} frame {i}"
-                        );
-                    }
+            for verdicts in [&batch, &each] {
+                assert_eq!(verdicts.len(), n, "{label} n={n}");
+                for (i, (got, want)) in verdicts.iter().zip(&reference).enumerate() {
+                    assert_eq!(got, want, "{label} n={n} frame {i}");
+                    assert_eq!(
+                        verdict_bits(got),
+                        verdict_bits(want),
+                        "{label} n={n} frame {i}"
+                    );
                 }
             }
-
-            let each = detector.classify_each(&mixed, obs::noop());
-            assert_eq!(each.len(), mixed.len(), "{label}");
-            for (i, verdict) in each.iter().enumerate() {
-                match i {
-                    3 | 64 => assert!(verdict.is_err(), "{label}: bad frame {i} scored"),
-                    _ => assert_eq!(
-                        verdict_bits(verdict.as_ref().unwrap()),
-                        verdict_bits(&reference[i]),
-                        "{label}: frame {i}"
-                    ),
-                }
-            }
-            let first_error = detector.classify_batch(&mixed, obs::noop()).unwrap_err();
-            assert!(
-                first_error.to_string().contains("NaN"),
-                "{label}: {first_error}"
-            );
         }
 
-        for member in singles.members().iter().chain(pair.members()) {
-            let reference: Vec<f32> = frames.iter().map(|f| member.score(f).unwrap()).collect();
-            for n in [1usize, 63, 64, 65, 130] {
-                assert_eq!(
-                    bits(&member.score_batch(&frames[..n]).unwrap()),
-                    bits(&reference[..n]),
-                    "{} score_batch n={n} threads={threads}",
-                    member.kind().id()
-                );
+        let each = detector.classify_each(&mixed, obs::noop());
+        assert_eq!(each.len(), mixed.len(), "{label}");
+        for (i, verdict) in each.iter().enumerate() {
+            match i {
+                3 | 64 => assert!(verdict.is_err(), "{label}: bad frame {i} scored"),
+                _ => assert_eq!(
+                    verdict_bits(verdict.as_ref().unwrap()),
+                    verdict_bits(&reference[i]),
+                    "{label}: frame {i}"
+                ),
             }
+        }
+        let first_error = detector.classify_batch(&mixed, obs::noop()).unwrap_err();
+        assert!(
+            first_error.to_string().contains("NaN"),
+            "{label}: {first_error}"
+        );
+    }
+
+    for member in singles.members().iter().chain(pair.members()) {
+        let reference: Vec<f32> = frames.iter().map(|f| member.score(f).unwrap()).collect();
+        for n in [1usize, 63, 64, 65, 130] {
+            assert_eq!(
+                bits(&member.score_batch(&frames[..n]).unwrap()),
+                bits(&reference[..n]),
+                "{} score_batch n={n}",
+                member.kind().id()
+            );
         }
     }
 }

@@ -81,8 +81,8 @@ fn unknown_command_fails_with_usage() {
 #[test]
 fn usage_errors_exit_2_and_runtime_errors_exit_1() {
     // Usage class: unknown command, unknown flag (including the retired
-    // --pipeline alias), unparseable value, missing required flag, bad
-    // --threads.
+    // --pipeline alias and the retired --threads), unparseable value,
+    // missing required flag.
     for args in [
         vec!["frobnicate"],
         vec!["generate", "--frobnicate", "1"],
@@ -420,22 +420,29 @@ fn ensemble_eval_reports_fused_separation() {
 }
 
 #[test]
-fn eval_json_and_threads_flags_work() {
+fn eval_json_flag_works_and_threads_is_an_unknown_flag() {
     let detector = trained_detector_path();
-    let out = run(&[
+    let args = [
         "eval",
         "--detector",
         detector.to_str().unwrap(),
         "--len",
         "6",
-        "--threads",
-        "2",
         "--json",
-    ]);
+    ];
+    let out = run(&args);
     assert!(out.status.success(), "{}", stderr(&out));
     let json = stdout(&out);
     assert!(json.contains("\"auroc\""), "{json}");
     assert!(json.contains("\"novel_detection_rate\""), "{json}");
+    // The library is single-threaded: there is no pool to size.
+    let out = run(&[&args[..], &["--threads", "2"]].concat());
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("unknown flag --threads"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]

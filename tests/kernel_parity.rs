@@ -1,5 +1,5 @@
 //! Bit-parity of the register-blocked GEMM kernels against an embedded
-//! naive reference, for random shapes and thread counts {1, 2, 4}.
+//! naive reference, for random and block-edge shapes.
 //!
 //! The kernels behind `ndtensor::matmul` and `ndtensor::conv2d` block
 //! output rows and columns in registers and pack operand panels for
@@ -11,25 +11,12 @@
 //! contraction would fail them. (Blocking `k` so that a chain pauses in
 //! the output and resumes from it is allowed: an f32 store and load are
 //! exact, so it is still one chain.)
-//!
-//! The tests mutate the process-wide thread configuration, so they all
-//! serialise on one mutex (same convention as `parallel_parity.rs`).
-
-use std::sync::Mutex;
 
 use ndtensor::{
     conv2d, conv2d_backward, conv2d_backward_params, matmul, matmul_a_bt, matmul_assign,
-    matmul_at_b, matmul_at_b_acc, set_thread_config, Conv2dSpec, Tensor, ThreadConfig,
+    matmul_at_b, matmul_at_b_acc, Conv2dSpec, Tensor,
 };
 use proptest::prelude::*;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn pseudo(shape: impl Into<ndtensor::Shape>, seed: u64) -> Tensor {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -111,20 +98,12 @@ fn naive_matmul_a_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<
     out
 }
 
-/// Runs `f` under every thread count and asserts its output bits match
-/// `reference` each time. Restores the env config afterwards.
-fn assert_parity_across_threads(
-    reference: &[f32],
-    label: &str,
-    mut f: impl FnMut() -> Vec<f32>,
-) -> Result<(), TestCaseError> {
-    for threads in THREAD_COUNTS {
-        set_thread_config(ThreadConfig::new(threads));
-        let got = f();
-        let ok = bits(&got) == bits(reference);
-        set_thread_config(ThreadConfig::from_env());
-        prop_assert!(ok, "{label}: mismatch vs naive at threads={threads}");
-    }
+/// Asserts that `got` has `reference`'s bits.
+fn assert_parity(reference: &[f32], label: &str, got: &Tensor) -> Result<(), TestCaseError> {
+    prop_assert!(
+        bits(got.as_slice()) == bits(reference),
+        "{label}: mismatch vs naive"
+    );
     Ok(())
 }
 
@@ -141,13 +120,10 @@ proptest! {
         n in 1usize..320,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let a = pseudo([m, k], seed);
         let b = pseudo([k, n], seed + 7);
         let reference = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
-        assert_parity_across_threads(&reference, "matmul", || {
-            matmul(&a, &b).unwrap().as_slice().to_vec()
-        })?;
+        assert_parity(&reference, "matmul", &matmul(&a, &b).unwrap())?;
     }
 
     /// Same contract for the transposed-A kernel, whose production
@@ -160,13 +136,10 @@ proptest! {
         n in 1usize..320,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let a = pseudo([k, m], seed);
         let b = pseudo([k, n], seed + 7);
         let reference = naive_matmul_at_b(a.as_slice(), b.as_slice(), m, k, n);
-        assert_parity_across_threads(&reference, "matmul_at_b", || {
-            matmul_at_b(&a, &b).unwrap().as_slice().to_vec()
-        })?;
+        assert_parity(&reference, "matmul_at_b", &matmul_at_b(&a, &b).unwrap())?;
     }
 
     /// Same contract for the transposed-B product, which production
@@ -178,13 +151,10 @@ proptest! {
         n in 1usize..96,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let a = pseudo([m, k], seed);
         let b = pseudo([n, k], seed + 7);
         let reference = naive_matmul_a_bt(a.as_slice(), b.as_slice(), m, k, n);
-        assert_parity_across_threads(&reference, "matmul_a_bt", || {
-            matmul_a_bt(&a, &b).unwrap().as_slice().to_vec()
-        })?;
+        assert_parity(&reference, "matmul_a_bt", &matmul_a_bt(&a, &b).unwrap())?;
     }
 
     /// Same contract for the assigning, never-skipping `A·B` that runs
@@ -199,16 +169,13 @@ proptest! {
         zero_every in 0usize..4,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let mut a = pseudo([m, k], seed);
         if zero_every > 0 {
             a.as_mut_slice().iter_mut().step_by(zero_every).for_each(|v| *v = 0.0);
         }
         let b = pseudo([k, n], seed + 7);
         let reference = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
-        assert_parity_across_threads(&reference, "matmul_assign", || {
-            matmul_assign(&a, &b).unwrap().as_slice().to_vec()
-        })?;
+        assert_parity(&reference, "matmul_assign", &matmul_assign(&a, &b).unwrap())?;
     }
 
     /// The zero-skipping `A·B` on an all-finite `B` and a ReLU-like `A`
@@ -222,7 +189,6 @@ proptest! {
         n in 1usize..200,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let m = [1usize, 2, 15][m_pick];
         let a = zero_heavy(m, k, seed);
         let zeros = a.as_slice().iter().filter(|&&v| v == 0.0).count();
@@ -232,35 +198,26 @@ proptest! {
         let bt = b.transpose2d().unwrap();
         let abt = matmul_a_bt(&a, &bt).unwrap();
         prop_assert_eq!(bits(abt.as_slice()), bits(&reference));
-        assert_parity_across_threads(&reference, "matmul", || {
-            matmul(&a, &b).unwrap().as_slice().to_vec()
-        })?;
+        assert_parity(&reference, "matmul", &matmul(&a, &b).unwrap())?;
     }
 
-    /// The convolution (im2col + packed GEMM) is bit-stable across thread
-    /// counts.
+    /// The zero-padded convolution (im2col + packed GEMM) reproduces the
+    /// naive chain bit-for-bit for random batch, channel and filter
+    /// counts and input sizes.
     #[test]
-    fn conv2d_bitwise_stable_across_threads(
+    fn conv2d_bitwise_matches_naive(
         n in 1usize..3,
         c in 1usize..3,
         f in 1usize..4,
         hw in 6usize..14,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let spec = Conv2dSpec::new((1, 1), (1, 1));
         let input = pseudo([n, c, hw, hw], seed);
         let weight = pseudo([f, c, 3, 3], seed + 3);
         let bias = pseudo([f], seed + 5);
-        set_thread_config(ThreadConfig::serial());
-        let reference = conv2d(&input, &weight, Some(&bias), spec).unwrap();
-        set_thread_config(ThreadConfig::from_env());
-        assert_parity_across_threads(reference.as_slice(), "conv2d", || {
-            conv2d(&input, &weight, Some(&bias), spec)
-                .unwrap()
-                .as_slice()
-                .to_vec()
-        })?;
+        let reference = naive_conv_general(&input, &weight, Some(&bias), spec);
+        assert_parity(&reference, "conv2d", &conv2d(&input, &weight, Some(&bias), spec).unwrap())?;
     }
 }
 
@@ -310,8 +267,6 @@ fn naive_conv(
 /// and `n = oh·ow`.
 #[test]
 fn kernel_choice_boundary_matches_naive_bitwise() {
-    let _guard = lock();
-    set_thread_config(ThreadConfig::serial());
     for (case, &(k, n)) in [(128usize, 63usize), (128, 64), (129, 63), (129, 64)]
         .iter()
         .enumerate()
@@ -363,7 +318,6 @@ fn kernel_choice_boundary_matches_naive_bitwise() {
             "conv2d k{k} n{n}"
         );
     }
-    set_thread_config(ThreadConfig::from_env());
 }
 
 /// Fixed shapes chosen to land exactly on kernel block edges: multiples
@@ -373,8 +327,6 @@ fn kernel_choice_boundary_matches_naive_bitwise() {
 /// 2-row blocks.
 #[test]
 fn tile_edge_shapes_match_naive_bitwise() {
-    let _guard = lock();
-    set_thread_config(ThreadConfig::serial());
     let cases = [
         (4usize, 16usize, 256usize),
         (3, 16, 257),
@@ -405,7 +357,6 @@ fn tile_edge_shapes_match_naive_bitwise() {
             "matmul_a_bt m{m} k{k} n{n}"
         );
     }
-    set_thread_config(ThreadConfig::from_env());
 }
 
 /// The pre-panel forward pass, element by element: per output element
@@ -464,12 +415,10 @@ fn naive_conv_general(
 /// The conv forward on its padded panel reproduces the naive chain
 /// bit-for-bit: output widths `n = oh·ow` of 1, W−1, W, W+1 and 2W+3
 /// for the 32-column register block, and the five PilotNet layer shapes
-/// (compact widths, 60×160 input); batch 1 and 3, threads {1, 2, 4},
-/// with and without bias, on weights with an all-zero filter row, a
+/// (compact widths, 60×160 input); batch 1 and 3, with and without bias, on weights with an all-zero filter row, a
 /// `-0.0` and otherwise no zeros (both sides of the dense-row gate).
 #[test]
 fn conv2d_panel_forward_matches_naive_bitwise() {
-    let _guard = lock();
     let strided = Conv2dSpec::new((2, 2), (0, 0));
     let padded = Conv2dSpec::new((1, 1), (1, 1));
     // (c, h, w, f, kh, kw, spec)
@@ -507,16 +456,9 @@ fn conv2d_panel_forward_matches_naive_bitwise() {
             let input = pseudo([batch, c, h, w], seed);
             for b in [None, Some(&bias)] {
                 let want = naive_conv_general(&input, &weight, b, spec);
-                for threads in THREAD_COUNTS {
-                    set_thread_config(ThreadConfig::new(threads));
-                    let got = conv2d(&input, &weight, b, spec).unwrap();
-                    set_thread_config(ThreadConfig::from_env());
-                    let label = format!(
-                        "case {case} batch {batch} bias {} threads {threads}",
-                        b.is_some()
-                    );
-                    assert_eq!(bits(got.as_slice()), bits(&want), "conv2d {label}");
-                }
+                let got = conv2d(&input, &weight, b, spec).unwrap();
+                let label = format!("case {case} batch {batch} bias {}", b.is_some());
+                assert_eq!(bits(got.as_slice()), bits(&want), "conv2d {label}");
             }
         }
     }
@@ -643,12 +585,10 @@ fn poison(t: &mut Tensor) {
 /// `oh·ow` 2184, 444, 68), a filter count that is not a multiple of 4 and
 /// `c·kh·kw` below 8; plain, ReLU-like zero-heavy and NaN-holding `gOut`;
 /// NaN and ±∞ in the input and in the weights (with exact-zero and
-/// `-0.0` weights throughout); batches of 1, 2 and 32 and threads
-/// {1, 2, 4}. `conv2d_backward_params` gives the same weight and bias
-/// gradients.
+/// `-0.0` weights throughout); batches of 1, 2 and 32.
+/// `conv2d_backward_params` gives the same weight and bias gradients.
 #[test]
 fn conv2d_backward_panel_matches_reference_bitwise() {
-    let _guard = lock();
     let strided = Conv2dSpec::new((2, 2), (0, 0));
     let padded = Conv2dSpec::new((1, 1), (1, 1));
     // (c, h, w, f, kh, kw, spec)
@@ -690,18 +630,14 @@ fn conv2d_backward_panel_matches_reference_bitwise() {
             ];
             for (name, x, wt, gout) in variants {
                 let (gi, gw, gb) = reference_conv2d_backward(x, wt, gout, spec);
-                for threads in THREAD_COUNTS {
-                    set_thread_config(ThreadConfig::new(threads));
-                    let grads = conv2d_backward(x, wt, gout, spec).unwrap();
-                    let (pw, pb) = conv2d_backward_params(x, wt, gout, spec).unwrap();
-                    set_thread_config(ThreadConfig::from_env());
-                    let label = format!("case {case} batch {batch} {name} threads {threads}");
-                    assert_same_bits(grads.grad_input.as_slice(), &gi, &format!("{label} dx"));
-                    assert_same_bits(grads.grad_weight.as_slice(), &gw, &format!("{label} dW"));
-                    assert_same_bits(grads.grad_bias.as_slice(), &gb, &format!("{label} dB"));
-                    assert_same_bits(pw.as_slice(), &gw, &format!("{label} params dW"));
-                    assert_same_bits(pb.as_slice(), &gb, &format!("{label} params dB"));
-                }
+                let grads = conv2d_backward(x, wt, gout, spec).unwrap();
+                let (pw, pb) = conv2d_backward_params(x, wt, gout, spec).unwrap();
+                let label = format!("case {case} batch {batch} {name}");
+                assert_same_bits(grads.grad_input.as_slice(), &gi, &format!("{label} dx"));
+                assert_same_bits(grads.grad_weight.as_slice(), &gw, &format!("{label} dW"));
+                assert_same_bits(grads.grad_bias.as_slice(), &gb, &format!("{label} dB"));
+                assert_same_bits(pw.as_slice(), &gw, &format!("{label} params dW"));
+                assert_same_bits(pb.as_slice(), &gb, &format!("{label} params dB"));
             }
         }
     }
@@ -712,11 +648,9 @@ fn conv2d_backward_panel_matches_reference_bitwise() {
 /// scoring run (m ∈ {1, 2, 15, 32}) and the autoencoder and CNN-head
 /// shapes, on weights with exact-zero and `-0.0` entries. A NaN or ±∞
 /// in `g` facing an exact-zero weight must reach its output (`0 · NaN`
-/// is NaN), so the zero skip is off for a non-finite `g`. Threads
-/// {1, 2, 4}.
+/// is NaN), so the zero skip is off for a non-finite `g`.
 #[test]
 fn matmul_a_bt_panel_matches_naive_bitwise() {
-    let _guard = lock();
     // (k, n): g is [m, k], W is [n, k].
     let shapes = [
         (9600usize, 64usize),
@@ -751,16 +685,12 @@ fn matmul_a_bt_panel_matches_naive_bitwise() {
                 if name == "non-finite g" && k > 0 && n > 0 {
                     assert!(want[(m / 2) * n].is_nan(), "NaN must meet a zero weight");
                 }
-                for threads in THREAD_COUNTS {
-                    set_thread_config(ThreadConfig::new(threads));
-                    let got = matmul_a_bt(a, &wt).unwrap();
-                    set_thread_config(ThreadConfig::from_env());
-                    assert_same_bits(
-                        got.as_slice(),
-                        &want,
-                        &format!("matmul_a_bt m{m} k{k} n{n} {name} threads {threads}"),
-                    );
-                }
+                let got = matmul_a_bt(a, &wt).unwrap();
+                assert_same_bits(
+                    got.as_slice(),
+                    &want,
+                    &format!("matmul_a_bt m{m} k{k} n{n} {name}"),
+                );
             }
         }
     }
@@ -791,12 +721,10 @@ fn naive_matmul_skipping(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> 
 /// poisoning its output, and a term of a non-zero one is kept. Widths
 /// cross the 64-wide register block and its axpy column remainder
 /// (n ∈ {1, 16, 50, 63, 64, 65, 100, 130}), batch sizes are those
-/// training and scoring run (m ∈ {1, 2, 15, 32}), the largest shapes clear
-/// the parallel threshold, and threads are {1, 2, 4}. NaNs are compared
-/// by NaN-ness.
+/// training and scoring run (m ∈ {1, 2, 15, 32}). NaNs are compared by
+/// NaN-ness.
 #[test]
 fn matmul_non_finite_b_matches_zero_skipping_chain_bitwise() {
-    let _guard = lock();
     let (mut dropped, mut kept) = (0usize, 0usize);
     for n in [1usize, 16, 50, 63, 64, 65, 100, 130] {
         for m in [1usize, 2, 15, 32] {
@@ -814,15 +742,11 @@ fn matmul_non_finite_b_matches_zero_skipping_chain_bitwise() {
                     dropped += usize::from(w.is_finite() && !f.is_finite());
                     kept += usize::from(!w.is_finite());
                 }
-                for threads in THREAD_COUNTS {
-                    set_thread_config(ThreadConfig::new(threads));
-                    let ab = matmul(&a, &b).unwrap();
-                    let atb = matmul_at_b(&at, &b).unwrap();
-                    set_thread_config(ThreadConfig::from_env());
-                    let label = format!("m{m} k{k} n{n} threads {threads}");
-                    assert_same_bits(ab.as_slice(), &want, &format!("matmul {label}"));
-                    assert_same_bits(atb.as_slice(), &want, &format!("matmul_at_b {label}"));
-                }
+                let ab = matmul(&a, &b).unwrap();
+                let atb = matmul_at_b(&at, &b).unwrap();
+                let label = format!("m{m} k{k} n{n}");
+                assert_same_bits(ab.as_slice(), &want, &format!("matmul {label}"));
+                assert_same_bits(atb.as_slice(), &want, &format!("matmul_at_b {label}"));
             }
         }
     }
@@ -836,7 +760,7 @@ const K_BLOCK: usize = 128;
 /// either side of one block, past two blocks, and the paper's 9600-deep
 /// encode (k ∈ {block − 1, block, block + 1, 2·block + 3, 9600}), batch
 /// sizes m ∈ {1, 2, 3, 15, 32}, widths around the 64-wide register block
-/// (n ∈ {1, 16, 63, 64, 65, 130}) and threads {1, 2, 4}. Both zero
+/// (n ∈ {1, 16, 63, 64, 65, 130}). Both zero
 /// disciplines run on an A with no zeros and on a ReLU-like one:
 /// `matmul_assign` against the never-skipping chain, `matmul` against the
 /// zero-skipping one, on an all-finite B and on a B whose NaN and `±∞`
@@ -845,7 +769,6 @@ const K_BLOCK: usize = 128;
 /// chain onto a prefilled output. NaNs are compared by NaN-ness.
 #[test]
 fn k_blocked_matmul_bitwise_matches_naive() {
-    let _guard = lock();
     let (mut dropped, mut kept) = (0usize, 0usize);
     for k in [K_BLOCK - 1, K_BLOCK, K_BLOCK + 1, 2 * K_BLOCK + 3, 9600] {
         for m in [1usize, 2, 3, 15, 32] {
@@ -876,38 +799,28 @@ fn k_blocked_matmul_bitwise_matches_naive() {
                             .zip(&skipping)
                             .map(|(p, s)| p + s)
                             .collect();
-                        for threads in THREAD_COUNTS {
-                            set_thread_config(ThreadConfig::new(threads));
-                            let assigned = matmul_assign(&a, &b).unwrap();
-                            let skipped = matmul(&a, &b).unwrap();
-                            let atb = matmul_at_b(&at, &b).unwrap();
-                            let mut acc = prior.clone();
-                            matmul_at_b_acc(&at, &b, &mut acc).unwrap();
-                            set_thread_config(ThreadConfig::from_env());
-                            let label = format!(
-                                "k{k} m{m} n{n} {a_name} finite={finite} threads {threads}"
-                            );
-                            assert_same_bits(
-                                assigned.as_slice(),
-                                &full,
-                                &format!("matmul_assign {label}"),
-                            );
-                            assert_same_bits(
-                                skipped.as_slice(),
-                                &skipping,
-                                &format!("matmul {label}"),
-                            );
-                            assert_same_bits(
-                                atb.as_slice(),
-                                &skipping,
-                                &format!("matmul_at_b {label}"),
-                            );
-                            assert_same_bits(
-                                acc.as_slice(),
-                                &added,
-                                &format!("matmul_at_b_acc {label}"),
-                            );
-                        }
+                        let assigned = matmul_assign(&a, &b).unwrap();
+                        let skipped = matmul(&a, &b).unwrap();
+                        let atb = matmul_at_b(&at, &b).unwrap();
+                        let mut acc = prior.clone();
+                        matmul_at_b_acc(&at, &b, &mut acc).unwrap();
+                        let label = format!("k{k} m{m} n{n} {a_name} finite={finite}");
+                        assert_same_bits(
+                            assigned.as_slice(),
+                            &full,
+                            &format!("matmul_assign {label}"),
+                        );
+                        assert_same_bits(skipped.as_slice(), &skipping, &format!("matmul {label}"));
+                        assert_same_bits(
+                            atb.as_slice(),
+                            &skipping,
+                            &format!("matmul_at_b {label}"),
+                        );
+                        assert_same_bits(
+                            acc.as_slice(),
+                            &added,
+                            &format!("matmul_at_b_acc {label}"),
+                        );
                     }
                 }
             }
@@ -934,11 +847,9 @@ fn poison_scratch_pool() {
 /// its naive chain bit for bit (NaNs by NaN-ness in the backward), `k =
 /// 0` (all-zero output) included; the backward runs at the five PilotNet
 /// layer geometries on plain, ReLU-zero and non-finite `gOut` and on
-/// NaN/±∞ samples. Serial, so the kernels run on the poisoned thread.
+/// NaN/±∞ samples.
 #[test]
 fn stale_scratch_outputs_are_fully_assigned() {
-    let _guard = lock();
-    set_thread_config(ThreadConfig::serial());
     let shapes = [
         (1usize, 1usize, 1usize),
         (3, 0, 5),
@@ -1057,5 +968,4 @@ fn stale_scratch_outputs_are_fully_assigned() {
             assert_same_bits(pb.as_slice(), &gb, &format!("{label} params dB"));
         }
     }
-    set_thread_config(ThreadConfig::from_env());
 }

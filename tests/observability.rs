@@ -1,11 +1,7 @@
 //! End-to-end tests of the observability layer: a recorded training run
 //! must produce a [`RunReport`] covering every pipeline stage, and —
-//! the layer's core invariant — recording must never perturb results,
-//! at any thread count.
+//! the layer's core invariant — recording must never perturb results.
 
-use std::sync::Mutex;
-
-use ndtensor::{set_thread_config, ThreadConfig};
 use novelty::eval::evaluate;
 use novelty::{
     detector_to_spec, BackendKind, ClassifierConfig, DecisionSource, EnsembleDetector,
@@ -15,14 +11,6 @@ use novelty::{
 use obs::{Recorder, RunRecorder, RunReport};
 use simdrive::{DatasetConfig, DrivingDataset};
 use vision::Image;
-
-/// Thread configuration is process-global; tests that touch it (or
-/// depend on pool behaviour) serialise on this mutex.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const STAGES: [&str; 5] = ["cnn-train", "vbp", "ae-train", "calibration", "scoring"];
 
@@ -91,7 +79,6 @@ fn ensemble_json(ensemble: &EnsembleDetector) -> String {
 
 #[test]
 fn recorded_training_reports_all_five_stages() {
-    let _guard = lock();
     let recorder = RunRecorder::new();
     let detector = train(&recorder);
     let report = recorder.report("train");
@@ -137,7 +124,6 @@ fn recorded_training_reports_all_five_stages() {
 /// units and exact-zero share — without changing the trained detector.
 #[test]
 fn recorded_training_gauges_hidden_relu_sparsity() {
-    let _guard = lock();
     let recorder = RunRecorder::new();
     let recorded = train(&recorder);
     let plain = train(obs::noop());
@@ -168,75 +154,60 @@ fn recorded_training_gauges_hidden_relu_sparsity() {
 }
 
 #[test]
-fn recording_never_perturbs_results_at_any_thread_count() {
-    let _guard = lock();
+fn recording_never_perturbs_results() {
     let probes = probe_images();
-    for threads in [1usize, 4] {
-        set_thread_config(ThreadConfig::new(threads));
-        let plain = train(obs::noop());
-        let recorder = RunRecorder::new();
-        let recorded = train(&recorder);
+    let plain = train(obs::noop());
+    let recorder = RunRecorder::new();
+    let recorded = train(&recorder);
 
-        // Detector JSON bit-identical.
-        let plain_json = serde_json::to_string(&detector_to_spec(&plain).unwrap()).unwrap();
-        let recorded_json = serde_json::to_string(&detector_to_spec(&recorded).unwrap()).unwrap();
-        assert_eq!(
-            plain_json, recorded_json,
-            "recording changed the trained detector at {threads} threads"
-        );
+    // Detector JSON bit-identical.
+    let plain_json = serde_json::to_string(&detector_to_spec(&plain).unwrap()).unwrap();
+    let recorded_json = serde_json::to_string(&detector_to_spec(&recorded).unwrap()).unwrap();
+    assert_eq!(
+        plain_json, recorded_json,
+        "recording changed the trained detector"
+    );
 
-        // Scores bit-identical, with the recorder enabled on one side.
-        let a = plain.score_batch(&probes).unwrap();
-        let b = recorded
-            .score_batch_recorded(&probes, &RunRecorder::new())
-            .unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "score diverged at {threads} threads"
-            );
-        }
+    // Scores bit-identical, with the recorder enabled on one side.
+    let a = plain.score_batch(&probes).unwrap();
+    let b = recorded
+        .score_batch_recorded(&probes, &RunRecorder::new())
+        .unwrap();
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(&b) {
+        assert_eq!(x.to_bits(), y.to_bits(), "score diverged");
     }
-    set_thread_config(ThreadConfig::from_env());
 }
 
 #[test]
 fn recording_never_perturbs_ensemble_training_or_evaluation() {
-    let _guard = lock();
     let target: Vec<Image> = train_data()
         .frames()
         .iter()
         .map(|f| f.image.clone())
         .collect();
     let novel = probe_images();
-    for threads in [1usize, 4] {
-        set_thread_config(ThreadConfig::new(threads));
-        let plain = train_ensemble(obs::noop());
-        let recorder = RunRecorder::new();
-        let recorded = train_ensemble(&recorder);
-        assert_eq!(
-            ensemble_json(&plain),
-            ensemble_json(&recorded),
-            "recording changed the trained ensemble at {threads} threads"
-        );
+    let plain = train_ensemble(obs::noop());
+    let recorder = RunRecorder::new();
+    let recorded = train_ensemble(&recorder);
+    assert_eq!(
+        ensemble_json(&plain),
+        ensemble_json(&recorded),
+        "recording changed the trained ensemble"
+    );
 
-        let plain_report = evaluate(&plain, &target, &novel, obs::noop()).unwrap();
-        let recorded_report = evaluate(&recorded, &target, &novel, &recorder).unwrap();
-        assert_eq!(
-            plain_report, recorded_report,
-            "recording changed the evaluation at {threads} threads"
-        );
-        let report = recorder.report("ensemble");
-        assert!(report.gauge("eval.auroc").is_some());
-    }
-    set_thread_config(ThreadConfig::from_env());
+    let plain_report = evaluate(&plain, &target, &novel, obs::noop()).unwrap();
+    let recorded_report = evaluate(&recorded, &target, &novel, &recorder).unwrap();
+    assert_eq!(
+        plain_report, recorded_report,
+        "recording changed the evaluation"
+    );
+    let report = recorder.report("ensemble");
+    assert!(report.gauge("eval.auroc").is_some());
 }
 
 #[test]
 fn serving_an_ensemble_records_coalesced_scoring() {
-    let _guard = lock();
     let ensemble = train_ensemble(obs::noop());
     let frames = probe_images();
     let lossless = QueueConfig {

@@ -106,6 +106,48 @@ fn paper_geometry_detector_digest_is_pinned() {
     );
 }
 
+/// Digest of the detector file that CI's smoke jobs train with
+/// `saliency-novelty train --len 40 --cnn-epochs 2 --ae-epochs 4` (its
+/// sha256 is `921278a6…2f11`). Update it only for a deliberate numeric
+/// change, and say so.
+const PINNED_CI_DETECTOR_DIGEST: u64 = 0x84fc_e9a8_7583_ca46;
+
+/// The CLI's own training settings, end to end through the binary: the
+/// bytes it writes for CI's smoke-job detector match a pinned digest, so
+/// a change to those bytes fails here rather than only in a recorded
+/// hash that no test reads.
+#[test]
+fn ci_detector_file_digest_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("saliency_novelty_ci_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("detector.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_saliency-novelty"))
+        .args([
+            "train",
+            "--len",
+            "40",
+            "--cnn-epochs",
+            "2",
+            "--ae-epochs",
+            "4",
+        ])
+        .arg("--out")
+        .arg(&path)
+        .output()
+        .expect("binary launches");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        format!("{:016x}", fnv1a(&bytes)),
+        format!("{PINNED_CI_DETECTOR_DIGEST:016x}")
+    );
+}
+
 #[test]
 fn datasets_are_bit_identical_across_generations() {
     let a = small_dataset(77);

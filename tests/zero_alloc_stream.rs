@@ -54,10 +54,6 @@ fn allocations() -> u64 {
 
 #[test]
 fn warmed_stream_runtime_is_zero_allocation_per_frame() {
-    // Serial execution: worker threads have their own (cold) thread-local
-    // pools, and the acceptance criterion is the single-core deployment.
-    ndtensor::set_thread_config(ndtensor::ThreadConfig::serial());
-
     let data = DatasetConfig::outdoor()
         .with_len(24)
         .with_size(40, 80)
