@@ -29,8 +29,8 @@
 //! `exp` is `+∞` above `ln(f32::MAX)` and `+0` below the subnormal
 //! range, `ln` is `−∞` at `±0` and NaN below it, and `sin`/`cos` are NaN
 //! at `±∞` and beyond `±2^20`, a range no caller leaves (the Box–Muller
-//! angle lies in `[0, 2π)`, the cosine schedule's in `[0, π]`), where
-//! reducing by `π/2` in three pieces is still exact.
+//! angle lies in `[0, 2π)`), where reducing by `π/2` in three pieces is
+//! still exact.
 
 /// Lanes per step of [`sigmoid_slice`].
 const LANES: usize = 16;

@@ -21,8 +21,6 @@ pub enum NeuralError {
     },
     /// Weight (de)serialization failed.
     Serde(String),
-    /// File I/O failed while saving or loading a model.
-    Io(std::io::Error),
 }
 
 impl NeuralError {
@@ -44,7 +42,6 @@ impl fmt::Display for NeuralError {
                 write!(f, "{layer}: backward called without forward_train")
             }
             NeuralError::Serde(msg) => write!(f, "serialization error: {msg}"),
-            NeuralError::Io(e) => write!(f, "io error: {e}"),
         }
     }
 }
@@ -53,7 +50,6 @@ impl std::error::Error for NeuralError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NeuralError::Tensor(e) => Some(e),
-            NeuralError::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -62,12 +58,6 @@ impl std::error::Error for NeuralError {
 impl From<TensorError> for NeuralError {
     fn from(e: TensorError) -> Self {
         NeuralError::Tensor(e)
-    }
-}
-
-impl From<std::io::Error> for NeuralError {
-    fn from(e: std::io::Error) -> Self {
-        NeuralError::Io(e)
     }
 }
 

@@ -10,16 +10,12 @@
 mod activation;
 mod conv;
 mod dense;
-mod dropout;
 mod flatten;
-mod pool;
 
 pub use activation::{ReLU, Sigmoid, Tanh};
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
-pub use pool::MaxPool2d;
 
 use ndtensor::{Conv2dSpec, Tensor};
 
@@ -56,17 +52,6 @@ pub enum LayerKind {
     Tanh,
     /// Collapses all but the batch dimension.
     Flatten,
-    /// Non-overlapping max pooling with window `(PH, PW)`.
-    MaxPool2d {
-        /// Pooling window `(PH, PW)`; stride equals the window.
-        window: (usize, usize),
-    },
-    /// Inverted dropout (identity at inference).
-    Dropout {
-        /// Drop probability in thousandths (kind must be `Eq`, so the
-        /// f32 rate is stored quantised; 300 = rate 0.3).
-        rate_milli: u32,
-    },
 }
 
 impl LayerKind {
@@ -79,8 +64,6 @@ impl LayerKind {
             LayerKind::Sigmoid => "Sigmoid",
             LayerKind::Tanh => "Tanh",
             LayerKind::Flatten => "Flatten",
-            LayerKind::MaxPool2d { .. } => "MaxPool2d",
-            LayerKind::Dropout { .. } => "Dropout",
         }
     }
 }
@@ -202,6 +185,6 @@ mod tests {
             .name(),
             "Dense"
         );
-        assert_eq!(LayerKind::MaxPool2d { window: (2, 2) }.name(), "MaxPool2d");
+        assert_eq!(LayerKind::Flatten.name(), "Flatten");
     }
 }

@@ -10,16 +10,16 @@
 //! training objective. Rather than binding a heavyweight framework, this
 //! crate implements exactly what is required, on top of [`ndtensor`]:
 //!
-//! * [`layer`] — Dense, Conv2d, ReLU, Sigmoid, Tanh, Flatten, MaxPool2d,
-//!   each with a cached forward pass and an exact backward pass,
+//! * [`layer`] — Dense, Conv2d, ReLU, Sigmoid, Tanh and Flatten, each
+//!   with a cached forward pass and an exact backward pass,
 //! * [`Network`] — a sequential container with training/inference forward,
 //!   backpropagation, activation collection and introspection,
-//! * [`loss`] — MSE, Huber and the paper's SSIM dissimilarity objective,
-//! * [`optim`] — SGD (with momentum) and Adam,
+//! * [`loss`] — MSE and the paper's SSIM dissimilarity objective,
+//! * [`optim`] — Adam at a constant learning rate, and plain SGD,
 //! * [`train`] — a mini-batch trainer with shuffling, gradient clipping
-//!   and per-epoch reporting,
+//!   and per-epoch loss recording,
 //! * [`models`] — ready-made builders for the paper's two architectures,
-//! * [`serialize`] — JSON save/load of trained networks,
+//! * [`serialize`] — JSON (de)serialization of trained networks,
 //! * [`gradcheck`] — finite-difference utilities used heavily in tests.
 //!
 //! Everything is deterministic given a seed; batches always lead the
@@ -57,7 +57,7 @@ mod network;
 pub use error::NeuralError;
 pub use layer::{Layer, LayerKind, ParamGrad};
 pub use network::Network;
-pub use train::{fit, LrSchedule, TrainConfig, TrainReport};
+pub use train::{fit, TrainConfig, TrainReport};
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, NeuralError>;

@@ -45,9 +45,6 @@ pub trait Loss: std::fmt::Debug + Send {
             self.grad(prediction, target)?,
         ))
     }
-
-    /// Short display name for reports.
-    fn name(&self) -> &'static str;
 }
 
 fn check_same_shape(op: &'static str, prediction: &Tensor, target: &Tensor) -> Result<()> {
@@ -93,66 +90,6 @@ impl Loss for MseLoss {
         check_same_shape("MseLoss", prediction, target)?;
         let scale = 2.0 / prediction.len() as f32;
         Ok(prediction.zip_map(target, |p, t| scale * (p - t))?)
-    }
-
-    fn name(&self) -> &'static str {
-        "mse"
-    }
-}
-
-/// Huber (smooth-L1) loss with transition point `delta`; quadratic near
-/// zero, linear in the tails. More robust to steering-label outliers than
-/// plain MSE.
-#[derive(Debug, Clone, Copy)]
-pub struct HuberLoss {
-    delta: f32,
-}
-
-impl HuberLoss {
-    /// Creates a Huber loss.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `delta` is not finite or not positive.
-    pub fn new(delta: f32) -> Result<Self> {
-        if !delta.is_finite() || delta <= 0.0 {
-            return Err(NeuralError::invalid(
-                "HuberLoss::new",
-                format!("delta must be positive and finite, got {delta}"),
-            ));
-        }
-        Ok(HuberLoss { delta })
-    }
-}
-
-impl Loss for HuberLoss {
-    fn loss(&self, prediction: &Tensor, target: &Tensor) -> Result<f32> {
-        check_same_shape("HuberLoss", prediction, target)?;
-        let d = self.delta;
-        let mut acc = 0.0f64;
-        for (&p, &t) in prediction.as_slice().iter().zip(target.as_slice()) {
-            let r = (p - t).abs();
-            acc += if r <= d {
-                0.5 * (r * r) as f64
-            } else {
-                (d * (r - 0.5 * d)) as f64
-            };
-        }
-        Ok((acc / prediction.len() as f64) as f32)
-    }
-
-    fn grad(&self, prediction: &Tensor, target: &Tensor) -> Result<Tensor> {
-        check_same_shape("HuberLoss", prediction, target)?;
-        let d = self.delta;
-        let scale = 1.0 / prediction.len() as f32;
-        Ok(prediction.zip_map(target, |p, t| {
-            let r = p - t;
-            scale * if r.abs() <= d { r } else { d * r.signum() }
-        })?)
-    }
-
-    fn name(&self) -> &'static str {
-        "huber"
     }
 }
 
@@ -264,10 +201,6 @@ impl Loss for SsimDissimilarityLoss {
         let loss = (acc / n as f64) as f32;
         Ok((loss, Tensor::from_vec(prediction.shape().clone(), grad)?))
     }
-
-    fn name(&self) -> &'static str {
-        "ssim"
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +222,6 @@ mod tests {
         assert!((l.loss(&p, &t).unwrap() - 2.5).abs() < 1e-6);
         let g = l.grad(&p, &t).unwrap();
         assert_eq!(g.as_slice(), &[1.0, 2.0]); // 2(p−t)/2
-        assert_eq!(l.name(), "mse");
     }
 
     #[test]
@@ -305,41 +237,9 @@ mod tests {
         let p = Tensor::zeros([1, 2]);
         let t = Tensor::zeros([1, 3]);
         assert!(MseLoss::new().loss(&p, &t).is_err());
-        assert!(HuberLoss::new(1.0).unwrap().grad(&p, &t).is_err());
+        assert!(MseLoss::new().grad(&p, &t).is_err());
         let empty = Tensor::zeros([0, 2]);
         assert!(MseLoss::new().loss(&empty, &empty).is_err());
-    }
-
-    #[test]
-    fn huber_transitions_at_delta() {
-        let l = HuberLoss::new(1.0).unwrap();
-        // |r| = 0.5 < delta → quadratic: 0.5·0.25 = 0.125
-        let (p, t) = pair(vec![0.5], vec![0.0]);
-        assert!((l.loss(&p, &t).unwrap() - 0.125).abs() < 1e-6);
-        // |r| = 3 > delta → linear: 1·(3 − 0.5) = 2.5
-        let (p, t) = pair(vec![3.0], vec![0.0]);
-        assert!((l.loss(&p, &t).unwrap() - 2.5).abs() < 1e-6);
-        // Gradient saturates at ±delta/len.
-        let g = l.grad(&p, &t).unwrap();
-        assert_eq!(g.as_slice(), &[1.0]);
-        assert!(HuberLoss::new(0.0).is_err());
-        assert!(HuberLoss::new(-1.0).is_err());
-    }
-
-    #[test]
-    fn huber_gradient_matches_finite_differences() {
-        let l = HuberLoss::new(0.7).unwrap();
-        let (p, t) = pair(vec![0.2, -1.5, 0.9], vec![0.0, 0.0, 0.0]);
-        let g = l.grad(&p, &t).unwrap();
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut pp = p.clone();
-            pp.as_mut_slice()[i] += eps;
-            let mut pm = p.clone();
-            pm.as_mut_slice()[i] -= eps;
-            let numeric = (l.loss(&pp, &t).unwrap() - l.loss(&pm, &t).unwrap()) / (2.0 * eps);
-            assert!((numeric - g.as_slice()[i]).abs() < 1e-3, "at {i}");
-        }
     }
 
     fn ssim_fixture() -> (SsimDissimilarityLoss, Tensor, Tensor) {
@@ -363,7 +263,6 @@ mod tests {
         let (loss, pred, target) = ssim_fixture();
         let l = loss.loss(&pred, &target).unwrap();
         assert!(l > 0.0 && l <= 2.0);
-        assert_eq!(loss.name(), "ssim");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! First-order optimizers: SGD (with momentum) and Adam.
+//! First-order optimizers: plain SGD and Adam.
 //!
-//! Optimizer state is keyed positionally on the parameter list, which is
-//! stable because a [`crate::Network`]'s layer structure is fixed after
-//! construction. Both optimizers validate that the parameter list keeps
-//! the same length and shapes across steps.
+//! Adam's moment state is keyed positionally on the parameter list, which
+//! is stable because a [`crate::Network`]'s layer structure is fixed after
+//! construction; it validates that the list keeps the same length and
+//! shapes across steps.
 
 use ndtensor::Tensor;
 
@@ -19,12 +19,6 @@ pub trait Optimizer: std::fmt::Debug + Send {
     ///
     /// Fails when the parameter list changes shape between calls.
     fn step(&mut self, params: &mut [ParamGrad<'_>]) -> Result<()>;
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 fn validate_lr(op: &'static str, lr: f32) -> Result<()> {
@@ -63,120 +57,60 @@ fn check_state(op: &'static str, state: &[Tensor], params: &[ParamGrad<'_>]) -> 
     Ok(())
 }
 
-/// Stochastic gradient descent with classical momentum:
-/// `v ← μ·v − lr·g`, `θ ← θ + v`.
+/// Plain stochastic gradient descent: `θ ← θ − lr·g`.
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
-    /// Plain SGD without momentum.
+    /// SGD with learning rate `lr`.
     ///
     /// # Errors
     ///
     /// Fails when `lr` is not positive and finite.
     pub fn new(lr: f32) -> Result<Self> {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum `μ ∈ [0, 1)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `lr` is invalid or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Result<Self> {
         validate_lr("Sgd::new", lr)?;
-        if !momentum.is_finite() || !(0.0..1.0).contains(&momentum) {
-            return Err(NeuralError::invalid(
-                "Sgd::new",
-                format!("momentum must be in [0, 1), got {momentum}"),
-            ));
-        }
-        Ok(Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        })
+        Ok(Sgd { lr })
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [ParamGrad<'_>]) -> Result<()> {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|pg| Tensor::zeros(pg.param.shape().clone()))
-                .collect();
-        }
-        check_state("Sgd::step", &self.velocity, params)?;
-        for (v, pg) in self.velocity.iter_mut().zip(params.iter_mut()) {
-            if self.momentum > 0.0 {
-                for (vi, &gi) in v.as_mut_slice().iter_mut().zip(pg.grad.as_slice()) {
-                    *vi = self.momentum * *vi - self.lr * gi;
-                }
-                pg.param.axpy(1.0, v)?;
-            } else {
-                pg.param.axpy(-self.lr, pg.grad)?;
-            }
+        for pg in params.iter_mut() {
+            pg.param.axpy(-self.lr, pg.grad)?;
         }
         Ok(())
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
-/// Adam (Kingma & Ba, 2015) with bias correction.
+/// Adam's first-moment decay `β1`.
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay `β2`.
+const BETA2: f32 = 0.999;
+/// Adam's denominator stabiliser `ε`.
+const EPS: f32 = 1e-8;
+
+/// Adam (Kingma & Ba, 2015) with bias correction and the standard
+/// hyper-parameters `β1 = 0.9`, `β2 = 0.999`, `ε = 1e-8`.
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
 impl Adam {
-    /// Adam with the standard hyper-parameters `β1 = 0.9`, `β2 = 0.999`,
-    /// `ε = 1e-8`.
+    /// Adam with learning rate `lr`.
     ///
     /// # Errors
     ///
     /// Fails when `lr` is not positive and finite.
     pub fn new(lr: f32) -> Result<Self> {
-        Self::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Adam with custom moment decays.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `lr` is invalid or either beta is outside `[0, 1)`.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Result<Self> {
         validate_lr("Adam::new", lr)?;
-        for (name, b) in [("beta1", beta1), ("beta2", beta2)] {
-            if !b.is_finite() || !(0.0..1.0).contains(&b) {
-                return Err(NeuralError::invalid(
-                    "Adam::new",
-                    format!("{name} must be in [0, 1), got {b}"),
-                ));
-            }
-        }
         Ok(Adam {
             lr,
-            beta1,
-            beta2,
-            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -195,31 +129,23 @@ impl Optimizer for Adam {
         }
         check_state("Adam::step", &self.m, params)?;
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
+        let lr = self.lr;
         for ((m, v), pg) in self.m.iter_mut().zip(&mut self.v).zip(params.iter_mut()) {
             // Zipped slices, one element at a time with no cross-element
             // dependence: the loop vectorises.
             let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
             let terms = pg.param.as_mut_slice().iter_mut().zip(pg.grad.as_slice());
             for ((p, &gi), (mi, vi)) in terms.zip(moments) {
-                *mi = beta1 * *mi + (1.0 - beta1) * gi;
-                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                *mi = BETA1 * *mi + (1.0 - BETA1) * gi;
+                *vi = BETA2 * *vi + (1.0 - BETA2) * gi * gi;
                 let m_hat = *mi / bc1;
                 let v_hat = *vi / bc2;
-                *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                *p -= lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
         Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -244,9 +170,7 @@ mod tests {
     fn construction_validates() {
         assert!(Sgd::new(0.0).is_err());
         assert!(Sgd::new(-1.0).is_err());
-        assert!(Sgd::with_momentum(0.1, 1.0).is_err());
         assert!(Adam::new(f32::NAN).is_err());
-        assert!(Adam::with_betas(0.1, 0.9, 1.5).is_err());
     }
 
     #[test]
@@ -261,9 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_with_momentum_converges_on_quadratic() {
+    fn sgd_converges_on_quadratic() {
         let mut theta = Tensor::from_vec([2], vec![5.0, -5.0]).unwrap();
-        let mut opt = Sgd::with_momentum(0.05, 0.9).unwrap();
+        let mut opt = Sgd::new(0.05).unwrap();
         for _ in 0..200 {
             quadratic_step(&mut opt, &mut theta);
         }
@@ -304,7 +228,7 @@ mod tests {
             })
             .collect();
         let (lr, beta1, beta2, eps) = (0.003f32, 0.9f32, 0.999f32, 1e-8f32);
-        let mut opt = Adam::with_betas(lr, beta1, beta2).unwrap();
+        let mut opt = Adam::new(lr).unwrap();
         let mut theta = Tensor::from_fn([67], |i| (i[0] as f32 - 33.0) * 0.01);
         let (mut p, mut m, mut v) = (
             theta.as_slice().to_vec(),
@@ -338,25 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01).unwrap();
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn optimizer_rejects_changed_parameter_list() {
+    fn adam_rejects_changed_parameter_list() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut layer_a = Dense::new(2, 2, &mut rng).unwrap();
         let mut layer_b = Dense::new(3, 3, &mut rng).unwrap();
-        let mut opt = Sgd::new(0.1).unwrap();
+        let mut opt = Adam::new(0.1).unwrap();
         opt.step(&mut layer_a.params_and_grads()).unwrap();
         assert!(opt.step(&mut layer_b.params_and_grads()).is_err());
-        let mut opt2 = Adam::new(0.1).unwrap();
-        opt2.step(&mut layer_a.params_and_grads()).unwrap();
         let mut one = layer_a.params_and_grads();
         let mut partial = one.drain(..1).collect::<Vec<_>>();
-        assert!(opt2.step(&mut partial).is_err());
+        assert!(opt.step(&mut partial).is_err());
     }
 }

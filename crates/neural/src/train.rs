@@ -14,78 +14,6 @@ use crate::loss::Loss;
 use crate::optim::Optimizer;
 use crate::{Network, NeuralError, Result};
 
-/// Learning-rate schedule applied at the start of each epoch, as a
-/// multiple of the optimizer's learning rate at the start of training.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LrSchedule {
-    /// Keep the base learning rate throughout.
-    Constant,
-    /// Multiply the rate by `factor` every `every_epochs` epochs.
-    StepDecay {
-        /// Epoch interval between decays (must be non-zero).
-        every_epochs: usize,
-        /// Multiplicative decay per step (in `(0, 1]`).
-        factor: f32,
-    },
-    /// Cosine annealing from the base rate down to `min_fraction` of it
-    /// over the whole run.
-    Cosine {
-        /// Final rate as a fraction of the base rate (in `[0, 1]`).
-        min_fraction: f32,
-    },
-}
-
-impl LrSchedule {
-    /// The learning-rate multiplier for `epoch` (0-based) of
-    /// `total_epochs`.
-    pub fn multiplier(&self, epoch: usize, total_epochs: usize) -> f32 {
-        match *self {
-            LrSchedule::Constant => 1.0,
-            LrSchedule::StepDecay {
-                every_epochs,
-                factor,
-            } => factor.powi((epoch / every_epochs.max(1)) as i32),
-            LrSchedule::Cosine { min_fraction } => {
-                let t = if total_epochs <= 1 {
-                    0.0
-                } else {
-                    epoch as f32 / (total_epochs - 1) as f32
-                };
-                let angle = f64::from(std::f32::consts::PI * t);
-                let cos = 0.5 * (1.0 + ndtensor::math::cos(angle) as f32);
-                min_fraction + (1.0 - min_fraction) * cos
-            }
-        }
-    }
-
-    fn validate(&self) -> Result<()> {
-        match *self {
-            LrSchedule::Constant => Ok(()),
-            LrSchedule::StepDecay {
-                every_epochs,
-                factor,
-            } => {
-                if every_epochs == 0 || !factor.is_finite() || factor <= 0.0 || factor > 1.0 {
-                    return Err(NeuralError::invalid(
-                        "LrSchedule",
-                        format!("step decay needs every_epochs > 0 and factor in (0, 1], got {every_epochs}, {factor}"),
-                    ));
-                }
-                Ok(())
-            }
-            LrSchedule::Cosine { min_fraction } => {
-                if !min_fraction.is_finite() || !(0.0..=1.0).contains(&min_fraction) {
-                    return Err(NeuralError::invalid(
-                        "LrSchedule",
-                        format!("cosine min_fraction must be in [0, 1], got {min_fraction}"),
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 /// Configuration for [`fit`].
 ///
 /// # Example
@@ -107,10 +35,6 @@ pub struct TrainConfig {
     pub shuffle_seed: u64,
     /// Optional global-norm gradient clip.
     pub grad_clip: Option<f32>,
-    /// Print a progress line per epoch when `true`.
-    pub verbose: bool,
-    /// Per-epoch learning-rate schedule.
-    pub lr_schedule: LrSchedule,
 }
 
 impl TrainConfig {
@@ -121,8 +45,6 @@ impl TrainConfig {
             batch_size,
             shuffle_seed: 0,
             grad_clip: None,
-            verbose: false,
-            lr_schedule: LrSchedule::Constant,
         }
     }
 
@@ -135,18 +57,6 @@ impl TrainConfig {
     /// Enables global-norm gradient clipping at `max_norm`.
     pub fn with_grad_clip(mut self, max_norm: f32) -> Self {
         self.grad_clip = Some(max_norm);
-        self
-    }
-
-    /// Enables per-epoch progress printing.
-    pub fn with_verbose(mut self, verbose: bool) -> Self {
-        self.verbose = verbose;
-        self
-    }
-
-    /// Sets the learning-rate schedule.
-    pub fn with_lr_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.lr_schedule = schedule;
         self
     }
 
@@ -168,7 +78,6 @@ impl TrainConfig {
                 ));
             }
         }
-        self.lr_schedule.validate()?;
         Ok(())
     }
 }
@@ -346,12 +255,10 @@ pub fn fit(
     let mut rng = StdRng::seed_from_u64(config.shuffle_seed);
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
-    let base_lr = optimizer.learning_rate();
 
     let mut total_batches = 0u64;
     for epoch in 0..config.epochs {
         let epoch_timer = obs::Stopwatch::started_if(recorder.enabled());
-        optimizer.set_learning_rate(base_lr * config.lr_schedule.multiplier(epoch, config.epochs));
         // Fisher–Yates shuffle.
         for i in (1..order.len()).rev() {
             let j = rng.gen_range(0..=i);
@@ -385,9 +292,6 @@ pub fn fit(
             end_phase(recorder, "optim", &mut phase);
         }
         let mean = (total / batches as f64) as f32;
-        if config.verbose {
-            println!("epoch {epoch:>3}: {} loss {mean:.6}", loss.name()); // sncheck:allow(no-stdout-in-lib): opt-in progress output behind config.verbose
-        }
         total_batches += batches as u64;
         recorder.push("epoch_loss", mean as f64);
         if let Some(secs) = epoch_timer.elapsed_secs() {
@@ -603,82 +507,6 @@ mod tests {
             obs::noop()
         )
         .is_err());
-    }
-
-    #[test]
-    fn lr_schedule_multipliers() {
-        assert_eq!(LrSchedule::Constant.multiplier(5, 10), 1.0);
-        let step = LrSchedule::StepDecay {
-            every_epochs: 3,
-            factor: 0.5,
-        };
-        assert_eq!(step.multiplier(0, 10), 1.0);
-        assert_eq!(step.multiplier(2, 10), 1.0);
-        assert_eq!(step.multiplier(3, 10), 0.5);
-        assert_eq!(step.multiplier(6, 10), 0.25);
-        let cos = LrSchedule::Cosine { min_fraction: 0.1 };
-        assert!((cos.multiplier(0, 11) - 1.0).abs() < 1e-6);
-        assert!((cos.multiplier(10, 11) - 0.1).abs() < 1e-6);
-        // Mid-run lies strictly between the endpoints.
-        let mid = cos.multiplier(5, 11);
-        assert!(mid > 0.1 && mid < 1.0);
-        // Degenerate one-epoch run keeps the base rate.
-        assert_eq!(cos.multiplier(0, 1), 1.0);
-    }
-
-    #[test]
-    fn fit_validates_schedules_and_applies_decay() {
-        let (x, y) = linear_dataset(32, 2);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut net = Network::new().with(Dense::new(2, 1, &mut rng).unwrap());
-        let mut opt = Sgd::new(0.1).unwrap();
-        let bad = TrainConfig::new(2, 8).with_lr_schedule(LrSchedule::StepDecay {
-            every_epochs: 0,
-            factor: 0.5,
-        });
-        assert!(fit(
-            &mut net,
-            &MseLoss::new(),
-            &mut opt,
-            &x,
-            &y,
-            &bad,
-            obs::noop()
-        )
-        .is_err());
-        let bad2 =
-            TrainConfig::new(2, 8).with_lr_schedule(LrSchedule::Cosine { min_fraction: 2.0 });
-        assert!(fit(
-            &mut net,
-            &MseLoss::new(),
-            &mut opt,
-            &x,
-            &y,
-            &bad2,
-            obs::noop()
-        )
-        .is_err());
-
-        // After a run with step decay, the optimizer holds the decayed rate.
-        let cfg = TrainConfig::new(4, 8).with_lr_schedule(LrSchedule::StepDecay {
-            every_epochs: 2,
-            factor: 0.1,
-        });
-        fit(
-            &mut net,
-            &MseLoss::new(),
-            &mut opt,
-            &x,
-            &y,
-            &cfg,
-            obs::noop(),
-        )
-        .unwrap();
-        assert!(
-            (opt.learning_rate() - 0.01).abs() < 1e-7,
-            "{}",
-            opt.learning_rate()
-        );
     }
 
     /// The clipping code as it was before the lane-parallel bound: one

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Activations (ReLU/Sigmoid/Tanh) pass relevance through unchanged;
-//! Flatten reshapes; MaxPool routes relevance to the winning input.
+//! Flatten reshapes.
 
 use ndtensor::{col2im, matmul_a_bt, matmul_at_b, Conv2dSpec, Tensor};
 use neural::{LayerKind, Network};
@@ -94,43 +94,6 @@ fn lrp_conv(
     Ok(&c_tensor * input)
 }
 
-fn lrp_maxpool(relevance: &Tensor, window: (usize, usize), input: &Tensor) -> Result<Tensor> {
-    let [n, c, h, w] = [
-        input.shape().dims()[0],
-        input.shape().dims()[1],
-        input.shape().dims()[2],
-        input.shape().dims()[3],
-    ];
-    let (ph, pw) = window;
-    let (oh, ow) = (h / ph, w / pw);
-    let data = input.as_slice();
-    let rel = relevance.as_slice();
-    let mut out = vec![0.0f32; n * c * h * w]; // sncheck:allow(hot-path-transitive-alloc): winner-routed relevance output buffer, one per pool layer pass
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            let rplane = (ni * c + ci) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for dy in 0..ph {
-                        for dx in 0..pw {
-                            let idx = plane + (oy * ph + dy) * w + (ox * pw + dx);
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    out[best_idx] += rel[rplane + oy * ow + ox];
-                }
-            }
-        }
-    }
-    Ok(Tensor::from_vec(input.shape().clone(), out)?)
-}
-
 /// Computes the ε-LRP relevance map of `image` under `network`,
 /// normalised to `[0, 1]` at input resolution. Relevance is seeded with
 /// the network's raw output (for the steering regressor: the predicted
@@ -163,11 +126,8 @@ pub fn lrp(network: &Network, image: &Image, config: &LrpConfig) -> Result<Image
     for (i, layer) in layers.iter().enumerate().rev() {
         let layer_input = if i == 0 { &input } else { &acts[i - 1] };
         relevance = match layer.kind() {
-            // Activations and dropout (identity at inference) pass
-            // relevance through unchanged.
-            LayerKind::ReLU | LayerKind::Sigmoid | LayerKind::Tanh | LayerKind::Dropout { .. } => {
-                relevance
-            }
+            // Activations pass relevance through unchanged.
+            LayerKind::ReLU | LayerKind::Sigmoid | LayerKind::Tanh => relevance,
             LayerKind::Flatten => relevance.reshape(layer_input.shape().clone())?,
             LayerKind::Dense { .. } => {
                 let params = layer.params();
@@ -184,7 +144,6 @@ pub fn lrp(network: &Network, image: &Image, config: &LrpConfig) -> Result<Image
                     config.epsilon,
                 )?
             }
-            LayerKind::MaxPool2d { window } => lrp_maxpool(&relevance, window, layer_input)?,
         };
     }
 
@@ -204,7 +163,7 @@ pub fn lrp(network: &Network, image: &Image, config: &LrpConfig) -> Result<Image
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neural::layer::{Conv2d, Dense, Flatten, MaxPool2d, ReLU};
+    use neural::layer::{Conv2d, Dense, Flatten, ReLU};
     use neural::models::{pilotnet, PilotNetConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -265,14 +224,13 @@ mod tests {
     }
 
     #[test]
-    fn works_with_pooling_layers() {
+    fn works_with_padded_stride_one_convs() {
         let mut rng = StdRng::seed_from_u64(9);
         let net = Network::new()
             .with(Conv2d::new(1, 2, (3, 3), Conv2dSpec::new((1, 1), (1, 1)), &mut rng).unwrap())
             .with(ReLU::new())
-            .with(MaxPool2d::new((2, 2)).unwrap())
             .with(Flatten::new())
-            .with(Dense::new(2 * 3 * 3, 1, &mut rng).unwrap());
+            .with(Dense::new(2 * 6 * 6, 1, &mut rng).unwrap());
         let img = Image::from_fn(6, 6, |y, x| ((y * 6 + x) % 5) as f32 / 4.0).unwrap();
         let map = lrp(&net, &img, &LrpConfig::default()).unwrap();
         assert_eq!((map.height(), map.width()), (6, 6));

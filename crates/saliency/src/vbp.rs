@@ -176,8 +176,8 @@ fn deconv_gated(
 /// `last` (`[N, C, h, w]`), as running them would: VisualBackProp stops at
 /// that block, yet an image the full network rejects must still be
 /// rejected. `Flatten`, a `Dense` whose feature count matches and the
-/// shape-preserving layers pass by shape through [`LayerKind`]; any other
-/// head, a mismatched `Dense` included, is run for real so the layer that
+/// activations pass by shape through [`LayerKind`]; a head with a
+/// mismatched or unflattened `Dense` is run for real so the layer that
 /// rejects the input produces the error.
 fn check_head(head: &[Box<dyn Layer>], last: &Tensor) -> Result<()> {
     let dims = last.shape().dims();
@@ -185,10 +185,7 @@ fn check_head(head: &[Box<dyn Layer>], last: &Tensor) -> Result<()> {
     let mut flat: Option<(usize, usize)> = None;
     for layer in head {
         match (layer.kind(), flat) {
-            (
-                LayerKind::ReLU | LayerKind::Sigmoid | LayerKind::Tanh | LayerKind::Dropout { .. },
-                _,
-            )
+            (LayerKind::ReLU | LayerKind::Sigmoid | LayerKind::Tanh, _)
             | (LayerKind::Flatten, Some(_)) => {}
             (LayerKind::Flatten, None) => flat = Some((dims[0], dims[1..].iter().product())),
             (
@@ -504,12 +501,13 @@ mod tests {
     }
 
     /// Heads past the last conv block, checked by shape or run, reject
-    /// exactly the inputs the full network rejects: a pooled head (run),
-    /// a flat head with dropout and sigmoid (checked), a `Dense` on an
-    /// unflattened map, and a pool after `Flatten`.
+    /// exactly the inputs the full network rejects: a flat head with tanh
+    /// and sigmoid, a `Dense` on an unflattened map, and a second
+    /// `Flatten` before a `Dense` sized for a 3×3 map (run when the map
+    /// is another size).
     #[test]
     fn head_check_rejects_what_the_network_rejects() {
-        use neural::layer::{Dropout, MaxPool2d, Sigmoid};
+        use neural::layer::Sigmoid;
         let mut rng = StdRng::seed_from_u64(9);
         let conv = |rng: &mut StdRng| {
             Conv2d::new(1, 2, (3, 3), Conv2dSpec::new((2, 2), (0, 0)), rng).unwrap()
@@ -519,14 +517,8 @@ mod tests {
             Network::new()
                 .with(conv(&mut rng))
                 .with(ReLU::new())
-                .with(MaxPool2d::new((2, 2)).unwrap())
                 .with(Flatten::new())
-                .with(Dense::new(2 * 2 * 3, 1, &mut rng).unwrap()),
-            Network::new()
-                .with(conv(&mut rng))
-                .with(ReLU::new())
-                .with(Flatten::new())
-                .with(Dropout::new(0.3, 1).unwrap())
+                .with(Tanh::new())
                 .with(Dense::new(2 * 4 * 6, 5, &mut rng).unwrap())
                 .with(Sigmoid::new())
                 .with(Dense::new(5, 1, &mut rng).unwrap()),
@@ -537,7 +529,8 @@ mod tests {
             Network::new()
                 .with(conv(&mut rng))
                 .with(Flatten::new())
-                .with(MaxPool2d::new((1, 1)).unwrap()),
+                .with(Flatten::new())
+                .with(Dense::new(2 * 3 * 3, 1, &mut rng).unwrap()),
         ];
         let mut outcomes = [0usize; 2];
         for (i, net) in nets.iter().enumerate() {

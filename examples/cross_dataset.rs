@@ -12,7 +12,7 @@
 //! scenario-generator analogue of the paper's dataset switch — same
 //! geometry, different visual domain). The full-scale version lives in
 //! `crates/bench/src/bin/fig5_dataset_comparison.rs`; the full scenario
-//! matrix in `crates/bench/src/bin/evalgrid.rs`.
+//! matrix is `saliency-novelty evalgrid`.
 
 use metrics::histogram::Histogram;
 use novelty::eval::evaluate;

@@ -9,7 +9,7 @@
 //! saliency-novelty eval     --detector ensemble.json --backend model-char --len 50
 //! saliency-novelty stream   --detector detector.json --faults nan@20+8 --alarm-log alarms.json
 //! saliency-novelty serve    --detector detector.json --tenants 8 --hostile 3 --log-dir logs/
-//! saliency-novelty evalgrid --quick --domains clear=clear,fog=fog@0.8,night=night@0.7
+//! saliency-novelty evalgrid --quick --ensemble --seed 41 --check-separation --out grid.json
 //! saliency-novelty info     --detector detector.json
 //! saliency-novelty report   --file report.json --expect cnn-train,vbp
 //! ```
@@ -29,9 +29,9 @@ use novelty::eval::evaluate;
 use novelty::evalgrid::{run_evalgrid, GridConfig, GridDomain};
 use novelty::monitor::AlarmState;
 use novelty::{
-    load_any, AlarmLog, AlarmLogEntry, BackendKind, CostModel, Detector, EnsembleDetector,
-    FallbackPolicy, HealthState, LoadedDetector, NoveltyDetector, NoveltyDetectorBuilder,
-    QueueConfig, StreamConfig, StreamRuntime, StreamServer, TenantSpec,
+    load_any, AlarmLog, BackendKind, CostModel, Detector, EnsembleDetector, FallbackPolicy,
+    HealthState, LoadedDetector, NoveltyDetector, NoveltyDetectorBuilder, QueueConfig,
+    StreamConfig, StreamRuntime, StreamServer, TenantSpec,
 };
 use obs::{Recorder, RunRecorder, RunReport};
 use serde::Serialize;
@@ -106,9 +106,11 @@ COMMANDS:
              --deadline-ms N          per-frame scoring deadline; overruns
                                       degrade health (default off; leaves
                                       runs byte-reproducible)
-             --alarm-log FILE         write the per-frame decision log as
-                                      JSON (byte-identical across runs
-                                      with the same seeds and schedule)
+             --alarm-log FILE         write the per-frame decision log
+                                      atomically, in serve's alarm-log
+                                      format under tenant \"stream\"
+                                      (byte-identical across runs with
+                                      the same seeds and schedule)
              --require-recovery       exit 1 unless health degraded during
                                       the run AND ended healthy
              --json                   emit the summary as JSON
@@ -153,8 +155,10 @@ COMMANDS:
              exceedance, mean SSIM per cell)
              --domains name=spec,...  scenario domains as modifier-stack
                                       specs, e.g. clear=clear,fog=fog@0.8,
-                                      dusk=night@0.5+rain@0.3
-                                      (default clear,fog,night)
+                                      dusk=night@0.5+rain@0.3 (default
+                                      clear=clear,fog=fog@0.8,
+                                      night=night@0.7,stormdusk=
+                                      rain@0.8+fog@0.4+night@0.5)
              --quick                  smoke-test sizing (seconds; default
                                       is paper geometry, minutes)
              --train-len N            frames per training set (overrides
@@ -172,6 +176,10 @@ COMMANDS:
                                       JSON (BENCH_evalgrid.json format)
              --json                   print the grid JSON to stdout
                                       instead of the table
+             --check-separation       exit 1 unless the diagonal mean
+                                      AUROC is below the off-diagonal
+                                      mean (the paper's separation claim
+                                      at grid level)
              --obs-out FILE           write an observability report
   info       print a saved detector's configuration
              --detector FILE          (required)
@@ -185,7 +193,13 @@ EXIT CODES:
 ";
 
 /// Flags that stand alone instead of consuming a value.
-const BOOL_FLAGS: &[&str] = &["json", "require-recovery", "quick", "ensemble"];
+const BOOL_FLAGS: &[&str] = &[
+    "json",
+    "require-recovery",
+    "quick",
+    "ensemble",
+    "check-separation",
+];
 
 /// CLI failure, split so `main` can map the class to an exit code.
 enum CliError {
@@ -740,7 +754,7 @@ fn cmd_stream(args: &Args) -> CliResult {
         .simulate(seed);
     let mut injector = FaultInjector::new(fault_config);
 
-    let mut log = Vec::with_capacity(len);
+    let mut log = AlarmLog::new("stream");
     let mut scored = 0u64;
     let mut fallbacks: HashMap<&'static str, u64> = HashMap::new();
     let mut gate_rejections: HashMap<&'static str, u64> = HashMap::new();
@@ -759,16 +773,11 @@ fn cmd_stream(args: &Args) -> CliResult {
         if decision.alarm == AlarmState::Raised {
             alarm_raised_frames += 1;
         }
-        log.push(AlarmLogEntry::from_decision(
-            &decision,
-            injected.fault.map(|k| k.name()),
-        ));
+        log.record(&decision, injected.fault.map(|k| k.name()));
     }
 
     if let Some(path) = args.optional("alarm-log") {
-        let json = serde_json::to_string(&log)
-            .map_err(|e| runtime_err(format!("cannot serialize alarm log: {e}")))?;
-        std::fs::write(&path, json)
+        log.save(&path)
             .map_err(|e| runtime_err(format!("cannot write alarm log {path}: {e}")))?;
         eprintln!("wrote alarm log to {path}");
     }
@@ -1186,6 +1195,7 @@ fn cmd_evalgrid(args: &Args) -> CliResult {
         "out",
         "json",
         "obs-out",
+        "check-separation",
     ])?;
     let seed = args.u64("seed", 17)?;
     let mut cfg = if args.is_set("quick") {
@@ -1211,6 +1221,7 @@ fn cmd_evalgrid(args: &Args) -> CliResult {
             GridDomain::new("clear", "clear"),
             GridDomain::new("fog", "fog@0.8"),
             GridDomain::new("night", "night@0.7"),
+            GridDomain::new("stormdusk", "rain@0.8+fog@0.4+night@0.5"),
         ],
     };
 
@@ -1243,7 +1254,22 @@ fn cmd_evalgrid(args: &Args) -> CliResult {
             .map_err(|e| runtime_err(format!("cannot write {path}: {e}")))?;
         eprintln!("wrote grid report to {path}");
     }
-    flush_report(&recorder, &obs_out, "evalgrid")
+    flush_report(&recorder, &obs_out, "evalgrid")?;
+
+    if args.is_set("check-separation") {
+        let diag = report.diagonal_mean_auroc();
+        let off = report.off_diagonal_mean_auroc();
+        // Written so a NaN mean fails the check.
+        if diag < off {
+            eprintln!("separation holds: diagonal {diag:.3} < off-diagonal {off:.3}");
+        } else {
+            return Err(runtime_err(format!(
+                "--check-separation: diagonal mean AUROC {diag:.3} is not below \
+                 the off-diagonal mean {off:.3}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn print_detector_info(detector: &NoveltyDetector, indent: &str) {

@@ -60,7 +60,7 @@ pub use vision;
 pub mod prelude {
     pub use metrics::{ecdf::Ecdf, histogram::Histogram, mse, ssim, SsimConfig};
     pub use ndtensor::{Shape, Tensor};
-    pub use neural::{LrSchedule, Network, TrainConfig};
+    pub use neural::{Network, TrainConfig};
     pub use novelty::monitor::{AlarmState, StreamMonitor};
     pub use novelty::{
         BackendKind, Calibrator, Detector, Direction, EnsembleDetector, FallbackPolicy, FrameFault,

@@ -102,6 +102,42 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
 }
 
+/// `evalgrid` defaults to the four scenario domains, and
+/// `--check-separation` sets the exit code: the default grid separates,
+/// while two copies of one domain cannot (diagonal mean = off-diagonal
+/// mean) and exit 1.
+#[test]
+fn evalgrid_check_separation_sets_the_exit_code() {
+    let out = run(&[
+        "evalgrid",
+        "--quick",
+        "--seed",
+        "41",
+        "--check-separation",
+        "--json",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let json = stdout(&out);
+    for domain in ["clear", "fog", "night", "stormdusk"] {
+        assert!(json.contains(&format!("\"{domain}\"")), "{domain}: {json}");
+    }
+    assert!(
+        stderr(&out).contains("separation holds"),
+        "{}",
+        stderr(&out)
+    );
+
+    let out = run(&[
+        "evalgrid",
+        "--quick",
+        "--domains",
+        "a=clear,b=clear",
+        "--check-separation",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("not below"), "{}", stderr(&out));
+}
+
 #[test]
 fn generate_writes_frames_and_index() {
     let dir = temp_dir("generate");
@@ -493,6 +529,12 @@ fn stream_with_faults_recovers_and_writes_byte_identical_logs() {
     let log_text = String::from_utf8(bytes_a).unwrap();
     assert!(log_text.contains("\"non-finite-pixels\""), "{log_text}");
     assert!(log_text.contains("\"fail-safe\"") || log_text.contains("\"degraded\""));
+    // The log is serve's schema-versioned format, one entry per frame.
+    let log = novelty::AlarmLog::load(&log_a).unwrap();
+    assert_eq!(log.tenant, "stream");
+    assert_eq!(log.entries.len(), 60);
+    let frames: Vec<u64> = log.entries.iter().map(|e| e.frame).collect();
+    assert_eq!(frames, (0..60).collect::<Vec<_>>());
 
     // The obs report carries the stream-score stage.
     let out = run(&[

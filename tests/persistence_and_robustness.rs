@@ -4,7 +4,7 @@
 
 use novelty::{
     load_detector, save_detector, ClassifierConfig, NoveltyDetector, NoveltyDetectorBuilder,
-    ReconstructionObjective,
+    NoveltyError, ReconstructionObjective,
 };
 use saliency_novelty::prelude::*;
 
@@ -147,6 +147,40 @@ fn deeply_nested_files_are_rejected() {
         assert!(novelty::load_any(&path).is_err());
         assert!(obs::RunReport::load(&path).is_err());
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The network specs hold only the six layer kinds the paper's networks
+/// use. A saved detector hand-edited to name a pooling or dropout layer
+/// (which earlier builds loaded, both identity-shaped here) is a typed
+/// serialization error naming the layer, from both loaders, and never a
+/// panic.
+#[test]
+fn detector_files_naming_removed_layer_kinds_are_rejected() {
+    let dir = std::env::temp_dir().join("saliency_novelty_integration_layer_kinds");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("edited.json");
+    let (detector, _) = trained_detector();
+    save_detector(&detector, &path).unwrap();
+    let full = std::fs::read_to_string(&path).unwrap();
+    let at = full.find("\"Flatten\"").unwrap();
+    for (name, layer) in [
+        ("MaxPool2d", "{\"MaxPool2d\":{\"window\":[1,1]}}"),
+        ("Dropout", "{\"Dropout\":{\"rate_milli\":300}}"),
+    ] {
+        std::fs::write(&path, format!("{}{layer},{}", &full[..at], &full[at..])).unwrap();
+        for result in [
+            NoveltyDetector::load(&path).map(drop),
+            novelty::load_any(&path).map(drop),
+        ] {
+            match result {
+                Err(NoveltyError::Serde(msg)) => assert!(msg.contains(name), "{name}: {msg}"),
+                other => panic!("{name}: expected a serialization error, got {other:?}"),
+            }
+        }
+    }
+    std::fs::write(&path, &full).unwrap();
+    assert!(NoveltyDetector::load(&path).is_ok());
     std::fs::remove_file(&path).ok();
 }
 
