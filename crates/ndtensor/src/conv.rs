@@ -1,19 +1,24 @@
-//! 2-D convolution (NCHW) via im2col, with full backward pass.
+//! 2-D convolution (NCHW) as implicit GEMM, with full backward pass.
 //!
-//! The forward pass lowers each sample to a column matrix and multiplies it
-//! against the flattened kernel bank. The flattened view is the weight
-//! tensor's own contiguous storage — `[F, C, KH, KW]` row-major *is*
-//! `[F, C·KH·KW]` — so the kernel bank is "packed" exactly once per layer
-//! and reused across every sample of every batch with no reshape copy.
-//! Both passes walk the batch in sample order; the backward adds each
-//! sample's weight and bias gradients into the totals as soon as they
-//! are formed.
+//! The forward pass multiplies the flattened kernel bank against the
+//! sample's column matrix without ever building it: the sample is split
+//! once into stride-phase planes, in which every tap's column-matrix row
+//! is a contiguous run ([`conv2d_impl`]). The flattened kernel bank is
+//! the weight tensor's own contiguous storage — `[F, C, KH, KW]`
+//! row-major *is* `[F, C·KH·KW]` — so it is "packed" exactly once per
+//! layer and reused across every sample of every batch with no reshape
+//! copy. The backward pass lowers each sample to a transposed column
+//! panel (im2col). Both passes walk the batch in sample order; the
+//! backward adds each sample's weight and bias gradients into the totals
+//! as soon as they are formed.
 //!
-//! Hot-path buffers (column panels, one sample's weight gradient) and
-//! the output tensors come from [`crate::scratch`], so a warmed pipeline
-//! performs no per-frame heap allocation.
+//! Hot-path buffers (phase planes, column panels, one sample's weight
+//! gradient) and the output tensors come from [`crate::scratch`], so a
+//! warmed pipeline performs no per-frame heap allocation.
 
-use crate::kernels::{conv_panel, conv_panel_stride, pack_at};
+use std::cell::RefCell;
+
+use crate::kernels::{conv_panel, conv_panel_stride, pack_at, Cols, Strided};
 use crate::{scratch, Result, Tensor, TensorError};
 
 /// Stride and zero-padding configuration for a 2-D convolution.
@@ -142,9 +147,8 @@ fn valid_ox(ow: usize, w: usize, kx: usize, sw: usize, pw: usize) -> (usize, usi
     (lo, hi.max(lo))
 }
 
-/// Writes the column matrix for one sample, row `r` at `out[r · ld..]`
-/// with `ld ≥ oh·ow`. Assigns every element of `out` (padding taps and
-/// the `ld − oh·ow` pad columns of each row become zeros), so the buffer
+/// Writes the `[c·kh·kw, oh·ow]` column matrix for one sample, assigning
+/// every element of `out` (padding taps become zeros), so the buffer
 /// needs no pre-zeroing. Geometry must be validated by the caller.
 ///
 /// The valid `ox` range of each `(ci, ky, kx)` row is hoisted out of the
@@ -161,21 +165,18 @@ fn im2col_core(
     spec: Conv2dSpec,
     oh: usize,
     ow: usize,
-    ld: usize,
     out: &mut [f32],
 ) {
     let (sh, sw) = spec.stride;
     let (ph, pw) = spec.padding;
     let cols = oh * ow;
-    debug_assert!(ld >= cols);
-    debug_assert_eq!(out.len(), c * kh * kw * ld);
+    debug_assert_eq!(out.len(), c * kh * kw * cols);
     for ci in 0..c {
         let plane = &sample[ci * h * w..(ci + 1) * h * w];
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = (ci * kh + ky) * kw + kx;
-                let (orow, pad) = out[row * ld..(row + 1) * ld].split_at_mut(cols);
-                pad.fill(0.0);
+                let orow = &mut out[row * cols..(row + 1) * cols];
                 let (lo, hi) = valid_ox(ow, w, kx, sw, pw);
                 let ix0 = (lo * sw + kx).saturating_sub(pw);
                 for (oy, seg) in orow.chunks_exact_mut(ow).enumerate() {
@@ -184,14 +185,125 @@ fn im2col_core(
                         seg.fill(0.0);
                         continue;
                     }
-                    let prow = &plane[(iy - ph) * w..(iy - ph + 1) * w];
-                    let (head, rest) = seg.split_at_mut(lo);
-                    let (mid, tail) = rest.split_at_mut(hi - lo);
-                    head.fill(0.0);
-                    if !mid.is_empty() {
-                        gather_strided(mid, &prow[ix0..], sw);
+                    gather_segment(
+                        seg,
+                        &plane[(iy - ph) * w..(iy - ph + 1) * w],
+                        (lo, hi),
+                        ix0,
+                        sw,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Assigns `seg[lo..hi]` from `row` (a strided gather from `row[ix0..]`)
+/// and zeros the rest of `seg`.
+#[inline(always)]
+fn gather_segment(
+    seg: &mut [f32],
+    row: &[f32],
+    (lo, hi): (usize, usize),
+    ix0: usize,
+    stride: usize,
+) {
+    let (head, rest) = seg.split_at_mut(lo);
+    let (mid, tail) = rest.split_at_mut(hi - lo);
+    head.fill(0.0);
+    if !mid.is_empty() {
+        gather_strided(mid, &row[ix0..], stride);
+    }
+    tail.fill(0.0);
+}
+
+/// Stride-phase geometry of one `c × h × w` sample: `sh × sw` planes per
+/// channel, each `hq × wq`, with `wq = max(⌈(w + pw)/sw⌉, ow)` and `hq =
+/// ⌈(h + 2ph)/sh⌉`, plus one zero row when `pw > 0`. Plane `(ci, py, px)`
+/// holds the zero-padded sample's pixels `(qy·sh + py, qx·sw + px)`, and
+/// zeros past the padded edge.
+///
+/// Tap `(ci, ky, kx)` at output `(oy, ox)` reads padded pixel `(oy·sh +
+/// ky, ox·sw + kx)`, that is plane `(ci, ky mod sh, kx mod sw)` at `(oy +
+/// ky div sh, ox + kx div sw)`. So over an `oh × wq` grid of output
+/// columns, the tap's column-matrix row is one contiguous run of that
+/// plane from offset `(ky div sh)·wq + kx div sw`. A row holds only
+/// `wq·sw ≥ w + pw` padded columns: a kept read past its end lands in
+/// the next row's left padding, which holds the zeros of the right
+/// padding it stands for — hence the zero row under the last, so no kept
+/// read leaves its plane. Grid columns `ox ≥ ow` read past a row's kept
+/// part (into the next row, the next plane or the buffer's tail) and are
+/// dropped.
+struct Phases {
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+    hq: usize,
+    wq: usize,
+}
+
+impl Phases {
+    fn new(c: usize, h: usize, w: usize, ow: usize, spec: Conv2dSpec) -> Self {
+        let (sh, sw) = spec.stride;
+        let (ph, pw) = spec.padding;
+        Phases {
+            c,
+            h,
+            w,
+            spec,
+            hq: (h + 2 * ph).div_ceil(sh) + usize::from(pw > 0),
+            wq: (w + pw).div_ceil(sw).max(ow),
+        }
+    }
+
+    /// Length of all the planes of one sample.
+    fn len(&self) -> usize {
+        self.c * self.spec.stride.0 * self.spec.stride.1 * self.hq * self.wq
+    }
+
+    /// Fills `starts` with the start of tap `(ci, ky, kx)`'s run, for
+    /// every tap in column-matrix row order.
+    fn starts(&self, kh: usize, kw: usize, starts: &mut Vec<usize>) {
+        let (sh, sw) = self.spec.stride;
+        let plane = self.hq * self.wq;
+        starts.clear();
+        for ci in 0..self.c {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let p = (ci * sh + ky % sh) * sw + kx % sw;
+                    starts.push(p * plane + (ky / sh) * self.wq + kx / sw);
+                }
+            }
+        }
+    }
+
+    /// Writes one sample's planes into `out` ([`Phases::len`] long),
+    /// assigning every element. Each plane row is a strided gather of one
+    /// input row between zeros.
+    fn split(&self, sample: &[f32], out: &mut [f32]) {
+        let &Phases {
+            c, h, w, hq, wq, ..
+        } = self;
+        let (sh, sw) = self.spec.stride;
+        let (ph, pw) = self.spec.padding;
+        debug_assert_eq!(out.len(), self.len());
+        let mut planes = out.chunks_exact_mut(hq * wq);
+        for chan in sample.chunks_exact(h * w).take(c) {
+            for py in 0..sh {
+                for px in 0..sw {
+                    let Some(plane) = planes.next() else { return };
+                    let (lo, hi) = valid_ox(wq, w, px, sw, pw);
+                    let ix0 = (lo * sw + px).saturating_sub(pw);
+                    for (qy, row) in plane.chunks_exact_mut(wq).enumerate() {
+                        let iy = qy * sh + py;
+                        if iy < ph || iy - ph >= h {
+                            row.fill(0.0);
+                        } else {
+                            let src = &chan[(iy - ph) * w..(iy - ph + 1) * w];
+                            gather_segment(row, src, (lo, hi), ix0, sw);
+                        }
                     }
-                    tail.fill(0.0);
                 }
             }
         }
@@ -433,19 +545,7 @@ pub fn im2col(
 ) -> Result<Tensor> {
     let (oh, ow) = im2col_geometry(sample.len(), c, h, w, kh, kw, spec)?;
     let mut out = Tensor::zeros([c * kh * kw, oh * ow]);
-    im2col_core(
-        sample,
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        spec,
-        oh,
-        ow,
-        oh * ow,
-        out.as_mut_slice(),
-    );
+    im2col_core(sample, c, h, w, kh, kw, spec, oh, ow, out.as_mut_slice());
     Ok(out)
 }
 
@@ -569,13 +669,25 @@ fn check_bias(bias: Option<&Tensor>, f: usize, weight: &Tensor) -> Result<()> {
     Ok(())
 }
 
+thread_local! {
+    /// [`conv2d_impl`]'s tap starts, kept across calls so that a warmed
+    /// forward allocates nothing. It grows to the largest `c·kh·kw` run
+    /// on this thread: a few kilobytes for PilotNet.
+    static TAP_STARTS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Forward pass over a pre-validated geometry, assigning every element of
 /// `out` (length `n·f·oh·ow`).
 ///
-/// Each sample is lowered into a padded panel (row stride
-/// [`conv_panel_stride`] of `oh·ow`, zero pad columns) and multiplied by
-/// [`conv_panel`], which adds the bias in its store epilogue — one
-/// kernel for every conv forward at every batch size.
+/// Implicit GEMM: each sample is split once into its stride-phase planes
+/// ([`Phases`]), and [`conv_panel`] reads tap `(ci, ky, kx)`'s B row as
+/// the run of its plane at that tap's offset, over an `oh × wq` grid of
+/// output columns whose `wq − ow` columns past each output row are
+/// computed and dropped at the store. The bias is added in the store
+/// epilogue — one kernel for every conv forward at every batch size.
+/// Each output element's chain is the column-matrix product's: from
+/// `+0.0` over the taps in ascending `(ci, ky, kx)`, skipping exact-zero
+/// weights, then `+ bias`; a padding tap reads a plane's zero.
 fn conv2d_impl(
     input: &Tensor,
     weight: &Tensor,
@@ -601,19 +713,27 @@ fn conv2d_impl(
     let sample_len = c * h * w;
     let out_len = f * oh * ow;
     let kdim = c * kh * kw;
-    let ncols = oh * ow;
-    let ld = conv_panel_stride(ncols);
     let bias = bias.map(Tensor::as_slice);
-    // One panel reused across the samples. `im2col_core` assigns all of
-    // it, pad columns included.
-    let mut cols = scratch::take_stale(kdim * ld);
-    for ni in 0..n {
-        let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
-        im2col_core(sample, c, h, w, kh, kw, spec, oh, ow, ld, &mut cols);
-        let dst = &mut out[ni * out_len..(ni + 1) * out_len];
-        conv_panel(wd, f, kdim, &cols, ld, ncols, bias, true, dst);
-    }
-    scratch::give(cols);
+    let phases = Phases::new(c, h, w, ow, spec);
+    let cols = Cols::wide(oh, phases.wq, ow);
+    let planes_len = phases.len();
+    TAP_STARTS.with_borrow_mut(|starts| {
+        phases.starts(kh, kw, starts);
+        // The planes, then a tail that only the dropped columns of the
+        // last taps' runs read: it keeps whatever the pool left there.
+        let len = starts
+            .iter()
+            .map(|&s| s + cols.span())
+            .fold(planes_len, usize::max);
+        let mut planes = scratch::take_stale(len);
+        for ni in 0..n {
+            let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
+            phases.split(sample, &mut planes[..planes_len]);
+            let dst = &mut out[ni * out_len..(ni + 1) * out_len];
+            conv_panel(wd, f, kdim, &planes, &starts[..], cols, bias, true, dst);
+        }
+        scratch::give(planes);
+    });
 }
 
 /// 2-D convolution forward pass.
@@ -721,7 +841,17 @@ fn conv2d_backward_impl(
         let sample = &input.as_slice()[ni * sample_len..(ni + 1) * sample_len];
         let gout = &god[ni * out_len..(ni + 1) * out_len];
         im2col_t_core(sample, c, h, w, kh, kw, spec, oh, ow, ld_cols, &mut cols_t);
-        conv_panel(gout, f, ncols, &cols_t, ld_cols, kdim, None, false, &mut dw);
+        conv_panel(
+            gout,
+            f,
+            ncols,
+            &cols_t,
+            Strided(ld_cols),
+            Cols::dense(kdim),
+            None,
+            false,
+            &mut dw,
+        );
         for (gw, &d) in grad_weight.iter_mut().zip(&dw) {
             *gw += d;
         }
@@ -733,7 +863,15 @@ fn conv2d_backward_impl(
                 dst[..ncols].copy_from_slice(src);
             }
             conv_panel(
-                &wt, kdim, f, &gpanel, ld_gout, ncols, None, true, &mut dcols,
+                &wt,
+                kdim,
+                f,
+                &gpanel,
+                Strided(ld_gout),
+                Cols::dense(ncols),
+                None,
+                true,
+                &mut dcols,
             );
             let dsample = &mut gi[ni * sample_len..(ni + 1) * sample_len];
             col2im_core(&dcols, c, h, w, kh, kw, spec, oh, ow, dsample);

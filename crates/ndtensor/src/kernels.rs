@@ -11,8 +11,9 @@
 //!   [`mm_accumulate`] is the same block storing `out + chain`: the
 //!   dense `dW += xᵀ·g` (`matmul_at_b_acc`).
 //! * [`conv_panel`] — four-row, 32-wide register-blocked assigning kernel
-//!   over a padded panel, with an optional bias in its store epilogue.
-//!   It runs every conv forward (`W · cols`), both conv backward GEMMs
+//!   over B rows that start where the caller says ([`RowStarts`]), with
+//!   an optional bias in its store epilogue. It runs every conv forward
+//!   (`W · cols` over stride-phase planes), both conv backward GEMMs
 //!   (`dW = gOut · colsᵀ` over a transposed column panel, `dCols = Wᵀ ·
 //!   gOut` over a padded `gOut`) and every `A·Bᵀ` as the transposed
 //!   product `B · Aᵀ` (the dense input gradient `g · Wᵀ` among them).
@@ -381,31 +382,125 @@ pub(crate) fn conv_panel_stride(n: usize) -> usize {
     n.div_ceil(CONV_TAIL_W) * CONV_TAIL_W
 }
 
+/// Where [`conv_panel`]'s computed columns land in its output: computed
+/// column `p` is grid cell `(p / wide, p % wide)` of a `rows × wide`
+/// grid, stored at `(p / wide) · keep + p % wide` of each output row when
+/// `p % wide < keep` and dropped otherwise. A plain product is one grid
+/// row with nothing dropped ([`Cols::dense`]); the conv forward runs over
+/// its stride-phase planes' wide rows and drops the `wide − keep` columns
+/// that straddle a row end.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cols {
+    rows: usize,
+    wide: usize,
+    keep: usize,
+}
+
+impl Cols {
+    /// `n` computed columns, all kept.
+    pub(crate) fn dense(n: usize) -> Self {
+        Cols {
+            rows: 1,
+            wide: n,
+            keep: n,
+        }
+    }
+
+    /// A `rows × wide` grid whose first `keep` columns of each row are
+    /// kept (`keep ≤ wide`).
+    pub(crate) fn wide(rows: usize, wide: usize, keep: usize) -> Self {
+        debug_assert!(keep <= wide);
+        Cols { rows, wide, keep }
+    }
+
+    /// Kept columns: the width of each output row.
+    fn len(self) -> usize {
+        self.rows * self.keep
+    }
+
+    /// Columns to compute: through the last kept column of the last row.
+    fn computed(self) -> usize {
+        if self.len() == 0 {
+            0
+        } else {
+            (self.rows - 1) * self.wide + self.keep
+        }
+    }
+
+    /// Columns each B row must be readable for from its start: the
+    /// computed columns rounded up to [`CONV_TAIL_W`], the width the
+    /// register blocks cover.
+    pub(crate) fn span(self) -> usize {
+        conv_panel_stride(self.computed())
+    }
+}
+
+/// Where each B row of [`conv_panel`] starts in its slice. The kernel is
+/// generic over it, so a padded panel's evenly strided rows cost a
+/// multiply, not a table load.
+pub(crate) trait RowStarts: Copy {
+    /// The first `k` rows, cut to length so that the kernel's loop over
+    /// them needs no bounds check.
+    fn first_rows(self, k: usize) -> Self;
+    /// Start of row `l`.
+    fn row_start(self, l: usize) -> usize;
+}
+
+/// The rows `0, ld, 2·ld, …` of a padded panel with row stride `ld`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Strided(pub(crate) usize);
+
+impl RowStarts for Strided {
+    #[inline(always)]
+    fn first_rows(self, _k: usize) -> Self {
+        self
+    }
+
+    #[inline(always)]
+    fn row_start(self, l: usize) -> usize {
+        l * self.0
+    }
+}
+
+/// Rows at arbitrary starts: the conv forward's taps.
+impl RowStarts for &[usize] {
+    #[inline(always)]
+    fn first_rows(self, k: usize) -> Self {
+        &self[..k]
+    }
+
+    #[inline(always)]
+    fn row_start(self, l: usize) -> usize {
+        self[l]
+    }
+}
+
 /// One register block of [`conv_panel`]: the four weight rows `w` (each
-/// of length `k`) against panel columns `j..j + W`. Each chain starts at
-/// `0.0`, runs ascending `l` and skips exact-zero weights; when `dense`
-/// (no weight row holds an exact zero) the block takes the branch-free
-/// loop, which performs the identical operation sequence on those
-/// inputs. The four accumulator rows are separate locals: a nested
-/// `[[f32; W]; 4]` is not kept in registers (see [`rr_block`]).
+/// of length `k`) against columns `j..j + W` of the B rows starting at
+/// `b[starts.row_start(l)..]`. Each chain starts at `0.0`, runs
+/// ascending `l` and skips exact-zero weights; when `dense` (no weight
+/// row holds an exact zero) the block takes the branch-free loop, which
+/// performs the identical operation sequence on those inputs. The four accumulator
+/// rows are separate locals: a nested `[[f32; W]; 4]` is not kept in
+/// registers (see [`rr_block`]).
 #[inline(always)]
-fn conv_block<const W: usize>(
+fn conv_block<const W: usize, S: RowStarts>(
     w: [&[f32]; CONV_R],
     dense: bool,
-    panel: &[f32],
-    ld: usize,
+    b: &[f32],
+    starts: S,
     j: usize,
 ) -> [[f32; W]; CONV_R] {
     let [w0, w1, w2, w3] = w;
     let k = w0.len();
-    let (w1, w2, w3) = (&w1[..k], &w2[..k], &w3[..k]);
+    let (w1, w2, w3, starts) = (&w1[..k], &w2[..k], &w3[..k], starts.first_rows(k));
     let mut acc0 = [0.0f32; W];
     let mut acc1 = [0.0f32; W];
     let mut acc2 = [0.0f32; W];
     let mut acc3 = [0.0f32; W];
     if dense {
         for l in 0..k {
-            let brow = &panel[l * ld + j..l * ld + j + W];
+            let brow = &b[starts.row_start(l) + j..starts.row_start(l) + j + W];
             let (a0, a1, a2, a3) = (w0[l], w1[l], w2[l], w3[l]);
             for t in 0..W {
                 acc0[t] += a0 * brow[t];
@@ -416,7 +511,7 @@ fn conv_block<const W: usize>(
         }
     } else {
         for l in 0..k {
-            let brow = &panel[l * ld + j..l * ld + j + W];
+            let brow = &b[starts.row_start(l) + j..starts.row_start(l) + j + W];
             let (a0, a1, a2, a3) = (w0[l], w1[l], w2[l], w3[l]);
             // sncheck:allow(no-float-eq): exact-zero sparsity skip.
             if a0 != 0.0 {
@@ -447,36 +542,51 @@ fn conv_block<const W: usize>(
     [acc0, acc1, acc2, acc3]
 }
 
-/// Stores the first `live` rows of a [`conv_block`] result at columns
-/// `j..j + valid` of the `n`-wide output rows, each as `acc + bias` when
-/// there is a bias.
+/// Stores the first `live` rows of a [`conv_block`] result, computed
+/// columns `j..j + valid`, where `cols` puts them in the output rows,
+/// each as `acc + bias` when there is a bias. The block is cut at each
+/// grid row end; a piece past `keep` is dropped.
 #[inline(always)]
 fn store_block<const W: usize>(
     acc: &[[f32; W]; CONV_R],
     live: usize,
     bias: Option<&[f32]>,
-    j: usize,
-    valid: usize,
-    n: usize,
+    (j, valid): (usize, usize),
+    cols: Cols,
     out: &mut [f32],
 ) {
-    for (r, accr) in acc.iter().enumerate().take(live) {
-        let orow = &mut out[r * n + j..r * n + j + valid];
-        match bias {
-            Some(b) => {
-                for (o, &v) in orow.iter_mut().zip(accr) {
-                    *o = v + b[r];
+    let n = cols.len();
+    let mut p = j;
+    while p < j + valid {
+        let (y, x) = (p / cols.wide, p % cols.wide);
+        let run = (j + valid - p).min(cols.wide - x);
+        if x < cols.keep {
+            let (src, len) = (p - j, run.min(cols.keep - x));
+            let at = y * cols.keep + x;
+            for (r, accr) in acc.iter().enumerate().take(live) {
+                let orow = &mut out[r * n + at..r * n + at + len];
+                let accr = &accr[src..src + len];
+                match bias {
+                    Some(b) => {
+                        for (o, &v) in orow.iter_mut().zip(accr) {
+                            *o = v + b[r];
+                        }
+                    }
+                    None => orow.copy_from_slice(accr),
                 }
             }
-            None => orow.copy_from_slice(&accr[..valid]),
         }
+        p += run;
     }
 }
 
-/// The padded-panel kernel: `out[i][j] = (Σ_l w[i][l] · panel[l][j]) +
-/// bias[i]` for `f` rows of `w: [f, k]` against a padded panel of `k`
-/// rows, row stride `ld` ([`conv_panel_stride`] of `n`) and zeros in the
-/// pad columns, writing the dense `f × n` output.
+/// The panel kernel: `out[i][c] = (Σ_l w[i][l] · b[s_l + p]) + bias[i]`
+/// for `f` rows of `w: [f, k]`, where `s_l = starts.row_start(l)` and
+/// computed column `p` lands on output column `c` as `cols` says
+/// ([`Cols`]), writing the dense `f × cols.len()` output. Each B row must
+/// be readable for [`Cols::span`] columns from its start: a padded panel
+/// passes [`Strided`]; the conv forward passes each tap's offset into
+/// its stride-phase plane, so no column matrix is built.
 ///
 /// Each element's chain starts at `0.0` and runs ascending `l`, followed
 /// by the single `+ bias` when there is one. With `skip` the chain skips
@@ -486,28 +596,29 @@ fn store_block<const W: usize>(
 /// chain, which a skipping run also
 /// reproduces bit for bit when the panel is all finite (a skipped term
 /// `0 · p` is then `±0.0`, a chain from `+0.0` never holds `-0.0`, and
-/// adding `±0.0` to any other sum leaves its bits unchanged).
+/// adding `±0.0` to any other sum leaves its bits unchanged). A dropped
+/// column reads what it likes: no kept column reads its B entries.
 ///
 /// Four-row × 32-column register blocks (16- and 8-wide on the tail) are
-/// computed in full and only their valid columns stored; a last block of
+/// computed in full and only their kept columns stored; a last block of
 /// fewer than four rows repeats its last row and stores only the live
 /// ones. Every output element is assigned.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv_panel(
+pub(crate) fn conv_panel<S: RowStarts>(
     w: &[f32],
     f: usize,
     k: usize,
-    panel: &[f32],
-    ld: usize,
-    n: usize,
+    b: &[f32],
+    starts: S,
+    cols: Cols,
     bias: Option<&[f32]>,
     skip: bool,
     out: &mut [f32],
 ) {
+    let (n, span) = (cols.computed(), cols.span());
     debug_assert_eq!(w.len(), f * k);
-    debug_assert_eq!(ld, conv_panel_stride(n));
-    debug_assert_eq!(panel.len(), k * ld);
-    debug_assert_eq!(out.len(), f * n);
+    debug_assert!((0..k).all(|l| starts.first_rows(k).row_start(l) + span <= b.len()));
+    debug_assert_eq!(out.len(), f * cols.len());
     debug_assert!(bias.is_none_or(|b| b.len() == f));
     const HALF_W: usize = CONV_W / 2;
     for i in (0..f).step_by(CONV_R) {
@@ -518,21 +629,21 @@ pub(crate) fn conv_panel(
         });
         let dense = !skip || rows.iter().all(|row| dense_row(row));
         let bias = bias.map(|b| &b[i..i + live]);
-        let out = &mut out[i * n..(i + live) * n];
+        let out = &mut out[i * cols.len()..(i + live) * cols.len()];
         let mut j = 0;
-        while j + CONV_W <= ld {
-            let acc = conv_block::<CONV_W>(rows, dense, panel, ld, j);
-            store_block(&acc, live, bias, j, CONV_W.min(n - j), n, out);
+        while j + CONV_W <= span {
+            let acc = conv_block::<CONV_W, S>(rows, dense, b, starts, j);
+            store_block(&acc, live, bias, (j, CONV_W.min(n - j)), cols, out);
             j += CONV_W;
         }
-        if j + HALF_W <= ld {
-            let acc = conv_block::<HALF_W>(rows, dense, panel, ld, j);
-            store_block(&acc, live, bias, j, HALF_W.min(n - j), n, out);
+        if j + HALF_W <= span {
+            let acc = conv_block::<HALF_W, S>(rows, dense, b, starts, j);
+            store_block(&acc, live, bias, (j, HALF_W.min(n - j)), cols, out);
             j += HALF_W;
         }
-        if j < ld {
-            let acc = conv_block::<CONV_TAIL_W>(rows, dense, panel, ld, j);
-            store_block(&acc, live, bias, j, n - j, n, out);
+        if j < span {
+            let acc = conv_block::<CONV_TAIL_W, S>(rows, dense, b, starts, j);
+            store_block(&acc, live, bias, (j, n - j), cols, out);
         }
     }
 }
@@ -785,7 +896,18 @@ mod tests {
                                 };
                                 let mut out = vec![f32::NAN; f * n];
                                 let bias_arg = with_bias.then_some(bias.as_slice());
-                                conv_panel(&w, f, k, &panel, ld, n, bias_arg, skip, &mut out);
+                                let cols = Cols::dense(n);
+                                conv_panel(
+                                    &w,
+                                    f,
+                                    k,
+                                    &panel,
+                                    Strided(ld),
+                                    cols,
+                                    bias_arg,
+                                    skip,
+                                    &mut out,
+                                );
                                 assert_eq!(
                                     nan_bits(&out),
                                     nan_bits(&want),

@@ -7,8 +7,9 @@
 //! This crate provides the numeric foundation used by every other crate in
 //! the reproduction of *"Novelty Detection via Network Saliency in
 //! Visual-based Deep Learning"* (DSN 2019): shapes, contiguous row-major
-//! tensors, elementwise and reduction kernels, a blocked GEMM,
-//! im2col-based 2-D convolution (forward and backward), resampling,
+//! tensors, elementwise and reduction kernels, a blocked GEMM, 2-D
+//! convolution (the forward as an implicit GEMM over stride-phase planes,
+//! the backward over im2col panels), resampling,
 //! random initialisation and libm-free transcendental functions
 //! ([`math`]). Everything runs on the calling thread.
 //!

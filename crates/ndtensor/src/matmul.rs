@@ -31,6 +31,7 @@
 
 use crate::kernels::{
     all_finite, conv_panel, conv_panel_stride, mm_accumulate, mm_assign, pack_at, pack_t_padded,
+    Cols, Strided,
 };
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -196,7 +197,17 @@ fn matmul_a_bt_slices(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out:
     let panel = pack_t_padded(ad, m, k, ld);
     let skip = all_finite(ad);
     let mut ct = scratch::take_stale(n * m);
-    conv_panel(bd, n, k, &panel, ld, m, None, skip, &mut ct);
+    conv_panel(
+        bd,
+        n,
+        k,
+        &panel,
+        Strided(ld),
+        Cols::dense(m),
+        None,
+        skip,
+        &mut ct,
+    );
     for (j, crow) in ct.chunks_exact(m).enumerate() {
         for (i, &v) in crow.iter().enumerate() {
             out[i * n + j] = v;

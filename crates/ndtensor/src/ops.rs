@@ -228,9 +228,10 @@ impl Tensor {
         }
     }
 
-    /// `true` if any element is NaN or infinite.
+    /// `true` if any element is NaN or infinite. One pass with no early
+    /// exit, so the scan vectorises.
     pub fn has_non_finite(&self) -> bool {
-        self.as_slice().iter().any(|v| !v.is_finite())
+        !crate::kernels::all_finite(self.as_slice())
     }
 
     /// Sums along `axis`, removing that dimension

@@ -20,6 +20,13 @@ pub enum SaliencyError {
         /// Human-readable description of the violated invariant.
         reason: String,
     },
+    /// A computed map holds a NaN or `±∞`: the network's arithmetic
+    /// overflowed or was fed a non-finite weight, so the map explains
+    /// nothing.
+    NonFinite {
+        /// Short name of the operation whose output is non-finite.
+        op: &'static str,
+    },
 }
 
 impl SaliencyError {
@@ -39,6 +46,7 @@ impl fmt::Display for SaliencyError {
             SaliencyError::Tensor(e) => write!(f, "tensor error: {e}"),
             SaliencyError::Vision(e) => write!(f, "image error: {e}"),
             SaliencyError::Invalid { op, reason } => write!(f, "{op}: {reason}"),
+            SaliencyError::NonFinite { op } => write!(f, "{op}: map holds a NaN or ±inf"),
         }
     }
 }
@@ -49,7 +57,7 @@ impl std::error::Error for SaliencyError {
             SaliencyError::Neural(e) => Some(e),
             SaliencyError::Tensor(e) => Some(e),
             SaliencyError::Vision(e) => Some(e),
-            SaliencyError::Invalid { .. } => None,
+            SaliencyError::Invalid { .. } | SaliencyError::NonFinite { .. } => None,
         }
     }
 }
@@ -84,6 +92,8 @@ mod tests {
         assert!(e.source().is_none());
         let e = SaliencyError::from(NeuralError::invalid("x", "y"));
         assert!(e.source().is_some());
+        let e = SaliencyError::NonFinite { op: "vbp" };
+        assert!(e.to_string().contains("NaN") && e.source().is_none());
     }
 
     #[test]

@@ -216,7 +216,8 @@ fn run_head(layers: &[Box<dyn Layer>], input: &Tensor) -> Result<()> {
 /// # Errors
 ///
 /// Fails when the network contains no convolutional layers or rejects the
-/// image's dimensions.
+/// image's dimensions, and with [`SaliencyError::NonFinite`] when the
+/// mask holds a NaN or `±∞` (a network whose activations overflow).
 ///
 /// # Example
 ///
@@ -290,6 +291,13 @@ pub fn visual_backprop(network: &Network, image: &Image) -> Result<Image> {
             image.height(),
             image.width(),
         )?;
+        // Min-max normalisation maps a non-finite map to all zeros, which
+        // would read as "nothing salient": fail instead.
+        if final_mask.has_non_finite() {
+            return Err(SaliencyError::NonFinite {
+                op: "visual_backprop",
+            });
+        }
         final_mask.normalize_minmax_in_place();
         Ok(Image::from_tensor(final_mask)?)
     })

@@ -412,7 +412,7 @@ fn naive_conv_general(
     out
 }
 
-/// The conv forward on its padded panel reproduces the naive chain
+/// The implicit-GEMM conv forward reproduces the naive chain
 /// bit-for-bit: output widths `n = oh·ow` of 1, W−1, W, W+1 and 2W+3
 /// for the 32-column register block, and the five PilotNet layer shapes
 /// (compact widths, 60×160 input); batch 1 and 3, with and without bias, on weights with an all-zero filter row, a
@@ -460,6 +460,179 @@ fn conv2d_panel_forward_matches_naive_bitwise() {
                 let label = format!("case {case} batch {batch} bias {}", b.is_some());
                 assert_eq!(bits(got.as_slice()), bits(&want), "conv2d {label}");
             }
+        }
+    }
+}
+
+/// `[f, c, kh, kw]` weights with every fifth entry `0.0` and every
+/// seventh `-0.0` (offset by `seed`), the rest pseudo-random.
+fn holed_weights(shape: [usize; 4], seed: u64) -> Tensor {
+    let mut weight = pseudo(shape, seed);
+    for (i, v) in weight.as_mut_slice().iter_mut().enumerate() {
+        let at = i as u64 + seed;
+        if at.is_multiple_of(5) {
+            *v = 0.0;
+        } else if at.is_multiple_of(7) {
+            *v = -0.0;
+        }
+    }
+    weight
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `conv2d` reproduces `naive_conv_general` bit for bit at every
+    /// stride-phase geometry: stride 1–3, padding 0–2 and kernel 1–5 per
+    /// axis (kernel below the stride and padding at or above the kernel
+    /// included), odd and even input sizes, batch 1–3, weights holding
+    /// exact `0.0` and `-0.0`, with and without bias.
+    #[test]
+    fn conv2d_any_stride_padding_kernel_matches_naive(
+        (n, c, f) in (1usize..4, 1usize..4, 1usize..7),
+        (kh, kw) in (1usize..6, 1usize..6),
+        (sh, sw) in (1usize..4, 1usize..4),
+        (ph, pw) in (0usize..3, 0usize..3),
+        (dh, dw) in (0usize..9, 0usize..9),
+        seed in 0u64..1000,
+    ) {
+        // Any input the padded kernel fits: at least one pixel, at least
+        // `k − 2p` of them.
+        let h = kh.saturating_sub(2 * ph).max(1) + dh;
+        let w = kw.saturating_sub(2 * pw).max(1) + dw;
+        let spec = Conv2dSpec::new((sh, sw), (ph, pw));
+        let input = pseudo([n, c, h, w], seed);
+        let weight = holed_weights([f, c, kh, kw], seed + 1);
+        let bias = pseudo([f], seed + 2);
+        let b = seed.is_multiple_of(2).then_some(&bias);
+        let want = naive_conv_general(&input, &weight, b, spec);
+        let label = format!("n{n} c{c} f{f} {h}x{w} k{kh}x{kw} s{sh}x{sw} p{ph}x{pw}");
+        assert_parity(&want, &label, &conv2d(&input, &weight, b, spec).unwrap())?;
+    }
+}
+
+/// Non-finite pixels reach exactly the kept outputs the naive chain
+/// sends them to, on a NaN-poisoned scratch pool:
+///
+/// * pixels that no kept output reads — the right-hand column a stride-2
+///   window never reaches, and the columns a stride-3, 2-wide kernel
+///   steps over — but that dropped wide columns of the implicit GEMM do
+///   read, or that land in a phase plane no tap reads, change no bit;
+/// * pixels that kept outputs read, where some of those outputs face
+///   them through an exact `0.0` or `-0.0` weight on every filter, give
+///   those outputs their finite naive value and the rest NaN.
+///
+/// Kept outputs equal `naive_conv_general` with NaNs compared by NaN-ness.
+#[test]
+fn conv2d_non_finite_pixels_match_naive() {
+    let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    // (c, h, w, f, kh, kw, spec, poisoned pixel columns of every row)
+    let unread = [
+        (
+            2usize,
+            9usize,
+            12usize,
+            6usize,
+            3usize,
+            3usize,
+            Conv2dSpec::new((2, 2), (0, 0)),
+            vec![11usize],
+        ),
+        (3, 8, 12, 5, 5, 5, Conv2dSpec::new((2, 2), (0, 0)), vec![11]),
+        (
+            2,
+            7,
+            13,
+            4,
+            2,
+            2,
+            Conv2dSpec::new((3, 3), (0, 0)),
+            vec![2, 5, 8, 11, 12],
+        ),
+        (
+            1,
+            60,
+            162,
+            8,
+            5,
+            5,
+            Conv2dSpec::new((2, 2), (0, 0)),
+            vec![161],
+        ),
+    ];
+    for (case, (c, h, w, f, kh, kw, spec, columns)) in unread.into_iter().enumerate() {
+        let seed = 1100 + 10 * case as u64;
+        let mut input = pseudo([2, c, h, w], seed);
+        for (row, chunk) in input.as_mut_slice().chunks_exact_mut(w).enumerate() {
+            for (i, &x) in columns.iter().enumerate() {
+                chunk[x] = bad[(row + i) % 3];
+            }
+        }
+        let weight = holed_weights([f, c, kh, kw], seed + 1);
+        let bias = pseudo([f], seed + 2);
+        let want = naive_conv_general(&input, &weight, Some(&bias), spec);
+        assert!(
+            want.iter().all(|v| v.is_finite()),
+            "case {case}: read a poisoned pixel"
+        );
+        poison_scratch_pool();
+        let got = conv2d(&input, &weight, Some(&bias), spec).unwrap();
+        assert_eq!(bits(got.as_slice()), bits(&want), "unread case {case}");
+    }
+
+    // (c, h, w, f, spec, pixel): a 3×3 kernel, taps (ci 1, ky 1, kx 1)
+    // and (ci 1, ky 0, kx 2) `0.0` and `-0.0` on every filter, and a
+    // non-finite value at `pixel` of sample 1, channel 1, which one of
+    // those taps faces.
+    let faced = [
+        (
+            2usize,
+            7usize,
+            9usize,
+            5usize,
+            Conv2dSpec::new((1, 1), (1, 1)),
+            (3usize, 4usize),
+        ),
+        (2, 8, 10, 4, Conv2dSpec::new((2, 2), (1, 1)), (3, 3)),
+        (3, 9, 11, 6, Conv2dSpec::new((1, 2), (0, 2)), (3, 5)),
+    ];
+    for (case, (c, h, w, f, spec, (py, px))) in faced.into_iter().enumerate() {
+        let seed = 1200 + 10 * case as u64;
+        let (oh, ow) = spec.output_hw(h, w, 3, 3).unwrap();
+        let ((sh, sw), (ph, pw)) = (spec.stride, spec.padding);
+        let mut weight = pseudo([f, c, 3, 3], seed + 1);
+        for fi in 0..f {
+            let tap = |ky: usize, kx: usize| ((fi * c + 1) * 3 + ky) * 3 + kx;
+            weight.as_mut_slice()[tap(1, 1)] = 0.0;
+            weight.as_mut_slice()[tap(0, 2)] = -0.0;
+        }
+        // The outputs of sample 1 that read the pixel, one per tap.
+        let readers: Vec<usize> = (0..9)
+            .filter_map(|t| {
+                let (y, x) = (py + ph, px + pw);
+                let (ky, kx) = (t / 3, t % 3);
+                let (oy, ox) = (y.checked_sub(ky)? / sh, x.checked_sub(kx)? / sw);
+                let hit = oy * sh + ky == y && ox * sw + kx == x && oy < oh && ox < ow;
+                hit.then_some(oy * ow + ox)
+            })
+            .collect();
+        let bias = pseudo([f], seed + 2);
+        for (i, v) in bad.into_iter().enumerate() {
+            let mut input = pseudo([2, c, h, w], seed + i as u64);
+            input.as_mut_slice()[((c + 1) * h + py) * w + px] = v;
+            let want = naive_conv_general(&input, &weight, Some(&bias), spec);
+            for fi in 0..f {
+                let map = &want[(f + fi) * oh * ow..(f + fi + 1) * oh * ow];
+                let finite = readers.iter().filter(|&&o| map[o].is_finite()).count();
+                assert!(
+                    finite > 0 && finite < readers.len(),
+                    "case {case}: {finite} of {} readers finite",
+                    readers.len()
+                );
+            }
+            poison_scratch_pool();
+            let got = conv2d(&input, &weight, Some(&bias), spec).unwrap();
+            assert_same_bits(got.as_slice(), &want, &format!("faced case {case} {v}"));
         }
     }
 }

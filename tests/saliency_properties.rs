@@ -3,7 +3,7 @@
 
 use novelty::NoveltyDetectorBuilder;
 use saliency::mask::concentration_ratio;
-use saliency::{lrp, visual_backprop, LrpConfig};
+use saliency::{lrp, visual_backprop, LrpConfig, SaliencyError};
 use saliency_novelty::prelude::*;
 
 fn indoor_data(len: usize, seed: u64) -> DrivingDataset {
@@ -224,7 +224,9 @@ mod reference {
         }
     }
 
-    pub fn visual_backprop(network: &Network, image: &Image) -> Image {
+    /// The mask before min-max normalisation, so a caller can tell a
+    /// non-finite one.
+    pub fn raw_mask(network: &Network, image: &Image) -> Tensor {
         let layers = network.layers();
         let mut blocks = Vec::new();
         for (i, layer) in layers.iter().enumerate() {
@@ -249,14 +251,13 @@ mod reference {
             let up = deconv_to(&mask, blocks[j].1, blocks[j].2, th, tw);
             mask = &up * target;
         }
-        let last = deconv_to(
+        deconv_to(
             &mask,
             blocks[0].1,
             blocks[0].2,
             image.height(),
             image.width(),
-        );
-        Image::from_tensor(last.normalize_minmax()).unwrap()
+        )
     }
 }
 
@@ -277,9 +278,11 @@ fn mask_bits(mask: &Image) -> Vec<u32> {
 
 /// The walk that stops at the last conv block, gathers its upsampling,
 /// reads contiguous bilinear runs and multiplies in place gives the
-/// reference's mask bit for bit: compact and paper PilotNets, at random
-/// initialisation and trained, on rendered frames, a frame with exact
-/// zeros and negative pixels, and one holding NaN and ±∞.
+/// reference's normalised mask bit for bit: compact and paper PilotNets,
+/// at random initialisation and trained, on rendered frames and a frame
+/// with exact zeros and negative pixels. A frame holding NaN and ±∞ gives
+/// a non-finite reference mask, and `visual_backprop` fails it with
+/// `SaliencyError::NonFinite` instead of normalising it to zeros.
 #[test]
 fn vbp_masks_match_the_full_forward_reference_bitwise() {
     use neural::models::{pilotnet, PilotNetConfig};
@@ -309,12 +312,24 @@ fn vbp_masks_match_the_full_forward_reference_bitwise() {
     ];
     for (name, net) in &nets {
         for (i, img) in images.iter().enumerate() {
+            let raw = reference::raw_mask(net, img);
+            let got = visual_backprop(net, img);
+            if raw.has_non_finite() {
+                assert!(
+                    matches!(got, Err(SaliencyError::NonFinite { .. })),
+                    "{name} network, image {i}: {got:?}"
+                );
+                continue;
+            }
+            let want = Image::from_tensor(raw.normalize_minmax()).unwrap();
             assert_eq!(
-                mask_bits(&visual_backprop(net, img).unwrap()),
-                mask_bits(&reference::visual_backprop(net, img)),
+                mask_bits(&got.unwrap()),
+                mask_bits(&want),
                 "{name} network, image {i}"
             );
         }
+        let hostile = images.last().unwrap();
+        assert!(reference::raw_mask(net, hostile).has_non_finite(), "{name}");
     }
 }
 

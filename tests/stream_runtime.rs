@@ -237,23 +237,11 @@ fn hold_last_coasts_and_abstain_reports_gaps() {
     assert_eq!(abstained[8].source, DecisionSource::Scored);
 }
 
-/// A detector whose weights are finite but overflow at run time scores
-/// NaN. `Threshold::is_novel(NaN)` is false in both directions, so such
-/// a detector must fail closed — every frame a score error driving the
-/// health machine to FailSafe — instead of calling every frame familiar.
-/// Checked on the solo runtime and on a two-tenant server, whose frames
-/// take the batched scoring path.
-#[test]
-fn non_finite_scores_fail_closed_into_failsafe() {
-    // The spec loader accepts any finite weight; 3e38 in the first
-    // autoencoder bias overflows to ±inf and then NaN downstream.
-    let mut spec = detector_to_spec(detector()).unwrap();
-    let first = spec.autoencoder.as_mut().unwrap().layers.first_mut();
-    let Some(LayerSpec::Dense { bias, .. }) = first else {
-        panic!("the autoencoder starts with a dense layer");
-    };
-    bias.data.fill(3e38);
-    let poisoned = detector_from_spec(spec).unwrap();
+/// Asserts that `poisoned` fails closed on ten drive frames: every frame
+/// a score error, none scored, and the health machine in FailSafe at the
+/// end. Checked on the solo runtime and on a two-tenant server, whose
+/// frames take the batched scoring path.
+fn assert_fails_closed(poisoned: &NoveltyDetector) {
     let frames = drive_frames(10, 13);
     let assert_failed_closed = |decisions: &[StreamDecision], label: &str| {
         assert_eq!(decisions.len(), frames.len(), "{label}");
@@ -273,14 +261,14 @@ fn non_finite_scores_fail_closed_into_failsafe() {
         );
     };
 
-    let mut runtime = StreamRuntime::new(&poisoned, StreamConfig::for_detector(&poisoned)).unwrap();
+    let mut runtime = StreamRuntime::new(poisoned, StreamConfig::for_detector(poisoned)).unwrap();
     let solo: Vec<StreamDecision> = frames.iter().map(|f| runtime.process(Some(f))).collect();
     assert_failed_closed(&solo, "runtime");
 
     let tenants = (0..2)
-        .map(|t| TenantSpec::new(format!("t{t}"), StreamConfig::for_detector(&poisoned)))
+        .map(|t| TenantSpec::new(format!("t{t}"), StreamConfig::for_detector(poisoned)))
         .collect();
-    let mut server = StreamServer::new(&poisoned, tenants).unwrap();
+    let mut server = StreamServer::new(poisoned, tenants).unwrap();
     let mut served = [Vec::new(), Vec::new()];
     for frame in &frames {
         for tenant in 0..2 {
@@ -293,4 +281,38 @@ fn non_finite_scores_fail_closed_into_failsafe() {
     for (tenant, decisions) in served.iter().enumerate() {
         assert_failed_closed(decisions, &format!("server tenant {tenant}"));
     }
+}
+
+/// A detector whose weights are finite but overflow at run time scores
+/// NaN. `Threshold::is_novel(NaN)` is false in both directions, so such
+/// a detector must fail closed — every frame a score error driving the
+/// health machine to FailSafe — instead of calling every frame familiar.
+#[test]
+fn non_finite_scores_fail_closed_into_failsafe() {
+    // The spec loader accepts any finite weight; 3e38 in the first
+    // autoencoder bias overflows to ±inf and then NaN downstream.
+    let mut spec = detector_to_spec(detector()).unwrap();
+    let first = spec.autoencoder.as_mut().unwrap().layers.first_mut();
+    let Some(LayerSpec::Dense { bias, .. }) = first else {
+        panic!("the autoencoder starts with a dense layer");
+    };
+    bias.data.fill(3e38);
+    assert_fails_closed(&detector_from_spec(spec).unwrap());
+}
+
+/// The same overflow in the steering CNN: 3e38 in every first-conv weight
+/// drives conv1's outputs to +∞ and every later map to NaN. Min-max
+/// normalisation would turn that VisualBackProp mask into all zeros, an
+/// image the autoencoder reconstructs well, so every frame would be
+/// called familiar; the non-finite mask must instead fail each frame
+/// closed.
+#[test]
+fn non_finite_saliency_masks_fail_closed_into_failsafe() {
+    let mut spec = detector_to_spec(detector()).unwrap();
+    let first = spec.steering.as_mut().unwrap().layers.first_mut();
+    let Some(LayerSpec::Conv2d { weight, .. }) = first else {
+        panic!("the steering CNN starts with a conv layer");
+    };
+    weight.data.fill(3e38);
+    assert_fails_closed(&detector_from_spec(spec).unwrap());
 }
